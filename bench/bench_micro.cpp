@@ -95,7 +95,7 @@ BENCHMARK(BM_StepSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // The vectorized reception walk: same dense round as BM_StepSharded on the
 // serial path, row walks run by the kernel tier selected via Arg(0)
 // (0 = scalar, 1 = AVX2, 2 = AVX-512). Rows the CPU or build cannot run are
-// skipped. The ratio between rows is the SIMD speedup of the phase-B walk;
+// skipped. The ratio between rows is the SIMD speedup of the block walk;
 // results are byte-identical across all three (tests/test_radio.cpp).
 static void BM_StepSimd(benchmark::State& state) {
   const auto lvl = static_cast<radio::simd_level>(state.range(0));

@@ -29,10 +29,6 @@ struct broadcast_workload {
   std::size_t messages = 1;
 };
 
-/// Deprecated alias from before the options struct grew its versioned
-/// canonical text form (core/options.h); new code names core::options.
-using run_options = options;
-
 /// Result of `run_broadcast`: the usual round/traffic counters plus the
 /// payload check of the coding protocols (always true for uncoded ones).
 struct broadcast_outcome {

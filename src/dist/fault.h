@@ -5,7 +5,7 @@
 // consults `take()` and embeds the matching fault code in the frame, so the
 // worker-side logic is a trivial switch and — crucially — a respawned rank
 // can never re-trigger a fault that already fired (entries are consumed at
-// send time, and replayed rounds always carry `none`). That makes every
+// send time, and resent rounds always carry `none`). That makes every
 // recovery path exercisable on demand and exactly once.
 //
 // Plan grammar (the `--fault-plan` flag on rn_dist, ';'-separated):

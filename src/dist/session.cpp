@@ -13,6 +13,7 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "dist/worker.h"
+#include "radio/block_walk.h"
 
 namespace rn::dist {
 
@@ -28,16 +29,16 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-/// Coordinator-side walker over the resident trial graph for a contiguous
+/// Coordinator-side walk over the resident trial graph for a contiguous
 /// orphaned block range — the degraded-fleet fallback. Built lazily per
 /// (first, last) range and cached for the rest of the trial; walking it is
 /// exactly the rank walk (same view construction, same canonical plan), so
 /// locally covered blocks are byte-identical to remotely computed ones.
+/// Always team size 1: a fork-only coordinator may fork respawned ranks
+/// later, so no walk thread may outlive a walk here.
 struct session::local_cover {
-  unsigned first = 0;
-  unsigned last = 0;
   graph::partitioned_view view;
-  partition_walker walker;
+  radio::block_walker walker;
 };
 
 session::session(session_options opt)
@@ -167,23 +168,11 @@ void session::recv_setup_ack(unsigned r) {
 }
 
 void session::resync_rank(unsigned r) {
+  // Workers are round-stateless (every round's state is cleared before
+  // its reply), so a fresh slice needs no history: setup is the whole
+  // resync, and the caller resends the round in flight.
   send_setup(r);
   recv_setup_ack(r);
-  // Replay the trial's completed rounds with want_results = 0. The protocol
-  // is round-stateless worker-side (clear_round after every round), so this
-  // is for protocol-evolution safety, not correctness today; if the log was
-  // dropped (cap) the skip is still byte-identical.
-  if (round_log_dropped_) return;
-  auto& rk = ranks_[r];
-  rk.ch.set_deadline_ms(opt_.policy.round_deadline_ms);
-  for (const auto& section : round_log_) {
-    wire_writer w;
-    w.u8(0);  // replay: no results wanted
-    w.u8(static_cast<std::uint8_t>(fault_kind::none));
-    w.u32(0);
-    w.raw(section.data(), section.size());
-    rk.ch.send(msg_type::round, w);
-  }
 }
 
 bool session::respawn_rank(unsigned r, const char* why) {
@@ -280,11 +269,7 @@ void session::trial_begin(const graph::topology_spec& spec,
     trial_index_ = static_cast<std::uint32_t>(trials_);
     trial_live_ = true;
     round_index_ = 0;
-    round_log_.clear();
-    round_log_bytes_ = 0;
-    round_log_dropped_ = false;
     covers_.clear();
-    have_trial_plan_ = false;
     for (auto& rk : ranks_) rk.respawns_this_trial = 0;
 
     // Revive ranks lost at a previous trial's teardown: a fresh process and
@@ -406,12 +391,10 @@ void session::release(const graph::graph& g) {
   (void)g;  // nothing rank-side to undo: state is per trial, not per network
 }
 
-void session::send_round_frame(unsigned r, const fault_spec* fault,
-                               bool want_results) {
+void session::send_round_frame(unsigned r, const fault_spec* fault) {
   auto& rk = ranks_[r];
   rk.ch.set_deadline_ms(opt_.policy.round_deadline_ms);
   wire_writer w;
-  w.u8(want_results ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(fault ? fault->kind : fault_kind::none));
   w.u32(fault ? fault->arg_ms : 0);
   w.u32(static_cast<std::uint32_t>(current_txs_.size()));
@@ -491,7 +474,7 @@ void session::recover_round(unsigned r, std::uint64_t* hit_state,
     }
     if (rank_done(ranks_[r])) return;  // everything already applied
     try {
-      send_round_frame(r, nullptr, true);  // resend; faults never replay
+      send_round_frame(r, nullptr);  // resend; faults never replay
       collect_round(r, hit_state, block_touched);
       return;
     } catch (const wire_error&) {
@@ -522,31 +505,22 @@ void session::cover_missing(std::uint64_t* hit_state,
     const auto t0 = std::chrono::steady_clock::now();  // rn-lint: allow(R1) local-cover recovery timing feeds the v6 sidecar, never results JSON
     local_cover* cov = nullptr;
     for (const auto& c : covers_)
-      if (c->first == b && c->last == e) cov = c.get();
+      if (c->view.first_block() == b && c->view.last_block() == e)
+        cov = c.get();
     if (cov == nullptr) {
-      if (!have_trial_plan_) {
-        std::vector<std::uint32_t> prefix(g->node_count() + 1, 0);
-        std::size_t total = 0;
-        for (node_id v = 0; v < g->node_count(); ++v) {
-          total += g->degree(v);
-          prefix[v + 1] = static_cast<std::uint32_t>(total);
-        }
-        trial_plan_ = graph::compute_block_plan(prefix, kBlocks);
-        have_trial_plan_ = true;
-      }
       auto made = std::make_unique<local_cover>();
-      made->first = b;
-      made->last = e;
-      made->view = graph::partitioned_view::from_graph(*g, trial_plan_, b, e);
-      made->walker.bind(&made->view, opt_.intra_trial_threads);
+      made->view = graph::partitioned_view::from_graph(
+          *g, graph::compute_block_plan(*g, kBlocks), b, e);
+      made->walker.bind(made->view.row_start().data(),
+                        made->view.adjacency().data(),
+                        made->view.plan().bounds, b, e);
       covers_.push_back(std::move(made));
       cov = covers_.back().get();
     }
     cov->walker.walk(current_txs_);
     for (unsigned blk = b; blk < e; ++blk) {
-      const std::span<const node_id> ids = cov->walker.touched(blk);
       radio::touch_list& touched = block_touched[blk];
-      for (const node_id v : ids) {
+      for (const node_id v : cov->walker.touched(blk)) {
         touched.push(v);
         hit_state[v] = cov->walker.hit_word(v);
       }
@@ -585,7 +559,7 @@ void session::walk_round(const radio::round_buffer& txs,
       continue;
     const fault_spec* fault = plan_.take(r, trial_index_, round_index_);
     try {
-      send_round_frame(r, fault, true);
+      send_round_frame(r, fault);
     } catch (const wire_error&) {
       recover_round(r, hit_state, block_touched);
     }
@@ -603,22 +577,6 @@ void session::walk_round(const radio::round_buffer& txs,
   // walked locally; a healthy fleet leaves nothing and this is a no-op.
   cover_missing(hit_state, block_touched);
 
-  if (!round_log_dropped_) {
-    const std::size_t section_bytes = 4 + current_txs_.size() * 4;
-    if (round_log_bytes_ + section_bytes > opt_.max_round_log_bytes) {
-      round_log_.clear();
-      round_log_bytes_ = 0;
-      round_log_dropped_ = true;
-    } else {
-      std::vector<std::uint8_t> section(section_bytes);
-      const auto m = static_cast<std::uint32_t>(current_txs_.size());
-      std::memcpy(section.data(), &m, 4);
-      std::memcpy(section.data() + 4, current_txs_.data(),
-                  current_txs_.size() * 4);
-      round_log_.push_back(std::move(section));
-      round_log_bytes_ += section_bytes;
-    }
-  }
   ++round_index_;
   ++rounds_;
 }

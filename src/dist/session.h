@@ -23,15 +23,15 @@
 // crashed rank (EOF) and a wedged rank (timeout) are both detected within a
 // bound, never a hang. The session then respawns the rank with bounded
 // exponential backoff — rebuilding its partitioned CSR slice by replaying
-// the edge source and replaying the current trial's rounds from the trial
-// start — or, once the respawn budget is exhausted, retires the rank:
-// its blocks are covered locally for the in-flight round (the coordinator
-// holds the trial graph) and reassigned to the surviving ranks at the next
-// round boundary. Per-rank result frames are validated before any of their
-// blocks are applied, application is tracked per block, and reception
-// dispatch always walks blocks in ascending canonical order — so results
-// JSON is byte-identical to the fault-free (and single-process) run through
-// every recovery path. Faults are injectable on demand via
+// the edge source, then resending the round in flight (workers keep no
+// state between rounds) — or, once the respawn budget is exhausted, retires
+// the rank: its blocks are covered locally for the in-flight round (the
+// coordinator holds the trial graph) and reassigned to the surviving ranks
+// at the next round boundary. Per-rank result frames are validated before
+// any of their blocks are applied, application is tracked per block, and
+// reception dispatch always walks blocks in ascending canonical order — so
+// results JSON is byte-identical to the fault-free (and single-process) run
+// through every recovery path. Faults are injectable on demand via
 // session_options::fault_plan (dist/fault.h).
 //
 // Results are byte-identical to single-process runs at any rank count; the
@@ -75,11 +75,6 @@ struct session_options {
   /// Deterministic fault plan (dist/fault.h grammar); parsed at
   /// construction, throws on malformed input. Empty = no faults.
   std::string fault_plan;
-  /// Replaying a trial's rounds to a respawned rank needs the round log;
-  /// past this many logged bytes the log is dropped for the trial and
-  /// respawned ranks skip replay — still byte-identical, because the worker
-  /// protocol is round-stateless (clear_round after every reply).
-  std::size_t max_round_log_bytes = std::size_t{1} << 30;
 };
 
 /// Cumulative rank-fleet counters for the v6 timing sidecar.
@@ -148,8 +143,8 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
 
   [[nodiscard]] bool spawn_rank(unsigned r);
   void kill_rank(unsigned r);
-  /// setup + setup-ack + round-log replay for the rank's current block
-  /// range; throws wire_error on any failure.
+  /// setup + setup-ack for the rank's current block range (workers are
+  /// round-stateless); throws wire_error on any failure.
   void resync_rank(unsigned r);
   /// Bounded-backoff respawn loop ending in a resynced rank (true) or an
   /// exhausted budget (false — caller degrades).
@@ -160,8 +155,7 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   void reassign_blocks();
   void send_setup(unsigned r);
   void recv_setup_ack(unsigned r);
-  void send_round_frame(unsigned r, const fault_spec* fault,
-                        bool want_results);
+  void send_round_frame(unsigned r, const fault_spec* fault);
   /// recv + validate + apply one rank's round results. Validation precedes
   /// any application (per-rank frames apply atomically) and already-applied
   /// blocks are skipped, so recovery can never double-apply.
@@ -195,14 +189,9 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   bool trial_live_ = false;
   std::uint32_t trial_index_ = 0;  ///< 0-based once the first trial begins
   std::uint32_t round_index_ = 0;  ///< stepped rounds within the trial
-  std::vector<std::vector<std::uint8_t>> round_log_;  ///< tx sections
-  std::size_t round_log_bytes_ = 0;
-  bool round_log_dropped_ = false;
   std::vector<node_id> current_txs_;
   std::vector<std::uint8_t> applied_;  ///< per block, current round
   bool needs_reassign_ = false;
-  graph::block_plan trial_plan_;  ///< for local covers; built on demand
-  bool have_trial_plan_ = false;
   std::vector<std::unique_ptr<local_cover>> covers_;
 
   std::vector<std::int64_t> rank_peak_rss_kb_;

@@ -8,9 +8,9 @@
 //   1. *Respawn*: fork (or fork+exec) a fresh process for the rank, with
 //      bounded exponential backoff between attempts, rebuild its partitioned
 //      CSR slice by replaying the edge source (the setup frame carries the
-//      topology spec), and replay the current trial's rounds from the trial
-//      start so a stateful worker implementation would also land in the
-//      right state. Each rank gets `max_respawns` attempts per trial.
+//      topology spec), then resend the round in flight — workers keep no
+//      state between rounds, so setup is the whole resync. Each rank gets
+//      `max_respawns` attempts per trial.
 //   2. *Degrade*: when respawn is exhausted the rank is retired for the rest
 //      of the session; its block range is covered locally for the in-flight
 //      round (the coordinator holds the trial graph) and reassigned to the

@@ -4,8 +4,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -14,93 +17,12 @@
 #include "dist/fault.h"
 #include "dist/wire.h"
 #include "graph/generators.h"
+#include "graph/partitioned.h"
 #include "graph/topology.h"
+#include "radio/network.h"
 #include "sim/engine.h"
 
 namespace rn::dist {
-
-void partition_walker::bind(const graph::partitioned_view* view,
-                            unsigned threads) {
-  view_ = view;
-  const unsigned owned = view->last_block() - view->first_block();
-  threads_ = std::max(1u, std::min(threads, owned));
-  hits_.assign(view->node_count(), 0);
-  owner_.assign(view->owned_end() - view->owned_begin(), 0);
-  for (unsigned b = view->first_block(); b < view->last_block(); ++b)
-    for (node_id v = view->plan().block_begin(b);
-         v < view->plan().block_end(b); ++v)
-      owner_[v - view->owned_begin()] =
-          static_cast<std::uint8_t>(b - view->first_block());
-  touched_.assign(owned, {});
-}
-
-void partition_walker::unbind() {
-  view_ = nullptr;
-  hits_.clear();
-  hits_.shrink_to_fit();
-  owner_.clear();
-  owner_.shrink_to_fit();
-  touched_.clear();
-}
-
-void partition_walker::walk_span(std::span<const node_id> tx_ids,
-                                 unsigned first_block, unsigned last_block) {
-  // The view's rows hold only owned-range neighbors; restrict further to
-  // this span's contiguous listener range with one binary search per row
-  // (rows are sorted ascending). Walk order — transmitters in index order,
-  // then row order — matches the serial walk, so each block's first-touch
-  // list comes out in the canonical dispatch order.
-  const node_id lo = view_->plan().block_begin(first_block);
-  const node_id hi = view_->plan().block_end(last_block - 1);
-  std::uint64_t* hits = hits_.data();
-  const std::uint8_t* owner = owner_.data();
-  const node_id base = view_->owned_begin();
-  for (std::uint32_t i = 0; i < tx_ids.size(); ++i) {
-    const std::span<const node_id> row = view_->row(tx_ids[i]);
-    const node_id* a =
-        std::lower_bound(row.data(), row.data() + row.size(), lo);
-    const node_id* row_end = row.data() + row.size();
-    for (; a != row_end && *a < hi; ++a) {
-      const node_id v = *a;
-      const std::uint64_t hs = hits[v];
-      if (hs == 0) touched_[owner[v - base]].push_back(v);
-      hits[v] = ((hs + (1ULL << 32)) & 0xffffffff00000000ULL) | i;
-    }
-  }
-}
-
-void partition_walker::walk(std::span<const node_id> tx_ids) {
-  RN_REQUIRE(view_ != nullptr, "partition_walker is unbound");
-  const unsigned first = view_->first_block();
-  const unsigned owned = view_->last_block() - first;
-  if (threads_ <= 1 || tx_ids.empty()) {
-    if (!tx_ids.empty()) walk_span(tx_ids, first, first + owned);
-    return;
-  }
-  // Contiguous block sub-ranges per thread: disjoint listener ranges mean
-  // disjoint hits_/touched_ writes, and block results are read back in
-  // block order afterwards — the split cannot show up in the output.
-  std::vector<std::thread> team;
-  team.reserve(threads_ - 1);
-  for (unsigned t = 0; t < threads_; ++t) {
-    const unsigned b0 = first + owned * t / threads_;
-    const unsigned b1 = first + owned * (t + 1) / threads_;
-    if (b0 == b1) continue;
-    if (t + 1 == threads_) {
-      walk_span(tx_ids, b0, b1);
-    } else {
-      team.emplace_back([this, tx_ids, b0, b1] { walk_span(tx_ids, b0, b1); });
-    }
-  }
-  for (auto& th : team) th.join();
-}
-
-void partition_walker::clear_round() {
-  for (auto& list : touched_) {
-    for (const node_id v : list) hits_[v] = 0;
-    list.clear();
-  }
-}
 
 namespace {
 
@@ -130,14 +52,8 @@ graph::partitioned_view build_view(const graph::topology_spec& spec,
         kBlocks, first_block, last_block);
   }
   const graph::graph g = graph::build_topology(spec);
-  std::vector<std::uint32_t> prefix(g.node_count() + 1, 0);
-  std::size_t total = 0;
-  for (node_id v = 0; v < g.node_count(); ++v) {
-    total += g.degree(v);
-    prefix[v + 1] = static_cast<std::uint32_t>(total);
-  }
   return graph::partitioned_view::from_graph(
-      g, graph::compute_block_plan(prefix, kBlocks), first_block, last_block);
+      g, graph::compute_block_plan(g, kBlocks), first_block, last_block);
 }
 
 }  // namespace
@@ -149,9 +65,8 @@ int worker_main(int fd) {
   channel ch(fd);
   std::vector<std::uint8_t> payload;
   graph::partitioned_view view;
-  partition_walker walker;
+  std::unique_ptr<radio::block_walker> walker;  ///< live trial only
   std::vector<node_id> tx_ids;
-  bool bound = false;
 
   try {
     for (;;) {
@@ -176,9 +91,17 @@ int worker_main(int fd) {
           graph::topology_spec spec = graph::parse_topology_spec(
               std::string(reinterpret_cast<const char*>(text), spec_len));
           spec.seed = seed;
+          // Free the previous slice first: a reassignment resync re-sends
+          // setup mid-trial, and two slices need not coexist.
+          walker.reset();
+          view = graph::partitioned_view();
           view = build_view(spec, first, last);
-          walker.bind(&view, threads);
-          bound = true;
+          walker = std::make_unique<radio::block_walker>();
+          walker->bind(view.row_start().data(), view.adjacency().data(),
+                       view.plan().bounds, first, last);
+          walker->set_min_parallel_volume(
+              radio::get_intra_trial_policy().min_parallel_volume);
+          walker->set_team(threads);
           wire_writer ack;
           ack.u64(view.node_count());
           ack.u64(view.adjacency().size());
@@ -186,11 +109,9 @@ int worker_main(int fd) {
           break;
         }
         case msg_type::round: {
-          RN_REQUIRE(bound, "dist round before setup");
-          const std::uint8_t flags = in.u8();
+          RN_REQUIRE(walker != nullptr, "dist round before setup");
           const auto fault = static_cast<fault_kind>(in.u8());
           const std::uint32_t fault_arg_ms = in.u32();
-          const bool want_results = (flags & 1u) != 0;
           // Coordinator-injected faults (dist/fault.h). `kill` models a
           // crash before the round is processed; `drop` a wedged rank the
           // coordinator's deadline must catch; `truncate` death mid-write.
@@ -200,34 +121,30 @@ int worker_main(int fd) {
           tx_ids.resize(m);
           std::memcpy(tx_ids.data(), in.raw(std::size_t{m} * 4),
                       std::size_t{m} * 4);
-          walker.walk(tx_ids);
-          if (want_results) {
-            wire_writer out;
-            for (unsigned b = view.first_block(); b < view.last_block();
-                 ++b) {
-              const std::span<const node_id> ids = walker.touched(b);
-              out.u32(b);
-              out.u32(static_cast<std::uint32_t>(ids.size()));
-              out.raw(ids.data(), ids.size() * 4);
-              for (const node_id v : ids) out.u64(walker.hit_word(v));
-            }
-            if (fault == fault_kind::delay)
-              std::this_thread::sleep_for(
-                  std::chrono::milliseconds(fault_arg_ms));
-            if (fault == fault_kind::truncate) {
-              ch.send_truncated(msg_type::round_results, out,
-                                out.bytes.size() / 2);
-              ::_exit(43);
-            }
-            ch.send(msg_type::round_results, out);
+          walker->walk(tx_ids);
+          wire_writer out;
+          for (unsigned b = view.first_block(); b < view.last_block(); ++b) {
+            const std::span<const node_id> ids = walker->touched(b);
+            out.u32(b);
+            out.u32(static_cast<std::uint32_t>(ids.size()));
+            out.raw(ids.data(), ids.size() * 4);
+            for (const node_id v : ids) out.u64(walker->hit_word(v));
           }
-          walker.clear_round();
+          walker->clear_round();
+          if (fault == fault_kind::delay)
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(fault_arg_ms));
+          if (fault == fault_kind::truncate) {
+            ch.send_truncated(msg_type::round_results, out,
+                              out.bytes.size() / 2);
+            ::_exit(43);
+          }
+          ch.send(msg_type::round_results, out);
           break;
         }
         case msg_type::teardown: {
-          walker.unbind();
+          walker.reset();
           view = graph::partitioned_view();
-          bound = false;
           wire_writer ack;
           ack.u64(static_cast<std::uint64_t>(sim::process_peak_rss_kb()));
           ch.send(msg_type::teardown_ack, ack);

@@ -6,62 +6,15 @@
 // list, tallies hit words for its own listeners, and returns each owned
 // block's first-touched listeners (in the canonical walk order) with their
 // packed words. The coordinator applies blocks in ascending order, so the
-// reception dispatch it then runs is byte-identical to the serial walk's.
+// reception dispatch it then runs is byte-identical to a single-process run.
 //
-// `partition_walker` is the reusable walk over a view — the worker loop
-// uses it over a socketpair, and the dist tests drive it in-process to pin
-// the determinism argument without any forking.
+// The tally itself is radio::block_walker (radio/block_walk.h) bound to the
+// rank's view — the same walker the in-process engine runs over all 32
+// blocks. The coordinator binds one to a view of the resident graph when it
+// covers a degraded rank's blocks locally.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "common/types.h"
-#include "graph/partitioned.h"
-
 namespace rn::dist {
-
-/// One rank's round walk over a partitioned view. Not thread-safe; one
-/// walker per rank.
-class partition_walker {
- public:
-  /// Binds to a view (which must outlive the walker) and allocates round
-  /// state. `threads >= 2` splits the owned blocks into that many contiguous
-  /// sub-ranges walked concurrently — per-block results are written by
-  /// exactly one thread and read back in block order, so results are
-  /// byte-identical at every thread count (the intra-trial knob composes
-  /// with ranks).
-  void bind(const graph::partitioned_view* view, unsigned threads);
-  void unbind();
-
-  /// Walks one round: `tx_ids[i]` transmits with transmitter index i.
-  /// Leaves per-owned-block touch lists and hit words readable until
-  /// `clear_round`.
-  void walk(std::span<const node_id> tx_ids);
-
-  /// First-touched owned listeners of block `b` (absolute index), in the
-  /// serial walk's touch order.
-  [[nodiscard]] std::span<const node_id> touched(unsigned b) const {
-    return touched_[b - view_->first_block()];
-  }
-  /// Packed hit word of listener v (valid for touched listeners).
-  [[nodiscard]] std::uint64_t hit_word(node_id v) const { return hits_[v]; }
-
-  /// Zeroes the touched hit words and empties the touch lists — O(touched),
-  /// mirroring the engine's per-round cleanup.
-  void clear_round();
-
- private:
-  void walk_span(std::span<const node_id> tx_ids, unsigned first_block,
-                 unsigned last_block);
-
-  const graph::partitioned_view* view_ = nullptr;
-  unsigned threads_ = 1;
-  std::vector<std::uint64_t> hits_;          ///< indexed by absolute node id
-  std::vector<std::uint8_t> owner_;          ///< owned range, block - first
-  std::vector<std::vector<node_id>> touched_;  ///< per owned block
-};
 
 /// Runs the worker protocol loop on `fd` until shutdown (returns 0) or the
 /// coordinator disappears (returns 1). Invoked by tools/rn_dist when spawned

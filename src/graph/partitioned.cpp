@@ -28,6 +28,16 @@ block_plan compute_block_plan(std::span<const std::uint32_t> row_prefix,
   return plan;
 }
 
+block_plan compute_block_plan(const graph& g, unsigned blocks) {
+  std::vector<std::uint32_t> prefix(g.node_count() + 1, 0);
+  std::size_t total = 0;
+  for (node_id v = 0; v < g.node_count(); ++v) {
+    total += g.degree(v);
+    prefix[v + 1] = static_cast<std::uint32_t>(total);
+  }
+  return compute_block_plan(prefix, blocks);
+}
+
 namespace {
 
 void check_block_range(const block_plan& plan, unsigned first, unsigned last) {

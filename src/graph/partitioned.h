@@ -49,6 +49,9 @@ struct block_plan {
 [[nodiscard]] block_plan compute_block_plan(
     std::span<const std::uint32_t> row_prefix, unsigned blocks);
 
+/// The same plan for a resident graph, from its degree sequence.
+[[nodiscard]] block_plan compute_block_plan(const graph& g, unsigned blocks);
+
 /// Calls `sink(u, v)` exactly once per undirected edge, in a deterministic
 /// order. A build invokes the source several times (degree pass, count pass,
 /// fill pass) — sources must replay identically, which the deterministic

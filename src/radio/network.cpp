@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <thread>
 
 #include "common/check.h"
 #include "graph/partitioned.h"
-#include "radio/simd_kernels.h"
 
 namespace rn::radio {
 
@@ -22,15 +17,12 @@ namespace {
 /// so the listener partition — and with it the reception dispatch order —
 /// is identical no matter how many threads walk the blocks. 32 blocks give
 /// dynamic claiming enough granularity to balance skewed rounds while the
-/// phase-A split overhead stays ~(degree + 32) per transmitter row.
+/// per-claim row search stays ~32 O(1) tests per transmitter row.
 constexpr unsigned kNumBlocks = 32;
 
 std::atomic<std::int64_t> g_stepped{0};
 std::atomic<std::int64_t> g_skipped{0};
 std::atomic<std::int64_t> g_simd_stepped{0};
-std::atomic<std::int64_t> g_parallel_rounds{0};
-std::atomic<std::int64_t> g_shard_busy_ns[kNumBlocks]{};
-std::atomic<unsigned> g_max_team{0};
 
 std::mutex g_policy_mu;
 intra_trial_policy g_policy;
@@ -49,96 +41,7 @@ unsigned budget_total_locked() {
   return g_budget_total;
 }
 
-/// cpuid probe for the best kernel tier this build carries. The compiled-in
-/// guards and the runtime checks are independent: a binary built with the
-/// AVX-512 TU still runs the scalar (or AVX2) walk on older hardware.
-simd_level probe_simd_level() {
-  simd_level best = simd_level::scalar;
-#if defined(RN_HAVE_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) best = simd_level::avx2;
-#endif
-#if defined(RN_HAVE_SIMD_AVX512)
-  if (best == simd_level::avx2 && __builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vl"))
-    best = simd_level::avx512;
-#endif
-  return best;
-}
-
-simd_level clamp_to_detected(simd_level l) {
-  return std::min(l, detected_simd_level());
-}
-
-/// Startup tier: the detected one, unless RN_SIMD asks for less (or, on a
-/// machine whose CPU lacks the requested tier, effectively less — requests
-/// are clamped, never trusted to exceed the probe).
-simd_level initial_simd_level() {
-  const char* e = std::getenv("RN_SIMD");
-  if (e == nullptr || std::strcmp(e, "auto") == 0)
-    return detected_simd_level();
-  if (std::strcmp(e, "scalar") == 0 || std::strcmp(e, "off") == 0)
-    return simd_level::scalar;
-  if (std::strcmp(e, "avx2") == 0)
-    return clamp_to_detected(simd_level::avx2);
-  if (std::strcmp(e, "avx512") == 0)
-    return clamp_to_detected(simd_level::avx512);
-  return detected_simd_level();  // unrecognized value: behave like auto
-}
-
-std::atomic<std::uint8_t>& active_simd_storage() {
-  static std::atomic<std::uint8_t> level{
-      static_cast<std::uint8_t>(initial_simd_level())};
-  return level;
-}
-
-/// Kernel table for a tier; nullptr means "use the inlined scalar walk".
-const detail::walk_kernels* kernels_for(simd_level l) {
-  switch (l) {
-#if defined(RN_HAVE_SIMD_AVX512)
-    case simd_level::avx512: {
-      static const detail::walk_kernels k = detail::avx512_kernels();
-      return &k;
-    }
-#endif
-#if defined(RN_HAVE_SIMD_AVX2)
-    case simd_level::avx2: {
-      static const detail::walk_kernels k = detail::avx2_kernels();
-      return &k;
-    }
-#endif
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace
-
-const char* to_string(simd_level l) {
-  switch (l) {
-    case simd_level::avx512:
-      return "avx512";
-    case simd_level::avx2:
-      return "avx2";
-    default:
-      return "scalar";
-  }
-}
-
-simd_level detected_simd_level() {
-  static const simd_level level = probe_simd_level();
-  return level;
-}
-
-simd_level active_simd_level() {
-  return static_cast<simd_level>(
-      active_simd_storage().load(std::memory_order_relaxed));
-}
-
-void set_simd_level(simd_level l) {
-  active_simd_storage().store(
-      static_cast<std::uint8_t>(clamp_to_detected(l)),
-      std::memory_order_relaxed);
-}
 
 void set_intra_trial_policy(const intra_trial_policy& p) {
   std::lock_guard<std::mutex> lock(g_policy_mu);
@@ -188,147 +91,6 @@ remote_walk* get_remote_walk() {
   return g_remote_walk.load(std::memory_order_acquire);
 }
 
-/// The intra-trial worker team: `members - 1` persistent helper threads plus
-/// the stepping thread, synchronized per round with a generation counter.
-/// One round runs two phases — A: split every transmitter row at the block
-/// boundaries (disjoint scratch slices, claimed in chunks); barrier; B: walk
-/// the row slices of whole blocks (each block's hit words and touch list are
-/// written only by the thread that claimed it). Dynamic claiming balances
-/// skewed rounds; it cannot perturb results because the block partition and
-/// the per-block walk order are claim-independent.
-class network::shard_team {
- public:
-  shard_team(network* net, unsigned members)
-      : net_(net), members_(members), busy_ns_(members, 0),
-        flushed_busy_ns_(members, 0) {
-    threads_.reserve(members_ - 1);
-    for (unsigned s = 1; s < members_; ++s)
-      threads_.emplace_back([this, s] { worker_main(s); });
-  }
-
-  ~shard_team() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  [[nodiscard]] unsigned members() const { return members_; }
-
-  /// Runs one round's sharded walk; returns when every phase-B block is
-  /// done (the caller then dispatches receptions serially).
-  void run_round(const round_buffer& txs) {
-    txs_ = &txs;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    next_block_.store(0, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      in_phase_a_ = members_;
-      running_ = members_;
-      ++round_gen_;
-    }
-    start_cv_.notify_all();
-    participate(0);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return running_ == 0; });
-    }
-    ++parallel_rounds_;
-  }
-
-  /// Publishes so-far-unflushed per-slot busy time and round counts to the
-  /// process-wide shard totals (delta-based, so repeat calls never
-  /// double-count).
-  void flush_process_totals() {
-    unsigned seen = g_max_team.load(std::memory_order_relaxed);
-    while (seen < members_ &&
-           !g_max_team.compare_exchange_weak(seen, members_)) {
-    }
-    g_parallel_rounds.fetch_add(parallel_rounds_ - flushed_rounds_,
-                                std::memory_order_relaxed);
-    flushed_rounds_ = parallel_rounds_;
-    for (unsigned s = 0; s < members_; ++s) {
-      g_shard_busy_ns[s].fetch_add(busy_ns_[s] - flushed_busy_ns_[s],
-                                   std::memory_order_relaxed);
-      flushed_busy_ns_[s] = busy_ns_[s];
-    }
-  }
-
- private:
-  void worker_main(unsigned slot) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return stop_ || round_gen_ != seen; });
-        if (stop_) return;
-        seen = round_gen_;
-      }
-      participate(slot);
-    }
-  }
-
-  void participate(unsigned slot) {
-    using clock = std::chrono::steady_clock;
-    const std::size_t m = txs_->size();
-    const std::size_t chunk = std::max<std::size_t>(64, m / (8 * members_));
-    auto t0 = clock::now();  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-    for (;;) {
-      const std::size_t begin =
-          next_chunk_.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= m) break;
-      net_->split_rows_chunk(*txs_, begin, std::min(m, begin + chunk));
-    }
-    std::int64_t busy =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-            .count();
-    {
-      // Phase barrier: no block walk may start before every row split is
-      // written (a block reads the splits of *all* transmitters).
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_phase_a_ == 0) {
-        phase_cv_.notify_all();
-      } else {
-        phase_cv_.wait(lock, [this] { return in_phase_a_ == 0; });
-      }
-    }
-    t0 = clock::now();  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-    for (;;) {
-      const unsigned block =
-          next_block_.fetch_add(1, std::memory_order_relaxed);
-      if (block >= kNumBlocks) break;
-      net_->walk_block(*txs_, block);
-    }
-    busy +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-            .count();
-    busy_ns_[slot] += busy;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  network* net_;
-  const unsigned members_;
-  const round_buffer* txs_ = nullptr;
-  std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_chunk_{0};
-  std::atomic<unsigned> next_block_{0};
-  std::mutex mu_;
-  std::condition_variable start_cv_, phase_cv_, done_cv_;
-  std::uint64_t round_gen_ = 0;
-  unsigned in_phase_a_ = 0;
-  unsigned running_ = 0;
-  bool stop_ = false;
-  std::int64_t parallel_rounds_ = 0;
-  std::int64_t flushed_rounds_ = 0;
-  std::vector<std::int64_t> busy_ns_;
-  std::vector<std::int64_t> flushed_busy_ns_;
-};
-
 network::network(const graph::graph& g, model m)
     : g_(&g), model_(m), erasure_rng_(m.erasure_seed) {
   RN_REQUIRE(m.erasure_prob >= 0.0 && m.erasure_prob < 1.0,
@@ -345,7 +107,7 @@ network::network(const graph::graph& g, model m)
   // Private CSR copy: 32-bit row offsets and a contiguous neighbor array keep
   // the per-round walk cache-linear and independent of the graph's internals.
   // Rows stay sorted ascending (the graph builder's contract), which is what
-  // lets the sharded walk slice each row at the block boundaries.
+  // lets the block walker slice each row at the block boundaries.
   row_start_.assign(node_count_ + 1, 0);
   std::size_t total = 0;
   for (node_id v = 0; v < node_count_; ++v) {
@@ -360,7 +122,6 @@ network::network(const graph::graph& g, model m)
       for (node_id u : g.neighbors(v)) adj_.push_back(u);
   }
 
-  hit_state_.assign(node_count_, 0);
   is_transmitting_.assign(node_count_, 0);
   tx_count_.assign(node_count_, 0);
 
@@ -370,20 +131,11 @@ network::network(const graph::graph& g, model m)
   // Shared with the distributed backend (graph/partitioned.h) so every
   // process derives the identical partition from the degree prefix alone.
   block_bounds_ = graph::compute_block_plan(row_start_, kNumBlocks).bounds;
-  block_of_.assign(node_count_, 0);
-  for (unsigned b = 0; b < kNumBlocks; ++b)
-    for (node_id v = block_bounds_[b]; v < block_bounds_[b + 1]; ++v)
-      block_of_[v] = static_cast<std::uint8_t>(b);
-  // Touch lists sized to their blocks (a listener is appended at most once
-  // per round): pushes need no capacity checks and the SIMD kernels can
-  // compress-store fresh ids straight into the tail.
-  block_touched_.resize(kNumBlocks);
-  for (unsigned b = 0; b < kNumBlocks; ++b)
-    block_touched_[b].reset(block_bounds_[b + 1] - block_bounds_[b]);
+  walker_.bind(row_start_.data(), adj_.data(), block_bounds_, 0, kNumBlocks);
 
   if (remote_ != nullptr) return;  // walks are external; no team to build
   const intra_trial_policy pol = get_intra_trial_policy();
-  min_parallel_volume_ = pol.min_parallel_volume;
+  walker_.set_min_parallel_volume(pol.min_parallel_volume);
   if (pol.threads >= 2) {
     enable_intra_trial(pol.threads);
   } else if (pol.threads == 0 && node_count_ >= pol.auto_threshold) {
@@ -400,7 +152,7 @@ network::network(const graph::graph& g, model m)
 
 network::~network() {
   flush_totals();
-  team_.reset();
+  walker_.set_team(1);
   if (borrowed_workers_ > 0) return_workers(borrowed_workers_);
   if (remote_ != nullptr) remote_->release(*g_);
 }
@@ -414,7 +166,6 @@ void network::flush_totals() {
   g_simd_stepped.fetch_add(simd_stepped_ - flushed_simd_,
                            std::memory_order_relaxed);
   flushed_simd_ = simd_stepped_;
-  if (team_) team_->flush_process_totals();
 }
 
 engine_totals network::process_totals() {
@@ -424,29 +175,14 @@ engine_totals network::process_totals() {
 }
 
 shard_totals network::process_shard_totals() {
-  shard_totals t;
-  t.parallel_rounds = g_parallel_rounds.load(std::memory_order_relaxed);
-  const unsigned slots =
-      std::min(g_max_team.load(std::memory_order_relaxed), kNumBlocks);
-  t.busy_ns.reserve(slots);
-  for (unsigned s = 0; s < slots; ++s)
-    t.busy_ns.push_back(g_shard_busy_ns[s].load(std::memory_order_relaxed));
-  return t;
+  return block_walker::process_totals();
 }
 
 void network::enable_intra_trial(unsigned threads) {
-  threads = std::min(threads, kNumBlocks);
-  if (team_) {
-    if (team_->members() == threads) return;
-    team_->flush_process_totals();
-    team_.reset();
-  }
-  if (threads >= 2) team_ = std::make_unique<shard_team>(this, threads);
+  walker_.set_team(threads);
 }
 
-unsigned network::intra_trial_threads() const {
-  return team_ ? team_->members() : 1;
-}
+unsigned network::intra_trial_threads() const { return walker_.team_size(); }
 
 std::int64_t network::max_energy() const {
   std::int64_t best = 0;
@@ -482,127 +218,24 @@ void network::prepare_round(const round_buffer& txs) {
   }
 
   // Mark transmitters; a node transmitting twice in one round is a runner
-  // bug. The row volume decides whether sharding this round's walk can pay
-  // for its two synchronization points.
-  std::size_t volume = 0;
+  // bug.
+  tx_ids_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     const node_id u = txs[i].from;
     RN_REQUIRE(u < node_count_, "transmitter out of range");
     RN_REQUIRE(!is_transmitting_[u], "node transmitted twice in a round");
     is_transmitting_[u] = 1;
     tx_count_[u] += 1;
-    volume += row_start_[u + 1] - row_start_[u];
+    tx_ids_[i] = u;
   }
 
   if (remote_ != nullptr) {
     // The adopted backend must leave hit words and per-block touch lists
-    // exactly as serial_walk would; the dispatch in step() is shared.
-    remote_->walk_round(txs, hit_state_.data(), block_touched_.data());
+    // exactly as the local walk would; the dispatch in step() is shared.
+    remote_->walk_round(txs, walker_.hits(), walker_.lists().data());
     return;
   }
-
-  // This round's row-walk kernels (nullptr = inlined scalar walk). Resolved
-  // per round so flipping the process-wide tier affects live networks; both
-  // the serial walk and every phase-B block of a sharded round use the same
-  // table, so a round is wholly SIMD or wholly scalar.
-  kernels_ = kernels_for(active_simd_level());
-  if (kernels_ != nullptr) ++simd_stepped_;
-
-  if (team_ && m > 0 && volume >= min_parallel_volume_) {
-    row_split_.resize(m * (kNumBlocks + 1));
-    team_->run_round(txs);
-  } else {
-    serial_walk(txs);
-  }
-}
-
-void network::serial_walk(const round_buffer& txs) {
-  // Tally transmitting neighbors of every potential listener: one
-  // contiguous CSR row walk per transmitter. Per-listener state is one
-  // packed word — hit count in the high half, last sender index in the
-  // low half — so each neighbor visit touches a single cache line. First
-  // touches land on the owner block's list, in walk order: exactly the
-  // order a sharded walk of the same round produces.
-  const node_id* adj = adj_.data();
-  std::uint64_t* hits = hit_state_.data();
-  const std::uint8_t* owner = block_of_.data();
-  const auto m = static_cast<std::uint32_t>(txs.size());
-  if (kernels_ != nullptr) {
-    // SIMD tier: whole-row segments through the owner-routed kernel. Same
-    // words, same first-touch order — just wider (simd_kernels.h).
-    const detail::owner_segment_fn segment = kernels_->owner_segment;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      const node_id u = txs[i].from;
-      segment(adj, hits, row_start_[u], row_start_[u + 1], i,
-              block_touched_.data(), owner);
-    }
-    return;
-  }
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const node_id u = txs[i].from;
-    const std::uint32_t begin = row_start_[u];
-    const std::uint32_t end = row_start_[u + 1];
-    for (std::uint32_t a = begin; a < end; ++a) {
-      const node_id v = adj[a];
-      const std::uint64_t hs = hits[v];
-      if (hs == 0) block_touched_[owner[v]].push(v);
-      hits[v] = ((hs + (1ULL << 32)) & 0xffffffff00000000ULL) | i;
-    }
-  }
-}
-
-void network::split_rows_chunk(const round_buffer& txs, std::size_t begin,
-                               std::size_t end) {
-  // Rows are sorted ascending and blocks are contiguous id ranges, so one
-  // linear pass per row finds every block boundary: O(degree + kNumBlocks).
-  const node_id* adj = adj_.data();
-  const node_id* bounds = block_bounds_.data();
-  constexpr std::size_t stride = kNumBlocks + 1;
-  for (std::size_t i = begin; i < end; ++i) {
-    const node_id u = txs[i].from;
-    std::uint32_t a = row_start_[u];
-    const std::uint32_t row_end = row_start_[u + 1];
-    std::uint32_t* out = row_split_.data() + i * stride;
-    for (unsigned b = 0; b < kNumBlocks; ++b) {
-      out[b] = a;
-      const node_id limit = bounds[b + 1];
-      while (a < row_end && adj[a] < limit) ++a;
-    }
-    out[kNumBlocks] = row_end;
-  }
-}
-
-void network::walk_block(const round_buffer& txs, unsigned block) {
-  // Owner-computes: every hit word and touch-list entry of this block's
-  // listeners is written here and nowhere else this round. Iterating
-  // transmitters in index order keeps the packed "last sender" and the
-  // first-touch order identical to the serial walk's.
-  const node_id* adj = adj_.data();
-  std::uint64_t* hits = hit_state_.data();
-  touch_list& touched = block_touched_[block];
-  const auto m = static_cast<std::uint32_t>(txs.size());
-  const std::uint32_t* split = row_split_.data();
-  constexpr std::size_t stride = kNumBlocks + 1;
-  if (kernels_ != nullptr) {
-    // SIMD tier: this block's row slices through the single-destination
-    // kernel (all listeners here belong to `block` by construction).
-    const detail::block_segment_fn segment = kernels_->block_segment;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      segment(adj, hits, split[i * stride + block],
-              split[i * stride + block + 1], i, touched);
-    }
-    return;
-  }
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const std::uint32_t begin = split[i * stride + block];
-    const std::uint32_t end = split[i * stride + block + 1];
-    for (std::uint32_t a = begin; a < end; ++a) {
-      const node_id v = adj[a];
-      const std::uint64_t hs = hits[v];
-      if (hs == 0) touched.push(v);
-      hits[v] = ((hs + (1ULL << 32)) & 0xffffffff00000000ULL) | i;
-    }
-  }
+  if (walker_.walk(tx_ids_) != simd_level::scalar) ++simd_stepped_;
 }
 
 }  // namespace rn::radio

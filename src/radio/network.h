@@ -23,11 +23,11 @@
 // whole run and references it from every transmission: no per-round packet
 // copies, no shared_ptr refcount churn, no std::function dispatch.
 //
-// Intra-trial parallelism: the CSR row walks of one round can be sharded
-// across worker threads by contiguous *listener* ranges (a fixed block
-// partition of the node-id space, balanced by adjacency volume). Each
-// listener's packed hit word is written by exactly one owner block, and the
-// merged reception dispatch visits blocks in ascending order — so receptions
+// Intra-trial parallelism: the CSR row walk of one round (radio/block_walk.h)
+// can be sharded across worker threads by contiguous *listener* ranges (a
+// fixed block partition of the node-id space, balanced by adjacency volume).
+// Each listener's packed hit word is written by exactly one owner block, and
+// the reception dispatch visits blocks in ascending order — so receptions
 // are delivered in one canonical order that depends only on the graph and
 // the transmit list, never on the thread count. Results are byte-identical
 // at every intra-trial thread count; see README "Intra-trial parallel
@@ -36,43 +36,17 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "graph/graph.h"
+#include "radio/block_walk.h"
 #include "radio/packet.h"
 #include "radio/touch_list.h"
 
 namespace rn::radio {
-
-namespace detail {
-struct walk_kernels;  // per-ISA row-walk kernels (simd_kernels.h, internal)
-}  // namespace detail
-
-/// Vector ISA tier of the reception row-walk kernels. The walks (serial and
-/// sharded phase B) produce identical hit words and first-touch orders at
-/// every tier — the kernel is selected by a runtime CPU probe and is purely
-/// an execution knob, like thread counts and fast-forward.
-enum class simd_level : std::uint8_t { scalar = 0, avx2 = 1, avx512 = 2 };
-
-[[nodiscard]] const char* to_string(simd_level l);
-
-/// Best tier this build *and* this CPU support (cpuid-probed once; always
-/// `scalar` when built with RN_DISABLE_SIMD or on non-x86 hosts).
-[[nodiscard]] simd_level detected_simd_level();
-
-/// The tier the next stepped rounds will use. Defaults to the detected
-/// tier; the RN_SIMD environment variable (scalar|avx2|avx512|auto) presets
-/// it at startup — handy for A/B byte-identity checks without rebuilding.
-[[nodiscard]] simd_level active_simd_level();
-
-/// Overrides the active tier, clamped to detected_simd_level(). Results are
-/// byte-identical at every tier (tests/test_radio.cpp pins this), so this
-/// exists for benchmarks, tests, and the RN_SIMD escape hatch.
-void set_simd_level(simd_level l);
 
 /// What a listening node observes in one round.
 enum class observation : std::uint8_t { silence, message, collision };
@@ -162,18 +136,6 @@ struct engine_totals {
   std::int64_t simd_stepped_rounds = 0;
 };
 
-/// Process-wide intra-trial (sharded `step`) workload counters. Timing is
-/// diagnostic only — reported by the bench timing sidecar, never part of
-/// protocol results.
-struct shard_totals {
-  /// Rounds whose row walks ran on a shard team (vs the serial walk).
-  std::int64_t parallel_rounds = 0;
-  /// Cumulative busy nanoseconds per team slot (slot 0 = the stepping
-  /// thread) across all networks flushed so far; sized to the largest team
-  /// seen in this process.
-  std::vector<std::int64_t> busy_ns;
-};
-
 /// Process-wide intra-trial parallelism policy, consulted by every `network`
 /// at construction. `threads == 1` (the default) keeps construction serial;
 /// `threads == 0` is *auto*: networks with at least `auto_threshold` nodes
@@ -211,7 +173,7 @@ void return_workers(unsigned n);
 /// adjacency copy and shard team entirely — the memory that matters at
 /// n = 10^8 — and hands each stepped round's transmit list to `walk_round`,
 /// which must leave per-listener hit words and per-block first-touch lists
-/// exactly as the serial walk would. The reception dispatch that follows
+/// exactly as the local block walk would. The reception dispatch that follows
 /// (block order, erasure draws, callbacks) is shared and unchanged, which is
 /// what keeps distributed results byte-identical to single-process runs.
 class remote_walk {
@@ -250,7 +212,7 @@ void set_remote_walk(remote_walk* hook);
 ///
 /// Reception order contract: listeners are resolved block by block (a fixed
 /// degree-balanced partition of the node-id space computed at construction),
-/// and within a block in the order the serial row walk first touches them.
+/// and within a block in the order the block walk first touches them.
 /// Both the partition and the touch order depend only on the graph and the
 /// transmit list, so the callback order — and with it every RNG draw the
 /// callback or the erasure channel makes — is identical whether the walk ran
@@ -264,7 +226,7 @@ class network {
   network& operator=(const network&) = delete;
   // Moves are deleted on purpose: a moved-from network that still flushed
   // its round counters in ~network() would double-count the process-wide
-  // engine totals, and the shard team holds a back-pointer to this object.
+  // engine totals, and the walker's team is bound to this object's arrays.
   network(network&&) = delete;
   network& operator=(network&&) = delete;
 
@@ -283,12 +245,12 @@ class network {
   /// this process (thread-safe; used for engine accounting in bench timing).
   [[nodiscard]] static engine_totals process_totals();
 
-  /// Aggregated intra-trial shard counters/timing over every network flushed
-  /// so far in this process (thread-safe; bench timing sidecar only).
+  /// Aggregated intra-trial shard counters/timing of every walk so far in
+  /// this process (published live; bench timing sidecar only).
   [[nodiscard]] static shard_totals process_shard_totals();
 
-  /// Publishes this network's so-far-unflushed round counters and shard
-  /// timings to the process-wide totals. Idempotent per round: each round is
+  /// Publishes this network's so-far-unflushed round counters to the
+  /// process-wide totals. Idempotent per round: each round is
   /// counted exactly once no matter how often this is called — ~network()
   /// flushes the remainder, so short-lived networks need never call it. Lets
   /// a long-running live network show up in the timing sidecar.
@@ -311,7 +273,9 @@ class network {
   /// Current team size (1 = serial row walks).
   [[nodiscard]] unsigned intra_trial_threads() const;
   /// Per-round volume floor below which a team, if any, is bypassed.
-  void set_min_parallel_volume(std::size_t v) { min_parallel_volume_ = v; }
+  void set_min_parallel_volume(std::size_t v) {
+    walker_.set_min_parallel_volume(v);
+  }
 
   /// Executes one synchronous round: every node in `txs` transmits its
   /// packet, everyone else listens. `on_rx` is invoked for every listener
@@ -325,11 +289,12 @@ class network {
   void step(const round_buffer& txs, OnRx&& on_rx) {
     prepare_round(txs);
     // Resolve observations for touched listeners, block by block. The walk
-    // (serial or sharded) has left every touched listener's packed hit word
-    // — transmitting-neighbor count in the high half, index of the last
-    // transmitter heard in the low half — in hit_state_.
-    std::uint64_t* hits = hit_state_.data();
-    for (auto& touched : block_touched_) {
+    // (local or remote, on one thread or many) has left every touched
+    // listener's packed hit word — transmitting-neighbor count in the high
+    // half, index of the last transmitter heard in the low half — in the
+    // walker's round state.
+    std::uint64_t* hits = walker_.hits();
+    for (touch_list& touched : walker_.lists()) {
       for (node_id v : touched) {
         const std::uint64_t hs = hits[v];
         if (!is_transmitting_[v]) {
@@ -363,21 +328,10 @@ class network {
   void advance(round_t idle_rounds);
 
  private:
-  class shard_team;
-  friend class shard_team;
-
   /// Validates and marks the transmitters, then tallies every listener's
-  /// transmitting neighbors into hit_state_ / block_touched_ — on this
-  /// thread, or sharded across the team when the round is big enough.
+  /// transmitting neighbors into the walker's round state — through the
+  /// walker itself, or the adopted remote walk.
   void prepare_round(const round_buffer& txs);
-  void serial_walk(const round_buffer& txs);
-  /// Walks the slice of every transmitter row owned by `block` (phase B of
-  /// the sharded walk; row_split_ was filled by split_rows_chunk).
-  void walk_block(const round_buffer& txs, unsigned block);
-  /// Computes, for transmitters [begin, end), the offsets at which each row
-  /// crosses a block boundary (phase A of the sharded walk).
-  void split_rows_chunk(const round_buffer& txs, std::size_t begin,
-                        std::size_t end);
 
   const graph::graph* g_;
   model model_;
@@ -389,24 +343,15 @@ class network {
   std::vector<std::uint32_t> row_start_;
   std::vector<node_id> adj_;
   std::vector<std::uint32_t> tx_count_;
-  // Packed per-listener round state: transmitting-neighbor count in the
-  // high 32 bits, index of the last transmitter heard in the low 32.
-  std::vector<std::uint64_t> hit_state_;
   std::vector<char> is_transmitting_;      // per-round transmitter bitmap
   // The reusable shard plan: a fixed partition of the node-id space into
   // kNumBlocks contiguous listener ranges balanced by adjacency volume.
-  // block_bounds_[b] .. block_bounds_[b+1] is block b; block_of_[v] is the
-  // owner block of listener v. Computed once, recycled every round; the
-  // partition never depends on the team size, which is what makes reception
-  // order thread-count-invariant.
+  // block_bounds_[b] .. block_bounds_[b+1] is block b. Computed once,
+  // recycled every round; the partition never depends on the team size,
+  // which is what makes reception order thread-count-invariant.
   std::vector<node_id> block_bounds_;
-  std::vector<std::uint8_t> block_of_;
-  // Per-block first-touch lists (the dispatch order within each block);
-  // capacity fixed to the block size so SIMD kernels can bulk-append.
-  std::vector<touch_list> block_touched_;
-  // Phase A scratch: per transmitter, kNumBlocks+1 row offsets.
-  std::vector<std::uint32_t> row_split_;
-  std::size_t min_parallel_volume_ = 0;
+  // This round's transmitter ids, in round_buffer order (the walker's input).
+  std::vector<node_id> tx_ids_;
   unsigned borrowed_workers_ = 0;
   // Non-null when the process-wide remote-walk hook adopted this network:
   // stepped rounds route through it instead of the local walks, and adj_
@@ -417,12 +362,11 @@ class network {
   // finish and return their slots (byte-identical results at any size).
   bool auto_shards_ = false;
   int auto_poll_ = 0;
-  std::unique_ptr<shard_team> team_;
-  // This round's row-walk kernels, resolved from the active SIMD tier in
-  // prepare_round (nullptr = the inlined scalar walk). Re-read every round
-  // so set_simd_level() takes effect on live networks.
-  const detail::walk_kernels* kernels_ = nullptr;
-  std::int64_t simd_stepped_ = 0;  ///< stepped rounds that used kernels_
+  // Bound to adj_ and all 32 blocks: holds the per-round hit words and
+  // per-block first-touch lists (filled remotely in remote mode, where adj_
+  // stays empty and the walker never walks) and owns the shard team.
+  block_walker walker_;
+  std::int64_t simd_stepped_ = 0;  ///< stepped rounds on a vector kernel
   // flush_totals() high-water marks (what was already published).
   std::int64_t flushed_stepped_ = 0;
   std::int64_t flushed_skipped_ = 0;

@@ -1,4 +1,4 @@
-// AVX2 row-walk kernels (4 listeners per iteration).
+// AVX2 segment kernel (4 listeners per iteration).
 //
 // Per batch: one 128-bit load of four 32-bit neighbor ids, one 64-bit
 // gather of their packed hit words, a vectorized count|last-sender merge,
@@ -20,98 +20,50 @@ namespace {
 
 constexpr std::uint64_t kCountMask = 0xffffffff00000000ULL;
 
-/// Merges four packed hit words: count += 1 (high half), last sender := tx
-/// (low half) — the vector form of
-///   hits[v] = ((hs + (1 << 32)) & kCountMask) | tx.
-inline __m256i merge_words(__m256i hs, __m256i inc, __m256i mask, __m256i tx) {
-  return _mm256_or_si256(_mm256_and_si256(_mm256_add_epi64(hs, inc), mask),
-                         tx);
-}
-
-/// Core batch: loads ids, gathers words, merges, stores back; returns the
-/// fresh-lane mask (bit j set iff lane j's word was zero) and leaves the
-/// four ids in `ids`.
-inline unsigned walk_batch(const node_id* adj, std::uint64_t* hits,
-                           std::uint32_t a, __m256i inc, __m256i mask,
-                           __m256i tx, node_id* ids) {
-  const __m128i v =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(adj + a));
-  const __m256i hs = _mm256_i32gather_epi64(
-      reinterpret_cast<const long long*>(hits), v, 8);
-  const __m256i nhs = merge_words(hs, inc, mask, tx);
-  const unsigned fresh = static_cast<unsigned>(_mm256_movemask_pd(
-      _mm256_castsi256_pd(_mm256_cmpeq_epi64(hs, _mm256_setzero_si256()))));
-  alignas(32) std::uint64_t nh[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(nh), nhs);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(ids), v);
-  // No scatter in AVX2; ids within a batch are distinct (strictly ascending
-  // row), so four independent stores are exact.
-  hits[ids[0]] = nh[0];
-  hits[ids[1]] = nh[1];
-  hits[ids[2]] = nh[2];
-  hits[ids[3]] = nh[3];
-  return fresh;
-}
-
-void block_segment_avx2(const node_id* adj, std::uint64_t* hits,
-                        std::uint32_t begin, std::uint32_t end,
-                        std::uint32_t tx, touch_list& touched) {
+void segment_avx2(const node_id* adj, std::uint64_t* hits,
+                  std::uint32_t begin, std::uint32_t end, std::uint32_t tx,
+                  const touch_route& route) {
   const __m256i inc = _mm256_set1_epi64x(1LL << 32);
   const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(kCountMask));
   const __m256i txv = _mm256_set1_epi64x(static_cast<long long>(tx));
-  node_id* const out_begin = touched.tail();
-  node_id* out = out_begin;
   std::uint32_t a = begin;
   alignas(16) node_id ids[4];
+  alignas(32) std::uint64_t nh[4];
   for (; a + 4 <= end; a += 4) {
-    unsigned fresh = walk_batch(adj, hits, a, inc, mask, txv, ids);
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(adj + a));
+    const __m256i hs = _mm256_i32gather_epi64(
+        reinterpret_cast<const long long*>(hits), v, 8);
+    // count += 1 (high half), last sender := tx (low half) — the vector
+    // form of hits[v] = ((hs + (1 << 32)) & kCountMask) | tx.
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(nh),
+        _mm256_or_si256(_mm256_and_si256(_mm256_add_epi64(hs, inc), mask),
+                        txv));
+    unsigned fresh = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(hs, _mm256_setzero_si256()))));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ids), v);
+    // No scatter in AVX2; ids within a batch are distinct (strictly
+    // ascending row), so four independent stores are exact.
+    for (int j = 0; j < 4; ++j) hits[ids[j]] = nh[j];
     // Ascending set-bit order keeps first touches in visit (= id) order.
     while (fresh != 0) {
       const unsigned lane = static_cast<unsigned>(__builtin_ctz(fresh));
       fresh &= fresh - 1;
-      *out++ = ids[lane];
+      route.push(ids[lane]);
     }
   }
-  touched.advance(static_cast<std::size_t>(out - out_begin));
   for (; a < end; ++a) {  // scalar tail, < 4 listeners
     const node_id v = adj[a];
     const std::uint64_t hs = hits[v];
-    if (hs == 0) touched.push(v);
-    hits[v] = ((hs + (1ULL << 32)) & kCountMask) | tx;
-  }
-}
-
-void owner_segment_avx2(const node_id* adj, std::uint64_t* hits,
-                        std::uint32_t begin, std::uint32_t end,
-                        std::uint32_t tx, touch_list* lists,
-                        const std::uint8_t* owner) {
-  const __m256i inc = _mm256_set1_epi64x(1LL << 32);
-  const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(kCountMask));
-  const __m256i txv = _mm256_set1_epi64x(static_cast<long long>(tx));
-  std::uint32_t a = begin;
-  alignas(16) node_id ids[4];
-  for (; a + 4 <= end; a += 4) {
-    unsigned fresh = walk_batch(adj, hits, a, inc, mask, txv, ids);
-    while (fresh != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(fresh));
-      fresh &= fresh - 1;
-      const node_id v = ids[lane];
-      lists[owner[v]].push(v);
-    }
-  }
-  for (; a < end; ++a) {
-    const node_id v = adj[a];
-    const std::uint64_t hs = hits[v];
-    if (hs == 0) lists[owner[v]].push(v);
+    if (hs == 0) route.push(v);
     hits[v] = ((hs + (1ULL << 32)) & kCountMask) | tx;
   }
 }
 
 }  // namespace
 
-walk_kernels avx2_kernels() {
-  return {&block_segment_avx2, &owner_segment_avx2};
-}
+segment_fn avx2_segment() { return &segment_avx2; }
 
 }  // namespace rn::radio::detail
 

@@ -1,22 +1,22 @@
-// Internal: per-ISA row-walk kernels behind the radio engine's runtime SIMD
-// dispatch (src/radio/network.cpp). Not part of the public API.
+// Internal: per-ISA segment kernels behind the block walker's runtime SIMD
+// dispatch (src/radio/block_walk.cpp). Not part of the public API.
 //
 // A kernel walks one transmitter's CSR row segment adj[begin, end) — the
-// whole row in the serial walk, or the slice owned by one shard block in
-// phase B of the sharded walk — and merges each visited listener's packed
-// hit word: transmitting-neighbor count in the high 32 bits, index of the
-// last transmitter heard in the low 32. Listeners whose word was zero are
-// appended to a first-touch list in visit order.
+// whole row, or the slice that falls in the blocks a team member claimed —
+// and merges each visited listener's packed hit word: transmitting-neighbor
+// count in the high 32 bits, index of the last transmitter heard in the low
+// 32. Listeners whose word was zero are appended, in visit order, to the
+// touch list of their owner block (`touch_route`). One kernel per tier; the
+// scalar one lives in block_walk.cpp.
 //
 // Contract (what makes vectorization safe and byte-identity hold):
 //   * rows are strictly ascending (graph builder sorts + dedups), so the
 //     listeners of one segment are pairwise distinct — a gather/update/
 //     scatter batch has no intra-batch conflicts;
 //   * segments of one round are processed in transmitter-index order and
-//     each listener's word is written by exactly one owner (serial thread or
-//     owning block), so the merged count|last-sender words and the
-//     first-touch order are identical to the scalar walk's, lane width
-//     notwithstanding.
+//     each listener's word is written by exactly one thread (the one walking
+//     its block), so the merged count|last-sender words and the first-touch
+//     order are identical to the scalar walk's, lane width notwithstanding.
 //
 // The AVX2/AVX-512 TUs are compiled with ISA flags per-TU (see CMakeLists);
 // they are only *called* after the cpuid probe confirms support, and
@@ -30,29 +30,26 @@
 
 namespace rn::radio::detail {
 
-/// Block flavor (sharded phase B): every listener of the segment belongs to
-/// the same block, so all first touches land on one list.
-using block_segment_fn = void (*)(const node_id* adj, std::uint64_t* hits,
-                                  std::uint32_t begin, std::uint32_t end,
-                                  std::uint32_t tx, touch_list& touched);
+/// Where first touches go: listener v belongs to block
+/// `owner[v - base]` (relative to the walker's first owned block), whose
+/// list is `lists[owner[v - base]]`.
+struct touch_route {
+  touch_list* lists;
+  const std::uint8_t* owner;
+  node_id base;
 
-/// Owner flavor (serial walk): the segment spans the whole row, so each
-/// first touch is routed to its owner block's list via `owner`.
-using owner_segment_fn = void (*)(const node_id* adj, std::uint64_t* hits,
-                                  std::uint32_t begin, std::uint32_t end,
-                                  std::uint32_t tx, touch_list* lists,
-                                  const std::uint8_t* owner);
-
-struct walk_kernels {
-  block_segment_fn block_segment;
-  owner_segment_fn owner_segment;
+  void push(node_id v) const { lists[owner[v - base]].push(v); }
 };
 
+using segment_fn = void (*)(const node_id* adj, std::uint64_t* hits,
+                            std::uint32_t begin, std::uint32_t end,
+                            std::uint32_t tx, const touch_route& route);
+
 #if defined(RN_HAVE_SIMD_AVX2)
-[[nodiscard]] walk_kernels avx2_kernels();
+[[nodiscard]] segment_fn avx2_segment();
 #endif
 #if defined(RN_HAVE_SIMD_AVX512)
-[[nodiscard]] walk_kernels avx512_kernels();
+[[nodiscard]] segment_fn avx512_segment();
 #endif
 
 }  // namespace rn::radio::detail

@@ -5,8 +5,7 @@
 // block (channel-v1). Capacity is fixed when the shard plan is built, to the
 // block's node count: a listener is appended at most once per round, so the
 // backing array never grows. That makes `push` a single unconditional store
-// on the scalar path, and gives the SIMD kernels a stable tail window they
-// can compress-store fresh listener ids into without bounds checks.
+// in every walk kernel.
 #pragma once
 
 #include <cstddef>
@@ -31,12 +30,6 @@ class touch_list {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const node_id* begin() const { return storage_.data(); }
   [[nodiscard]] const node_id* end() const { return storage_.data() + size_; }
-
-  /// Bulk-append window for the SIMD kernels: write consecutive ids at
-  /// `tail()` (capacity is guaranteed — at most one entry per block node),
-  /// then commit them with `advance(count)`.
-  [[nodiscard]] node_id* tail() { return storage_.data() + size_; }
-  void advance(std::size_t n) { size_ += n; }
 
  private:
   std::vector<node_id> storage_;

@@ -364,8 +364,8 @@ int run_suite(int argc, char** argv) {
     timing["experiments"] = std::move(timing_rows);
     timing["total_wall_ms"] = total_wall_ms;
     timing["peak_rss_kb"] = process_peak_rss_kb();
-    // v5 (distributed runs only): the installed extension re-stamps the
-    // schema and adds rank counters — see tools/rn_dist.
+    // v6 (distributed runs only): the installed extension re-stamps the
+    // schema and adds rank and recovery counters — see tools/rn_dist.
     if (g_timing_extension) g_timing_extension(timing);
     std::ofstream out(opt.timing_path);
     if (!out) {

@@ -17,9 +17,10 @@ namespace rn::sim {
 
 /// Amends the timing sidecar object just before it is written — the seam a
 /// frontend (tools/rn_dist) uses to add execution-backend evidence, e.g.
-/// bumping the schema to rn-bench-timing-v5 and attaching per-rank RSS and
-/// transport counters. Results JSON is never touched: like every other
-/// engine knob, the distributed backend may only show up in the sidecar.
+/// bumping the schema to rn-bench-timing-v6 and attaching per-rank RSS,
+/// transport and recovery counters. Results JSON is never touched: like
+/// every other engine knob, the distributed backend may only show up in the
+/// sidecar.
 using timing_extension = std::function<void(json_value& timing)>;
 
 /// Installs (empty clears) the process-wide sidecar amendment, applied by

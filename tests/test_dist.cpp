@@ -1,15 +1,16 @@
 // Distributed backend: the hit-word merge monoid, streamed-vs-filtered
-// partitioned views, partition_walker identity against a serial reference
-// at every rank/thread split, fork-only session byte-identity through the
-// declarative runner, wire-level fuzz of the framing error paths, and the
-// fault matrix — injected crashes, wedges, truncations, and delays must
-// recover (respawn or degrade) with byte-identical results JSON.
+// partitioned views, block-walker identity against a serial reference at
+// every rank/thread split and SIMD tier, fork-only session byte-identity
+// through the declarative runner, wire-level fuzz of the framing error
+// paths, and the fault matrix — injected crashes, wedges, truncations, and
+// delays must recover (respawn or degrade) with byte-identical results JSON.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -28,6 +29,7 @@
 #include "graph/generators.h"
 #include "graph/partitioned.h"
 #include "graph/topology.h"
+#include "radio/block_walk.h"
 #include "sim/adhoc.h"
 #include "sim/experiment.h"
 #include "sim/json.h"
@@ -122,10 +124,7 @@ TEST(MergeHitWords, BoundaryListenerWithTransmittersInTwoRanks) {
 // --- partitioned views ----------------------------------------------------
 
 graph::block_plan plan_of(const graph::graph& g) {
-  std::vector<std::uint32_t> prefix(g.node_count() + 1, 0);
-  for (node_id v = 0; v < g.node_count(); ++v)
-    prefix[v + 1] = prefix[v] + std::uint32_t(g.degree(v));
-  return graph::compute_block_plan(prefix, kBlocks);
+  return graph::compute_block_plan(g, kBlocks);
 }
 
 TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
@@ -157,7 +156,7 @@ TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
   }
 }
 
-// --- partition walker vs serial reference ---------------------------------
+// --- block walker vs serial reference -------------------------------------
 
 struct reference_walk {
   std::vector<std::uint64_t> words;             ///< indexed by node id
@@ -185,7 +184,60 @@ reference_walk serial_reference(const graph::graph& g,
   return ref;
 }
 
-TEST(PartitionWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
+using walker_ptr = std::unique_ptr<radio::block_walker>;
+
+/// A rank's walker bound to its view, with a team of `threads` that takes
+/// every non-empty round.
+walker_ptr rank_walker(const graph::partitioned_view& v, unsigned threads) {
+  auto w = std::make_unique<radio::block_walker>();
+  w->bind(v.row_start().data(), v.adjacency().data(), v.plan().bounds,
+          v.first_block(), v.last_block());
+  w->set_min_parallel_volume(0);
+  w->set_team(threads);
+  return w;
+}
+
+/// Walks `txs` on every rank's view and asserts each owned block's touch
+/// list and hit words equal the serial reference; clears the round state.
+void expect_ranks_match(const std::vector<graph::partitioned_view>& views,
+                        const std::vector<walker_ptr>& walkers,
+                        const reference_walk& ref,
+                        std::span<const node_id> txs) {
+  for (std::size_t rk = 0; rk < views.size(); ++rk) {
+    radio::block_walker& w = *walkers[rk];
+    w.walk(txs);
+    for (unsigned b = views[rk].first_block(); b < views[rk].last_block();
+         ++b) {
+      const auto got = w.touched(b);
+      ASSERT_EQ(std::vector<node_id>(got.begin(), got.end()), ref.touched[b])
+          << "rank=" << rk << " block=" << b;
+      for (const node_id v : got) ASSERT_EQ(w.hit_word(v), ref.words[v]) << v;
+    }
+    w.clear_round();
+  }
+}
+
+/// Restores the process-global SIMD kernel level on scope exit.
+struct simd_level_guard {
+  explicit simd_level_guard(radio::simd_level l)
+      : prev_(radio::active_simd_level()) {
+    radio::set_simd_level(l);
+  }
+  ~simd_level_guard() { radio::set_simd_level(prev_); }
+  radio::simd_level prev_;
+};
+
+/// Scalar plus every vector tier this machine can run: worker ranks walk
+/// on the same kernels as the in-process network.
+std::vector<radio::simd_level> detected_levels() {
+  std::vector<radio::simd_level> out;
+  for (const auto l : {radio::simd_level::scalar, radio::simd_level::avx2,
+                       radio::simd_level::avx512})
+    if (l <= radio::detected_simd_level()) out.push_back(l);
+  return out;
+}
+
+TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
   graph::layered_options opt;
   opt.depth = 6;
   opt.width = 40;
@@ -193,43 +245,94 @@ TEST(PartitionWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
   opt.seed = 8;
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
-  std::mt19937_64 r(5);
 
-  // Rank count 3 exercises the non-dividing split (32 = 11 + 10 + 11).
-  for (const unsigned ranks : {1u, 2u, 3u, 4u}) {
-    std::vector<graph::partitioned_view> views;
-    std::vector<partition_walker> walkers(ranks);
-    views.reserve(ranks);
-    for (unsigned rk = 0; rk < ranks; ++rk)
-      views.push_back(graph::partitioned_view::from_graph(
-          g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
-
-    for (const unsigned threads : {1u, 3u}) {
+  for (const radio::simd_level lvl : detected_levels()) {
+    const simd_level_guard guard(lvl);
+    std::mt19937_64 r(5);
+    // Rank count 3 exercises the non-dividing split (32 = 10 + 11 + 11).
+    for (const unsigned ranks : {1u, 2u, 3u, 4u}) {
+      std::vector<graph::partitioned_view> views;
+      views.reserve(ranks);
       for (unsigned rk = 0; rk < ranks; ++rk)
-        walkers[rk].bind(&views[rk], threads);
-      for (int round = 0; round < 6; ++round) {
-        std::vector<node_id> txs;
-        for (node_id v = 0; v < g.node_count(); ++v)
-          if (r() % 4 == 0) txs.push_back(v);
-        std::shuffle(txs.begin(), txs.end(), r);  // dispatch order, not id order
+        views.push_back(graph::partitioned_view::from_graph(
+            g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
 
-        const reference_walk ref = serial_reference(g, plan, txs);
-        for (unsigned rk = 0; rk < ranks; ++rk) {
-          walkers[rk].walk(txs);
-          for (unsigned b = views[rk].first_block();
-               b < views[rk].last_block(); ++b) {
-            const auto got = walkers[rk].touched(b);
-            ASSERT_EQ(std::vector<node_id>(got.begin(), got.end()),
-                      ref.touched[b])
-                << "ranks=" << ranks << " threads=" << threads
-                << " round=" << round << " block=" << b;
-            for (const node_id v : got)
-              ASSERT_EQ(walkers[rk].hit_word(v), ref.words[v]) << "v=" << v;
-          }
-          walkers[rk].clear_round();
+      for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(std::string(radio::to_string(lvl)) +
+                     " ranks=" + std::to_string(ranks) +
+                     " threads=" + std::to_string(threads));
+        std::vector<walker_ptr> walkers;
+        for (const auto& v : views) walkers.push_back(rank_walker(v, threads));
+        for (int round = 0; round < 6; ++round) {
+          std::vector<node_id> txs;
+          for (node_id v = 0; v < g.node_count(); ++v)
+            if (r() % 4 == 0) txs.push_back(v);
+          std::shuffle(txs.begin(), txs.end(), r);  // dispatch, not id order
+          expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
+                             txs);
         }
       }
-      for (unsigned rk = 0; rk < ranks; ++rk) walkers[rk].unbind();
+    }
+  }
+}
+
+TEST(BlockWalker, SingleBlockRankWithATeamOfThree) {
+  // 32 ranks own one block each: a team of 3 is capped to the one block,
+  // so the walk runs on the calling thread and must still match.
+  graph::layered_options opt;
+  opt.depth = 5;
+  opt.width = 30;
+  opt.edge_prob = 0.2;
+  opt.seed = 3;
+  const graph::graph g = graph::random_layered(opt);
+  const graph::block_plan plan = plan_of(g);
+  std::vector<graph::partitioned_view> views;
+  std::vector<walker_ptr> walkers;
+  for (unsigned b = 0; b < kBlocks; ++b)
+    views.push_back(graph::partitioned_view::from_graph(g, plan, b, b + 1));
+  for (const auto& v : views) {
+    walkers.push_back(rank_walker(v, 3));
+    EXPECT_EQ(walkers.back()->team_size(), 1u);
+  }
+  std::mt19937_64 r(17);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<node_id> txs;
+    for (node_id v = 0; v < g.node_count(); ++v)
+      if (r() % 3 == 0) txs.push_back(v);
+    expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+  }
+}
+
+TEST(BlockWalker, ClaimedBlocksWithNoRowSliceStayEmpty) {
+  // Two disjoint stars: hub 0 with leaves 1..40, hub 41 with leaves
+  // 42..81. Only the first star's leaves transmit, so every claimed block
+  // past the first star gets no row slice from any transmitter — the
+  // per-(transmitter, block) range test must skip them and leave their
+  // touch lists empty.
+  graph::graph::builder bld(82);
+  for (node_id leaf = 1; leaf <= 40; ++leaf) bld.add_edge(0, leaf);
+  for (node_id leaf = 42; leaf <= 81; ++leaf) bld.add_edge(41, leaf);
+  const graph::graph g = std::move(bld).build();
+  const graph::block_plan plan = plan_of(g);
+  std::vector<node_id> txs;
+  for (node_id leaf = 1; leaf <= 40; ++leaf) txs.push_back(leaf);
+  const reference_walk ref = serial_reference(g, plan, txs);
+  unsigned empty_blocks = 0;
+  for (unsigned b = 0; b < kBlocks; ++b) empty_blocks += ref.touched[b].empty();
+  ASSERT_GT(empty_blocks, 1u) << "fixture must leave claimed blocks empty";
+
+  for (const radio::simd_level lvl : detected_levels()) {
+    const simd_level_guard guard(lvl);
+    for (const unsigned ranks : {1u, 2u}) {
+      SCOPED_TRACE(std::string(radio::to_string(lvl)) +
+                   " ranks=" + std::to_string(ranks));
+      std::vector<graph::partitioned_view> views;
+      std::vector<walker_ptr> walkers;
+      for (unsigned rk = 0; rk < ranks; ++rk)
+        views.push_back(graph::partitioned_view::from_graph(
+            g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
+      for (const auto& v : views) walkers.push_back(rank_walker(v, 4));
+      expect_ranks_match(views, walkers, ref, txs);
     }
   }
 }

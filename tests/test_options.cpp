@@ -61,11 +61,5 @@ TEST(Options, RejectsMalformedStrings) {
   EXPECT_THROW(static_cast<void>(parse_options("opt-v1:=3")), contract_error);
 }
 
-TEST(Options, RunOptionsAliasStillCompiles) {
-  // The deprecated alias from the pre-consolidation API keeps old call sites
-  // building; it is the same type.
-  static_assert(std::is_same_v<options, run_options>);
-}
-
 }  // namespace
 }  // namespace rn::core

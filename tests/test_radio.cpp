@@ -442,7 +442,7 @@ TEST(SimdStep, BlockBoundaryListenersAndScalarTails) {
   // Star-of-stars with 59-leaf rows: each transmitter row is seven full
   // 8-lane batches plus a ragged tail, and the hubs straddle the sharded
   // walk's block boundaries — covering the batch loop, the scalar tail,
-  // and the compress-store append in one graph.
+  // and the owner-routed first-touch append in one graph.
   graph::graph::builder b(600);
   for (node_id hub = 0; hub < 600; hub += 60)
     for (node_id leaf = 1; leaf < 60; ++leaf) b.add_edge(hub, hub + leaf);
