@@ -92,6 +92,57 @@ static void BM_StepSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_StepSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// The sharded walk where it matters: the layered n = 1.5·10^5 graph of the
+// repository benchmark's layered-150k workload (~2.9·10^6 edges, far beyond
+// L2), stepped through Decay-density rounds — in round i of a sweep each
+// node transmits with probability 2^-(i+1) — whose transmit lists are
+// shuffled, as the Decay coin calendar emits them. Arg(0) = team size at
+// the default volume floor; one iteration steps one round, cycling the
+// sweep, and items are the row entries walked.
+static void BM_StepShardedLayered(benchmark::State& state) {
+  graph::layered_options lo;
+  lo.depth = 50;
+  lo.width = 3000;
+  lo.edge_prob = 0.0066;
+  lo.seed = 1;
+  const auto g = graph::random_layered(lo);
+  radio::network net(g, {.collision_detection = true});
+  net.enable_intra_trial(static_cast<unsigned>(state.range(0)));
+  const radio::packet pkt = radio::packet::make_noise();
+  const std::size_t n = g.node_count();
+  rng r(1);
+  std::vector<radio::round_buffer> rounds;
+  std::vector<std::int64_t> volume;
+  std::vector<node_id> ids;
+  for (int i = 1; (std::size_t{1} << (i - 1)) < n; ++i) {
+    ids.clear();
+    for (node_id v = 0; v < n; ++v)
+      if (r.with_probability_pow2(i)) ids.push_back(v);
+    for (std::size_t k = ids.size(); k > 1; --k)  // Fisher-Yates
+      std::swap(ids[k - 1], ids[r.uniform(k)]);
+    radio::round_buffer& txs = rounds.emplace_back();
+    std::int64_t edges = 0;
+    for (const node_id v : ids) {
+      txs.add(v, pkt);
+      edges += static_cast<std::int64_t>(g.degree(v));
+    }
+    volume.push_back(edges);
+  }
+  std::int64_t sink = 0;
+  std::int64_t walked = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    net.step(rounds[next],
+             [&](const radio::reception& rx) { sink += rx.listener; });
+    walked += volume[next];
+    next = next + 1 == rounds.size() ? 0 : next + 1;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(walked);
+}
+BENCHMARK(BM_StepShardedLayered)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // The vectorized reception walk: same dense round as BM_StepSharded on the
 // serial path, row walks run by the kernel tier selected via Arg(0)
 // (0 = scalar, 1 = AVX2, 2 = AVX-512). Rows the CPU or build cannot run are

@@ -511,9 +511,9 @@ void session::cover_missing(std::uint64_t* hit_state,
       auto made = std::make_unique<local_cover>();
       made->view = graph::partitioned_view::from_graph(
           *g, graph::compute_block_plan(*g, kBlocks), b, e);
-      made->walker.bind(made->view.row_start().data(),
-                        made->view.adjacency().data(),
-                        made->view.plan().bounds, b, e);
+      made->walker.bind(made->view.plan().bounds, b, e);
+      made->walker.attach(
+          {made->view.row_start().data(), made->view.adjacency().data()});
       covers_.push_back(std::move(made));
       cov = covers_.back().get();
     }

@@ -64,8 +64,10 @@ int worker_main(int fd) {
   std::signal(SIGPIPE, SIG_IGN);
   channel ch(fd);
   std::vector<std::uint8_t> payload;
-  graph::partitioned_view view;
+  graph::partitioned_view view;  ///< walked in place by a team of one
   std::unique_ptr<radio::block_walker> walker;  ///< live trial only
+  unsigned first_block = 0;
+  unsigned last_block = 0;
   std::vector<node_id> tx_ids;
 
   try {
@@ -96,15 +98,24 @@ int worker_main(int fd) {
           walker.reset();
           view = graph::partitioned_view();
           view = build_view(spec, first, last);
-          walker = std::make_unique<radio::block_walker>();
-          walker->bind(view.row_start().data(), view.adjacency().data(),
-                       view.plan().bounds, first, last);
-          walker->set_min_parallel_volume(
-              radio::get_intra_trial_policy().min_parallel_volume);
-          walker->set_team(threads);
+          first_block = first;
+          last_block = last;
           wire_writer ack;
           ack.u64(view.node_count());
           ack.u64(view.adjacency().size());
+          walker = std::make_unique<radio::block_walker>();
+          walker->bind(view.plan().bounds, first, last);
+          walker->set_min_parallel_volume(
+              radio::get_intra_trial_policy().min_parallel_volume);
+          if (threads >= 2) {
+            // A team walks member slices copied from the view; the view's
+            // adjacency is then dropped, so the rank holds it once.
+            walker->slice([&view](node_id u) { return view.row(u); },
+                          threads);
+            view = graph::partitioned_view();
+          } else {
+            walker->attach({view.row_start().data(), view.adjacency().data()});
+          }
           ch.send(msg_type::setup_ack, ack);
           break;
         }
@@ -123,7 +134,7 @@ int worker_main(int fd) {
                       std::size_t{m} * 4);
           walker->walk(tx_ids);
           wire_writer out;
-          for (unsigned b = view.first_block(); b < view.last_block(); ++b) {
+          for (unsigned b = first_block; b < last_block; ++b) {
             const std::span<const node_id> ids = walker->touched(b);
             out.u32(b);
             out.u32(static_cast<std::uint32_t>(ids.size()));

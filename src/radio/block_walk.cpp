@@ -1,13 +1,16 @@
 #include "radio/block_walk.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 
@@ -16,8 +19,12 @@ namespace rn::radio {
 namespace {
 
 /// Team slots the process-wide busy counters can hold: a team never
-/// outgrows the 32-block plan it claims blocks from.
+/// outgrows the 32-block plan its members own blocks of.
 constexpr unsigned kMaxTeam = 32;
+
+/// Prefetch distances of the walk loop, in transmitters.
+constexpr std::uint32_t kOffsetsAhead = 16;
+constexpr std::uint32_t kHeadsAhead = 8;
 
 std::atomic<std::int64_t> g_parallel_rounds{0};
 std::atomic<std::int64_t> g_shard_busy_ns[kMaxTeam]{};
@@ -118,16 +125,16 @@ void set_simd_level(simd_level l) {
 }
 
 /// The shard team: `members - 1` persistent helper threads plus the calling
-/// thread, woken per walk by a generation counter. Members claim single
-/// blocks of the owned range dynamically and walk every transmitter's slice
-/// of each; a block's hit words and touch list are written only by the
-/// member that claimed it. Dynamic claiming balances skewed rounds and
-/// cannot perturb results: the partition and the per-block walk order are
-/// claim-independent. One barrier per walk — the caller waits for the last
-/// block. Counters go straight to the process-wide totals.
+/// thread, woken per job by a generation counter. A job runs once per
+/// member slot, the caller taking slot 0, and the caller waits for the last
+/// one: one barrier per job. Walks run member k over member slice k, every
+/// transmitter's row in index order, so a block's hit words and touch list
+/// are written only by the member that owns it.
 class block_walker::team {
  public:
-  team(block_walker* w, unsigned members) : w_(w), members_(members) {
+  using job = std::function<void(unsigned slot)>;
+
+  explicit team(unsigned members) : members_(members) {
     unsigned seen = g_max_team.load(std::memory_order_relaxed);
     while (seen < members_ &&
            !g_max_team.compare_exchange_weak(seen, members_)) {
@@ -148,61 +155,45 @@ class block_walker::team {
 
   [[nodiscard]] unsigned members() const { return members_; }
 
-  /// Walks every owned block; returns when the last one is done.
-  void run_round() {
-    next_block_.store(w_->first_, std::memory_order_relaxed);
+  /// Runs `j` on every slot; returns when the last one is done. `j` must
+  /// not throw.
+  void run(const job& j) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      job_ = &j;
       running_ = members_;
       ++round_gen_;
     }
     start_cv_.notify_all();
-    participate(0);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
+    j(0);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (--running_ != 0)
       done_cv_.wait(lock, [this] { return running_ == 0; });
-    }
-    g_parallel_rounds.fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
   void worker_main(unsigned slot) {
     std::uint64_t seen = 0;
     for (;;) {
+      const job* j = nullptr;
       {
         std::unique_lock<std::mutex> lock(mu_);
         start_cv_.wait(lock, [&] { return stop_ || round_gen_ != seen; });
         if (stop_) return;
         seen = round_gen_;
+        j = job_;
       }
-      participate(slot);
-    }
-  }
-
-  void participate(unsigned slot) {
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-    for (;;) {
-      const unsigned b = next_block_.fetch_add(1, std::memory_order_relaxed);
-      if (b >= w_->last_) break;
-      w_->walk_range(b, b + 1);
-    }
-    g_shard_busy_ns[slot].fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
-            .count(),
-        std::memory_order_relaxed);
-    {
+      (*j)(slot);
       std::lock_guard<std::mutex> lock(mu_);
       if (--running_ == 0) done_cv_.notify_all();
     }
   }
 
-  block_walker* w_;
   const unsigned members_;
   std::vector<std::thread> threads_;
-  std::atomic<unsigned> next_block_{0};
   std::mutex mu_;
   std::condition_variable start_cv_, done_cv_;
+  const job* job_ = nullptr;
   std::uint64_t round_gen_ = 0;
   unsigned running_ = 0;
   bool stop_ = false;
@@ -212,15 +203,15 @@ block_walker::block_walker() = default;
 
 block_walker::~block_walker() = default;
 
-void block_walker::bind(const std::uint32_t* row_start, const node_id* adj,
-                        std::span<const node_id> bounds, unsigned first,
+void block_walker::bind(std::span<const node_id> bounds, unsigned first,
                         unsigned last) {
   RN_REQUIRE(first < last && last < bounds.size(),
              "block walker needs a non-empty block range inside the plan");
   RN_REQUIRE(last - first <= kMaxTeam, "block walker owns at most 32 blocks");
-  row_start_ = row_start;
-  adj_ = adj;
-  bounds_ = bounds.data();
+  team_.reset();
+  slices_.clear();
+  owned_.clear();
+  bounds_.assign(bounds.begin(), bounds.end());
   first_ = first;
   last_ = last;
   hits_.assign(bounds.back(), 0);
@@ -234,14 +225,120 @@ void block_walker::bind(const std::uint32_t* row_start, const node_id* adj,
               static_cast<std::uint8_t>(b - first));
   }
   route_ = {lists_.data(), owner_.data(), base};
-  if (team_ && team_->members() > last - first) set_team(last - first);
 }
 
-void block_walker::set_team(unsigned members) {
-  members = std::min(members, last_ - first_);
-  if (team_ && team_->members() == members) return;
+void block_walker::attach(csr_ref csr) {
   team_.reset();
-  if (members >= 2) team_ = std::make_unique<team>(this, members);
+  owned_.clear();
+  slices_.assign(1, csr);
+}
+
+void block_walker::slice(const row_source& rows, unsigned members) {
+  members = std::clamp(members, 1u, last_ - first_);
+  // Free the previous adjacency first: slices replace it, never sit beside.
+  team_.reset();
+  slices_.clear();
+  owned_.clear();
+  owned_.resize(members);
+  if (members >= 2) team_ = std::make_unique<team>(members);
+  const node_id n = bounds_.back();
+  const node_id lo = bounds_[first_];
+  const node_id hi = bounds_[last_];
+  const unsigned blocks = last_ - first_;
+  const node_id* ends = bounds_.data() + first_ + 1;  // owned block ends
+  std::array<std::uint8_t, kMaxTeam> member_of{};
+  for (unsigned j = 0; j < blocks; ++j)
+    member_of[j] = static_cast<std::uint8_t>(j % members);
+  std::atomic<bool> stray{false};
+  // Calls f(member, begin, end) for each run of u's row inside one block:
+  // the row is ascending, so the run of each block between the blocks of
+  // its first and last neighbor is the prefix below the block's end.
+  const auto for_each_run = [&](node_id u, auto&& f) {
+    const std::span<const node_id> row = rows(u);
+    if (row.empty()) return;
+    if (row.front() < lo || row.back() >= hi) {
+      stray.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const node_id* p = row.data();
+    const node_id* const stop = p + row.size();
+    if (members == 1) {
+      f(0u, p, stop);
+      return;
+    }
+    unsigned j = owner_[row.front() - lo];
+    const unsigned j_last = owner_[row.back() - lo];
+    for (; j < j_last; ++j) {
+      const node_id end = ends[j];
+      std::uint32_t len = 0;  // branch-free: rows are short, runs shorter
+      for (const node_id* x = p; x != stop; ++x) len += *x < end;
+      f(unsigned{member_of[j]}, p, p + len);
+      p += len;
+    }
+    f(unsigned{member_of[j_last]}, p, stop);
+  };
+  // Two passes over the rows, each split into one contiguous row range per
+  // member: pass 1 writes every row's length in each slice to its row
+  // offset, and after the prefix sums pass 2 copies the runs. A range's
+  // rows are contiguous in every slice, so each member appends to its own
+  // stretch of each.
+  const auto row_range = [&](unsigned slot) {
+    return std::pair{static_cast<node_id>(std::uint64_t{n} * slot / members),
+                     static_cast<node_id>(std::uint64_t{n} * (slot + 1) /
+                                          members)};
+  };
+  total_volume_ = 0;
+  for (node_id u = 0; u < n; ++u) total_volume_ += rows(u).size();
+  for (csr& s : owned_) {
+    s.row_start = std::make_unique_for_overwrite<std::uint32_t[]>(
+        std::size_t{n} + 1);
+    s.row_start[0] = 0;
+  }
+  run_on_team([&](unsigned slot) {
+    const auto [u0, u1] = row_range(slot);
+    std::array<std::uint32_t*, kMaxTeam> len{};  // len[k][u]: row u's length
+    for (unsigned k = 0; k < members; ++k)
+      len[k] = owned_[k].row_start.get() + 1;
+    for (node_id u = u0; u < u1; ++u) {
+      for (unsigned k = 0; k < members; ++k) len[k][u] = 0;
+      for_each_run(u, [&](unsigned k, const node_id* p, const node_id* q) {
+        len[k][u] += static_cast<std::uint32_t>(q - p);
+      });
+    }
+  });
+  RN_REQUIRE(!stray.load(), "sliced row leaves the owned block range");
+  for (csr& s : owned_) {
+    std::uint64_t total = 0;
+    for (node_id u = 1; u <= n; ++u) {
+      total += s.row_start[u];
+      s.row_start[u] = static_cast<std::uint32_t>(total);
+    }
+    RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
+               "adjacency too large for 32-bit CSR offsets");
+    s.adj = std::make_unique_for_overwrite<node_id[]>(total);
+  }
+  run_on_team([&](unsigned slot) {
+    const auto [u0, u1] = row_range(slot);
+    std::array<node_id*, kMaxTeam> out{};
+    for (unsigned k = 0; k < members; ++k)
+      out[k] = owned_[k].adj.get() + owned_[k].row_start[u0];
+    for (node_id u = u0; u < u1; ++u)
+      for_each_run(u, [&](unsigned k, const node_id* p, const node_id* q) {
+        out[k] = std::copy(p, q, out[k]);
+      });
+  });
+  for (const csr& s : owned_)
+    slices_.push_back({s.row_start.get(), s.adj.get()});
+}
+
+void block_walker::run_on_team(const std::function<void(unsigned)>& job) {
+  // Waking the team costs more than it saves on an adjacency below the
+  // floor — whose rounds never wake it either; the caller runs every slot.
+  if (team_ && total_volume_ >= min_parallel_volume_) {
+    team_->run(job);
+  } else {
+    for (unsigned slot = 0; slot < owned_.size(); ++slot) job(slot);
+  }
 }
 
 unsigned block_walker::team_size() const {
@@ -255,51 +352,60 @@ void block_walker::clear_round() {
   }
 }
 
+bool block_walker::reaches_parallel_volume() const {
+  std::size_t volume = 0;
+  for (const node_id u : txs_) {
+    if (volume >= min_parallel_volume_) return true;
+    for (const csr_ref& s : slices_)
+      volume += s.row_start[u + 1] - s.row_start[u];
+  }
+  return volume >= min_parallel_volume_;
+}
+
 simd_level block_walker::walk(std::span<const node_id> tx_ids) {
   const simd_level level = active_simd_level();
   // Resolved per walk so flipping the process-wide tier affects live
-  // walkers; every block of a round uses the same kernel.
+  // walkers; every slice of a round uses the same kernel.
   segment_ = segment_for(level);
   txs_ = tx_ids;
-  bool parallel = false;
-  if (team_ && !tx_ids.empty()) {
-    std::size_t volume = 0;
-    for (const node_id u : tx_ids) volume += row_start_[u + 1] - row_start_[u];
-    parallel = volume >= min_parallel_volume_;
-  }
-  if (parallel) {
-    team_->run_round();
+  if (team_ && total_volume_ >= min_parallel_volume_ && !tx_ids.empty() &&
+      reaches_parallel_volume()) {
+    team_->run([this](unsigned slot) {
+      using clock = std::chrono::steady_clock;
+      const auto t0 = clock::now();  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
+      walk_slice(slices_[slot]);
+      g_shard_busy_ns[slot].fetch_add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
+              .count(),
+          std::memory_order_relaxed);
+    });
+    g_parallel_rounds.fetch_add(1, std::memory_order_relaxed);
   } else {
-    walk_range(first_, last_);
+    // Below the floor the caller walks the member slices one after another:
+    // each block still lives in one slice, walked in transmitter order.
+    for (const csr_ref& s : slices_) walk_slice(s);
   }
   return level;
 }
 
-void block_walker::walk_range(unsigned b0, unsigned b1) {
-  // The rows hold only owned listeners, so a walk of the whole owned range
-  // takes every row as is. A narrower claim slices each row with an O(1)
-  // test against its first and last neighbor, then a binary search (rows
-  // are ascending, blocks are contiguous id ranges).
-  const bool whole = b0 == first_ && b1 == last_;
-  const node_id lo = bounds_[b0];
-  const node_id hi = bounds_[b1];
-  const node_id* adj = adj_;
+void block_walker::walk_slice(const csr_ref& s) {
+  // The walk is bound by dependent misses — transmitter id, then its row
+  // offsets, then its row — so it fetches offsets kOffsetsAhead
+  // transmitters ahead and row heads kHeadsAhead ahead (by then their
+  // offsets have arrived). Rows only: prefetching hit words measured
+  // slower.
+  const std::uint32_t* row_start = s.row_start;
+  const node_id* adj = s.adj;
+  const node_id* tx = txs_.data();
   std::uint64_t* hits = hits_.data();
   const auto m = static_cast<std::uint32_t>(txs_.size());
   for (std::uint32_t i = 0; i < m; ++i) {
-    const node_id u = txs_[i];
-    std::uint32_t begin = row_start_[u];
-    std::uint32_t end = row_start_[u + 1];
-    if (!whole) {
-      if (begin == end || adj[begin] >= hi || adj[end - 1] < lo) continue;
-      if (adj[begin] < lo)
-        begin = static_cast<std::uint32_t>(
-            std::lower_bound(adj + begin, adj + end, lo) - adj);
-      if (adj[end - 1] >= hi)
-        end = static_cast<std::uint32_t>(
-            std::lower_bound(adj + begin, adj + end, hi) - adj);
-    }
-    segment_(adj, hits, begin, end, i, route_);
+    if (i + kOffsetsAhead < m)
+      __builtin_prefetch(row_start + tx[i + kOffsetsAhead]);
+    if (i + kHeadsAhead < m)
+      __builtin_prefetch(adj + row_start[tx[i + kHeadsAhead]]);
+    const node_id u = tx[i];
+    segment_(adj, hits, row_start[u], row_start[u + 1], i, route_);
   }
 }
 

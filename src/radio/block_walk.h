@@ -8,18 +8,27 @@
 // (compressed sparse row) adjacency over an owned range [first, last) of the
 // fixed 32-block listener plan and appends every first-touched listener to
 // its block's touch list, in walk order. Three callers share it:
-//   * radio::network — its private CSR, all 32 blocks;
-//   * each dist worker rank — its partitioned_view slice (graph/partitioned.h);
-//   * the dist coordinator's local cover for orphaned blocks (team size 1).
+//   * radio::network — all 32 blocks, sliced straight from the graph;
+//   * each dist worker rank — its partitioned_view (graph/partitioned.h),
+//     walked in place on one thread or sliced for a team;
+//   * the dist coordinator's local cover for orphaned blocks (in place).
 //
-// Determinism: transmitters are walked in index order and every listener's
-// hit word and touch-list entry is written by the one thread that walks its
-// block, so the words and each block's first-touch order are identical on
-// one thread or many, at every SIMD tier. Dispatch then runs in ascending
-// block order (network::step); together that is the channel-v1 contract.
+// A team of T members splits the owned blocks into T interleaved member
+// slices: member k owns the blocks b with (b - first) mod T == k and walks
+// its own CSR, whose row u holds u's neighbors inside those blocks. A team
+// of one walks a single CSR holding every owned listener.
+//
+// Determinism: every slice is walked in transmitter-index order with its
+// rows ascending, and each block lives in exactly one slice, so every
+// listener's hit word and touch-list entry is written by one member in the
+// order the single-CSR walk would write them. The words and each block's
+// first-touch order are therefore identical at every team size and SIMD
+// tier. Dispatch then runs in ascending block order (network::step);
+// together that is the channel-v1 contract.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -62,29 +71,46 @@ struct shard_totals {
   std::vector<std::int64_t> busy_ns;
 };
 
+/// A CSR adjacency: row u spans adj[row_start[u] .. row_start[u+1]) and is
+/// strictly ascending.
+struct csr_ref {
+  const std::uint32_t* row_start = nullptr;
+  const node_id* adj = nullptr;
+};
+
 /// One round's reception tally over an owned block range, with the round
 /// state it fills. Not thread-safe: one caller walks at a time (the team it
 /// runs is internal).
 class block_walker {
  public:
+  /// Row u of an adjacency to slice: u's neighbors inside the owned blocks,
+  /// strictly ascending.
+  using row_source = std::function<std::span<const node_id>(node_id)>;
+
   block_walker();
   ~block_walker();
-  // The team holds a back-pointer to this object.
+  // Team jobs hold pointers into this object.
   block_walker(const block_walker&) = delete;
   block_walker& operator=(const block_walker&) = delete;
 
-  /// Binds to a CSR — row u spans adj[row_start[u] .. row_start[u+1]) and is
-  /// strictly ascending — whose rows hold only listeners inside blocks
-  /// [first, last) of the plan `bounds` (size blocks + 1; bounds.back() is
-  /// the node count), and sizes the round state. The CSR and `bounds` must
-  /// outlive the binding. Keeps the team, capped to the new range.
-  void bind(const std::uint32_t* row_start, const node_id* adj,
-            std::span<const node_id> bounds, unsigned first, unsigned last);
+  /// Binds to blocks [first, last) of the plan `bounds` (size blocks + 1;
+  /// bounds.back() is the node count; copied) and sizes the round state.
+  /// Drops any adjacency and team: `attach` or `slice` supplies the next.
+  void bind(std::span<const node_id> bounds, unsigned first, unsigned last);
 
-  /// `members >= 2` runs walks on a persistent team of that many threads
-  /// (the caller plus helpers; capped at the owned block count), `<= 1`
-  /// tears the team down. Results are identical at every size.
-  void set_team(unsigned members);
+  /// Walks a caller-owned CSR in place on the calling thread. Its rows must
+  /// hold only listeners inside the owned blocks, and it must outlive the
+  /// binding.
+  void attach(csr_ref csr);
+
+  /// Copies `rows` (u in [0, node count)) into `members` interleaved member
+  /// slices, capped at the owned block count, and walks them on a
+  /// persistent team of that many threads (the caller plus helpers).
+  /// `members <= 1` builds one CSR and walks it on the calling thread.
+  /// Results are identical at every size. The team builds the slices, so
+  /// `rows` is called from its threads concurrently and must not throw.
+  void slice(const row_source& rows, unsigned members);
+
   [[nodiscard]] unsigned team_size() const;
   /// Rounds whose row volume (sum of the transmitters' row lengths) is below
   /// this walk on the calling thread even when a team exists.
@@ -112,13 +138,19 @@ class block_walker {
 
  private:
   class team;
+  struct csr {
+    std::unique_ptr<std::uint32_t[]> row_start;
+    std::unique_ptr<node_id[]> adj;
+  };
 
-  /// Walks the slice of every transmitter row that falls in blocks [b0, b1).
-  void walk_range(unsigned b0, unsigned b1);
+  /// Walks every transmitter's row of one slice, in index order.
+  void walk_slice(const csr_ref& s);
+  /// Runs job(slot) for every member slot of the slices being built: on
+  /// the team, or one after another on the caller.
+  void run_on_team(const std::function<void(unsigned)>& job);
+  [[nodiscard]] bool reaches_parallel_volume() const;
 
-  const std::uint32_t* row_start_ = nullptr;
-  const node_id* adj_ = nullptr;
-  const node_id* bounds_ = nullptr;
+  std::vector<node_id> bounds_;
   unsigned first_ = 0;
   unsigned last_ = 0;
   std::vector<std::uint64_t> hits_;
@@ -127,6 +159,11 @@ class block_walker {
   /// first owned node id; route_ points first touches through it.
   std::vector<std::uint8_t> owner_;
   detail::touch_route route_{};
+  /// What the walk reads, one CSR per member (one when there is no team);
+  /// `owned_` holds them unless they were attached.
+  std::vector<csr_ref> slices_;
+  std::vector<csr> owned_;
+  std::size_t total_volume_ = 0;  ///< row entries over all owned slices
   std::size_t min_parallel_volume_ = 0;
   // This round's transmitters and kernel, read by every team member.
   std::span<const node_id> txs_;

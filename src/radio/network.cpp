@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -15,9 +14,8 @@ namespace {
 
 /// Fixed block count of the shard plan. A constant (never the team size!)
 /// so the listener partition — and with it the reception dispatch order —
-/// is identical no matter how many threads walk the blocks. 32 blocks give
-/// dynamic claiming enough granularity to balance skewed rounds while the
-/// per-claim row search stays ~32 O(1) tests per transmitter row.
+/// is identical no matter how many threads walk the blocks. It also caps
+/// the team: each member owns at least one block.
 constexpr unsigned kNumBlocks = 32;
 
 std::atomic<std::int64_t> g_stepped{0};
@@ -97,31 +95,11 @@ network::network(const graph::graph& g, model m)
              "erasure probability must be in [0, 1)");
   node_count_ = g.node_count();
   // A multi-process backend may claim this network's walks: its ranks hold
-  // the partitioned adjacency, so the private CSR copy below — the dominant
-  // per-trial allocation — is skipped entirely in remote mode. Only the
-  // row-offset prefix is kept (it fixes the shard plan and costs 4 bytes
-  // per node).
+  // the partitioned adjacency, so no CSR copy — the dominant per-trial
+  // allocation — is made in remote mode.
   if (remote_walk* hook = get_remote_walk();
       hook != nullptr && hook->adopt(g))
     remote_ = hook;
-  // Private CSR copy: 32-bit row offsets and a contiguous neighbor array keep
-  // the per-round walk cache-linear and independent of the graph's internals.
-  // Rows stay sorted ascending (the graph builder's contract), which is what
-  // lets the block walker slice each row at the block boundaries.
-  row_start_.assign(node_count_ + 1, 0);
-  std::size_t total = 0;
-  for (node_id v = 0; v < node_count_; ++v) {
-    total += g.degree(v);
-    RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-               "adjacency too large for 32-bit CSR offsets");
-    row_start_[v + 1] = static_cast<std::uint32_t>(total);
-  }
-  if (remote_ == nullptr) {
-    adj_.reserve(total);
-    for (node_id v = 0; v < node_count_; ++v)
-      for (node_id u : g.neighbors(v)) adj_.push_back(u);
-  }
-
   is_transmitting_.assign(node_count_, 0);
   tx_count_.assign(node_count_, 0);
 
@@ -129,15 +107,16 @@ network::network(const graph::graph& g, model m)
   // roughly equal adjacency volume (a listener's walk cost is its degree).
   // Recycled across every round; independent of the team size by design.
   // Shared with the distributed backend (graph/partitioned.h) so every
-  // process derives the identical partition from the degree prefix alone.
-  block_bounds_ = graph::compute_block_plan(row_start_, kNumBlocks).bounds;
-  walker_.bind(row_start_.data(), adj_.data(), block_bounds_, 0, kNumBlocks);
+  // process derives the identical partition from the degree sequence alone.
+  walker_.bind(graph::compute_block_plan(g, kNumBlocks).bounds, 0,
+               kNumBlocks);
+  if (remote_ != nullptr) return;  // walks are external; no adjacency
 
-  if (remote_ != nullptr) return;  // walks are external; no team to build
   const intra_trial_policy pol = get_intra_trial_policy();
   walker_.set_min_parallel_volume(pol.min_parallel_volume);
+  unsigned team = 1;
   if (pol.threads >= 2) {
-    enable_intra_trial(pol.threads);
+    team = pol.threads;
   } else if (pol.threads == 0 && node_count_ >= pol.auto_threshold) {
     // Auto mode: borrow whatever capacity the trial pool is not using right
     // now, and keep re-polling between rounds (prepare_round) — scenario
@@ -146,13 +125,13 @@ network::network(const graph::graph& g, model m)
     // inherits the machine moments later.
     auto_shards_ = true;
     borrowed_workers_ = borrow_workers(kNumBlocks - 1);
-    if (borrowed_workers_ > 0) enable_intra_trial(borrowed_workers_ + 1);
+    team = borrowed_workers_ + 1;
   }
+  slice_adjacency(team);
 }
 
 network::~network() {
   flush_totals();
-  walker_.set_team(1);
   if (borrowed_workers_ > 0) return_workers(borrowed_workers_);
   if (remote_ != nullptr) remote_->release(*g_);
 }
@@ -179,7 +158,16 @@ shard_totals network::process_shard_totals() {
 }
 
 void network::enable_intra_trial(unsigned threads) {
-  walker_.set_team(threads);
+  if (remote_ == nullptr &&
+      std::clamp(threads, 1u, kNumBlocks) != walker_.team_size())
+    slice_adjacency(threads);
+}
+
+void network::slice_adjacency(unsigned team) {
+  // Rows stay sorted ascending (the graph builder's contract), which is what
+  // lets the walker cut each row at the block boundaries in one pass.
+  const graph::graph& g = *g_;
+  walker_.slice([&g](node_id u) { return g.neighbors(u); }, team);
 }
 
 unsigned network::intra_trial_threads() const { return walker_.team_size(); }

@@ -23,15 +23,17 @@
 // whole run and references it from every transmission: no per-round packet
 // copies, no shared_ptr refcount churn, no std::function dispatch.
 //
-// Intra-trial parallelism: the CSR row walk of one round (radio/block_walk.h)
-// can be sharded across worker threads by contiguous *listener* ranges (a
-// fixed block partition of the node-id space, balanced by adjacency volume).
-// Each listener's packed hit word is written by exactly one owner block, and
-// the reception dispatch visits blocks in ascending order — so receptions
-// are delivered in one canonical order that depends only on the graph and
-// the transmit list, never on the thread count. Results are byte-identical
-// at every intra-trial thread count; see README "Intra-trial parallel
-// reception".
+// Intra-trial parallelism: the row walk of one round (radio/block_walk.h)
+// can run on a team of worker threads over a fixed partition of the node-id
+// space into 32 contiguous *listener* blocks, balanced by adjacency volume.
+// Member k of a team of T owns the blocks b with b mod T == k and walks its
+// own slice of the adjacency — each transmitter's neighbors inside those
+// blocks — in transmitter order. Each listener's packed hit word is written
+// by exactly one member, and the reception dispatch visits blocks in
+// ascending order — so receptions are delivered in one canonical order that
+// depends only on the graph and the transmit list, never on the thread
+// count. Results are byte-identical at every intra-trial thread count; see
+// README "Intra-trial parallel reception".
 #pragma once
 
 #include <cstdint>
@@ -204,11 +206,11 @@ void set_remote_walk(remote_walk* hook);
 /// reports receptions via callback.
 ///
 /// The adjacency is copied into a private CSR (compressed sparse row) layout
-/// with 32-bit offsets at construction: the per-round hot loop walks one
+/// with 32-bit offsets at construction — one per team member, each holding
+/// that member's listener blocks: the per-round hot loop walks one
 /// contiguous row per transmitter and keeps per-listener state in flat
-/// 32-bit arrays, with a per-round transmitter bitmap to separate talkers
-/// from listeners (bench_micro BM_NetworkStep / BM_StepNoAlloc track this
-/// path).
+/// arrays, with a per-round transmitter bitmap to separate talkers from
+/// listeners (bench_micro BM_NetworkStep / BM_StepNoAlloc track this path).
 ///
 /// Reception order contract: listeners are resolved block by block (a fixed
 /// degree-balanced partition of the node-id space computed at construction),
@@ -267,8 +269,10 @@ class network {
 
   /// Resizes this network's shard team: `threads >= 2` spawns (or reshapes)
   /// a team of that many walkers (capped at the block count), `threads <= 1`
-  /// tears it down. The process policy applies this automatically at
-  /// construction; call it directly to override per network (tests do).
+  /// tears it down. Each change re-slices the adjacency from the graph, so
+  /// the graph must still be alive. The process policy applies this
+  /// automatically at construction; call it directly to override per
+  /// network (tests do). No-op when a remote walk adopted this network.
   void enable_intra_trial(unsigned threads);
   /// Current team size (1 = serial row walks).
   [[nodiscard]] unsigned intra_trial_threads() const;
@@ -332,6 +336,8 @@ class network {
   /// transmitting neighbors into the walker's round state — through the
   /// walker itself, or the adopted remote walk.
   void prepare_round(const round_buffer& txs);
+  /// (Re)builds the walker's adjacency from the graph for a team of `team`.
+  void slice_adjacency(unsigned team);
 
   const graph::graph* g_;
   model model_;
@@ -339,32 +345,27 @@ class network {
   std::int64_t skipped_ = 0;
   rng erasure_rng_;
   std::size_t node_count_ = 0;
-  // CSR adjacency (32-bit offsets; row i spans adj_[row_start_[i] .. row_start_[i+1])).
-  std::vector<std::uint32_t> row_start_;
-  std::vector<node_id> adj_;
   std::vector<std::uint32_t> tx_count_;
   std::vector<char> is_transmitting_;      // per-round transmitter bitmap
-  // The reusable shard plan: a fixed partition of the node-id space into
-  // kNumBlocks contiguous listener ranges balanced by adjacency volume.
-  // block_bounds_[b] .. block_bounds_[b+1] is block b. Computed once,
-  // recycled every round; the partition never depends on the team size,
-  // which is what makes reception order thread-count-invariant.
-  std::vector<node_id> block_bounds_;
   // This round's transmitter ids, in round_buffer order (the walker's input).
   std::vector<node_id> tx_ids_;
   unsigned borrowed_workers_ = 0;
   // Non-null when the process-wide remote-walk hook adopted this network:
-  // stepped rounds route through it instead of the local walks, and adj_
-  // stays empty (the hook's ranks hold the partitioned adjacency).
+  // stepped rounds route through it instead of the local walks, and the
+  // walker holds no adjacency (the hook's ranks hold the partitioned one).
   remote_walk* remote_ = nullptr;
   // Auto mode re-polls the worker budget between rounds: a big trial
   // constructed while the pool was busy grows its team as scenario workers
   // finish and return their slots (byte-identical results at any size).
   bool auto_shards_ = false;
   int auto_poll_ = 0;
-  // Bound to adj_ and all 32 blocks: holds the per-round hit words and
-  // per-block first-touch lists (filled remotely in remote mode, where adj_
-  // stays empty and the walker never walks) and owns the shard team.
+  // Bound to all 32 blocks of the shard plan — a fixed partition of the
+  // node-id space into contiguous listener ranges balanced by adjacency
+  // volume, computed once and never dependent on the team size, which is
+  // what makes reception order thread-count-invariant. Holds the adjacency
+  // (one slice per team member), the per-round hit words and per-block
+  // first-touch lists (filled remotely in remote mode, where the walker
+  // holds no adjacency and never walks) and owns the shard team.
   block_walker walker_;
   std::int64_t simd_stepped_ = 0;  ///< stepped rounds on a vector kernel
   // flush_totals() high-water marks (what was already published).

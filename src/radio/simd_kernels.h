@@ -1,22 +1,24 @@
 // Internal: per-ISA segment kernels behind the block walker's runtime SIMD
 // dispatch (src/radio/block_walk.cpp). Not part of the public API.
 //
-// A kernel walks one transmitter's CSR row segment adj[begin, end) — the
-// whole row, or the slice that falls in the blocks a team member claimed —
-// and merges each visited listener's packed hit word: transmitting-neighbor
-// count in the high 32 bits, index of the last transmitter heard in the low
-// 32. Listeners whose word was zero are appended, in visit order, to the
-// touch list of their owner block (`touch_route`). One kernel per tier; the
-// scalar one lives in block_walk.cpp.
+// A kernel walks one transmitter's CSR row segment adj[begin, end) — its
+// row in the walked CSR, which for a team member holds only the listeners
+// of that member's blocks — and merges each visited listener's packed hit
+// word: transmitting-neighbor count in the high 32 bits, index of the last
+// transmitter heard in the low 32. Listeners whose word was zero are
+// appended, in visit order, to the touch list of their owner block
+// (`touch_route`). One kernel per tier; the scalar one lives in
+// block_walk.cpp.
 //
 // Contract (what makes vectorization safe and byte-identity hold):
 //   * rows are strictly ascending (graph builder sorts + dedups), so the
 //     listeners of one segment are pairwise distinct — a gather/update/
 //     scatter batch has no intra-batch conflicts;
 //   * segments of one round are processed in transmitter-index order and
-//     each listener's word is written by exactly one thread (the one walking
-//     its block), so the merged count|last-sender words and the first-touch
-//     order are identical to the scalar walk's, lane width notwithstanding.
+//     each listener's word is written by exactly one thread (the member
+//     owning its block), so the merged count|last-sender words and the
+//     first-touch order are identical to the scalar walk's, lane width
+//     notwithstanding.
 //
 // The AVX2/AVX-512 TUs are compiled with ISA flags per-TU (see CMakeLists);
 // they are only *called* after the cpuid probe confirms support, and

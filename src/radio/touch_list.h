@@ -6,6 +6,11 @@
 // block's node count: a listener is appended at most once per round, so the
 // backing array never grows. That makes `push` a single unconditional store
 // in every walk kernel.
+//
+// Each list fills its own cache line: a team member appends to the lists of
+// the blocks it owns on every first touch, and adjacent blocks belong to
+// different members, so two lists sharing a line would bounce it between
+// cores.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +20,7 @@
 
 namespace rn::radio {
 
-class touch_list {
+class alignas(64) touch_list {
  public:
   /// (Re)allocates the backing array for a block of `capacity` nodes and
   /// empties the list. Called once per block when the shard plan is built.

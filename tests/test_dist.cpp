@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
@@ -186,14 +187,17 @@ reference_walk serial_reference(const graph::graph& g,
 
 using walker_ptr = std::unique_ptr<radio::block_walker>;
 
-/// A rank's walker bound to its view, with a team of `threads` that takes
+/// A rank's walker bound to its view as a worker binds it — in place for
+/// one thread, member slices for a team of `threads` — whose team takes
 /// every non-empty round.
 walker_ptr rank_walker(const graph::partitioned_view& v, unsigned threads) {
   auto w = std::make_unique<radio::block_walker>();
-  w->bind(v.row_start().data(), v.adjacency().data(), v.plan().bounds,
-          v.first_block(), v.last_block());
+  w->bind(v.plan().bounds, v.first_block(), v.last_block());
   w->set_min_parallel_volume(0);
-  w->set_team(threads);
+  if (threads >= 2)
+    w->slice([&v](node_id u) { return v.row(u); }, threads);
+  else
+    w->attach({v.row_start().data(), v.adjacency().data()});
   return w;
 }
 
@@ -237,6 +241,27 @@ std::vector<radio::simd_level> detected_levels() {
   return out;
 }
 
+/// Six dense rounds (a quarter of the nodes) plus rounds the walk loop's
+/// prefetch must not trip over — no transmitter, one, and fewer than each
+/// prefetch distance — every list shuffled: dispatch, not id order.
+std::vector<std::vector<node_id>> test_rounds(std::size_t n,
+                                              std::mt19937_64& r) {
+  std::vector<std::vector<node_id>> rounds;
+  for (int round = 0; round < 6; ++round) {
+    auto& txs = rounds.emplace_back();
+    for (node_id v = 0; v < n; ++v)
+      if (r() % 4 == 0) txs.push_back(v);
+  }
+  for (const std::size_t m : {0u, 1u, 5u, 12u, 17u}) {
+    std::vector<node_id> ids(n);
+    for (node_id v = 0; v < n; ++v) ids[v] = v;
+    std::shuffle(ids.begin(), ids.end(), r);
+    rounds.emplace_back(ids.begin(), ids.begin() + m);
+  }
+  for (auto& txs : rounds) std::shuffle(txs.begin(), txs.end(), r);
+  return rounds;
+}
+
 TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
   graph::layered_options opt;
   opt.depth = 6;
@@ -257,28 +282,25 @@ TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
         views.push_back(graph::partitioned_view::from_graph(
             g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
 
-      for (const unsigned threads : {1u, 3u}) {
+      for (const unsigned threads : {1u, 2u, 3u, 5u}) {
         SCOPED_TRACE(std::string(radio::to_string(lvl)) +
                      " ranks=" + std::to_string(ranks) +
                      " threads=" + std::to_string(threads));
         std::vector<walker_ptr> walkers;
         for (const auto& v : views) walkers.push_back(rank_walker(v, threads));
-        for (int round = 0; round < 6; ++round) {
-          std::vector<node_id> txs;
-          for (node_id v = 0; v < g.node_count(); ++v)
-            if (r() % 4 == 0) txs.push_back(v);
-          std::shuffle(txs.begin(), txs.end(), r);  // dispatch, not id order
+        for (const auto& txs : test_rounds(g.node_count(), r))
           expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
                              txs);
-        }
       }
     }
   }
 }
 
-TEST(BlockWalker, SingleBlockRankWithATeamOfThree) {
-  // 32 ranks own one block each: a team of 3 is capped to the one block,
-  // so the walk runs on the calling thread and must still match.
+TEST(BlockWalker, TeamsAreCappedAtTheOwnedBlocks) {
+  // 32 ranks own one block each and 16 ranks two: a team of 3 is capped to
+  // one member per owned block — the one-block rank walks its single CSR
+  // on the calling thread, the two-block rank runs a team of 2 — and both
+  // must still match at every tier.
   graph::layered_options opt;
   opt.depth = 5;
   opt.width = 30;
@@ -286,29 +308,62 @@ TEST(BlockWalker, SingleBlockRankWithATeamOfThree) {
   opt.seed = 3;
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
-  std::vector<graph::partitioned_view> views;
-  std::vector<walker_ptr> walkers;
-  for (unsigned b = 0; b < kBlocks; ++b)
-    views.push_back(graph::partitioned_view::from_graph(g, plan, b, b + 1));
-  for (const auto& v : views) {
-    walkers.push_back(rank_walker(v, 3));
-    EXPECT_EQ(walkers.back()->team_size(), 1u);
-  }
-  std::mt19937_64 r(17);
-  for (int round = 0; round < 4; ++round) {
-    std::vector<node_id> txs;
-    for (node_id v = 0; v < g.node_count(); ++v)
-      if (r() % 3 == 0) txs.push_back(v);
-    expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+  for (const radio::simd_level lvl : detected_levels()) {
+    const simd_level_guard guard(lvl);
+    for (const unsigned width : {1u, 2u}) {
+      SCOPED_TRACE(std::string(radio::to_string(lvl)) +
+                   " blocks per rank=" + std::to_string(width));
+      std::vector<graph::partitioned_view> views;
+      std::vector<walker_ptr> walkers;
+      for (unsigned b = 0; b < kBlocks; b += width)
+        views.push_back(
+            graph::partitioned_view::from_graph(g, plan, b, b + width));
+      for (const auto& v : views) {
+        walkers.push_back(rank_walker(v, 3));
+        EXPECT_EQ(walkers.back()->team_size(), width);
+      }
+      std::mt19937_64 r(17);
+      for (const auto& txs : test_rounds(g.node_count(), r))
+        expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
+                           txs);
+    }
   }
 }
 
-TEST(BlockWalker, ClaimedBlocksWithNoRowSliceStayEmpty) {
+TEST(BlockWalker, BelowTheFloorTheCallerWalksEverySlice) {
+  // A rank with a team of 3 whose rounds never reach the volume floor: the
+  // calling thread walks the member slices one after another, and the
+  // words and touch orders must still equal the serial reference.
+  graph::layered_options opt;
+  opt.depth = 6;
+  opt.width = 40;
+  opt.edge_prob = 0.15;
+  opt.seed = 8;
+  const graph::graph g = graph::random_layered(opt);
+  const graph::block_plan plan = plan_of(g);
+  for (const radio::simd_level lvl : detected_levels()) {
+    const simd_level_guard guard(lvl);
+    SCOPED_TRACE(radio::to_string(lvl));
+    std::vector<graph::partitioned_view> views;
+    views.push_back(graph::partitioned_view::from_graph(g, plan, 3, 20));
+    std::vector<walker_ptr> walkers;
+    walkers.push_back(rank_walker(views[0], 3));
+    walkers[0]->set_min_parallel_volume(
+        std::numeric_limits<std::size_t>::max());
+    const std::int64_t parallel =
+        radio::block_walker::process_totals().parallel_rounds;
+    std::mt19937_64 r(23);
+    for (const auto& txs : test_rounds(g.node_count(), r))
+      expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+    EXPECT_EQ(radio::block_walker::process_totals().parallel_rounds, parallel);
+  }
+}
+
+TEST(BlockWalker, BlocksNoTransmitterReachesStayEmpty) {
   // Two disjoint stars: hub 0 with leaves 1..40, hub 41 with leaves
-  // 42..81. Only the first star's leaves transmit, so every claimed block
-  // past the first star gets no row slice from any transmitter — the
-  // per-(transmitter, block) range test must skip them and leave their
-  // touch lists empty.
+  // 42..81. Only the first star's leaves transmit, so every block past the
+  // first star gets no row entry from any transmitter — whichever member
+  // slice holds it must leave its touch list empty.
   graph::graph::builder bld(82);
   for (node_id leaf = 1; leaf <= 40; ++leaf) bld.add_edge(0, leaf);
   for (node_id leaf = 42; leaf <= 81; ++leaf) bld.add_edge(41, leaf);
@@ -319,7 +374,7 @@ TEST(BlockWalker, ClaimedBlocksWithNoRowSliceStayEmpty) {
   const reference_walk ref = serial_reference(g, plan, txs);
   unsigned empty_blocks = 0;
   for (unsigned b = 0; b < kBlocks; ++b) empty_blocks += ref.touched[b].empty();
-  ASSERT_GT(empty_blocks, 1u) << "fixture must leave claimed blocks empty";
+  ASSERT_GT(empty_blocks, 1u) << "fixture must leave owned blocks empty";
 
   for (const radio::simd_level lvl : detected_levels()) {
     const simd_level_guard guard(lvl);

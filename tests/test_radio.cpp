@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -383,40 +385,65 @@ std::vector<simd_level> vector_levels() {
   return out;
 }
 
+/// Every tier this machine can run, scalar first.
+std::vector<simd_level> all_levels() {
+  std::vector<simd_level> out{simd_level::scalar};
+  for (simd_level l : vector_levels()) out.push_back(l);
+  return out;
+}
+
 using rx_log = std::vector<std::tuple<node_id, observation, node_id>>;
+using schedule_t = std::vector<std::vector<node_id>>;
+
+/// Steps `schedule` on `net` (each round's list in the given order) and
+/// appends every reception to `log`; `before(r)` runs ahead of round r.
+template <class Before>
+void step_schedule(network& net, const schedule_t& schedule, rx_log& log,
+                   Before&& before) {
+  std::vector<packet> beacons;
+  beacons.reserve(net.node_count());
+  for (node_id v = 0; v < net.node_count(); ++v)
+    beacons.push_back(packet::make_beacon(v));
+  round_buffer txs;
+  for (std::size_t r = 0; r < schedule.size(); ++r) {
+    before(r);
+    txs.clear();
+    for (node_id v : schedule[r]) txs.add(v, beacons[v]);
+    net.step(txs, [&](const reception& rx) {
+      log.emplace_back(rx.listener, rx.what, rx.from);
+    });
+  }
+}
+
+/// A run's full reception log plus its erasure draws that came up lost.
+struct replay_log {
+  rx_log rx;
+  std::int64_t erasures = 0;
+  bool operator==(const replay_log&) const = default;
+};
 
 /// Replays a fixed multi-round transmit schedule on a fresh network under
-/// the given kernel level and team size; returns the full reception log.
-rx_log replay_schedule(const graph::graph& g, const model& m, simd_level lvl,
-                       unsigned team,
-                       const std::vector<std::vector<node_id>>& schedule) {
+/// the given kernel level and team size (whose team takes every non-empty
+/// round); returns the full reception log.
+replay_log replay_schedule(const graph::graph& g, const model& m,
+                           simd_level lvl, unsigned team,
+                           const schedule_t& schedule) {
   simd_level_guard guard(lvl);
   network net(g, m);
   if (team > 1) {
     net.set_min_parallel_volume(0);
     net.enable_intra_trial(team);
   }
-  std::vector<packet> beacons;
-  beacons.reserve(g.node_count());
-  for (node_id v = 0; v < g.node_count(); ++v)
-    beacons.push_back(packet::make_beacon(v));
-  rx_log log;
-  round_buffer txs;
-  for (const auto& round : schedule) {
-    txs.clear();
-    for (node_id v : round) txs.add(v, beacons[v]);
-    net.step(txs, [&](const reception& rx) {
-      log.emplace_back(rx.listener, rx.what, rx.from);
-    });
-  }
-  return log;
+  replay_log out;
+  step_schedule(net, schedule, out.rx, [](std::size_t) {});
+  out.erasures = net.stats().erasures;
+  return out;
 }
 
 /// Random schedule sweeping densities from ~1/2 to ~1/2^6 active nodes.
-std::vector<std::vector<node_id>> random_schedule(std::size_t n, int rounds,
-                                                  std::uint64_t seed) {
+schedule_t random_schedule(std::size_t n, int rounds, std::uint64_t seed) {
   rng r(seed);
-  std::vector<std::vector<node_id>> schedule(rounds);
+  schedule_t schedule(rounds);
   for (int round = 0; round < rounds; ++round) {
     const int e = 1 + round % 6;
     for (node_id v = 0; v < n; ++v)
@@ -425,13 +452,35 @@ std::vector<std::vector<node_id>> random_schedule(std::size_t n, int rounds,
   return schedule;
 }
 
+/// Rounds the walk loop's prefetch must not trip over: no transmitter, one,
+/// and fewer than each prefetch distance (8 row heads, 16 row offsets
+/// ahead), in shuffled id order — appended to `schedule`.
+void add_short_rounds(schedule_t& schedule, std::size_t n,
+                      std::uint64_t seed) {
+  rng r(seed);
+  for (const std::size_t m : {0u, 1u, 5u, 12u, 17u}) {
+    std::vector<node_id>& round = schedule.emplace_back();
+    while (round.size() < m) {
+      const auto v = static_cast<node_id>(r.uniform(n));
+      if (std::find(round.begin(), round.end(), v) == round.end())
+        round.push_back(v);
+    }
+  }
+}
+
+/// A lossy CD channel: every reception draws from the erasure stream.
+const model kLossy{.collision_detection = true,
+                   .erasure_prob = 0.3,
+                   .erasure_seed = 11};
+
 TEST(SimdStep, MatchesScalarOnRandomRounds) {
   const std::size_t n = 700;
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
   const model m{.collision_detection = true};
   const auto schedule = random_schedule(n, 40, 123);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.empty());
+  const replay_log ref =
+      replay_schedule(g, m, simd_level::scalar, 1, schedule);
+  ASSERT_FALSE(ref.rx.empty());
   for (simd_level lvl : vector_levels()) {
     SCOPED_TRACE(to_string(lvl));
     EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
@@ -450,13 +499,14 @@ TEST(SimdStep, BlockBoundaryListenersAndScalarTails) {
   const auto g = std::move(b).build();
   const model m{.collision_detection = true};
 
-  std::vector<std::vector<node_id>> schedule(2);
+  schedule_t schedule(2);
   for (node_id v = 0; v < 600; ++v)  // all leaves: hubs hear collisions
     if (v % 60 != 0) schedule[0].push_back(v);
   for (node_id hub = 0; hub < 600; hub += 60)  // one leaf per star: clean
     schedule[1].push_back(hub + 7);
 
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
+  const replay_log ref =
+      replay_schedule(g, m, simd_level::scalar, 1, schedule);
   for (simd_level lvl : vector_levels()) {
     SCOPED_TRACE(to_string(lvl));
     EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
@@ -473,8 +523,9 @@ TEST(SimdStep, ErasureDrawsAreKernelInvariant) {
                 .erasure_prob = 0.4,
                 .erasure_seed = 99};
   const auto schedule = random_schedule(n, 30, 5);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.empty());
+  const replay_log ref =
+      replay_schedule(g, m, simd_level::scalar, 1, schedule);
+  ASSERT_FALSE(ref.rx.empty());
   for (simd_level lvl : vector_levels()) {
     SCOPED_TRACE(to_string(lvl));
     EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
@@ -482,19 +533,23 @@ TEST(SimdStep, ErasureDrawsAreKernelInvariant) {
 }
 
 TEST(SimdStep, ComposesWithShardedTeams) {
-  // Kernel level x team size cross-product: the sharded walk calls the
-  // same kernels through the owner-routed entry point, so SIMD-on-sharded
-  // must equal scalar-serial too.
+  // Kernel level x team size cross-product on a lossy channel: each member
+  // walks its own interleaved slice through the same kernels, so every
+  // level at every team — including sizes that do not divide the 32
+  // blocks, and one member per block — must equal the scalar serial
+  // reception log and erasure draws.
   const std::size_t n = 700;
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
-  const model m{.collision_detection = true};
-  const auto schedule = random_schedule(n, 20, 42);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : vector_levels()) {
-    for (unsigned team : {2u, 4u}) {
+  auto schedule = random_schedule(n, 20, 42);
+  add_short_rounds(schedule, n, 43);
+  const replay_log ref =
+      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  ASSERT_GT(ref.erasures, 0);
+  for (simd_level lvl : all_levels()) {
+    for (unsigned team : {1u, 2u, 3u, 5u, 32u}) {
       SCOPED_TRACE(std::string(to_string(lvl)) + " x team " +
                    std::to_string(team));
-      EXPECT_EQ(ref, replay_schedule(g, m, lvl, team, schedule));
+      EXPECT_EQ(ref, replay_schedule(g, kLossy, lvl, team, schedule));
     }
   }
 }
@@ -509,6 +564,102 @@ TEST(SimdStep, LevelApiClampsAndReports) {
   EXPECT_STREQ(to_string(simd_level::avx2), "avx2");
   EXPECT_STREQ(to_string(simd_level::avx512), "avx512");
   set_simd_level(prev);
+}
+
+TEST(ShardedStep, BelowTheFloorTheCallerWalksEverySlice) {
+  // A team exists, but no round reaches the volume floor: the caller walks
+  // the three member slices one after another, and the team never runs.
+  const std::size_t n = 700;
+  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
+  auto schedule = random_schedule(n, 12, 9);
+  add_short_rounds(schedule, n, 10);
+  const replay_log ref =
+      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  for (simd_level lvl : all_levels()) {
+    SCOPED_TRACE(to_string(lvl));
+    const simd_level_guard guard(lvl);
+    network net(g, kLossy);
+    net.enable_intra_trial(3);
+    ASSERT_EQ(net.intra_trial_threads(), 3u);
+    net.set_min_parallel_volume(std::numeric_limits<std::size_t>::max());
+    const std::int64_t parallel =
+        network::process_shard_totals().parallel_rounds;
+    replay_log got;
+    step_schedule(net, schedule, got.rx, [](std::size_t) {});
+    got.erasures = net.stats().erasures;
+    EXPECT_EQ(ref, got);
+    EXPECT_EQ(network::process_shard_totals().parallel_rounds, parallel);
+  }
+}
+
+TEST(ShardedStep, LiveResizeReslicesMidRun) {
+  // One network resized between rounds, 1 -> 3 -> 2 -> 1: every resize
+  // rebuilds the member slices from the graph, and the run must not notice.
+  const std::size_t n = 700;
+  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
+  auto schedule = random_schedule(n, 24, 77);
+  add_short_rounds(schedule, n, 78);
+  const replay_log ref =
+      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  for (simd_level lvl : all_levels()) {
+    SCOPED_TRACE(to_string(lvl));
+    const simd_level_guard guard(lvl);
+    network net(g, kLossy);
+    net.set_min_parallel_volume(0);
+    replay_log got;
+    step_schedule(net, schedule, got.rx, [&](std::size_t r) {
+      if (r == 6) net.enable_intra_trial(3);
+      if (r == 12) net.enable_intra_trial(2);
+      if (r == 18) net.enable_intra_trial(1);
+      EXPECT_EQ(net.intra_trial_threads(), r < 6    ? 1u
+                                           : r < 12 ? 3u
+                                           : r < 18 ? 2u
+                                                    : 1u);
+    });
+    got.erasures = net.stats().erasures;
+    EXPECT_EQ(ref, got);
+  }
+}
+
+TEST(ShardedStep, AutoModeGrowsTheTeamMidRun) {
+  // Auto mode with every worker slot taken at construction: the network
+  // starts serial, and once slots come back between rounds its next budget
+  // poll (every 64 stepped rounds) grows the team and re-slices.
+  const std::size_t n = 700;
+  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
+  const schedule_t schedule = random_schedule(n, 80, 31);
+  const replay_log ref =
+      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  const intra_trial_policy saved = get_intra_trial_policy();
+  intra_trial_policy pol;
+  pol.threads = 0;
+  pol.auto_threshold = 100;
+  pol.min_parallel_volume = 0;
+  for (simd_level lvl : all_levels()) {
+    SCOPED_TRACE(to_string(lvl));
+    const simd_level_guard guard(lvl);
+    set_intra_trial_policy(pol);
+    set_worker_budget(4);
+    ASSERT_EQ(borrow_workers(4), 4u);  // the trial pool holds every slot
+    replay_log got;
+    {
+      network net(g, kLossy);
+      EXPECT_EQ(net.intra_trial_threads(), 1u);
+      step_schedule(net, schedule, got.rx, [&](std::size_t r) {
+        if (r == 1) return_workers(2);  // two scenario workers finish
+        if (r == 70) {
+          EXPECT_EQ(net.intra_trial_threads(), 3u);
+        }
+      });
+      got.erasures = net.stats().erasures;
+    }  // returns the two borrowed slots
+    return_workers(2);
+    EXPECT_EQ(borrow_workers(4), 4u);  // every slot is free again
+    return_workers(4);
+    EXPECT_EQ(ref, got);
+  }
+  set_intra_trial_policy(saved);
+  set_worker_budget(0);
 }
 
 TEST(ShardedStep, WorkerBudgetBorrowAndReturn) {
