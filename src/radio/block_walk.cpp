@@ -240,7 +240,9 @@ void block_walker::slice(const row_source& rows, unsigned members) {
   slices_.clear();
   owned_.clear();
   owned_.resize(members);
-  if (members >= 2) team_ = std::make_unique<team>(members);
+  // The team joins the walker only once its slices are built.
+  std::unique_ptr<team> crew;
+  if (members >= 2) crew = std::make_unique<team>(members);
   const node_id n = bounds_.back();
   const node_id lo = bounds_[first_];
   const node_id hi = bounds_[last_];
@@ -289,12 +291,22 @@ void block_walker::slice(const row_source& rows, unsigned members) {
   };
   total_volume_ = 0;
   for (node_id u = 0; u < n; ++u) total_volume_ += rows(u).size();
+  // Waking the team costs more than it saves on an adjacency below the
+  // floor — whose rounds never wake it either; the caller runs every slot.
+  const bool on_team = crew && total_volume_ >= min_parallel_volume_;
+  const auto run = [&](const team::job& job) {
+    if (on_team) {
+      crew->run(job);
+    } else {
+      for (unsigned slot = 0; slot < members; ++slot) job(slot);
+    }
+  };
   for (csr& s : owned_) {
     s.row_start = std::make_unique_for_overwrite<std::uint32_t[]>(
         std::size_t{n} + 1);
     s.row_start[0] = 0;
   }
-  run_on_team([&](unsigned slot) {
+  run([&](unsigned slot) {
     const auto [u0, u1] = row_range(slot);
     std::array<std::uint32_t*, kMaxTeam> len{};  // len[k][u]: row u's length
     for (unsigned k = 0; k < members; ++k)
@@ -317,7 +329,7 @@ void block_walker::slice(const row_source& rows, unsigned members) {
                "adjacency too large for 32-bit CSR offsets");
     s.adj = std::make_unique_for_overwrite<node_id[]>(total);
   }
-  run_on_team([&](unsigned slot) {
+  run([&](unsigned slot) {
     const auto [u0, u1] = row_range(slot);
     std::array<node_id*, kMaxTeam> out{};
     for (unsigned k = 0; k < members; ++k)
@@ -329,16 +341,7 @@ void block_walker::slice(const row_source& rows, unsigned members) {
   });
   for (const csr& s : owned_)
     slices_.push_back({s.row_start.get(), s.adj.get()});
-}
-
-void block_walker::run_on_team(const std::function<void(unsigned)>& job) {
-  // Waking the team costs more than it saves on an adjacency below the
-  // floor — whose rounds never wake it either; the caller runs every slot.
-  if (team_ && total_volume_ >= min_parallel_volume_) {
-    team_->run(job);
-  } else {
-    for (unsigned slot = 0; slot < owned_.size(); ++slot) job(slot);
-  }
+  team_ = std::move(crew);
 }
 
 unsigned block_walker::team_size() const {

@@ -145,9 +145,6 @@ class block_walker {
 
   /// Walks every transmitter's row of one slice, in index order.
   void walk_slice(const csr_ref& s);
-  /// Runs job(slot) for every member slot of the slices being built: on
-  /// the team, or one after another on the caller.
-  void run_on_team(const std::function<void(unsigned)>& job);
   [[nodiscard]] bool reaches_parallel_volume() const;
 
   std::vector<node_id> bounds_;
