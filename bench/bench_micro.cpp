@@ -10,6 +10,7 @@
 #include "core/gst_distributed.h"
 #include "graph/generators.h"
 #include "radio/network.h"
+#include "sim/adhoc.h"
 
 using namespace rn;
 
@@ -275,6 +276,37 @@ static void BM_CentralizedGst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedGst)->Arg(8)->Arg(32)->Arg(128);
+
+// Centralized GST construction on the layered-150k workload's graph (the
+// spec of BM_StepShardedLayered): the per-trial setup cost every
+// gst-known / rlnc-known trial pays before its first round.
+static void BM_CentralizedGstLayered(benchmark::State& state) {
+  graph::layered_options lo;
+  lo.depth = 50;
+  lo.width = 3000;
+  lo.edge_prob = 0.0066;
+  lo.seed = 1;
+  const auto g = graph::random_layered(lo);
+  for (auto _ : state) {
+    auto t = core::build_gst_centralized(g, 0);
+    benchmark::DoNotOptimize(t.max_rank());
+  }
+}
+BENCHMARK(BM_CentralizedGstLayered)->Unit(benchmark::kMillisecond);
+
+// Validating and assembling the ad-hoc experiment for the same spec — what
+// `bench_suite --topology ...` and every ad-hoc rn_serve request (cache hit
+// or miss) pay before any trial runs.
+static void BM_AdhocExperiment(benchmark::State& state) {
+  sim::adhoc_spec spec;
+  spec.topology = "layered:depth=50,width=3000,edge_prob=0.0066";
+  spec.protocols = "gst-known,decay";
+  for (auto _ : state) {
+    auto e = sim::make_adhoc_experiment(spec);
+    benchmark::DoNotOptimize(e.default_trials);
+  }
+}
+BENCHMARK(BM_AdhocExperiment)->Unit(benchmark::kMicrosecond);
 
 static void BM_RngPow2(benchmark::State& state) {
   rng r(4);

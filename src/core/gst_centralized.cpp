@@ -1,7 +1,7 @@
 #include "core/gst_centralized.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
 
 #include "common/check.h"
 #include "common/math.h"
@@ -43,23 +43,16 @@ gst build_gst_centralized_multi(const graph::graph& g,
   std::vector<char> assigned(n, 0);
   // Scratch for the greedy adoption below, hoisted out of the level/rank
   // loops. `in_u` self-clears: every entry set for a u_set is zeroed by the
-  // time steps 1+2 assigned all of U.
+  // time steps 1+2 assigned all of U. `live` is zeroed over the candidates
+  // after step 1.
   std::vector<char> in_u(n, 0);
   std::vector<node_id> u_set;
+  // live[v] = |N(v) ∩ U| for every candidate red v (unranked, level l-1,
+  // some neighbor in U), kept exact as U shrinks; 0 for every other node.
+  std::vector<std::uint32_t> live(n, 0);
   std::vector<node_id> candidates;
-  std::vector<char> is_candidate(n, 0);
-  // Max-heap entry for the greedy choice: highest adoptable-blue count
-  // first, smallest node id on ties — exactly the argmax the quadratic
-  // rescan formulation selected.
-  struct red_entry {
-    std::size_t count;
-    node_id red;
-    bool operator<(const red_entry& o) const {
-      if (count != o.count) return count < o.count;
-      return red > o.red;
-    }
-  };
-  std::priority_queue<red_entry> heap;
+  // buckets[c]: candidates filed under live count c >= 2.
+  std::vector<std::vector<node_id>> buckets;
 
   // Process level pairs bottom-up; blues at the current level already carry
   // final ranks (set while they were reds one pair earlier, or rank 1 if
@@ -77,49 +70,46 @@ gst build_gst_centralized_multi(const graph::graph& g,
       if (u_set.empty()) continue;
       for (node_id u : u_set) in_u[u] = 1;
 
-      // Step 1: greedily rank reds that can adopt >= 2 rank-i blues. Counts
-      // only decrease as blues are adopted, so a lazy max-heap yields the
-      // same (count, id)-argmax sequence as rescanning every candidate per
-      // adoption, in near-linear time.
-      auto live_count = [&](node_id v) {
-        std::size_t count = 0;
-        for (node_id w : g.neighbors(v)) count += in_u[w] ? 1 : 0;
-        return count;
-      };
+      // Step 1: greedily rank reds that can adopt >= 2 rank-i blues, highest
+      // live count first, smallest id on ties. Counts are taken while the
+      // candidates are collected and only fall as blues are adopted, so
+      // while c is the top bucket no red can join it: walking bucket c in id
+      // order meets the reds still at count c in exactly that argmax order.
+      // A red found holding a lower count is re-filed under it.
       candidates.clear();
+      std::uint32_t top = 0;
       for (node_id u : u_set) {
         for (node_id v : g.neighbors(u)) {
           if (!t.member[v] || t.level[v] != l - 1 || t.rank[v] != no_rank)
             continue;
-          if (!is_candidate[v]) {
-            is_candidate[v] = 1;
-            candidates.push_back(v);
+          if (live[v]++ == 0) candidates.push_back(v);
+          top = std::max(top, live[v]);
+        }
+      }
+      if (buckets.size() <= top) buckets.resize(top + 1);
+      for (node_id v : candidates)
+        if (live[v] >= 2) buckets[live[v]].push_back(v);
+      for (std::uint32_t c = top; c >= 2; --c) {
+        auto& bucket = buckets[c];
+        std::sort(bucket.begin(), bucket.end());
+        for (node_id v : bucket) {
+          if (live[v] != c) {
+            if (live[v] >= 2) buckets[live[v]].push_back(v);
+            continue;
           }
-        }
-      }
-      for (node_id v : candidates) {
-        is_candidate[v] = 0;  // reset scratch for the next rank iteration
-        const std::size_t count = live_count(v);
-        if (count >= 2) heap.push({count, v});
-      }
-      while (!heap.empty()) {
-        const auto [count, v] = heap.top();
-        heap.pop();
-        if (t.rank[v] != no_rank) continue;  // stale duplicate
-        const std::size_t current = live_count(v);
-        if (current != count) {
-          if (current >= 2) heap.push({current, v});
-          continue;
-        }
-        for (node_id w : g.neighbors(v)) {
-          if (in_u[w]) {
+          for (node_id w : g.neighbors(v)) {
+            if (!in_u[w]) continue;
             t.parent[w] = v;
             assigned[w] = 1;
             in_u[w] = 0;
+            for (node_id x : g.neighbors(w))
+              if (live[x] > 0) --live[x];
           }
+          t.rank[v] = i + 1;
         }
-        t.rank[v] = i + 1;
+        bucket.clear();
       }
+      for (node_id v : candidates) live[v] = 0;
 
       // Step 2: every unranked red now has <= 1 neighbor left in U, so
       // single assignments cannot create collision-freeness violations.

@@ -85,6 +85,9 @@ struct wire_writer {
     std::memcpy(bytes.data() + at, &v, 8);
   }
   void raw(const void* data, std::size_t len) {
+    // An empty span may carry a null `data` (an empty vector's data()), and
+    // memcpy from null is undefined even for zero bytes.
+    if (len == 0) return;
     const std::size_t at = bytes.size();
     bytes.resize(at + len);
     std::memcpy(bytes.data() + at, data, len);

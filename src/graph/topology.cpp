@@ -53,11 +53,17 @@ class param_reader {
     return spec_.param(name, fallback);
   }
 
-  std::size_t count(std::string_view name, std::size_t fallback) {
+  /// An integer parameter >= `min` — the generator's own lower bound, so a
+  /// spec that would fail to build fails here instead. Counts size node
+  /// ids, so they must also stay below `no_node`.
+  std::size_t count(std::string_view name, std::size_t fallback,
+                    std::size_t min = 0) {
     const double v = get(name, static_cast<double>(fallback));
-    RN_REQUIRE(v >= 0 && v == std::floor(v),
-               "topology param must be a non-negative integer: " +
-                   std::string(name) + " in " + spec_.to_string());
+    RN_REQUIRE(v >= static_cast<double>(min) &&
+                   v < static_cast<double>(no_node) && v == std::floor(v),
+               "topology param must be an integer in [" +
+                   std::to_string(min) + ", " + std::to_string(no_node) +
+                   "): " + std::string(name) + " in " + spec_.to_string());
     return static_cast<std::size_t>(v);
   }
 
@@ -76,6 +82,14 @@ class param_reader {
   const topology_spec& spec_;
   std::vector<std::string> known_;
 };
+
+const topology_registry::entry& find_kind(const topology_spec& spec) {
+  const auto* e = topology_registry::instance().find(spec.kind);
+  RN_REQUIRE(e != nullptr,
+             "unknown topology kind '" + spec.kind + "' (known: " +
+                 topology_registry::instance().kinds_joined() + ")");
+  return *e;
+}
 
 }  // namespace
 
@@ -97,108 +111,117 @@ topology_registry& topology_registry::instance() {
 
 topology_registry::topology_registry() {
   auto wrap = [this](const char* kind, const char* params_help,
-                     topology_generator make) {
-    add({kind, params_help, std::move(make)});
+                     topology_generator prepare) {
+    add({kind, params_help, std::move(prepare)});
   };
+  // Each adapter reads its parameters with the generator's lower bounds,
+  // rejects unknown names, and returns the call without generating.
   wrap("path", "n", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 16);
+    const std::size_t n = p.count("n", 16, 1);
     p.finish();
-    return path(n);
+    return [n] { return path(n); };
   });
   wrap("cycle", "n", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 16);
+    const std::size_t n = p.count("n", 16, 3);
     p.finish();
-    return cycle(n);
+    return [n] { return cycle(n); };
   });
   wrap("star", "n", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 16);
+    const std::size_t n = p.count("n", 16, 2);
     p.finish();
-    return star(n);
+    return [n] { return star(n); };
   });
   wrap("complete", "n", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 16);
+    const std::size_t n = p.count("n", 16, 1);
     p.finish();
-    return complete(n);
+    return [n] { return complete(n); };
   });
   wrap("grid", "rows, cols", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t rows = p.count("rows", 4);
-    const std::size_t cols = p.count("cols", 4);
+    const std::size_t rows = p.count("rows", 4, 1);
+    const std::size_t cols = p.count("cols", 4, 1);
     p.finish();
-    return grid(rows, cols);
+    return [rows, cols] { return grid(rows, cols); };
   });
   wrap("binary_tree", "n", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 15);
+    const std::size_t n = p.count("n", 15, 1);
     p.finish();
-    return binary_tree(n);
+    return [n] { return binary_tree(n); };
   });
   wrap("caterpillar", "spine, legs", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t spine = p.count("spine", 8);
+    const std::size_t spine = p.count("spine", 8, 1);
     const std::size_t legs = p.count("legs", 2);
     p.finish();
-    return caterpillar(spine, legs);
+    return [spine, legs] { return caterpillar(spine, legs); };
   });
   wrap("layered", "depth, width, edge_prob, intra_prob",
        [](const topology_spec& s) {
          param_reader p(s);
          layered_options lo;
-         lo.depth = p.count("depth", lo.depth);
-         lo.width = p.count("width", lo.width);
+         lo.depth = p.count("depth", lo.depth, 1);
+         lo.width = p.count("width", lo.width, 1);
          lo.edge_prob = p.get("edge_prob", lo.edge_prob);
          lo.intra_prob = p.get("intra_prob", lo.intra_prob);
          lo.seed = s.seed;
          p.finish();
-         return random_layered(lo);
+         return [lo] { return random_layered(lo); };
        });
   wrap("gnp", "n, p", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 32);
+    const std::size_t n = p.count("n", 32, 1);
     const double prob = p.get("p", 0.2);
     p.finish();
-    return random_gnp_connected(n, prob, s.seed);
+    return [n, prob, seed = s.seed] {
+      return random_gnp_connected(n, prob, seed);
+    };
   });
   wrap("unit_disk", "n, radius", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 40);
+    const std::size_t n = p.count("n", 40, 1);
     const double radius = p.get("radius", 0.3);
     p.finish();
-    return random_unit_disk(n, radius, s.seed);
+    RN_REQUIRE(radius > 0, "unit_disk radius must be > 0 in " + s.to_string());
+    return [n, radius, seed = s.seed] {
+      return random_unit_disk(n, radius, seed);
+    };
   });
   wrap("power_law", "n, edges_per_node", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t n = p.count("n", 64);
-    const std::size_t m = p.count("edges_per_node", 2);
+    const std::size_t n = p.count("n", 64, 2);
+    const std::size_t m = p.count("edges_per_node", 2, 1);
     p.finish();
-    return power_law(n, m, s.seed);
+    return [n, m, seed = s.seed] { return power_law(n, m, seed); };
   });
   wrap("clique_chain", "cliques, clique_size", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t cliques = p.count("cliques", 4);
-    const std::size_t clique_size = p.count("clique_size", 4);
+    const std::size_t cliques = p.count("cliques", 4, 1);
+    const std::size_t clique_size = p.count("clique_size", 4, 1);
     p.finish();
-    return clique_chain(cliques, clique_size);
+    return [cliques, clique_size] {
+      return clique_chain(cliques, clique_size);
+    };
   });
   wrap("dumbbell", "side, bridge_len", [](const topology_spec& s) {
     param_reader p(s);
-    const std::size_t side = p.count("side", 8);
+    const std::size_t side = p.count("side", 8, 1);
     const std::size_t bridge_len = p.count("bridge_len", 2);
     p.finish();
-    return dumbbell(side, bridge_len);
+    return [side, bridge_len] { return dumbbell(side, bridge_len); };
   });
 }
 
 graph build_topology(const topology_spec& spec) {
-  const auto* e = topology_registry::instance().find(spec.kind);
-  RN_REQUIRE(e != nullptr,
-             "unknown topology kind '" + spec.kind + "' (known: " +
-                 topology_registry::instance().kinds_joined() + ")");
-  return e->make(spec);
+  return find_kind(spec).prepare(spec)();
+}
+
+void check_topology(const topology_spec& spec) {
+  static_cast<void>(find_kind(spec).prepare(spec));
 }
 
 topology_spec parse_topology_spec(std::string_view text) {
@@ -223,7 +246,8 @@ topology_spec parse_topology_spec(std::string_view text) {
     const std::string value(item.substr(eq + 1));
     char* end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty(),
+    RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
+                   std::isfinite(v),
                "bad numeric value for topology parameter '" + name +
                    "': " + value);
     spec.set_param(name, v);

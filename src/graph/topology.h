@@ -2,10 +2,13 @@
 //
 // A `topology_spec` is {kind, ordered params, seed}; `build_topology` resolves
 // the kind through a string-keyed registry of generator adapters wrapping
-// everything in graph/generators.h. Specs print to a canonical
-// "kind:param=value,..." form (stable across a parse round-trip), so the exact
-// graph family of every scenario lands in the results JSON and on the CLI
-// (`bench_suite --topology layered:depth=12,width=8`).
+// everything in graph/generators.h. Each adapter reads and range-checks its
+// kind's parameters in one place and hands back the generator call bound to
+// them, so `check_topology` validates a spec without generating a graph and
+// `build_topology` runs the same checks before generating. Specs print to a
+// canonical "kind:param=value,..." form (stable across a parse round-trip),
+// so the exact graph family of every scenario lands in the results JSON and
+// on the CLI (`bench_suite --topology layered:depth=12,width=8`).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +26,8 @@ namespace rn::graph {
 /// A graph family member as a value: generator kind + numeric parameters.
 struct topology_spec {
   std::string kind;  ///< registry key, e.g. "layered", "unit_disk", "power_law"
-  /// Ordered (name, value) pairs; unknown names are rejected at build time.
+  /// Ordered (name, value) pairs; unknown names are rejected by
+  /// check_topology / build_topology.
   std::vector<std::pair<std::string, double>> params;
   /// Generator seed for the random families (ignored by deterministic ones).
   /// Experiment runners overwrite this per trial from the trial's rng stream.
@@ -42,8 +46,15 @@ struct topology_spec {
   friend bool operator==(const topology_spec&, const topology_spec&) = default;
 };
 
-/// Builds one member of the family; throws contract_error on bad params.
-using topology_generator = std::function<graph(const topology_spec&)>;
+/// A generator call whose parameters are already read and range-checked;
+/// calling it generates the graph.
+using topology_build = std::function<graph()>;
+
+/// Reads a spec's parameters and range-checks them, then returns the
+/// generator call bound to them without running it. Throws contract_error
+/// on an unknown parameter name, a non-integer count or an out-of-range
+/// value.
+using topology_generator = std::function<topology_build(const topology_spec&)>;
 
 /// Process-wide kind -> generator table. The builtin kinds are registered on
 /// first access; custom families can be added at runtime (kinds must be
@@ -55,7 +66,7 @@ class topology_registry {
   struct entry {
     std::string kind;
     std::string params_help;  ///< e.g. "depth, width, edge_prob, intra_prob"
-    topology_generator make;
+    topology_generator prepare;
   };
 
   void add(entry e) { table_.add(std::move(e)); }
@@ -77,12 +88,21 @@ class topology_registry {
 
 /// Resolves `spec.kind` through the registry and builds the graph.
 /// Deterministic: equal specs (including seed) yield identical graphs.
-/// Throws contract_error for an unknown kind or invalid parameters.
+/// Throws contract_error for an unknown kind or invalid parameters, and for
+/// seed-dependent generation failures (a `gnp` / `unit_disk` draw that never
+/// connects).
 [[nodiscard]] graph build_topology(const topology_spec& spec);
 
+/// Runs every check `build_topology` runs before generating — kind lookup,
+/// parameter names, integer-ness and value ranges — and generates nothing.
+/// Throws exactly where `build_topology` would for these; seed-dependent
+/// generation failures are left to the build.
+void check_topology(const topology_spec& spec);
+
 /// Parses the canonical text form, e.g. "layered:depth=12,width=8". Parameter
-/// values must be plain decimal numbers. Throws contract_error on syntax
-/// errors; kind existence is checked later, at build time.
+/// values must be plain, finite decimal numbers. Throws contract_error on
+/// syntax errors; kind existence is checked later, by check_topology /
+/// build_topology.
 [[nodiscard]] topology_spec parse_topology_spec(std::string_view text);
 
 }  // namespace rn::graph

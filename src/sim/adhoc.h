@@ -2,12 +2,13 @@
 // registries — the shared validation and experiment builder behind
 // `bench_suite --topology ...` and the broadcast service's "run" requests.
 //
-// Everything is validated up front (unknown kinds, protocol ids, parameter
-// names and malformed option strings throw contract_error before any trial
-// runs), and every determinism-relevant input has a canonical text form, so
-// two spec strings that canonicalize equal are guaranteed to produce
-// byte-identical rn-bench-v2 results for equal (trials, seed) — the property
-// the service result cache is keyed on.
+// Everything is validated up front without generating a graph (unknown
+// kinds, protocol ids, parameter names, out-of-range parameter values at
+// every sweep point and malformed option strings throw contract_error
+// before any trial runs), and every determinism-relevant input has a
+// canonical text form, so two spec strings that canonicalize equal are
+// guaranteed to produce byte-identical rn-bench-v2 results for equal
+// (trials, seed) — the property the service result cache is keyed on.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,11 @@ struct adhoc_spec {
 
 /// Validates `spec` against the registries and returns the synthetic "adhoc"
 /// experiment (default_trials = 8). Throws contract_error on any unknown
-/// kind/protocol/parameter, a single-message protocol with messages > 1, or
-/// a malformed sweep/options string — always before any trial runs.
+/// kind/protocol/parameter, a parameter value out of its generator's range
+/// at any sweep point, a single-message protocol with messages > 1, or a
+/// malformed sweep/options string — always before any trial runs. Generates
+/// no graph (graph::check_topology), so a seed-dependent generation failure
+/// (gnp / unit_disk never connected) is raised by the trial instead.
 [[nodiscard]] experiment make_adhoc_experiment(const adhoc_spec& spec);
 
 /// Canonical identity of one (spec, trials, seed) run:

@@ -462,6 +462,29 @@ TEST(WireFuzz, OversizedLengthPrefixIsStructuredCorrupt) {
   }
 }
 
+TEST(WireFuzz, EmptyRawPayloadRoundTrips) {
+  // A block with no touched listeners writes raw(empty.data(), 0): the
+  // empty vector's data() may be null, and the frame must still round-trip.
+  const std::vector<node_id> none;
+  wire_writer w;
+  w.u32(3);
+  w.u32(0);
+  w.raw(none.data(), none.size() * 4);
+  w.u32(7);
+  auto [a, b] = make_channel_pair();
+  a.send(msg_type::round_results, w);
+  b.set_deadline_ms(2000);
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(b.recv(payload), msg_type::round_results);
+  EXPECT_EQ(payload, w.bytes);
+  wire_reader in(payload);
+  EXPECT_EQ(in.u32(), 3u);
+  EXPECT_EQ(in.u32(), 0u);
+  static_cast<void>(in.raw(0));
+  EXPECT_EQ(in.u32(), 7u);
+  EXPECT_EQ(in.remaining(), 0u);
+}
+
 TEST(WireFuzz, ZeroLengthFrameIsStructuredCorrupt) {
   auto [a, b] = make_channel_pair();
   std::uint8_t header[5] = {0, 0, 0, 0, 0};  // body 0: no room for a type byte

@@ -6,6 +6,7 @@
 #include "core/rings.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
+#include "graph/topology.h"
 
 namespace rn::core {
 namespace {
@@ -125,6 +126,143 @@ TEST_P(MultiRootTest, RingForestsAreValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiRootTest, ::testing::Range(1, 9));
+
+// --- bit-for-bit equality with a quadratic reference ---------------------
+
+/// The construction exactly as the header states it, with step 1 done the
+/// direct way: rescan every unranked red for the most unassigned rank-i
+/// blue neighbors, smallest id on ties, until no red has two. Quadratic.
+gst reference_gst(const graph::graph& g, const std::vector<node_id>& roots,
+                  const std::vector<char>* mask) {
+  const std::size_t n = g.node_count();
+  const auto b = graph::bfs_multi(g, roots, mask);
+  gst t;
+  t.roots = roots;
+  t.member.assign(n, 0);
+  t.level = b.level;
+  t.parent.assign(n, no_node);
+  t.rank.assign(n, no_rank);
+  std::size_t members = 0;
+  for (node_id v = 0; v < n; ++v) {
+    t.member[v] = b.level[v] != no_level ? 1 : 0;
+    members += t.member[v];
+  }
+  if (members == 0) return t;
+  const rank_t max_rank =
+      static_cast<rank_t>(ceil_log2(members < 2 ? 2 : members)) + 1;
+  std::vector<char> assigned(n, 0);
+  auto at = [&](node_id v, level_t l) {
+    return t.member[v] != 0 && t.level[v] == l;
+  };
+  for (level_t l = b.max_level; l >= 1; --l) {
+    for (node_id u = 0; u < n; ++u)
+      if (at(u, l) && t.rank[u] == no_rank) t.rank[u] = 1;
+    for (rank_t i = max_rank; i >= 1; --i) {
+      auto in_u = [&](node_id w) {
+        return at(w, l) && !assigned[w] && t.rank[w] == i;
+      };
+      for (;;) {  // step 1
+        node_id best = no_node;
+        std::size_t best_count = 0;
+        for (node_id v = 0; v < n; ++v) {
+          if (!at(v, l - 1) || t.rank[v] != no_rank) continue;
+          std::size_t count = 0;
+          for (node_id w : g.neighbors(v)) count += in_u(w) ? 1 : 0;
+          if (count < 2) continue;
+          if (best == no_node || count > best_count ||
+              (count == best_count && v < best)) {
+            best = v;
+            best_count = count;
+          }
+        }
+        if (best == no_node) break;
+        for (node_id w : g.neighbors(best)) {
+          if (!in_u(w)) continue;
+          t.parent[w] = best;
+          assigned[w] = 1;
+        }
+        t.rank[best] = i + 1;
+      }
+      for (node_id u = 0; u < n; ++u) {  // step 2
+        if (!in_u(u)) continue;
+        node_id unranked = no_node;
+        node_id higher = no_node;
+        for (node_id v : g.neighbors(u)) {
+          if (!at(v, l - 1)) continue;
+          if (t.rank[v] == no_rank && unranked == no_node) unranked = v;
+          if (t.rank[v] > i && higher == no_node) higher = v;
+        }
+        t.parent[u] = unranked != no_node ? unranked : higher;
+        if (unranked != no_node) t.rank[unranked] = i;
+        assigned[u] = 1;
+      }
+    }
+  }
+  for (node_id r : t.roots)
+    if (t.member[r] && t.rank[r] == no_rank) t.rank[r] = 1;
+  return t;
+}
+
+void expect_same_gst(const gst& got, const gst& want, const std::string& what) {
+  EXPECT_EQ(got.member, want.member) << what;
+  EXPECT_EQ(got.level, want.level) << what;
+  EXPECT_EQ(got.parent, want.parent) << what;
+  EXPECT_EQ(got.rank, want.rank) << what;
+}
+
+TEST(CentralizedReference, EveryKindSeedAndSourceMatches) {
+  const auto kinds = graph::topology_registry::instance().kinds();
+  ASSERT_GE(kinds.size(), 13u);
+  // Two larger specs beside the defaults: wide layers and a hub-heavy
+  // power law give the adoption order real ties and re-filed counts.
+  std::vector<std::string> specs(kinds.begin(), kinds.end());
+  specs.emplace_back(
+      "layered:depth=10,width=40,edge_prob=0.15,intra_prob=0.02");
+  specs.emplace_back("power_law:n=300,edges_per_node=3");
+  std::size_t compared = 0;
+  for (const auto& text : specs) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      graph::topology_spec spec = graph::parse_topology_spec(text);
+      spec.seed = seed;
+      const auto g = graph::build_topology(spec);
+      const auto n = static_cast<node_id>(g.node_count());
+      for (const node_id source :
+           {node_id{0}, static_cast<node_id>((seed * 7919) % n), n - 1}) {
+        const std::string what =
+            text + " seed " + std::to_string(seed) + " source " +
+            std::to_string(source);
+        const gst got = build_gst_centralized(g, source);
+        expect_same_gst(got, reference_gst(g, {source}, nullptr), what);
+        expect_valid(g, got);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, specs.size() * 10 * 3);
+}
+
+TEST(CentralizedReference, MaskedRingForestsMatch) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    graph::layered_options lo;
+    lo.depth = 16;
+    lo.width = 12;
+    lo.edge_prob = 0.3;
+    lo.intra_prob = 0.05;
+    lo.seed = seed;
+    const auto g = graph::random_layered(lo);
+    const auto rd = decompose_rings(graph::bfs(g, 0).level, 4);
+    ASSERT_GE(rd.rings.size(), 3u);
+    for (std::size_t r = 0; r < rd.rings.size(); ++r) {
+      const auto& ring = rd.rings[r];
+      std::vector<char> mask(g.node_count(), 0);
+      for (node_id v : ring.members) mask[v] = 1;
+      expect_same_gst(build_gst_centralized_multi(g, ring.roots, &mask),
+                      reference_gst(g, ring.roots, &mask),
+                      "seed " + std::to_string(seed) + " ring " +
+                          std::to_string(r));
+    }
+  }
+}
 
 TEST(Rings, DecomposeBasics) {
   std::vector<level_t> levels{0, 1, 1, 2, 3, 4, 5};

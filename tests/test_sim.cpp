@@ -11,7 +11,9 @@
 #include "core/api.h"
 #include "core/params.h"
 #include "graph/topology.h"
+#include "out_of_range_specs.h"
 #include "radio/network.h"
+#include "sim/adhoc.h"
 #include "sim/cli.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -458,6 +460,45 @@ TEST(Experiment, ScenarioNeedsProbesOrTrialFn) {
   scenario sc;
   sc.label = "empty";
   EXPECT_THROW(static_cast<void>(make_trial(sc)), contract_error);
+}
+
+TEST(Adhoc, OutOfRangeTopologyValuesFailAtValidation) {
+  for (const char* text : test::kOutOfRangeSpecs) {
+    adhoc_spec spec;
+    spec.topology = text;
+    EXPECT_THROW(static_cast<void>(make_adhoc_experiment(spec)),
+                 contract_error)
+        << text;
+  }
+}
+
+TEST(Adhoc, EverySweepPointIsValidated) {
+  adhoc_spec spec;
+  spec.topology = "layered:depth=5,width=4";
+  spec.protocols = "decay";
+  spec.sweep = "depth=5,6";
+  EXPECT_EQ(make_adhoc_experiment(spec).make_scenarios().size(), 2u);
+  spec.sweep = "depth=5,0";  // only the second point is out of range
+  EXPECT_THROW(static_cast<void>(make_adhoc_experiment(spec)), contract_error);
+  spec.sweep = "depth=5,2.5";
+  EXPECT_THROW(static_cast<void>(make_adhoc_experiment(spec)), contract_error);
+}
+
+TEST(Adhoc, SeedDependentGenerationFailsTheRun) {
+  adhoc_spec spec;
+  spec.topology = "gnp:n=2000,p=0.0001";
+  spec.protocols = "decay";
+  const experiment e = make_adhoc_experiment(spec);  // names and ranges hold
+  run_config cfg;
+  cfg.trials = 1;
+  try {
+    static_cast<void>(run_experiment(e, cfg));
+    FAIL() << "a never-connected G(n,p) ran";
+  } catch (const contract_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find("never connected"),
+              std::string::npos)
+        << ex.what();
+  }
 }
 
 TEST(Json, ScalarFormatting) {

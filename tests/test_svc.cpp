@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "out_of_range_specs.h"
 #include "sim/adhoc.h"
 #include "sim/experiment.h"
 #include "sim/json.h"
@@ -88,6 +89,31 @@ TEST_F(ServiceErrors, RegistryValidationBecomesStructuredErrors) {
       kBadRequest);
   // Unknown registered experiment (tests link no experiment definitions).
   expect_error("{\"experiment\": \"e1\"}", kBadRequest);
+}
+
+TEST_F(ServiceErrors, OutOfRangeTopologyValuesAreBadRequests) {
+  for (const char* text : test::kOutOfRangeSpecs)
+    expect_error(std::string("{\"topology\": \"") + text +
+                     "\", \"protocols\": \"decay\"}",
+                 kBadRequest);
+  // Rejected at submit although only the second sweep point is invalid.
+  expect_error(
+      "{\"topology\": \"layered:depth=5,width=4\", \"protocols\": "
+      "\"decay\", \"sweep\": \"depth=5,0\"}",
+      kBadRequest);
+}
+
+TEST_F(ServiceErrors, SeedDependentGenerationFailureIsRunFailed) {
+  // Valid names and ranges, but no seed connects G(2000, 1e-4): the spec
+  // passes validation and the run fails.
+  expect_error(
+      "{\"topology\": \"gnp:n=2000,p=0.0001\", \"protocols\": "
+      "\"decay\", \"trials\": 1}",
+      kRunFailed);
+  const json_value ok = respond(
+      svc_, "{\"topology\": \"path:n=8\", \"protocols\": \"decay\", "
+            "\"trials\": 1}");
+  EXPECT_EQ(field(ok, "status"), "ok");
 }
 
 TEST_F(ServiceErrors, TrialBudgetIsEnforced) {

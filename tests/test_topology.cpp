@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -9,6 +11,8 @@
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
+#include "out_of_range_specs.h"
+#include "sim/adhoc.h"
 
 namespace rn::graph {
 namespace {
@@ -126,6 +130,10 @@ TEST(TopologySpec, ParseRejectsGarbage) {
                contract_error);
   EXPECT_THROW(static_cast<void>(parse_topology_spec("layered:depth=abc")),
                contract_error);
+  EXPECT_THROW(static_cast<void>(parse_topology_spec("layered:edge_prob=nan")),
+               contract_error);
+  EXPECT_THROW(static_cast<void>(parse_topology_spec("path:n=inf")),
+               contract_error);
 }
 
 TEST(TopologyRegistry, BuildIsSeedDeterministic) {
@@ -174,6 +182,80 @@ TEST(TopologyRegistry, UnknownKindAndParamFail) {
   EXPECT_THROW(static_cast<void>(build_topology(
                    parse_topology_spec("grid:rows=2.5"))),  // non-integer
                contract_error);
+}
+
+// --- validation without generation -----------------------------------------
+
+TEST(TopologyCheck, OutOfRangeValuesFailBeforeGeneration) {
+  std::set<std::string> kinds;
+  for (const char* text : test::kOutOfRangeSpecs) {
+    const topology_spec spec = parse_topology_spec(text);
+    kinds.insert(spec.kind);
+    EXPECT_THROW(check_topology(spec), contract_error) << text;
+    EXPECT_THROW(static_cast<void>(build_topology(spec)), contract_error)
+        << text;
+  }
+  for (const auto& kind : topology_registry::instance().kinds()) {
+    if (kind == "counting_path") continue;  // registered by a test below
+    EXPECT_TRUE(kinds.count(kind) == 1) << "no out-of-range spec for " << kind;
+  }
+}
+
+TEST(TopologyCheck, SmallestValidValuesPassAndBuild) {
+  // The checks are the generators' own bounds, no stricter.
+  for (const char* text :
+       {"path:n=1", "cycle:n=3", "star:n=2", "complete:n=1",
+        "grid:rows=1,cols=1", "binary_tree:n=1",
+        "caterpillar:spine=1,legs=0", "layered:depth=1,width=1",
+        "gnp:n=1,p=0", "unit_disk:n=1,radius=0.01",
+        "power_law:n=2,edges_per_node=1",
+        "clique_chain:cliques=1,clique_size=1",
+        "dumbbell:side=1,bridge_len=0"}) {
+    const topology_spec spec = parse_topology_spec(text);
+    EXPECT_NO_THROW(check_topology(spec)) << text;
+    EXPECT_NO_THROW(static_cast<void>(build_topology(spec))) << text;
+  }
+}
+
+TEST(TopologyCheck, SeedDependentFailureIsLeftToTheBuild) {
+  const topology_spec spec = parse_topology_spec("gnp:n=2000,p=0.0001");
+  EXPECT_NO_THROW(check_topology(spec));
+  EXPECT_THROW(static_cast<void>(build_topology(spec)), contract_error);
+}
+
+/// Generations of the "counting_path" kind registered below.
+std::size_t counting_builds = 0;
+
+TEST(TopologyCheck, ValidationNeverCallsTheGenerator) {
+  auto& reg = topology_registry::instance();
+  if (reg.find("counting_path") == nullptr) {
+    reg.add({"counting_path", "n", [](const topology_spec& s) {
+               const auto n = static_cast<std::size_t>(s.param("n", 8));
+               RN_REQUIRE(n >= 2, "counting_path needs n >= 2");
+               return [n] {
+                 ++counting_builds;
+                 return path(n);
+               };
+             }});
+  }
+  counting_builds = 0;
+  sim::adhoc_spec spec;
+  spec.topology = "counting_path:n=12";
+  spec.protocols = "decay";
+  spec.sweep = "n=6,24";
+  static_cast<void>(sim::make_adhoc_experiment(spec));
+  static_cast<void>(sim::canonical_run_key(spec, 4, 1));
+  check_topology(parse_topology_spec(spec.topology));
+  EXPECT_EQ(counting_builds, 0u);
+
+  spec.sweep = "n=6,1";  // the check still runs for every sweep point
+  EXPECT_THROW(static_cast<void>(sim::make_adhoc_experiment(spec)),
+               contract_error);
+  EXPECT_EQ(counting_builds, 0u);
+
+  const graph g = build_topology(parse_topology_spec("counting_path:n=12"));
+  EXPECT_EQ(g.node_count(), 12u);
+  EXPECT_EQ(counting_builds, 1u);
 }
 
 }  // namespace
