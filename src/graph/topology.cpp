@@ -67,6 +67,17 @@ class param_reader {
     return static_cast<std::size_t>(v);
   }
 
+  /// The node count a kind derives from several counts. Node ids run
+  /// 0..n-1, so n must stay below `no_node` as well. Each count is below
+  /// 2^32, so the products the adapters pass cannot wrap a 64-bit size_t.
+  void nodes(std::size_t n) const {
+    static_assert(sizeof(std::size_t) >= 8, "count products need 64 bits");
+    RN_REQUIRE(n < static_cast<std::size_t>(no_node),
+               "topology node count must be below " +
+                   std::to_string(no_node) + ": " + std::to_string(n) +
+                   " nodes in " + spec_.to_string());
+  }
+
   /// Call after all get()/count() calls: rejects unconsumed spec params.
   void finish() const {
     for (const auto& [k, v] : spec_.params) {
@@ -115,7 +126,8 @@ topology_registry::topology_registry() {
     add({kind, params_help, std::move(prepare)});
   };
   // Each adapter reads its parameters with the generator's lower bounds,
-  // rejects unknown names, and returns the call without generating.
+  // rejects unknown names, checks the node count its counts give, and
+  // returns the call without generating.
   wrap("path", "n", [](const topology_spec& s) {
     param_reader p(s);
     const std::size_t n = p.count("n", 16, 1);
@@ -145,6 +157,7 @@ topology_registry::topology_registry() {
     const std::size_t rows = p.count("rows", 4, 1);
     const std::size_t cols = p.count("cols", 4, 1);
     p.finish();
+    p.nodes(rows * cols);
     return [rows, cols] { return grid(rows, cols); };
   });
   wrap("binary_tree", "n", [](const topology_spec& s) {
@@ -158,6 +171,7 @@ topology_registry::topology_registry() {
     const std::size_t spine = p.count("spine", 8, 1);
     const std::size_t legs = p.count("legs", 2);
     p.finish();
+    p.nodes(spine * (1 + legs));
     return [spine, legs] { return caterpillar(spine, legs); };
   });
   wrap("layered", "depth, width, edge_prob, intra_prob",
@@ -170,6 +184,7 @@ topology_registry::topology_registry() {
          lo.intra_prob = p.get("intra_prob", lo.intra_prob);
          lo.seed = s.seed;
          p.finish();
+         p.nodes(1 + lo.depth * lo.width);
          return [lo] { return random_layered(lo); };
        });
   wrap("gnp", "n, p", [](const topology_spec& s) {
@@ -203,6 +218,7 @@ topology_registry::topology_registry() {
     const std::size_t cliques = p.count("cliques", 4, 1);
     const std::size_t clique_size = p.count("clique_size", 4, 1);
     p.finish();
+    p.nodes(cliques * clique_size);
     return [cliques, clique_size] {
       return clique_chain(cliques, clique_size);
     };
@@ -212,6 +228,7 @@ topology_registry::topology_registry() {
     const std::size_t side = p.count("side", 8, 1);
     const std::size_t bridge_len = p.count("bridge_len", 2);
     p.finish();
+    p.nodes(2 * side + bridge_len);
     return [side, bridge_len] { return dumbbell(side, bridge_len); };
   });
 }

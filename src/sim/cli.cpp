@@ -280,8 +280,9 @@ int run_suite(int argc, char** argv) {
     try {
       result = run_experiment(*e, cfg);
     } catch (const std::exception& ex) {
-      // Trial-time contract violations (e.g. a bad ad-hoc topology
-      // parameter) surface as a clean error, not std::terminate.
+      // Trial-time contract violations (e.g. a gnp/unit_disk draw that
+      // never connects for the trial's seed) surface as a clean error, not
+      // std::terminate.
       std::cerr << ex.what() << "\n";
       return 2;
     }

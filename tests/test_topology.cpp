@@ -217,6 +217,18 @@ TEST(TopologyCheck, SmallestValidValuesPassAndBuild) {
   }
 }
 
+TEST(TopologyCheck, NodeCountsBelowNoNodePass) {
+  // The node-count bound is the node id range, no stricter: counts just
+  // below no_node pass the check (never built — they would take tens of
+  // GiB). kOutOfRangeSpecs holds the same kinds at exactly no_node.
+  for (const char* text :
+       {"grid:rows=65535,cols=65536", "caterpillar:spine=65535,legs=65535",
+        "layered:depth=2,width=2147483646",
+        "clique_chain:cliques=65535,clique_size=65536",
+        "dumbbell:side=2147483647,bridge_len=0"})
+    EXPECT_NO_THROW(check_topology(parse_topology_spec(text))) << text;
+}
+
 TEST(TopologyCheck, SeedDependentFailureIsLeftToTheBuild) {
   const topology_spec spec = parse_topology_spec("gnp:n=2000,p=0.0001");
   EXPECT_NO_THROW(check_topology(spec));
