@@ -6,6 +6,7 @@
 #include "baseline/decay.h"
 #include "coding/gf2.h"
 #include "common/rng.h"
+#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/gst_distributed.h"
 #include "graph/generators.h"
@@ -293,6 +294,32 @@ static void BM_CentralizedGstLayered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CentralizedGstLayered)->Unit(benchmark::kMillisecond);
+
+// One gst-known broadcast on the same graph at seed 1, fast-forwarded as
+// bench_suite runs it, with the GST and its derived data built outside the
+// timed loop: the round loop (slow-slot coins, fast slots, the walk) and
+// the network it builds.
+static void BM_GstKnownLayered(benchmark::State& state) {
+  graph::layered_options lo;
+  lo.depth = 50;
+  lo.width = 3000;
+  lo.edge_prob = 0.0066;
+  lo.seed = 1;
+  const auto g = graph::random_layered(lo);
+  const auto t = core::build_gst_centralized(g, 0);
+  const auto d = core::derive(g, t);
+  core::gst_broadcast_options opt;
+  opt.seed = 1;
+  opt.fast_forward = true;
+  std::int64_t rounds = 0;
+  for (auto _ : state) {
+    const auto res = core::run_gst_single_broadcast(g, t, d, {0}, opt);
+    rounds = res.rounds_executed;
+    benchmark::DoNotOptimize(res.transmissions);
+  }
+  state.counters["rounds"] = static_cast<double>(rounds);
+}
+BENCHMARK(BM_GstKnownLayered)->Unit(benchmark::kMillisecond);
 
 // Validating and assembling the ad-hoc experiment for the same spec — what
 // `bench_suite --topology ...` and every ad-hoc rn_serve request (cache hit

@@ -38,14 +38,24 @@ radio::broadcast_result finish(const radio::network& net,
 // ---------------------------------------------------------------------------
 // Round schedules: when a participating node is prompted, and with which
 // Decay exponent. Each variant is a tiny policy consumed by the shared
-// batched engine below.
+// batched engine below: `start(v, t)` places a cursor on v's first prompted
+// round >= t, and `next()` steps the cursor's (round t, exponent e) to the
+// following prompted round without a division.
 
 /// Classic BGI: every round, exponent (t mod L) + 1.
 struct classic_schedule {
   int L;
-  static round_t first_on_or_after(node_id, round_t t) { return t; }
-  [[nodiscard]] int exponent(node_id, round_t t) const {
-    return static_cast<int>(t % L) + 1;
+  struct cursor {
+    round_t t;
+    int e;
+    int L;
+    void next() {
+      ++t;
+      e = e == L ? 1 : e + 1;
+    }
+  };
+  [[nodiscard]] cursor start(node_id, round_t t) const {
+    return {t, static_cast<int>(t % L) + 1, L};
   }
 };
 
@@ -54,14 +64,19 @@ struct classic_schedule {
 struct leveled_schedule {
   const std::vector<level_t>* levels;
   int L;
-  [[nodiscard]] round_t first_on_or_after(node_id v, round_t t) const {
+  struct cursor {
+    round_t t;
+    int e;
+    int L;
+    void next() {
+      t += 3;
+      e = e + 1 == L ? 0 : e + 1;
+    }
+  };
+  [[nodiscard]] cursor start(node_id v, round_t t) const {
     const round_t lv = (*levels)[v];
-    const round_t base = std::max(t, lv);
-    const round_t rem = (base - lv) % 3;
-    return rem == 0 ? base : base + (3 - rem);
-  }
-  [[nodiscard]] int exponent(node_id v, round_t t) const {
-    return static_cast<int>(((t - (*levels)[v]) / 3) % L);
+    const round_t slot = t <= lv ? 0 : (t - lv + 2) / 3;
+    return {lv + 3 * slot, static_cast<int>(slot % L), L};
   }
 };
 
@@ -70,11 +85,28 @@ struct tuned_schedule {
   int L_short;
   int L_full;
   round_t super;  // 3 * L_short + L_full
-  static round_t first_on_or_after(node_id, round_t t) { return t; }
-  [[nodiscard]] int exponent(node_id, round_t t) const {
+  struct cursor {
+    round_t t;
+    int e;
+    round_t pos;  // t mod super
+    const tuned_schedule* s;
+    void next() {
+      ++t;
+      if (++pos == s->super) pos = 0;
+      const round_t full_start = 3 * static_cast<round_t>(s->L_short);
+      if (pos == 0 || pos == full_start)
+        e = 1;
+      else if (pos < full_start)
+        e = e == s->L_short ? 1 : e + 1;
+      else
+        ++e;
+    }
+  };
+  [[nodiscard]] cursor start(node_id, round_t t) const {
     const round_t pos = t % super;
-    return pos < 3 * L_short ? static_cast<int>(pos % L_short) + 1
-                             : static_cast<int>(pos - 3 * L_short) + 1;
+    const int e = pos < 3 * L_short ? static_cast<int>(pos % L_short) + 1
+                                    : static_cast<int>(pos - 3 * L_short) + 1;
+    return {t, e, pos, this};
   }
 };
 
@@ -96,10 +128,9 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
                        std::uint32_t& word_idx, round_t from, round_t limit) {
   std::uint64_t word = 0;
   int bits = 0;
-  for (round_t t = s.first_on_or_after(v, from); t < limit;
-       t = s.first_on_or_after(v, t + 1)) {
-    const int e = s.exponent(v, t);
-    if (e == 0) return t;
+  for (auto c = s.start(v, from); c.t < limit; c.next()) {
+    const int e = c.e;
+    if (e == 0) return c.t;
     if (e >= 64) continue;  // probability < 2^-63: treated as never (as rng does)
     if (bits < e) {
       word = counter_word(seed, v, word_idx++);
@@ -108,7 +139,7 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
     const bool hit = (word & ((1ULL << e) - 1)) == 0;
     word >>= e;
     bits -= e;
-    if (hit) return t;
+    if (hit) return c.t;
   }
   return limit;
 }

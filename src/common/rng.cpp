@@ -12,10 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 /// splitmix64's finalizer (a strong 64-bit mixer), without the chain state.
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -35,18 +31,6 @@ rng rng::for_stream(std::uint64_t seed, std::uint64_t stream) {
   rng r;
   for (auto& s : r.s_) s = splitmix64(x);
   return r;
-}
-
-rng::result_type rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t rng::uniform(std::uint64_t bound) {
@@ -76,14 +60,6 @@ std::uint64_t counter_word(std::uint64_t seed, std::uint64_t stream,
   const std::uint64_t s =
       mix64(seed + 0x9e3779b97f4a7c15ULL * (stream + 1));
   return mix64(s ^ (0xd1342543de82ef95ULL * (k + 1)));
-}
-
-bool rng::with_probability_pow2(int e) {
-  RN_REQUIRE(e >= 0, "exponent must be non-negative");
-  if (e == 0) return true;
-  if (e >= 64) return false;
-  // True iff the low e bits are all zero: probability exactly 2^-e.
-  return ((*this)() & ((1ULL << e) - 1)) == 0;
 }
 
 }  // namespace rn

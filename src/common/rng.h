@@ -5,7 +5,10 @@
 // insensitive to iteration order.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+
+#include "common/check.h"
 
 namespace rn {
 
@@ -22,7 +25,18 @@ class rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  result_type operator()();
+  /// Inline: the protocol planning loops draw once per prompted node.
+  result_type operator()() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound); bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound);
@@ -34,7 +48,14 @@ class rng {
   bool bernoulli(double p);
 
   /// True with probability 2^-e for e >= 0 (exact, no floating point).
-  bool with_probability_pow2(int e);
+  /// Consumes one draw iff 0 < e < 64.
+  bool with_probability_pow2(int e) {
+    RN_REQUIRE(e >= 0, "exponent must be non-negative");
+    if (e == 0) return true;
+    if (e >= 64) return false;
+    // True iff the low e bits are all zero: probability exactly 2^-e.
+    return ((*this)() & ((1ULL << e) - 1)) == 0;
+  }
 
  private:
   std::uint64_t s_[4];

@@ -78,17 +78,23 @@ radio::broadcast_result run_gst_single_broadcast(
 
   // Bucketed planning: per round only the nodes whose schedule (and coin)
   // that round consults are visited — observably identical to the full scan.
-  const gst_schedule_index idx(sched, all_nodes(n));
+  gst_schedule_index idx(sched, all_nodes(n));
   round_sink sink(net, opt.fast_forward);
+  round_t r = 0;
   const auto on_rx = [&](const radio::reception& rx) {
     if (rx.what == radio::observation::message &&
         rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
       informed[rx.listener] = 1;
       tracker.mark(rx.listener);
+      // Lazy catch-up: discard the slow coins the full scan would have
+      // drawn for this member through this round.
+      if (!opt.mmv_noise)
+        for (auto k = sched.slow_draws_through(rx.listener, r); k > 0; --k)
+          node_rng[rx.listener]();
     }
   };
 
-  for (round_t r = 0; r < max_rounds; ++r) {
+  for (; r < max_rounds; ++r) {
     // Naive stepping executes one more (possibly empty) round after the run
     // completes before noticing; force-step it so both modes agree.
     const bool completing = opt.stop_when_complete && tracker.all_done();
@@ -104,16 +110,13 @@ radio::broadcast_result run_gst_single_broadcast(
           txs.add(v, noise_pkt);
       }
     } else {
-      for (node_id v : idx.slow_bucket(r)) {
-        // The coin is flipped for uninformed nodes too, exactly as in the
-        // naive full scan.
-        if (sched.query(v, r, node_rng[v]) == gst_schedule::action::none)
-          continue;
-        if (informed[v])
-          txs.add(v, data_pkt);
-        else if (opt.mmv_noise)
-          txs.add(v, noise_pkt);
-      }
+      // Without MMV noise an uninformed member's coin cannot make it
+      // transmit: its draw is skipped here and caught up in on_rx.
+      idx.for_each_slow(r, [&](node_id v, int e) {
+        if (!informed[v] && !opt.mmv_noise) return;
+        if (node_rng[v].with_probability_pow2(e))
+          txs.add(v, informed[v] ? data_pkt : noise_pkt);
+      });
     }
     if (sink.commit(txs, on_rx, completing)) {
       tracker.observe_round(net.stats().rounds);
@@ -182,7 +185,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   };
 
   radio::round_buffer txs;
-  const gst_schedule_index idx(sched, all_nodes(n));
+  gst_schedule_index idx(sched, all_nodes(n));
   round_sink sink(net, opt.fast_forward);
   const auto on_rx = [&](const radio::reception& rx) {
     if (rx.what != radio::observation::message ||
@@ -210,9 +213,15 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   for (round_t r = 0; r < max_rounds; ++r) {
     const bool completing = opt.stop_when_complete && tracker.all_done();
     txs.clear();
-    for (node_id v : r % 2 == 0 ? idx.fast_bucket(r) : idx.slow_bucket(r)) {
-      const auto a = sched.query(v, r, node_rng[v]);
-      if (a != gst_schedule::action::none) plan(v, a);
+    if (r % 2 == 0) {
+      for (node_id v : idx.fast_bucket(r))
+        if (sched.query(v, r, node_rng[v]) == gst_schedule::action::fast)
+          plan(v, gst_schedule::action::fast);
+    } else {
+      idx.for_each_slow(r, [&](node_id v, int e) {
+        if (node_rng[v].with_probability_pow2(e))
+          plan(v, gst_schedule::action::slow_prompt);
+      });
     }
     if (sink.commit(txs, on_rx, completing)) {
       tracker.observe_round(net.stats().rounds);

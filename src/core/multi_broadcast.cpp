@@ -183,20 +183,27 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
         const std::size_t b = e - j;
         const auto& der = setup.derived[j];
         // Bucketed planning — the exact members whose schedule (and coin)
-        // round r consults, in member order (see gst_schedule_index).
-        const auto& bucket = r % 2 == 0 ? sched_idx[j].fast_bucket(r)
-                                        : sched_idx[j].slow_bucket(r);
-        for (node_id v : bucket) {
-          const auto a = scheds[j].query(v, r, node_rng[v]);
-          if (a == gst_schedule::action::none) continue;
-          if (a == gst_schedule::action::fast && !der.is_stretch_head[v]) {
-            if (relay[v] && relay_batch[v] == b)
+        // round r consults, in member order (see gst_schedule_index). Slow
+        // prompts and stretch heads send fresh combinations; interior
+        // stretch nodes relay their predecessor's packet.
+        const auto fresh = [&](node_id v) {
+          if (buf[v][b].has_anything()) txs.add_owned(v, fresh_packet(v, b));
+        };
+        if (r % 2 == 1) {
+          sched_idx[j].for_each_slow(r, [&](node_id v, int ex) {
+            if (node_rng[v].with_probability_pow2(ex)) fresh(v);
+          });
+        } else {
+          for (node_id v : sched_idx[j].fast_bucket(r)) {
+            if (scheds[j].query(v, r, node_rng[v]) ==
+                gst_schedule::action::none)
+              continue;
+            if (der.is_stretch_head[v])
+              fresh(v);
+            else if (relay[v] && relay_batch[v] == b)
               txs.add_owned(v, radio::packet::make_coded(
                                    static_cast<std::uint32_t>(b), relay[v]));
-            continue;
           }
-          if (buf[v][b].has_anything())
-            txs.add_owned(v, fresh_packet(v, b));
         }
       }
       if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);

@@ -51,17 +51,33 @@ level_t gst_schedule::slow_key(node_id v) const {
   return slow_by_vd_ ? d_->virtual_distance[v] : t_->level[v];
 }
 
+std::int64_t gst_schedule::slow_draws_through(node_id v, round_t t) const {
+  const level_t key = slow_key(v);
+  if (key == no_level) return 0;
+  const round_t start = 1 + 2 * static_cast<round_t>(key);
+  if (t < start) return 0;
+  const round_t slots = (t - start) / 6 + 1;
+  return slots - (slots + L_ - 1) / L_;
+}
+
 gst_schedule_index::gst_schedule_index(const gst_schedule& s,
                                        std::span<const node_id> members)
-    : period_(s.fast_period()) {
+    : period_(s.fast_period()), L_(s.log_n()) {
   fast_.resize(static_cast<std::size_t>(period_ / 2));
   slow_.resize(3);
   for (const node_id v : members) {
     const round_t slot = s.fast_slot(v);
     if (slot >= 0) fast_[static_cast<std::size_t>(slot / 2)].push_back(v);
     const level_t key = s.slow_key(v);
-    if (key != no_level) slow_[static_cast<std::size_t>(key % 3)].push_back(v);
+    if (key == no_level) continue;
+    auto& b = slow_[static_cast<std::size_t>(key % 3)];
+    const auto j = static_cast<std::uint32_t>(key / 3);
+    b.members.push_back({v, j});
+    b.max_j = std::max(b.max_j, j);
   }
+  std::uint32_t max_j = 0;
+  for (const auto& b : slow_) max_j = std::max(max_j, b.max_j);
+  exponent_.resize(static_cast<std::size_t>(max_j) + 1);
 }
 
 }  // namespace rn::core

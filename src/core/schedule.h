@@ -15,6 +15,7 @@
 // MMV; we keep it as an ablation (experiment E5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,6 +59,11 @@ class gst_schedule {
   /// with key ≡ (t-1)/2 (mod 3).
   [[nodiscard]] level_t slow_key(node_id v) const;
 
+  /// How many draws query() takes from v's rng over rounds [0, t]: one per
+  /// slow slot reached, except the slots with exponent 0, which flip no
+  /// coin. With slots = (t - start) / 6 + 1 that is slots - ceil(slots / L).
+  [[nodiscard]] std::int64_t slow_draws_through(node_id v, round_t t) const;
+
  private:
   const gst* t_;
   const gst_derived* d_;
@@ -68,10 +74,10 @@ class gst_schedule {
 /// Round-indexed buckets over a fixed member set: for any round, the exact
 /// subset of members whose schedule (and randomness) query() would consult.
 /// This is what lets runners compute the next round with any scheduled
-/// transmitter instead of scanning every member every round — iterating a
-/// bucket and calling query() on its nodes is observably identical to the
-/// naive full scan (same transmissions, same coin-flip order), because
-/// query() returns without touching the rng for every non-bucket node.
+/// transmitter instead of scanning every member every round. Iterating a
+/// bucket is observably identical to the naive full scan (same
+/// transmissions, same coins in the same order), because query() returns
+/// without touching the rng for every node the iteration leaves out.
 class gst_schedule_index {
  public:
   /// `members` fixes the iteration order within each bucket (runners pass
@@ -83,16 +89,48 @@ class gst_schedule_index {
     return fast_[static_cast<std::size_t>((r % period_) / 2)];
   }
 
-  /// Candidates for odd (slow) round r: members with slow key ≡ (r-1)/2
-  /// (mod 3). Every coin consulted in round r belongs to this bucket.
-  [[nodiscard]] const std::vector<node_id>& slow_bucket(round_t r) const {
-    return slow_[static_cast<std::size_t>(((r - 1) / 2) % 3)];
+  /// Calls fn(v, e) for every member whose slow coin odd round r consults,
+  /// in member order: exactly the members for which query(v, r, rng) flips
+  /// rng.with_probability_pow2(e). A member of the round's bucket (slow key
+  /// k = 3j + ((r-1)/2 mod 3)) is at slot Q - j of its schedule, with
+  /// Q = (r-1)/6, so it has reached r iff j <= Q and its exponent is
+  /// (Q - j) mod L. That exponent is read from a table over j filled once
+  /// per call, so the scan itself does no division.
+  template <class Fn>
+  void for_each_slow(round_t r, Fn&& fn) {
+    const slow_bucket& b = slow_[static_cast<std::size_t>(((r - 1) / 2) % 3)];
+    const round_t q = (r - 1) / 6;
+    const std::uint32_t reached =
+        q < b.max_j ? static_cast<std::uint32_t>(q) + 1 : b.max_j + 1;
+    int e = static_cast<int>(q % L_);
+    for (std::uint32_t j = 0; j < reached; ++j) {
+      exponent_[j] = static_cast<std::uint8_t>(e);
+      e = e == 0 ? L_ - 1 : e - 1;
+    }
+    std::fill(exponent_.begin() + reached, exponent_.begin() + b.max_j + 1,
+              unreached);
+    for (const slow_member& m : b.members) {
+      const std::uint8_t x = exponent_[m.j];
+      if (x != unreached) fn(m.v, static_cast<int>(x));
+    }
   }
 
  private:
+  struct slow_member {
+    node_id v;
+    std::uint32_t j;  ///< slow key / 3
+  };
+  struct slow_bucket {
+    std::vector<slow_member> members;
+    std::uint32_t max_j = 0;
+  };
+  static constexpr std::uint8_t unreached = 0xff;
+
   round_t period_;
+  int L_;
   std::vector<std::vector<node_id>> fast_;  ///< indexed by slot / 2
-  std::vector<std::vector<node_id>> slow_;  ///< indexed by key mod 3
+  std::vector<slow_bucket> slow_;           ///< indexed by key mod 3
+  std::vector<std::uint8_t> exponent_;      ///< per-call table over j
 };
 
 }  // namespace rn::core

@@ -135,7 +135,7 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     // Bucketed planning: per round only the members whose schedule (and
     // coin) that round consults are visited, in member order — observably
     // identical to the naive scan over every ring member.
-    const gst_schedule_index idx(sched, members);
+    gst_schedule_index idx(sched, members);
     const round_t budget =
         opt.max_rounds_per_ring > 0
             ? opt.max_rounds_per_ring
@@ -151,12 +151,11 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
             txs.add(v, data_pkt);
         }
       } else {
-        for (node_id v : idx.slow_bucket(r)) {
-          // Coin flipped for uninformed members too, as in the naive scan.
-          const auto a = sched.query(v, r, node_rng[v]);
-          if (a != gst_schedule::action::none && informed[v])
+        // Coin flipped for uninformed members too, as in the naive scan.
+        idx.for_each_slow(r, [&](node_id v, int e) {
+          if (node_rng[v].with_probability_pow2(e) && informed[v])
             txs.add(v, data_pkt);
-        }
+        });
       }
       if (sink.commit(txs, deliver))
         tracker.observe_round(net.stats().rounds);

@@ -99,9 +99,8 @@ struct pin_case {
   std::function<radio::broadcast_result(bool fast_forward)> run;
 };
 
-std::vector<pin_case> cases_for(const std::string& prefix,
-                                const graph::graph& g) {
-  std::vector<pin_case> out;
+void add_cases(std::vector<pin_case>& out, const std::string& prefix,
+               const graph::graph& g) {
   const auto add = [&](std::string name, auto run) {
     out.push_back({prefix + "/" + std::move(name), std::move(run)});
   };
@@ -176,7 +175,6 @@ std::vector<pin_case> cases_for(const std::string& prefix,
           return core::run_gst_single_broadcast(g, t, d, informed, o);
         });
       }
-  return out;
 }
 
 /// Sets the process-wide intra-trial team for the networks built in scope.
@@ -207,8 +205,9 @@ TEST(GoldenPins, EveryProtocolReproducesItsRecordedResults) {
   const auto layered = graph::random_layered(lo);
   const auto gnp = graph::random_gnp_connected(48, 0.09, 13);
 
-  std::vector<pin_case> cases = cases_for("layered", layered);
-  for (auto& c : cases_for("gnp", gnp)) cases.push_back(std::move(c));
+  std::vector<pin_case> cases;
+  add_cases(cases, "layered", layered);
+  add_cases(cases, "gnp", gnp);
 
   std::set<std::string> seen;
   for (const auto& c : cases) {

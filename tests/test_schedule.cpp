@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/math.h"
 #include "common/rng.h"
@@ -8,6 +14,7 @@
 #include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/schedule.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 
 namespace rn::core {
@@ -174,6 +181,144 @@ TEST(Schedule, ClassicLevelKeyDiffers) {
   }
   EXPECT_TRUE(vd_prompted_early);   // vdist key: starts at round 3
   EXPECT_FALSE(lv_prompted_early);  // level key: starts at round 61
+}
+
+// --- the slow-slot iterator against query() ---------------------------------
+
+/// Seeds whose rng's first draw has exactly k trailing zero bits, for every
+/// k below 20 (more than any exponent at L = 18).
+const std::vector<std::uint64_t>& tz_seeds() {
+  static const std::vector<std::uint64_t> seeds = [] {
+    std::vector<std::uint64_t> out(20, 0);
+    std::size_t left = out.size();
+    for (std::uint64_t s = 1; left > 0; ++s) {
+      rng r(s);
+      const auto tz = static_cast<std::size_t>(std::countr_zero(r()));
+      if (tz < out.size() && out[tz] == 0) {
+        out[tz] = s;
+        --left;
+      }
+    }
+    return out;
+  }();
+  return seeds;
+}
+
+/// The exponent of the slow coin query(v, t) flips, or -1 when it flips
+/// none, read off query() alone: a draw with exactly k trailing zeros fires
+/// a coin of exponent e >= 1 iff k >= e, and an exponent-0 coin fires
+/// without a draw.
+int coin_exponent(const gst_schedule& s, node_id v, round_t t) {
+  const auto& seeds = tz_seeds();
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    rng r(seeds[k]);
+    const bool fired = s.query(v, t, r) == gst_schedule::action::slow_prompt;
+    rng fresh(seeds[k]);
+    if (r() == fresh()) return fired ? 0 : -1;  // no draw taken
+    if (fired) return static_cast<int>(k);
+  }
+  ADD_FAILURE() << "node " << v << " round " << t << ": exponent >= 20";
+  return -1;
+}
+
+/// For both keyings and L = 1, 2 and 18: in every odd round until each
+/// member's slow schedule has run three fast periods, for_each_slow yields
+/// exactly the members whose coin query() flips, in member order, with
+/// query()'s exponent; and the draws query() takes from a node's rng
+/// through any round r equal slow_draws_through(v, r).
+void expect_slow_scan_matches_query(const graph::graph& g, const gst& t,
+                                    const std::vector<node_id>& members) {
+  const auto d = derive(g, t);
+  for (const bool by_vd : {true, false})
+    for (const std::size_t n_hat : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{1} << 18}) {
+      const gst_schedule s(t, d, n_hat, by_vd);
+      SCOPED_TRACE(std::string(by_vd ? "vdist" : "level") + " keys, L = " +
+                   std::to_string(s.log_n()));
+      level_t max_key = 0;
+      for (node_id v = 0; v < g.node_count(); ++v)
+        max_key = std::max(max_key, s.slow_key(v));
+      const round_t horizon =
+          1 + 2 * static_cast<round_t>(max_key) + 3 * s.fast_period();
+
+      gst_schedule_index idx(s, members);
+      // Ascending, then descending: runners restart their round counter,
+      // so a call must not depend on the rounds asked before it.
+      std::vector<round_t> rounds;
+      rounds.reserve(static_cast<std::size_t>(horizon));
+      for (round_t r = 1; r < horizon; r += 2) rounds.push_back(r);
+      for (round_t r = horizon - 1 - horizon % 2; r >= 1; r -= 2)
+        rounds.push_back(r);
+      for (const round_t r : rounds) {
+        std::vector<std::pair<node_id, int>> want;
+        for (const node_id v : members)
+          if (const int e = coin_exponent(s, v, r); e >= 0)
+            want.emplace_back(v, e);
+        std::vector<std::pair<node_id, int>> got;
+        idx.for_each_slow(r, [&](node_id v, int e) { got.emplace_back(v, e); });
+        ASSERT_EQ(got, want) << "round " << r;
+      }
+
+      for (node_id v = 0; v < g.node_count(); ++v) {
+        rng scan = rng::for_stream(7, v);
+        for (round_t r = 0; r < horizon; ++r) {
+          (void)s.query(v, r, scan);
+          rng caught_up = rng::for_stream(7, v);
+          for (auto k = s.slow_draws_through(v, r); k > 0; --k) caught_up();
+          rng probe = scan;
+          ASSERT_EQ(probe(), caught_up()) << "node " << v << " round " << r;
+        }
+      }
+    }
+}
+
+TEST(SlowScan, MatchesQueryOnSingleSourceGsts) {
+  graph::layered_options lo;
+  lo.depth = 6;
+  lo.width = 5;
+  lo.edge_prob = 0.4;
+  lo.intra_prob = 0.2;
+  lo.seed = 3;
+  const std::vector<std::pair<const char*, graph::graph>> graphs = {
+      {"path", graph::path(25)},
+      {"grid", graph::grid(5, 6)},
+      {"binary_tree", graph::binary_tree(31)},
+      {"caterpillar", graph::caterpillar(8, 2)},
+      {"clique_chain", graph::clique_chain(4, 5)},
+      {"layered", graph::random_layered(lo)},
+      {"gnp", graph::random_gnp_connected(40, 0.1, 9)},
+  };
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const auto t = build_gst_centralized(g, 0);
+    // Descending ids: the iterator must follow the order it was given.
+    std::vector<node_id> members(g.node_count());
+    std::iota(members.rbegin(), members.rend(), node_id{0});
+    expect_slow_scan_matches_query(g, t, members);
+  }
+}
+
+TEST(SlowScan, MatchesQueryOnAMaskedMultiRootForest) {
+  // A ring-style forest: BFS levels 2..5 of a layered graph, rooted at
+  // level 2; nodes outside the ring are non-members the scan never yields.
+  graph::layered_options lo;
+  lo.depth = 8;
+  lo.width = 6;
+  lo.edge_prob = 0.35;
+  lo.intra_prob = 0.2;
+  lo.seed = 8;
+  const auto g = graph::random_layered(lo);
+  const auto lv = graph::bfs(g, 0).level;
+  std::vector<char> mask(g.node_count(), 0);
+  std::vector<node_id> roots, members;
+  for (node_id v = 0; v < g.node_count(); ++v) {
+    if (lv[v] < 2 || lv[v] > 5) continue;
+    mask[v] = 1;
+    members.push_back(v);
+    if (lv[v] == 2) roots.push_back(v);
+  }
+  const auto t = build_gst_centralized_multi(g, roots, &mask);
+  expect_slow_scan_matches_query(g, t, members);
 }
 
 }  // namespace

@@ -9,11 +9,12 @@
 //   rn_serve --stdio             # request lines on stdin, responses on stdout
 //
 // Request/response grammar: see src/svc/request.h and README "Service
-// mode". The daemon exits after a {"method":"shutdown"} request (queued
-// runs still complete) or, in stdio mode, at EOF. --metrics-file rewrites
-// the Prometheus text exposition after every response and at exit, so a
-// node-exporter-style textfile collector can scrape a daemon that has no
-// HTTP port.
+// mode". A socket client whose request line passes 1 MiB without a newline
+// gets a bad-request reply and is disconnected. The daemon exits after a
+// {"method":"shutdown"} request (queued runs still complete) or, in stdio
+// mode, at EOF. --metrics-file rewrites the Prometheus text exposition
+// after every response and at exit, so a node-exporter-style textfile
+// collector can scrape a daemon that has no HTTP port.
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting new connections and
 // request lines, finish every in-flight and queued run, write the metrics
@@ -138,19 +139,30 @@ int serve_stdio(rn::svc::service& svc, metrics_file& mf) {
 
 #if RN_HAVE_UNIX_SOCKETS
 
+/// Longest request line a connection may send (newline excluded); a client
+/// that goes past it without a newline would otherwise grow the daemon's
+/// memory without bound.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
+enum class read_status { line, closed, too_long };
+
 /// Reads one '\n'-terminated line from fd into out (without the newline).
-/// Returns false on EOF/error with nothing buffered.
-bool read_line(int fd, std::string& buf, std::string& out) {
+/// `closed` on EOF/error; `too_long` once kMaxRequestLine bytes have
+/// arrived without a newline, holding at most one chunk more than that.
+read_status read_line(int fd, std::string& buf, std::string& out) {
+  std::size_t scanned = 0;  // bytes of buf known to hold no newline
   for (;;) {
-    const auto nl = buf.find('\n');
-    if (nl != std::string::npos) {
+    const auto nl = buf.find('\n', scanned);
+    if (nl != std::string::npos && nl <= kMaxRequestLine) {
       out.assign(buf, 0, nl);
       buf.erase(0, nl + 1);
-      return true;
+      return read_status::line;
     }
+    if (buf.size() > kMaxRequestLine) return read_status::too_long;
+    scanned = buf.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
+    if (n <= 0) return read_status::closed;
     buf.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -212,7 +224,17 @@ int serve_socket(rn::svc::service& svc, metrics_file& mf,
       auto write_mu = std::make_shared<std::mutex>();
       std::string buf;
       std::string line;
-      while (read_line(fd, buf, line)) {
+      for (;;) {
+        const read_status st = read_line(fd, buf, line);
+        if (st == read_status::closed) break;
+        if (st == read_status::too_long) {
+          send_line(fd, *write_mu,
+                    rn::svc::error_response(
+                        0, rn::svc::kBadRequest,
+                        "request line exceeds " +
+                            std::to_string(kMaxRequestLine) + " bytes"));
+          break;  // the rest of the line is unread: drop the connection
+        }
         if (line.empty()) continue;
         svc.submit(line, [&svc, &mf, fd, write_mu](const std::string& resp) {
           send_line(fd, *write_mu, resp);
