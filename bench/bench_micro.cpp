@@ -145,42 +145,6 @@ static void BM_StepShardedLayered(benchmark::State& state) {
 BENCHMARK(BM_StepShardedLayered)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The vectorized reception walk: same dense round as BM_StepSharded on the
-// serial path, row walks run by the kernel tier selected via Arg(0)
-// (0 = scalar, 1 = AVX2, 2 = AVX-512). Rows the CPU or build cannot run are
-// skipped. The ratio between rows is the SIMD speedup of the block walk;
-// results are byte-identical across all three (tests/test_radio.cpp).
-static void BM_StepSimd(benchmark::State& state) {
-  const auto lvl = static_cast<radio::simd_level>(state.range(0));
-  if (lvl > radio::detected_simd_level()) {
-    state.SkipWithError("kernel level not available on this CPU/build");
-    return;
-  }
-  const radio::simd_level prev = radio::active_simd_level();
-  radio::set_simd_level(lvl);
-  const std::size_t n = 1 << 16;
-  const auto g = graph::random_gnp_connected(n, 16.0 / static_cast<double>(n), 1);
-  radio::network net(g, {.collision_detection = true});
-  rng r(1);
-  std::vector<radio::packet> beacons;
-  beacons.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    beacons.push_back(radio::packet::make_beacon(v));
-  radio::round_buffer txs;
-  std::int64_t sink = 0;
-  for (auto _ : state) {
-    txs.clear();
-    for (node_id v = 0; v < n; ++v)
-      if (r.with_probability_pow2(3)) txs.add(v, beacons[v]);
-    net.step(txs, [&](const radio::reception& rx) { sink += rx.listener; });
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(radio::to_string(lvl));
-  radio::set_simd_level(prev);
-}
-BENCHMARK(BM_StepSimd)->Arg(0)->Arg(1)->Arg(2);
-
 // Per-round cost of the Decay baseline on its batched coin calendar
 // (counter-based blocks + next-transmit sampling; baseline/decay.h). Tracks
 // the e10 Decay column's hot loop; items = simulated protocol rounds.

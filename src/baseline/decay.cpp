@@ -147,7 +147,6 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
 struct batched_config {
   std::uint64_t seed = 1;
   round_t max_rounds = 0;
-  bool collision_detection = false;
   bool stop_when_complete = true;
   bool fast_forward = false;
   bool mmv_noise = false;  ///< scheduled-but-uninformed nodes jam with noise
@@ -238,7 +237,7 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
                                           JammingFn&& jamming,
                                           const batched_config& cfg) {
   const std::size_t n = g.node_count();
-  radio::network net(g, {.collision_detection = cfg.collision_detection});
+  radio::network net(g, {.collision_detection = false});
   radio::completion_tracker tracker(n);
   std::vector<char> informed(n, 0);
   std::vector<char> scheduled(n, 0);  // participating in the coin process
@@ -339,7 +338,6 @@ radio::broadcast_result run_decay_broadcast(const graph::graph& g,
     batched_config cfg;
     cfg.seed = opt.seed;
     cfg.max_rounds = max_rounds;
-    cfg.collision_detection = opt.collision_detection;
     cfg.stop_when_complete = opt.stop_when_complete;
     cfg.fast_forward = opt.fast_forward;
     return run_batched_decay(g, source, classic_schedule{L}, always, never,
@@ -348,7 +346,7 @@ radio::broadcast_result run_decay_broadcast(const graph::graph& g,
 
   // per_round oracle: the historical one-draw-per-informed-node-per-round
   // loop. fast_forward only defers planned-but-empty rounds (exact).
-  radio::network net(g, {.collision_detection = opt.collision_detection});
+  radio::network net(g, {.collision_detection = false});
   radio::completion_tracker tracker(n);
   std::vector<char> informed(n, 0);
   std::vector<node_id> informed_list;
@@ -401,9 +399,7 @@ radio::broadcast_result run_leveled_decay_broadcast(
   level_t max_level = 0;
   for (level_t l : levels) max_level = std::max(max_level, l);
   const round_t max_rounds =
-      opt.max_rounds > 0
-          ? opt.max_rounds
-          : 64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L));
+      64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L));
 
   // MMV mode exercises noise, i.e. collisions; CD does not change behavior of
   // this protocol, so run without CD as in the paper's baseline setting.
@@ -411,7 +407,6 @@ radio::broadcast_result run_leveled_decay_broadcast(
     batched_config cfg;
     cfg.seed = opt.seed;
     cfg.max_rounds = max_rounds;
-    cfg.stop_when_complete = opt.stop_when_complete;
     cfg.fast_forward = opt.fast_forward;
     cfg.mmv_noise = opt.mmv_noise;
     const auto eligible = [&levels](node_id v) {
@@ -446,9 +441,7 @@ radio::broadcast_result run_leveled_decay_broadcast(
     }
   };
   tracker.observe_round(0);  // n = 1 completes before any round (as batched)
-  for (round_t t = 0; t < max_rounds && !(opt.stop_when_complete &&
-                                          tracker.all_done());
-       ++t) {
+  for (round_t t = 0; t < max_rounds && !tracker.all_done(); ++t) {
     txs.clear();
     // Lemma 3.2 schedule (1-based round index r): a node at level lv is
     // prompted iff r == lv + 1 (mod 3), with probability
@@ -468,7 +461,7 @@ radio::broadcast_result run_leveled_decay_broadcast(
       }
     }
     if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    if (opt.stop_when_complete && tracker.all_done()) break;
+    if (tracker.all_done()) break;
   }
   sink.flush();
   return finish(net, tracker);
@@ -490,10 +483,8 @@ radio::broadcast_result run_tuned_decay_broadcast(
                                                      std::max(d_hat, 1))))) +
              1);
   const round_t max_rounds =
-      opt.max_rounds > 0 ? opt.max_rounds
-                         : 64 * (static_cast<round_t>(std::max(d_hat, 1)) *
-                                     (3 * L_short + L_full) +
-                                 8 * sq(L_full));
+      64 * (static_cast<round_t>(std::max(d_hat, 1)) * (3 * L_short + L_full) +
+            8 * sq(L_full));
 
   // Super-phase = 3 short phases followed by 1 full phase.
   const round_t super = 3 * L_short + L_full;
@@ -502,7 +493,6 @@ radio::broadcast_result run_tuned_decay_broadcast(
     batched_config cfg;
     cfg.seed = opt.seed;
     cfg.max_rounds = max_rounds;
-    cfg.stop_when_complete = opt.stop_when_complete;
     cfg.fast_forward = opt.fast_forward;
     return run_batched_decay(g, source,
                              tuned_schedule{L_short, L_full, super}, always,
@@ -535,9 +525,7 @@ radio::broadcast_result run_tuned_decay_broadcast(
     }
   };
   tracker.observe_round(0);  // n = 1 completes before any round (as batched)
-  for (round_t t = 0; t < max_rounds && !(opt.stop_when_complete &&
-                                          tracker.all_done());
-       ++t) {
+  for (round_t t = 0; t < max_rounds && !tracker.all_done(); ++t) {
     const round_t pos = t % super;
     int i;  // decay exponent for this round
     if (pos < 3 * L_short)
@@ -549,7 +537,7 @@ radio::broadcast_result run_tuned_decay_broadcast(
       if (node_rng[v].with_probability_pow2(i)) txs.add(v, data_pkt);
     }
     if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    if (opt.stop_when_complete && tracker.all_done()) break;
+    if (tracker.all_done()) break;
   }
   sink.flush();
   return finish(net, tracker);

@@ -46,7 +46,6 @@ struct decay_options {
   std::size_t n_hat = 0;       ///< known upper bound on n; 0 = use n
   round_t max_rounds = 0;      ///< 0 = generous default from n_hat & graph
   std::uint64_t seed = 1;
-  bool collision_detection = false;  ///< Decay does not use CD; modeled anyway
   bool stop_when_complete = true;    ///< stop the simulation at completion
   bool fast_forward = false;  ///< skip transmitter-free rounds (bit-identical)
   draw_mode draws = draw_mode::batched;
@@ -58,10 +57,8 @@ struct decay_options {
 
 struct leveled_decay_options {
   std::size_t n_hat = 0;
-  round_t max_rounds = 0;
   std::uint64_t seed = 1;
   bool mmv_noise = false;  ///< Definition 3.1: prompted uninformed nodes jam
-  bool stop_when_complete = true;
   bool fast_forward = false;
   draw_mode draws = draw_mode::batched;
 };
@@ -75,9 +72,7 @@ struct leveled_decay_options {
 struct tuned_decay_options {
   std::size_t n_hat = 0;
   level_t d_hat = 0;  ///< known diameter bound; 0 = eccentricity of source
-  round_t max_rounds = 0;
   std::uint64_t seed = 1;
-  bool stop_when_complete = true;
   bool fast_forward = false;
   draw_mode draws = draw_mode::batched;
 };

@@ -25,9 +25,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
   const int L = log_range(n_hat) + 1;
   const round_t per_message_cap =
       64 * (static_cast<round_t>(n) * L + sq(L));
-  const round_t max_rounds = opt.max_rounds > 0
-                                 ? opt.max_rounds
-                                 : per_message_cap * static_cast<round_t>(opt.k);
+  const round_t max_rounds = per_message_cap * static_cast<round_t>(opt.k);
 
   radio::network net(g, {.collision_detection = false});
   radio::completion_tracker tracker(n);
@@ -77,7 +75,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
       }
     }
     tracker.observe_round(net.stats().rounds);
-    if (opt.stop_when_complete && tracker.all_done()) break;
+    if (tracker.all_done()) break;
   }
 
   radio::broadcast_result res;
@@ -98,10 +96,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
   RN_REQUIRE(opt.k >= 1, "need at least one message");
   const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
   const int L = log_range(n_hat) + 1;
-  const round_t max_rounds =
-      opt.max_rounds > 0
-          ? opt.max_rounds
-          : 64 * static_cast<round_t>(opt.k + n) * L * L;
+  const round_t max_rounds = 64 * static_cast<round_t>(opt.k + n) * L * L;
 
   radio::network net(g, {.collision_detection = false});
   radio::completion_tracker tracker(n);
@@ -151,7 +146,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
       }
     });
     tracker.observe_round(net.stats().rounds);
-    if (opt.stop_when_complete && tracker.all_done()) break;
+    if (tracker.all_done()) break;
   }
 
   radio::broadcast_result res;

@@ -19,9 +19,7 @@ namespace rn::baseline {
 struct multi_options {
   std::size_t k = 4;            ///< number of messages
   std::size_t n_hat = 0;
-  round_t max_rounds = 0;
   std::uint64_t seed = 1;
-  bool stop_when_complete = true;
 };
 
 /// Sequential single-message Decay broadcasts.

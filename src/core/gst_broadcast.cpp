@@ -139,11 +139,9 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   gst_schedule sched(t, d, n_hat, /*slow_by_virtual_distance=*/true);
   const int L = sched.log_n();
   const round_t max_rounds =
-      opt.max_rounds > 0
-          ? opt.max_rounds
-          : default_budget(t, L, opt.prm.schedule_slack) +
-                static_cast<round_t>(opt.prm.schedule_slack * 8.0 *
-                                     static_cast<double>(k) * (L + 1));
+      default_budget(t, L, opt.prm.schedule_slack) +
+      static_cast<round_t>(opt.prm.schedule_slack * 8.0 *
+                           static_cast<double>(k) * (L + 1));
 
   radio::network net(g, {.collision_detection = false});
   radio::completion_tracker tracker(n);
@@ -211,7 +209,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   };
 
   for (round_t r = 0; r < max_rounds; ++r) {
-    const bool completing = opt.stop_when_complete && tracker.all_done();
+    const bool completing = tracker.all_done();
     txs.clear();
     if (r % 2 == 0) {
       for (node_id v : idx.fast_bucket(r))
@@ -225,7 +223,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
     }
     if (sink.commit(txs, on_rx, completing)) {
       tracker.observe_round(net.stats().rounds);
-      if (opt.stop_when_complete && tracker.all_done()) break;
+      if (tracker.all_done()) break;
     }
   }
   sink.flush();

@@ -44,9 +44,7 @@ struct gst_broadcast_options {
 
 struct rlnc_broadcast_options {
   std::size_t n_hat = 0;
-  round_t max_rounds = 0;
   std::uint64_t seed = 1;
-  bool stop_when_complete = true;
   bool fast_forward = false;  ///< as in gst_broadcast_options
   params prm = params::paper();
 };

@@ -31,7 +31,6 @@ multi_broadcast_result run_known_multi_broadcast(
   bo.n_hat = opt.n_hat;
   bo.seed = opt.seed;
   bo.prm = opt.prm;
-  bo.max_rounds = opt.max_rounds;
   bo.fast_forward = opt.fast_forward;
 
   std::vector<coding::rlnc_node> decoders;

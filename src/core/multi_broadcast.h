@@ -30,7 +30,6 @@ struct multi_broadcast_options {
   std::uint64_t seed = 1;
   params prm = params::paper();
   std::size_t payload_size = 32;  ///< bytes per message
-  round_t max_rounds = 0;
   /// Skip transmitter-free rounds in every phase via network::advance
   /// (bit-identical results; see README "Fast-forward execution").
   bool fast_forward = false;

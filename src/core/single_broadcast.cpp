@@ -25,7 +25,6 @@ radio::broadcast_result run_known_single_broadcast(
   bo.n_hat = opt.n_hat;
   bo.seed = opt.seed;
   bo.prm = opt.prm;
-  bo.max_rounds = opt.max_rounds_per_ring;
   bo.fast_forward = opt.fast_forward;
   return run_gst_single_broadcast(g, t, d, {source}, bo);
 }
@@ -136,12 +135,8 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     // coin) that round consults are visited, in member order — observably
     // identical to the naive scan over every ring member.
     gst_schedule_index idx(sched, members);
-    const round_t budget =
-        opt.max_rounds_per_ring > 0
-            ? opt.max_rounds_per_ring
-            : static_cast<round_t>(
-                  opt.prm.schedule_slack *
-                  (6.0 * t.max_level() + 48.0 * L * L + 64));
+    const auto budget = static_cast<round_t>(
+        opt.prm.schedule_slack * (6.0 * t.max_level() + 48.0 * L * L + 64));
     for (round_t r = 0; r < budget; ++r) {
       txs.clear();
       if (r % 2 == 0) {

@@ -28,7 +28,6 @@ struct single_broadcast_options {
   level_t d_hat = 0;  ///< 0 = use the source's true eccentricity
   std::uint64_t seed = 1;
   params prm = params::paper();
-  round_t max_rounds_per_ring = 0;  ///< 0 = budget from schedule_slack
   /// Skip transmitter-free rounds in every phase (construction, labeling,
   /// relay) via network::advance. Bit-identical results; see README
   /// "Fast-forward execution".

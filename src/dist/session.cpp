@@ -182,7 +182,6 @@ bool session::respawn_rank(unsigned r, const char* why) {
   while (!up && rk.respawns_this_trial < opt_.policy.max_respawns) {
     const unsigned attempt = rk.respawns_this_trial++;
     ++restarts_;
-    note_rank_restart();
     const unsigned backoff = backoff_delay_ms(opt_.policy, attempt);
     std::fprintf(stderr,
                  "[rn-dist] rank %u %s; respawn attempt %u/%u after %u ms\n",
@@ -197,9 +196,7 @@ bool session::respawn_rank(unsigned r, const char* why) {
       // Next attempt (or exhaustion) — the budget strictly decreases.
     }
   }
-  const double ms = ms_since(t0);
-  recovery_wall_ms_ += ms;
-  note_recovery_wall_ms(static_cast<std::uint64_t>(ms));
+  recovery_wall_ms_ += ms_since(t0);
   return up;
 }
 
@@ -208,10 +205,7 @@ void session::degrade_rank(unsigned r) {
   kill_rank(r);
   rk.state = rank_state::degraded;
   ++degraded_ranks_;
-  note_degraded_rank();
-  const unsigned owned = rk.last_block - rk.first_block;
-  reassigned_blocks_ += owned;
-  note_reassigned_blocks(owned);
+  reassigned_blocks_ += rk.last_block - rk.first_block;
   needs_reassign_ = true;
   std::fprintf(stderr,
                "[rn-dist] rank %u degraded (respawn budget %u exhausted); "
@@ -280,7 +274,6 @@ void session::trial_begin(const graph::topology_spec& spec,
       if (spawn_rank(r)) {
         rk.state = rank_state::up;
         ++restarts_;
-        note_rank_restart();
       } else {
         degrade_rank(r);
       }
@@ -527,9 +520,7 @@ void session::cover_missing(std::uint64_t* hit_state,
       applied_[blk] = 1;
     }
     cov->walker.clear_round();
-    const double ms = ms_since(t0);
-    recovery_wall_ms_ += ms;
-    note_recovery_wall_ms(static_cast<std::uint64_t>(ms));
+    recovery_wall_ms_ += ms_since(t0);
     b = e;
   }
 }

@@ -85,7 +85,7 @@ struct session_totals {
   double merge_wall_ms = 0.0;  ///< receiving + applying block results
   std::uint64_t trials = 0;    ///< trials executed on the rank fleet
   std::uint64_t rounds = 0;    ///< stepped rounds shipped to the fleet
-  // Recovery counters (also mirrored process-wide: dist/supervisor.h).
+  // Recovery counters (dist/supervisor.h has the policy).
   std::uint64_t rank_restarts = 0;     ///< respawn attempts launched
   std::uint64_t reassigned_blocks = 0; ///< blocks moved off retired ranks
   std::uint64_t degraded_ranks = 0;    ///< ranks retired after exhaustion

@@ -1,7 +1,7 @@
 #include "dist/supervisor.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 
 namespace rn::dist {
 
@@ -10,36 +10,6 @@ unsigned backoff_delay_ms(const supervise_policy& policy, unsigned attempt) {
   const std::uint64_t raw = std::uint64_t{policy.backoff_base_ms} << shift;
   return static_cast<unsigned>(
       std::min<std::uint64_t>(raw, policy.backoff_cap_ms));
-}
-
-namespace {
-std::atomic<std::uint64_t> g_restarts{0};
-std::atomic<std::uint64_t> g_reassigned{0};
-std::atomic<std::uint64_t> g_degraded{0};
-std::atomic<std::uint64_t> g_recovery_ms{0};
-}  // namespace
-
-recovery_snapshot recovery_counters() {
-  recovery_snapshot s;
-  s.rank_restarts = g_restarts.load(std::memory_order_relaxed);
-  s.reassigned_blocks = g_reassigned.load(std::memory_order_relaxed);
-  s.degraded_ranks = g_degraded.load(std::memory_order_relaxed);
-  s.recovery_wall_ms = g_recovery_ms.load(std::memory_order_relaxed);
-  return s;
-}
-
-void note_rank_restart() { g_restarts.fetch_add(1, std::memory_order_relaxed); }
-
-void note_reassigned_blocks(std::uint64_t blocks) {
-  g_reassigned.fetch_add(blocks, std::memory_order_relaxed);
-}
-
-void note_degraded_rank() {
-  g_degraded.fetch_add(1, std::memory_order_relaxed);
-}
-
-void note_recovery_wall_ms(std::uint64_t ms) {
-  g_recovery_ms.fetch_add(ms, std::memory_order_relaxed);
 }
 
 }  // namespace rn::dist

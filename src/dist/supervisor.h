@@ -1,5 +1,4 @@
-// Supervision policy and process-wide recovery accounting for the
-// distributed backend.
+// Supervision policy for the distributed backend.
 //
 // The session (dist/session.cpp) detects rank failures — a crashed worker
 // turns channel reads into EOF, a wedged one into a deadline timeout — and
@@ -19,13 +18,9 @@
 //      computes them, results JSON stays byte-identical to the fault-free
 //      run through every path.
 //
-// The counters here are process-wide atomics mirrored from every live
-// session, so observers that do not own the session — the rn_serve
-// Prometheus registry, the rn-bench-timing-v6 sidecar — can report
-// restarts and degradations without plumbing.
+// The session counts its recoveries in session_totals (dist/session.h),
+// which rn_dist's v6 timing sidecar reports.
 #pragma once
-
-#include <cstdint>
 
 namespace rn::dist {
 
@@ -51,21 +46,5 @@ struct supervise_policy {
 /// cap). Pure — tests pin it directly.
 [[nodiscard]] unsigned backoff_delay_ms(const supervise_policy& policy,
                                         unsigned attempt);
-
-/// Process-wide recovery totals (monotone, relaxed atomics underneath).
-struct recovery_snapshot {
-  std::uint64_t rank_restarts = 0;     ///< respawn attempts launched
-  std::uint64_t reassigned_blocks = 0; ///< blocks moved off retired ranks
-  std::uint64_t degraded_ranks = 0;    ///< ranks retired after exhaustion
-  std::uint64_t recovery_wall_ms = 0;  ///< wall time inside recovery paths
-};
-
-[[nodiscard]] recovery_snapshot recovery_counters();
-
-/// Mirrors called by the session as recoveries happen.
-void note_rank_restart();
-void note_reassigned_blocks(std::uint64_t blocks);
-void note_degraded_rank();
-void note_recovery_wall_ms(std::uint64_t ms);
 
 }  // namespace rn::dist

@@ -5,8 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -30,71 +28,6 @@ std::atomic<std::int64_t> g_parallel_rounds{0};
 std::atomic<std::int64_t> g_shard_busy_ns[kMaxTeam]{};
 std::atomic<unsigned> g_max_team{0};
 
-/// cpuid probe for the best kernel tier this build carries. The compiled-in
-/// guards and the runtime checks are independent: a binary built with the
-/// AVX-512 TU still runs the scalar (or AVX2) walk on older hardware.
-simd_level probe_simd_level() {
-  simd_level best = simd_level::scalar;
-#if defined(RN_HAVE_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) best = simd_level::avx2;
-#endif
-#if defined(RN_HAVE_SIMD_AVX512)
-  if (best == simd_level::avx2 && __builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vl"))
-    best = simd_level::avx512;
-#endif
-  return best;
-}
-
-simd_level clamp_to_detected(simd_level l) {
-  return std::min(l, detected_simd_level());
-}
-
-/// Startup tier: the detected one, unless RN_SIMD asks for less (or, on a
-/// machine whose CPU lacks the requested tier, effectively less — requests
-/// are clamped, never trusted to exceed the probe).
-simd_level initial_simd_level() {
-  const char* e = std::getenv("RN_SIMD");
-  if (e == nullptr || std::strcmp(e, "auto") == 0)
-    return detected_simd_level();
-  if (std::strcmp(e, "scalar") == 0 || std::strcmp(e, "off") == 0)
-    return simd_level::scalar;
-  if (std::strcmp(e, "avx2") == 0)
-    return clamp_to_detected(simd_level::avx2);
-  if (std::strcmp(e, "avx512") == 0)
-    return clamp_to_detected(simd_level::avx512);
-  return detected_simd_level();  // unrecognized value: behave like auto
-}
-
-std::atomic<std::uint8_t>& active_simd_storage() {
-  static std::atomic<std::uint8_t> level{
-      static_cast<std::uint8_t>(initial_simd_level())};
-  return level;
-}
-
-/// The scalar tier: one packed-word update per visited listener.
-void scalar_segment(const node_id* adj, std::uint64_t* hits,
-                    std::uint32_t begin, std::uint32_t end, std::uint32_t tx,
-                    const detail::touch_route& route) {
-  for (std::uint32_t a = begin; a < end; ++a) {
-    const node_id v = adj[a];
-    const std::uint64_t hs = hits[v];
-    if (hs == 0) route.push(v);
-    hits[v] = ((hs + (1ULL << 32)) & 0xffffffff00000000ULL) | tx;
-  }
-}
-
-/// Segment kernel for an active (hence detected, hence built-in) tier.
-detail::segment_fn segment_for([[maybe_unused]] simd_level l) {
-#if defined(RN_HAVE_SIMD_AVX512)
-  if (l == simd_level::avx512) return detail::avx512_segment();
-#endif
-#if defined(RN_HAVE_SIMD_AVX2)
-  if (l == simd_level::avx2) return detail::avx2_segment();
-#endif
-  return &scalar_segment;
-}
-
 }  // namespace
 
 const char* to_string(simd_level l) {
@@ -108,20 +41,16 @@ const char* to_string(simd_level l) {
   }
 }
 
-simd_level detected_simd_level() {
-  static const simd_level level = probe_simd_level();
-  return level;
-}
-
 simd_level active_simd_level() {
-  return static_cast<simd_level>(
-      active_simd_storage().load(std::memory_order_relaxed));
-}
-
-void set_simd_level(simd_level l) {
-  active_simd_storage().store(
-      static_cast<std::uint8_t>(clamp_to_detected(l)),
-      std::memory_order_relaxed);
+  static const simd_level level = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl"))
+      return simd_level::avx512;
+    if (__builtin_cpu_supports("avx2")) return simd_level::avx2;
+#endif
+    return simd_level::scalar;
+  }();
+  return level;
 }
 
 /// The shard team: `members - 1` persistent helper threads plus the calling
@@ -365,11 +294,7 @@ bool block_walker::reaches_parallel_volume() const {
   return volume >= min_parallel_volume_;
 }
 
-simd_level block_walker::walk(std::span<const node_id> tx_ids) {
-  const simd_level level = active_simd_level();
-  // Resolved per walk so flipping the process-wide tier affects live
-  // walkers; every slice of a round uses the same kernel.
-  segment_ = segment_for(level);
+void block_walker::walk(std::span<const node_id> tx_ids) {
   txs_ = tx_ids;
   if (team_ && total_volume_ >= min_parallel_volume_ && !tx_ids.empty() &&
       reaches_parallel_volume()) {
@@ -388,7 +313,6 @@ simd_level block_walker::walk(std::span<const node_id> tx_ids) {
     // each block still lives in one slice, walked in transmitter order.
     for (const csr_ref& s : slices_) walk_slice(s);
   }
-  return level;
 }
 
 void block_walker::walk_slice(const csr_ref& s) {
@@ -408,7 +332,18 @@ void block_walker::walk_slice(const csr_ref& s) {
     if (i + kHeadsAhead < m)
       __builtin_prefetch(adj + row_start[tx[i + kHeadsAhead]]);
     const node_id u = tx[i];
-    segment_(adj, hits, row_start[u], row_start[u + 1], i, route_);
+    walk_row(adj, hits, row_start[u], row_start[u + 1], i, route_);
+  }
+}
+
+void block_walker::walk_row(const node_id* adj, std::uint64_t* hits,
+                            std::uint32_t begin, std::uint32_t end,
+                            std::uint32_t tx, const touch_route& route) {
+  for (std::uint32_t a = begin; a < end; ++a) {
+    const node_id v = adj[a];
+    const std::uint64_t hs = hits[v];
+    if (hs == 0) route.push(v);
+    hits[v] = ((hs + (1ULL << 32)) & 0xffffffff00000000ULL) | tx;
   }
 }
 

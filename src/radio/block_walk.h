@@ -22,9 +22,9 @@
 // rows ascending, and each block lives in exactly one slice, so every
 // listener's hit word and touch-list entry is written by one member in the
 // order the single-CSR walk would write them. The words and each block's
-// first-touch order are therefore identical at every team size and SIMD
-// tier. Dispatch then runs in ascending block order (network::step);
-// together that is the channel-v1 contract.
+// first-touch order are therefore identical at every team size. Dispatch
+// then runs in ascending block order (network::step); together that is the
+// channel-v1 contract.
 #pragma once
 
 #include <cstdint>
@@ -34,32 +34,23 @@
 #include <vector>
 
 #include "common/types.h"
-#include "radio/simd_kernels.h"
 #include "radio/touch_list.h"
 
 namespace rn::radio {
 
-/// Vector ISA tier of the walk kernels. Every tier produces identical hit
-/// words and first-touch orders — the kernel is selected by a runtime CPU
-/// probe and is purely an execution knob, like thread counts and
-/// fast-forward.
+/// A host's vector ISA. The walk is scalar on every host; this only names
+/// the host. Kept for bench/perf/layer_trace.cpp, which reports it.
 enum class simd_level : std::uint8_t { scalar = 0, avx2 = 1, avx512 = 2 };
 
+/// Kept for bench/perf/layer_trace.cpp and the timing sidecar's "simd"
+/// field, which bench/perf/run.py's host fingerprint reads.
 [[nodiscard]] const char* to_string(simd_level l);
 
-/// Best tier this build *and* this CPU support (cpuid-probed once; always
-/// `scalar` when built with RN_DISABLE_SIMD or on non-x86 hosts).
-[[nodiscard]] simd_level detected_simd_level();
-
-/// The tier the next walks will use. Defaults to the detected tier; the
-/// RN_SIMD environment variable (scalar|avx2|avx512|auto) presets it at
-/// startup — handy for A/B byte-identity checks without rebuilding.
+/// The host's vector ISA, from one cpuid probe: avx512 with AVX-512F and
+/// AVX-512VL, else avx2 with AVX2, else scalar. Kept for the same two
+/// readers: bench/perf/run.py refuses to compare reports whose "simd"
+/// fields differ, and bench/perf/layer_trace.cpp reports it.
 [[nodiscard]] simd_level active_simd_level();
-
-/// Overrides the active tier, clamped to detected_simd_level(). Results are
-/// byte-identical at every tier (tests/test_radio.cpp pins this), so this
-/// exists for benchmarks, tests, and the RN_SIMD escape hatch.
-void set_simd_level(simd_level l);
 
 /// Process-wide shard-team workload counters. Timing is diagnostic only —
 /// reported by the bench timing sidecar, never part of protocol results.
@@ -116,9 +107,8 @@ class block_walker {
   /// this walk on the calling thread even when a team exists.
   void set_min_parallel_volume(std::size_t v) { min_parallel_volume_ = v; }
 
-  /// Tallies one round: `tx_ids[i]` transmits with index i. Returns the
-  /// kernel tier the walk ran on.
-  simd_level walk(std::span<const node_id> tx_ids);
+  /// Tallies one round: `tx_ids[i]` transmits with index i.
+  void walk(std::span<const node_id> tx_ids);
 
   /// Round state: packed hit words indexed by node id (zero unless touched
   /// this round), and the first-touch list of block b at `lists()[b -
@@ -138,6 +128,15 @@ class block_walker {
 
  private:
   class team;
+  /// Where first touches go: listener v belongs to block `owner[v - base]`
+  /// (relative to first_), whose list is `lists[owner[v - base]]`.
+  struct touch_route {
+    touch_list* lists;
+    const std::uint8_t* owner;
+    node_id base;
+
+    void push(node_id v) const { lists[owner[v - base]].push(v); }
+  };
   struct csr {
     std::unique_ptr<std::uint32_t[]> row_start;
     std::unique_ptr<node_id[]> adj;
@@ -145,6 +144,12 @@ class block_walker {
 
   /// Walks every transmitter's row of one slice, in index order.
   void walk_slice(const csr_ref& s);
+  /// Tallies transmitter index `tx` into the hit words of the listeners
+  /// adj[begin, end), routing each first touch to its block's list. Raw
+  /// pointers, not members: the loop then keeps them in registers.
+  static void walk_row(const node_id* adj, std::uint64_t* hits,
+                       std::uint32_t begin, std::uint32_t end,
+                       std::uint32_t tx, const touch_route& route);
   [[nodiscard]] bool reaches_parallel_volume() const;
 
   std::vector<node_id> bounds_;
@@ -155,16 +160,15 @@ class block_walker {
   /// Block of each owned listener relative to first_, indexed from the
   /// first owned node id; route_ points first touches through it.
   std::vector<std::uint8_t> owner_;
-  detail::touch_route route_{};
+  touch_route route_{};
   /// What the walk reads, one CSR per member (one when there is no team);
   /// `owned_` holds them unless they were attached.
   std::vector<csr_ref> slices_;
   std::vector<csr> owned_;
   std::size_t total_volume_ = 0;  ///< row entries over all owned slices
   std::size_t min_parallel_volume_ = 0;
-  // This round's transmitters and kernel, read by every team member.
+  // This round's transmitters, read by every team member.
   std::span<const node_id> txs_;
-  detail::segment_fn segment_ = nullptr;
   std::unique_ptr<team> team_;
 };
 

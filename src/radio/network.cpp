@@ -20,7 +20,6 @@ constexpr unsigned kNumBlocks = 32;
 
 std::atomic<std::int64_t> g_stepped{0};
 std::atomic<std::int64_t> g_skipped{0};
-std::atomic<std::int64_t> g_simd_stepped{0};
 
 std::mutex g_policy_mu;
 intra_trial_policy g_policy;
@@ -142,15 +141,11 @@ void network::flush_totals() {
   flushed_stepped_ = stepped;
   g_skipped.fetch_add(skipped_ - flushed_skipped_, std::memory_order_relaxed);
   flushed_skipped_ = skipped_;
-  g_simd_stepped.fetch_add(simd_stepped_ - flushed_simd_,
-                           std::memory_order_relaxed);
-  flushed_simd_ = simd_stepped_;
 }
 
 engine_totals network::process_totals() {
   return {g_stepped.load(std::memory_order_relaxed),
-          g_skipped.load(std::memory_order_relaxed),
-          g_simd_stepped.load(std::memory_order_relaxed)};
+          g_skipped.load(std::memory_order_relaxed)};
 }
 
 shard_totals network::process_shard_totals() {
@@ -223,7 +218,7 @@ void network::prepare_round(const round_buffer& txs) {
     remote_->walk_round(txs, walker_.hits(), walker_.lists().data());
     return;
   }
-  if (walker_.walk(tx_ids_) != simd_level::scalar) ++simd_stepped_;
+  walker_.walk(tx_ids_);
 }
 
 }  // namespace rn::radio

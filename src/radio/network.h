@@ -133,8 +133,8 @@ struct network_stats {
 struct engine_totals {
   std::int64_t stepped_rounds = 0;  ///< rounds resolved by `step`
   std::int64_t skipped_rounds = 0;  ///< rounds fast-forwarded by `advance`
-  /// Stepped rounds whose row walks ran on a SIMD kernel (subset of
-  /// stepped_rounds; the rest used the scalar walk).
+  /// Always 0: the walk has no vector kernel. Kept for
+  /// bench/perf/layer_trace.cpp, which reports it as radio.simd_rounds.
   std::int64_t simd_stepped_rounds = 0;
 };
 
@@ -367,11 +367,9 @@ class network {
   // first-touch lists (filled remotely in remote mode, where the walker
   // holds no adjacency and never walks) and owns the shard team.
   block_walker walker_;
-  std::int64_t simd_stepped_ = 0;  ///< stepped rounds on a vector kernel
   // flush_totals() high-water marks (what was already published).
   std::int64_t flushed_stepped_ = 0;
   std::int64_t flushed_skipped_ = 0;
-  std::int64_t flushed_simd_ = 0;
 };
 
 }  // namespace rn::radio

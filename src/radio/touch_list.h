@@ -5,7 +5,7 @@
 // block (channel-v1). Capacity is fixed when the shard plan is built, to the
 // block's node count: a listener is appended at most once per round, so the
 // backing array never grows. That makes `push` a single unconditional store
-// in every walk kernel.
+// in the walk.
 //
 // Each list fills its own cache line: a team member appends to the lists of
 // the blocks it owns on every first touch, and adjacent blocks belong to

@@ -306,13 +306,6 @@ int run_suite(int argc, char** argv) {
           resolve_threads(cfg.threads, result.scenarios.size() * cfg.trials));
       row["stepped_rounds"] = after.stepped_rounds - before.stepped_rounds;
       row["skipped_rounds"] = after.skipped_rounds - before.skipped_rounds;
-      // SIMD-vs-scalar row-walk split of the stepped rounds (v4): which
-      // kernel tier actually resolved this experiment's channel work.
-      const std::int64_t simd_rounds =
-          after.simd_stepped_rounds - before.simd_stepped_rounds;
-      row["simd_rounds"] = simd_rounds;
-      row["scalar_rounds"] =
-          (after.stepped_rounds - before.stepped_rounds) - simd_rounds;
       // Intra-trial backend evidence: rounds whose row walks were sharded
       // and the per-team-slot busy time they consumed (slot 0 = the
       // stepping thread). Deltas, so each experiment reports its own work.
@@ -349,9 +342,8 @@ int run_suite(int argc, char** argv) {
     // v3: per-experiment peak_rss_kb became a per-run high-water mark (reset
     // between experiments); the top-level field stays the monotone process
     // maximum, and rss_resets records whether the kernel honored the resets.
-    // v4: adds the active SIMD kernel tier ("simd") plus per-experiment
-    // simd_rounds/scalar_rounds — execution evidence only; the results JSON
-    // stays byte-identical across tiers, like every other engine knob.
+    // v4: adds "simd", the host's vector ISA, which bench/perf/run.py's
+    // host fingerprint reads. The walk itself is scalar on every host.
     timing["schema"] = "rn-bench-timing-v4";
     timing["simd"] = radio::to_string(radio::active_simd_level());
     timing["fast_forward"] = !opt.no_fast_forward;

@@ -41,10 +41,9 @@ struct cli_options {
   /// Wall-clock / engine-counter / peak-RSS sidecar (rn-bench-timing-v4:
   /// per-experiment peak_rss_kb is a per-run high-water mark where the
   /// kernel supports resets, with the process-lifetime maximum kept at the
-  /// top level; v4 adds the active SIMD kernel tier and per-experiment
-  /// simd/scalar round splits). Kept separate from --json so result files stay
-  /// byte-identical across thread counts and execution modes; the CI perf
-  /// gate trends this file.
+  /// top level; v4 adds the host's vector ISA). Kept separate from --json
+  /// so result files stay byte-identical across thread counts and
+  /// execution modes; the CI perf gate trends this file.
   std::string timing_path;
   /// Disable fast-forward execution (cross-check mode: identical results,
   /// every protocol round resolved on the channel).

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "dist/supervisor.h"
 #include "sim/adhoc.h"
 #include "sim/engine.h"
 
@@ -113,24 +112,6 @@ void service::register_metrics() {
                       [] { return double(sim::process_peak_rss_kb()); });
   registry_.add_gauge("rn_current_rss_kb", "Current resident set (kB).",
                       [] { return double(sim::current_rss_kb()); });
-  // Distributed-backend recovery counters (dist/supervisor.h). Flat zero
-  // unless a dist::session lives in this process and lost ranks.
-  registry_.add_counter_fn(
-      "rn_dist_rank_restarts_total",
-      "Distributed worker ranks respawned after a crash or deadline.",
-      [] { return double(dist::recovery_counters().rank_restarts); });
-  registry_.add_counter_fn(
-      "rn_dist_reassigned_blocks_total",
-      "Listener blocks reassigned off degraded worker ranks.",
-      [] { return double(dist::recovery_counters().reassigned_blocks); });
-  registry_.add_counter_fn(
-      "rn_dist_degraded_ranks_total",
-      "Worker ranks retired after exhausting their respawn budget.",
-      [] { return double(dist::recovery_counters().degraded_ranks); });
-  registry_.add_counter_fn(
-      "rn_dist_recovery_seconds_total",
-      "Wall time spent inside distributed recovery paths.",
-      [] { return double(dist::recovery_counters().recovery_wall_ms) / 1e3; });
   registry_.add_gauge("rn_uptime_seconds", "Seconds since service start.",
                       [this] {
                         return std::chrono::duration<double>(

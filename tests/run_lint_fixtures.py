@@ -8,10 +8,10 @@ Each `.cpp` under tests/lint_fixtures/ is self-describing:
     // lint-fixture-expect: R3 R3 R3                  (exact multiset of rule
     //                      IDs that must fire; `none` for clean fixtures)
 
-The runner stages every fixture into a shadow tree, runs rn_lint on it with
-each available backend, and asserts the reported rule-ID multiset matches
-the directive exactly — the named rule fires the named number of times and
-*nothing else* fires.  Exit 0 = all fixtures pass.
+The runner stages every fixture into a shadow tree, runs rn_lint on it, and
+asserts the reported rule-ID multiset matches the directive exactly — the
+named rule fires the named number of times and *nothing else* fires.
+Exit 0 = all fixtures pass.
 """
 
 from __future__ import annotations
@@ -44,25 +44,7 @@ def parse_directives(fixture: Path) -> tuple[str, list[str]]:
     return place.group(1), rules
 
 
-def available_backends() -> list[str]:
-    backends = ["lex"]
-    probe = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; sys.path.insert(0, r'%s'); import rn_lint; "
-            "sys.exit(0 if rn_lint.ast_available() else 3)" % (REPO / "tools"),
-        ],
-        check=False,
-    )
-    if probe.returncode == 0:
-        backends.append("ast")
-    return backends
-
-
-def run_fixture(
-    fixture: Path, place: str, expected: list[str], backend: str
-) -> list[str]:
+def run_fixture(fixture: Path, place: str, expected: list[str]) -> list[str]:
     """Returns a list of failure messages (empty = pass)."""
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="rn_lint_fix_") as tmp:
@@ -78,8 +60,6 @@ def run_fixture(
                 str(root),
                 "--files",
                 str(staged),
-                "--backend",
-                backend,
                 "--json",
             ],
             capture_output=True,
@@ -88,7 +68,7 @@ def run_fixture(
         )
         if proc.returncode not in (0, 1):
             return [
-                f"{fixture.name} [{backend}]: rn_lint crashed "
+                f"{fixture.name}: rn_lint crashed "
                 f"(rc={proc.returncode}): {proc.stderr.strip()}"
             ]
         findings = json.loads(proc.stdout)
@@ -100,13 +80,13 @@ def run_fixture(
                 for f in findings
             )
             failures.append(
-                f"{fixture.name} [{backend}]: expected {dict(want) or 'none'}, "
+                f"{fixture.name}: expected {dict(want) or 'none'}, "
                 f"got {dict(got) or 'none'} ({detail or 'no findings'})"
             )
         want_rc = 1 if expected else 0
         if proc.returncode != want_rc:
             failures.append(
-                f"{fixture.name} [{backend}]: exit code {proc.returncode}, "
+                f"{fixture.name}: exit code {proc.returncode}, "
                 f"expected {want_rc}"
             )
     return failures
@@ -117,20 +97,13 @@ def main() -> int:
     if not fixtures:
         print("no fixtures found", file=sys.stderr)
         return 2
-    backends = available_backends()
     failures: list[str] = []
-    ran = 0
     for fixture in fixtures:
         place, expected = parse_directives(fixture)
-        for backend in backends:
-            failures.extend(run_fixture(fixture, place, expected, backend))
-            ran += 1
+        failures.extend(run_fixture(fixture, place, expected))
     for message in failures:
         print(f"FAIL {message}")
-    print(
-        f"lint fixtures: {ran - len(failures)}/{ran} passed "
-        f"({len(fixtures)} fixtures x backends {'+'.join(backends)})"
-    )
+    print(f"lint fixtures: {len(fixtures)} run, {len(failures)} failure(s)")
     return 1 if failures else 0
 
 

@@ -1,6 +1,6 @@
-// Distributed backend: the hit-word merge monoid, streamed-vs-filtered
-// partitioned views, block-walker identity against a serial reference at
-// every rank/thread split and SIMD tier, fork-only session byte-identity
+// Distributed backend: streamed-vs-filtered partitioned views,
+// block-walker identity against a serial reference at every rank/thread
+// split, fork-only session byte-identity
 // through the declarative runner, wire-level fuzz of the framing error
 // paths, and the fault matrix — injected crashes, wedges, truncations, and
 // delays must recover (respawn or degrade) with byte-identical results JSON.
@@ -22,7 +22,6 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "dist/fault.h"
-#include "dist/merge.h"
 #include "dist/session.h"
 #include "dist/supervisor.h"
 #include "dist/wire.h"
@@ -39,88 +38,6 @@ namespace rn::dist {
 namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
-
-// --- hit-word merge monoid ------------------------------------------------
-
-/// The serial walk's per-reception update: transmitter index i touches the
-/// listener holding word hs.
-std::uint64_t serial_update(std::uint64_t hs, std::uint32_t i) {
-  return ((hs + (std::uint64_t{1} << 32)) & 0xffffffff00000000ULL) | i;
-}
-
-TEST(MergeHitWords, MonoidLaws) {
-  std::mt19937_64 r(1234);
-  std::vector<std::uint64_t> words = {0, 1, (std::uint64_t{1} << 32) | 7};
-  for (int k = 0; k < 64; ++k) words.push_back(r());
-  for (const std::uint64_t a : words) {
-    EXPECT_EQ(merge_hit_words(a, 0), a);  // 0 is the identity
-    EXPECT_EQ(merge_hit_words(0, a), a);
-    for (const std::uint64_t b : words) {
-      EXPECT_EQ(merge_hit_words(a, b), merge_hit_words(b, a));
-      for (const std::uint64_t c : words)
-        EXPECT_EQ(merge_hit_words(merge_hit_words(a, b), c),
-                  merge_hit_words(a, merge_hit_words(b, c)));
-    }
-  }
-}
-
-TEST(MergeHitWords, CountWrapsLikeTheSerialWalk) {
-  // The serial update accumulates the count mod 2^32; the merge has to wrap
-  // identically for bit-equality, not merely equivalence.
-  const std::uint64_t a = (0xffffffffULL << 32) | 5;  // count 2^32 - 1
-  const std::uint64_t b = (std::uint64_t{2} << 32) | 7;
-  EXPECT_EQ(merge_hit_words(a, b), (std::uint64_t{1} << 32) | 7);
-}
-
-TEST(MergeHitWords, AnyTransmitterPartitionRecoversTheSerialWord) {
-  // One listener, m transmitters with global indices 0..m-1, a random
-  // subset of which touch it. Split the index set across ranks arbitrarily
-  // (each rank walks its own indices in ascending order, as the walker
-  // does), then merge the partial words in a shuffled rank order: the
-  // result must be bit-equal to the serial left-to-right walk.
-  std::mt19937_64 r(99);
-  for (int rep = 0; rep < 200; ++rep) {
-    const unsigned m = 1 + unsigned(r() % 40);
-    std::vector<std::uint32_t> touching;
-    for (std::uint32_t i = 0; i < m; ++i)
-      if (r() % 2 == 0) touching.push_back(i);
-
-    std::uint64_t serial = 0;
-    for (const std::uint32_t i : touching) serial = serial_update(serial, i);
-
-    const unsigned ranks = 1 + unsigned(r() % 5);
-    std::vector<unsigned> owner(m);
-    for (auto& o : owner) o = unsigned(r() % ranks);
-    std::vector<std::uint64_t> partial(ranks, 0);
-    for (const std::uint32_t i : touching)
-      partial[owner[i]] = serial_update(partial[owner[i]], i);
-
-    std::vector<unsigned> order(ranks);
-    for (unsigned k = 0; k < ranks; ++k) order[k] = k;
-    std::shuffle(order.begin(), order.end(), r);
-    std::uint64_t merged = 0;
-    for (const unsigned k : order)
-      merged = merge_hit_words(merged, partial[k]);
-    ASSERT_EQ(merged, serial) << "rep " << rep;
-  }
-}
-
-TEST(MergeHitWords, BoundaryListenerWithTransmittersInTwoRanks) {
-  // The concrete boundary shape: a listener sits in the last block of rank
-  // A's range; its transmitting neighbors hold global indices {2, 5} on one
-  // rank and {3, 9} on the other. Each rank's partial word walks its own
-  // indices in ascending order; the merge recovers the serial word over
-  // {2, 3, 5, 9} — count 4, last transmitter 9 — in either merge order.
-  std::uint64_t rank_a = 0, rank_b = 0;
-  for (const std::uint32_t i : {2u, 5u}) rank_a = serial_update(rank_a, i);
-  for (const std::uint32_t i : {3u, 9u}) rank_b = serial_update(rank_b, i);
-  std::uint64_t serial = 0;
-  for (const std::uint32_t i : {2u, 3u, 5u, 9u})
-    serial = serial_update(serial, i);
-  EXPECT_EQ(merge_hit_words(rank_a, rank_b), serial);
-  EXPECT_EQ(merge_hit_words(rank_b, rank_a), serial);
-  EXPECT_EQ(serial, (std::uint64_t{4} << 32) | 9);
-}
 
 // --- partitioned views ----------------------------------------------------
 
@@ -158,6 +75,12 @@ TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
 }
 
 // --- block walker vs serial reference -------------------------------------
+
+/// The serial walk's per-reception update: transmitter index i touches the
+/// listener holding word hs.
+std::uint64_t serial_update(std::uint64_t hs, std::uint32_t i) {
+  return ((hs + (std::uint64_t{1} << 32)) & 0xffffffff00000000ULL) | i;
+}
 
 struct reference_walk {
   std::vector<std::uint64_t> words;             ///< indexed by node id
@@ -221,26 +144,6 @@ void expect_ranks_match(const std::vector<graph::partitioned_view>& views,
   }
 }
 
-/// Restores the process-global SIMD kernel level on scope exit.
-struct simd_level_guard {
-  explicit simd_level_guard(radio::simd_level l)
-      : prev_(radio::active_simd_level()) {
-    radio::set_simd_level(l);
-  }
-  ~simd_level_guard() { radio::set_simd_level(prev_); }
-  radio::simd_level prev_;
-};
-
-/// Scalar plus every vector tier this machine can run: worker ranks walk
-/// on the same kernels as the in-process network.
-std::vector<radio::simd_level> detected_levels() {
-  std::vector<radio::simd_level> out;
-  for (const auto l : {radio::simd_level::scalar, radio::simd_level::avx2,
-                       radio::simd_level::avx512})
-    if (l <= radio::detected_simd_level()) out.push_back(l);
-  return out;
-}
-
 /// Six dense rounds (a quarter of the nodes) plus rounds the walk loop's
 /// prefetch must not trip over — no transmitter, one, and fewer than each
 /// prefetch distance — every list shuffled: dispatch, not id order.
@@ -271,27 +174,23 @@ TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
 
-  for (const radio::simd_level lvl : detected_levels()) {
-    const simd_level_guard guard(lvl);
-    std::mt19937_64 r(5);
-    // Rank count 3 exercises the non-dividing split (32 = 10 + 11 + 11).
-    for (const unsigned ranks : {1u, 2u, 3u, 4u}) {
-      std::vector<graph::partitioned_view> views;
-      views.reserve(ranks);
-      for (unsigned rk = 0; rk < ranks; ++rk)
-        views.push_back(graph::partitioned_view::from_graph(
-            g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
+  std::mt19937_64 r(5);
+  // Rank count 3 exercises the non-dividing split (32 = 10 + 11 + 11).
+  for (const unsigned ranks : {1u, 2u, 3u, 4u}) {
+    std::vector<graph::partitioned_view> views;
+    views.reserve(ranks);
+    for (unsigned rk = 0; rk < ranks; ++rk)
+      views.push_back(graph::partitioned_view::from_graph(
+          g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
 
-      for (const unsigned threads : {1u, 2u, 3u, 5u}) {
-        SCOPED_TRACE(std::string(radio::to_string(lvl)) +
-                     " ranks=" + std::to_string(ranks) +
-                     " threads=" + std::to_string(threads));
-        std::vector<walker_ptr> walkers;
-        for (const auto& v : views) walkers.push_back(rank_walker(v, threads));
-        for (const auto& txs : test_rounds(g.node_count(), r))
-          expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
-                             txs);
-      }
+    for (const unsigned threads : {1u, 2u, 3u, 5u}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                   " threads=" + std::to_string(threads));
+      std::vector<walker_ptr> walkers;
+      for (const auto& v : views) walkers.push_back(rank_walker(v, threads));
+      for (const auto& txs : test_rounds(g.node_count(), r))
+        expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
+                           txs);
     }
   }
 }
@@ -300,7 +199,7 @@ TEST(BlockWalker, TeamsAreCappedAtTheOwnedBlocks) {
   // 32 ranks own one block each and 16 ranks two: a team of 3 is capped to
   // one member per owned block — the one-block rank walks its single CSR
   // on the calling thread, the two-block rank runs a team of 2 — and both
-  // must still match at every tier.
+  // must still match.
   graph::layered_options opt;
   opt.depth = 5;
   opt.width = 30;
@@ -308,25 +207,20 @@ TEST(BlockWalker, TeamsAreCappedAtTheOwnedBlocks) {
   opt.seed = 3;
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
-  for (const radio::simd_level lvl : detected_levels()) {
-    const simd_level_guard guard(lvl);
-    for (const unsigned width : {1u, 2u}) {
-      SCOPED_TRACE(std::string(radio::to_string(lvl)) +
-                   " blocks per rank=" + std::to_string(width));
-      std::vector<graph::partitioned_view> views;
-      std::vector<walker_ptr> walkers;
-      for (unsigned b = 0; b < kBlocks; b += width)
-        views.push_back(
-            graph::partitioned_view::from_graph(g, plan, b, b + width));
-      for (const auto& v : views) {
-        walkers.push_back(rank_walker(v, 3));
-        EXPECT_EQ(walkers.back()->team_size(), width);
-      }
-      std::mt19937_64 r(17);
-      for (const auto& txs : test_rounds(g.node_count(), r))
-        expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
-                           txs);
+  for (const unsigned width : {1u, 2u}) {
+    SCOPED_TRACE("blocks per rank=" + std::to_string(width));
+    std::vector<graph::partitioned_view> views;
+    std::vector<walker_ptr> walkers;
+    for (unsigned b = 0; b < kBlocks; b += width)
+      views.push_back(
+          graph::partitioned_view::from_graph(g, plan, b, b + width));
+    for (const auto& v : views) {
+      walkers.push_back(rank_walker(v, 3));
+      EXPECT_EQ(walkers.back()->team_size(), width);
     }
+    std::mt19937_64 r(17);
+    for (const auto& txs : test_rounds(g.node_count(), r))
+      expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
   }
 }
 
@@ -341,22 +235,17 @@ TEST(BlockWalker, BelowTheFloorTheCallerWalksEverySlice) {
   opt.seed = 8;
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
-  for (const radio::simd_level lvl : detected_levels()) {
-    const simd_level_guard guard(lvl);
-    SCOPED_TRACE(radio::to_string(lvl));
-    std::vector<graph::partitioned_view> views;
-    views.push_back(graph::partitioned_view::from_graph(g, plan, 3, 20));
-    std::vector<walker_ptr> walkers;
-    walkers.push_back(rank_walker(views[0], 3));
-    walkers[0]->set_min_parallel_volume(
-        std::numeric_limits<std::size_t>::max());
-    const std::int64_t parallel =
-        radio::block_walker::process_totals().parallel_rounds;
-    std::mt19937_64 r(23);
-    for (const auto& txs : test_rounds(g.node_count(), r))
-      expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
-    EXPECT_EQ(radio::block_walker::process_totals().parallel_rounds, parallel);
-  }
+  std::vector<graph::partitioned_view> views;
+  views.push_back(graph::partitioned_view::from_graph(g, plan, 3, 20));
+  std::vector<walker_ptr> walkers;
+  walkers.push_back(rank_walker(views[0], 3));
+  walkers[0]->set_min_parallel_volume(std::numeric_limits<std::size_t>::max());
+  const std::int64_t parallel =
+      radio::block_walker::process_totals().parallel_rounds;
+  std::mt19937_64 r(23);
+  for (const auto& txs : test_rounds(g.node_count(), r))
+    expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+  EXPECT_EQ(radio::block_walker::process_totals().parallel_rounds, parallel);
 }
 
 TEST(BlockWalker, BlocksNoTransmitterReachesStayEmpty) {
@@ -376,19 +265,15 @@ TEST(BlockWalker, BlocksNoTransmitterReachesStayEmpty) {
   for (unsigned b = 0; b < kBlocks; ++b) empty_blocks += ref.touched[b].empty();
   ASSERT_GT(empty_blocks, 1u) << "fixture must leave owned blocks empty";
 
-  for (const radio::simd_level lvl : detected_levels()) {
-    const simd_level_guard guard(lvl);
-    for (const unsigned ranks : {1u, 2u}) {
-      SCOPED_TRACE(std::string(radio::to_string(lvl)) +
-                   " ranks=" + std::to_string(ranks));
-      std::vector<graph::partitioned_view> views;
-      std::vector<walker_ptr> walkers;
-      for (unsigned rk = 0; rk < ranks; ++rk)
-        views.push_back(graph::partitioned_view::from_graph(
-            g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
-      for (const auto& v : views) walkers.push_back(rank_walker(v, 4));
-      expect_ranks_match(views, walkers, ref, txs);
-    }
+  for (const unsigned ranks : {1u, 2u}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    std::vector<graph::partitioned_view> views;
+    std::vector<walker_ptr> walkers;
+    for (unsigned rk = 0; rk < ranks; ++rk)
+      views.push_back(graph::partitioned_view::from_graph(
+          g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
+    for (const auto& v : views) walkers.push_back(rank_walker(v, 4));
+    expect_ranks_match(views, walkers, ref, txs);
   }
 }
 

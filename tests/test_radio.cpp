@@ -358,39 +358,9 @@ TEST(ShardedStep, ErasureDrawsAreShardCountInvariant) {
   EXPECT_EQ(serial.stats().erasures, sharded.stats().erasures);
 }
 
-// Contract under test: the vectorized row-walk kernels (AVX2 / AVX-512)
-// produce the exact reception sequence of the scalar walk — same
-// listeners, same observations, same senders, same order, same erasure
-// draws — on every graph and at every intra-trial team size. The active
-// kernel is process-global state, so these tests record a scalar
-// reference log and replay the identical schedule under each detected
-// level on a fresh network.
-
-/// Restores the process-global kernel level on scope exit.
-struct simd_level_guard {
-  explicit simd_level_guard(simd_level l) : prev_(active_simd_level()) {
-    set_simd_level(l);
-  }
-  ~simd_level_guard() { set_simd_level(prev_); }
-  simd_level prev_;
-};
-
-/// Every vector level this machine can actually run (empty on pre-AVX2
-/// hardware or RN_DISABLE_SIMD builds — the tests then pass vacuously,
-/// which is exactly the scalar-fallback contract).
-std::vector<simd_level> vector_levels() {
-  std::vector<simd_level> out;
-  for (simd_level l : {simd_level::avx2, simd_level::avx512})
-    if (l <= detected_simd_level()) out.push_back(l);
-  return out;
-}
-
-/// Every tier this machine can run, scalar first.
-std::vector<simd_level> all_levels() {
-  std::vector<simd_level> out{simd_level::scalar};
-  for (simd_level l : vector_levels()) out.push_back(l);
-  return out;
-}
+// Whole-run replays: a fixed multi-round transmit schedule stepped on a
+// fresh network, its full reception log and erasure count compared against
+// the serial run's.
 
 using rx_log = std::vector<std::tuple<node_id, observation, node_id>>;
 using schedule_t = std::vector<std::vector<node_id>>;
@@ -422,13 +392,11 @@ struct replay_log {
   bool operator==(const replay_log&) const = default;
 };
 
-/// Replays a fixed multi-round transmit schedule on a fresh network under
-/// the given kernel level and team size (whose team takes every non-empty
-/// round); returns the full reception log.
+/// Replays a fixed multi-round transmit schedule on a fresh network at the
+/// given team size (whose team takes every non-empty round); returns the
+/// full reception log.
 replay_log replay_schedule(const graph::graph& g, const model& m,
-                           simd_level lvl, unsigned team,
-                           const schedule_t& schedule) {
-  simd_level_guard guard(lvl);
+                           unsigned team, const schedule_t& schedule) {
   network net(g, m);
   if (team > 1) {
     net.set_min_parallel_volume(0);
@@ -473,97 +441,20 @@ const model kLossy{.collision_detection = true,
                    .erasure_prob = 0.3,
                    .erasure_seed = 11};
 
-TEST(SimdStep, MatchesScalarOnRandomRounds) {
-  const std::size_t n = 700;
-  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
-  const model m{.collision_detection = true};
-  const auto schedule = random_schedule(n, 40, 123);
-  const replay_log ref =
-      replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.rx.empty());
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, BlockBoundaryListenersAndScalarTails) {
-  // Star-of-stars with 59-leaf rows: each transmitter row is seven full
-  // 8-lane batches plus a ragged tail, and the hubs straddle the sharded
-  // walk's block boundaries — covering the batch loop, the scalar tail,
-  // and the owner-routed first-touch append in one graph.
-  graph::graph::builder b(600);
-  for (node_id hub = 0; hub < 600; hub += 60)
-    for (node_id leaf = 1; leaf < 60; ++leaf) b.add_edge(hub, hub + leaf);
-  for (node_id hub = 0; hub < 540; hub += 60) b.add_edge(hub, hub + 60);
-  const auto g = std::move(b).build();
-  const model m{.collision_detection = true};
-
-  schedule_t schedule(2);
-  for (node_id v = 0; v < 600; ++v)  // all leaves: hubs hear collisions
-    if (v % 60 != 0) schedule[0].push_back(v);
-  for (node_id hub = 0; hub < 600; hub += 60)  // one leaf per star: clean
-    schedule[1].push_back(hub + 7);
-
-  const replay_log ref =
-      replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, ErasureDrawsAreKernelInvariant) {
-  // Erasure draws happen at dispatch, which consumes the touch lists the
-  // kernels build — identical first-touch order is what keeps the lossy
-  // channel byte-identical, so test it directly at erasure_prob > 0.
-  const std::size_t n = 400;
-  const auto g = graph::random_gnp_connected(n, 8.0 / static_cast<double>(n), 3);
-  const model m{.collision_detection = false,
-                .erasure_prob = 0.4,
-                .erasure_seed = 99};
-  const auto schedule = random_schedule(n, 30, 5);
-  const replay_log ref =
-      replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.rx.empty());
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, ComposesWithShardedTeams) {
-  // Kernel level x team size cross-product on a lossy channel: each member
-  // walks its own interleaved slice through the same kernels, so every
-  // level at every team — including sizes that do not divide the 32
-  // blocks, and one member per block — must equal the scalar serial
-  // reception log and erasure draws.
+TEST(ShardedStep, LossyReplayMatchesSerialAtEveryTeam) {
+  // Each member walks its own interleaved slice, so every team — including
+  // sizes that do not divide the 32 blocks, and one member per block — must
+  // equal the serial reception log and erasure draws on a lossy channel.
   const std::size_t n = 700;
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
   auto schedule = random_schedule(n, 20, 42);
   add_short_rounds(schedule, n, 43);
-  const replay_log ref =
-      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  const replay_log ref = replay_schedule(g, kLossy, 1, schedule);
   ASSERT_GT(ref.erasures, 0);
-  for (simd_level lvl : all_levels()) {
-    for (unsigned team : {1u, 2u, 3u, 5u, 32u}) {
-      SCOPED_TRACE(std::string(to_string(lvl)) + " x team " +
-                   std::to_string(team));
-      EXPECT_EQ(ref, replay_schedule(g, kLossy, lvl, team, schedule));
-    }
+  for (unsigned team : {1u, 2u, 3u, 5u, 32u}) {
+    SCOPED_TRACE("team " + std::to_string(team));
+    EXPECT_EQ(ref, replay_schedule(g, kLossy, team, schedule));
   }
-}
-
-TEST(SimdStep, LevelApiClampsAndReports) {
-  const simd_level prev = active_simd_level();
-  set_simd_level(simd_level::avx512);  // clamped to what the CPU has
-  EXPECT_LE(active_simd_level(), detected_simd_level());
-  set_simd_level(simd_level::scalar);  // scalar is always available
-  EXPECT_EQ(active_simd_level(), simd_level::scalar);
-  EXPECT_STREQ(to_string(simd_level::scalar), "scalar");
-  EXPECT_STREQ(to_string(simd_level::avx2), "avx2");
-  EXPECT_STREQ(to_string(simd_level::avx512), "avx512");
-  set_simd_level(prev);
 }
 
 TEST(ShardedStep, BelowTheFloorTheCallerWalksEverySlice) {
@@ -573,23 +464,18 @@ TEST(ShardedStep, BelowTheFloorTheCallerWalksEverySlice) {
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
   auto schedule = random_schedule(n, 12, 9);
   add_short_rounds(schedule, n, 10);
-  const replay_log ref =
-      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : all_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    const simd_level_guard guard(lvl);
-    network net(g, kLossy);
-    net.enable_intra_trial(3);
-    ASSERT_EQ(net.intra_trial_threads(), 3u);
-    net.set_min_parallel_volume(std::numeric_limits<std::size_t>::max());
-    const std::int64_t parallel =
-        network::process_shard_totals().parallel_rounds;
-    replay_log got;
-    step_schedule(net, schedule, got.rx, [](std::size_t) {});
-    got.erasures = net.stats().erasures;
-    EXPECT_EQ(ref, got);
-    EXPECT_EQ(network::process_shard_totals().parallel_rounds, parallel);
-  }
+  const replay_log ref = replay_schedule(g, kLossy, 1, schedule);
+  network net(g, kLossy);
+  net.enable_intra_trial(3);
+  ASSERT_EQ(net.intra_trial_threads(), 3u);
+  net.set_min_parallel_volume(std::numeric_limits<std::size_t>::max());
+  const std::int64_t parallel =
+      network::process_shard_totals().parallel_rounds;
+  replay_log got;
+  step_schedule(net, schedule, got.rx, [](std::size_t) {});
+  got.erasures = net.stats().erasures;
+  EXPECT_EQ(ref, got);
+  EXPECT_EQ(network::process_shard_totals().parallel_rounds, parallel);
 }
 
 TEST(ShardedStep, LiveResizeReslicesMidRun) {
@@ -599,26 +485,21 @@ TEST(ShardedStep, LiveResizeReslicesMidRun) {
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
   auto schedule = random_schedule(n, 24, 77);
   add_short_rounds(schedule, n, 78);
-  const replay_log ref =
-      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : all_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    const simd_level_guard guard(lvl);
-    network net(g, kLossy);
-    net.set_min_parallel_volume(0);
-    replay_log got;
-    step_schedule(net, schedule, got.rx, [&](std::size_t r) {
-      if (r == 6) net.enable_intra_trial(3);
-      if (r == 12) net.enable_intra_trial(2);
-      if (r == 18) net.enable_intra_trial(1);
-      EXPECT_EQ(net.intra_trial_threads(), r < 6    ? 1u
-                                           : r < 12 ? 3u
-                                           : r < 18 ? 2u
-                                                    : 1u);
-    });
-    got.erasures = net.stats().erasures;
-    EXPECT_EQ(ref, got);
-  }
+  const replay_log ref = replay_schedule(g, kLossy, 1, schedule);
+  network net(g, kLossy);
+  net.set_min_parallel_volume(0);
+  replay_log got;
+  step_schedule(net, schedule, got.rx, [&](std::size_t r) {
+    if (r == 6) net.enable_intra_trial(3);
+    if (r == 12) net.enable_intra_trial(2);
+    if (r == 18) net.enable_intra_trial(1);
+    EXPECT_EQ(net.intra_trial_threads(), r < 6    ? 1u
+                                         : r < 12 ? 3u
+                                         : r < 18 ? 2u
+                                                  : 1u);
+  });
+  got.erasures = net.stats().erasures;
+  EXPECT_EQ(ref, got);
 }
 
 TEST(ShardedStep, AutoModeGrowsTheTeamMidRun) {
@@ -628,36 +509,31 @@ TEST(ShardedStep, AutoModeGrowsTheTeamMidRun) {
   const std::size_t n = 700;
   const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
   const schedule_t schedule = random_schedule(n, 80, 31);
-  const replay_log ref =
-      replay_schedule(g, kLossy, simd_level::scalar, 1, schedule);
+  const replay_log ref = replay_schedule(g, kLossy, 1, schedule);
   const intra_trial_policy saved = get_intra_trial_policy();
   intra_trial_policy pol;
   pol.threads = 0;
   pol.auto_threshold = 100;
   pol.min_parallel_volume = 0;
-  for (simd_level lvl : all_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    const simd_level_guard guard(lvl);
-    set_intra_trial_policy(pol);
-    set_worker_budget(4);
-    ASSERT_EQ(borrow_workers(4), 4u);  // the trial pool holds every slot
-    replay_log got;
-    {
-      network net(g, kLossy);
-      EXPECT_EQ(net.intra_trial_threads(), 1u);
-      step_schedule(net, schedule, got.rx, [&](std::size_t r) {
-        if (r == 1) return_workers(2);  // two scenario workers finish
-        if (r == 70) {
-          EXPECT_EQ(net.intra_trial_threads(), 3u);
-        }
-      });
-      got.erasures = net.stats().erasures;
-    }  // returns the two borrowed slots
-    return_workers(2);
-    EXPECT_EQ(borrow_workers(4), 4u);  // every slot is free again
-    return_workers(4);
-    EXPECT_EQ(ref, got);
-  }
+  set_intra_trial_policy(pol);
+  set_worker_budget(4);
+  ASSERT_EQ(borrow_workers(4), 4u);  // the trial pool holds every slot
+  replay_log got;
+  {
+    network net(g, kLossy);
+    EXPECT_EQ(net.intra_trial_threads(), 1u);
+    step_schedule(net, schedule, got.rx, [&](std::size_t r) {
+      if (r == 1) return_workers(2);  // two scenario workers finish
+      if (r == 70) {
+        EXPECT_EQ(net.intra_trial_threads(), 3u);
+      }
+    });
+    got.erasures = net.stats().erasures;
+  }  // returns the two borrowed slots
+  return_workers(2);
+  EXPECT_EQ(borrow_workers(4), 4u);  // every slot is free again
+  return_workers(4);
+  EXPECT_EQ(ref, got);
   set_intra_trial_policy(saved);
   set_worker_budget(0);
 }

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "core/params.h"
 #include "graph/topology.h"
 #include "out_of_range_specs.h"
+#include "radio/block_walk.h"
 #include "radio/network.h"
 #include "sim/adhoc.h"
 #include "sim/cli.h"
@@ -576,6 +579,41 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_FALSE(parse_cli(3, const_cast<char**>(bad_num), opt));
   const char* zero_trials[] = {"x", "--trials", "0"};
   EXPECT_FALSE(parse_cli(3, const_cast<char**>(zero_trials), opt));
+}
+
+// bench/perf/run.py fingerprints a host by the timing sidecar's "simd"
+// field and refuses to compare reports from different fingerprints, so the
+// field must name the host's vector ISA whatever the walk runs on.
+TEST(HostIsa, ActiveSimdLevelFollowsCpuid) {
+  radio::simd_level want = radio::simd_level::scalar;
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl"))
+    want = radio::simd_level::avx512;
+  else if (__builtin_cpu_supports("avx2"))
+    want = radio::simd_level::avx2;
+#endif
+  EXPECT_EQ(radio::active_simd_level(), want);
+  EXPECT_STREQ(radio::to_string(radio::simd_level::scalar), "scalar");
+  EXPECT_STREQ(radio::to_string(radio::simd_level::avx2), "avx2");
+  EXPECT_STREQ(radio::to_string(radio::simd_level::avx512), "avx512");
+}
+
+TEST(HostIsa, TimingSidecarReportsIt) {
+  // run.py's own probe, with the process defaults spelled out so the run
+  // leaves the global policies as the other tests expect them.
+  const std::string path = ::testing::TempDir() + "rn_host_isa_timing.json";
+  const char* argv[] = {"bench_suite", "--topology", "path:n=8",
+                        "--trials", "1", "--intra-trial-threads", "1",
+                        "--timing", path.c_str()};
+  ASSERT_EQ(run_suite(9, const_cast<char**>(argv)), 0);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const json_value timing = parse_json(text.str());
+  const json_value* simd = timing.find("simd");
+  ASSERT_NE(simd, nullptr);
+  EXPECT_EQ(simd->as_string(),
+            radio::to_string(radio::active_simd_level()));
 }
 
 }  // namespace

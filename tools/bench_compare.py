@@ -69,8 +69,7 @@ def load_metrics(path: str) -> tuple[dict[str, float], int | None]:
         for row in data["benchmarks"]:
             if row.get("run_type") == "aggregate":
                 continue
-            # Skipped benchmarks (e.g. a SIMD tier the runner's CPU lacks)
-            # report error rows, not timings.
+            # Skipped benchmarks report error rows, not timings.
             if row.get("error_occurred"):
                 continue
             scale = unit_ms.get(row.get("time_unit", "ns"))

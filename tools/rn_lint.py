@@ -2,7 +2,7 @@
 """rn_lint — determinism & dist-safety contract checker for this repository.
 
 Every guarantee the repo makes (results JSON byte-identical across thread
-counts, SIMD levels, rank counts, and every fault-recovery path) is enforced
+counts, team sizes, rank counts, and every fault-recovery path) is enforced
 at runtime by `cmp` in CI.  This tool enforces the *source-level* contracts
 behind those guarantees, so a violation is caught when the code is written
 rather than when a byte-identity lane flakes:
@@ -43,16 +43,14 @@ comment stands alone):
     // rn-lint: allow(R2,R4) <reason>
     bar();
 
-Backends: the `ast` backend uses libclang (python `clang` bindings) driven
-off `compile_commands.json`; the `lex` backend is a built-in C++ lexer with
-no dependencies.  `auto` (default) picks `ast` when the bindings import and
-a library resolves, else `lex`.  Both emit identical finding shapes and both
-must agree on the fixture suite in `tests/lint_fixtures/`.
+The checks run on a built-in C++ lexer with no dependencies; the fixture
+suite in `tests/lint_fixtures/` pins each rule's exact findings.
+`compile_commands.json` only names the translation units to lint.
 
 Usage:
     rn_lint.py [--root DIR] [--build-dir DIR | --compile-commands FILE]
-               [--files F ...] [--backend auto|lex|ast] [--rules R1,R3]
-               [--list-rules] [--json] [--quiet]
+               [--files F ...] [--rules R1,R3] [--list-rules] [--json]
+               [--quiet]
 
 Exit codes: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -228,7 +226,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Lexer (shared: suppression scan always runs; the lex backend runs on it too)
+# Lexer (the suppression scan and the rule checks both run on its tokens)
 # --------------------------------------------------------------------------
 
 
@@ -426,7 +424,7 @@ def scan_suppressions(lexed: LexedFile) -> Suppressions:
 
 
 # --------------------------------------------------------------------------
-# Lexical backend
+# Rule checks
 # --------------------------------------------------------------------------
 
 
@@ -653,129 +651,6 @@ LEX_CHECKS = {
 
 
 # --------------------------------------------------------------------------
-# AST backend (libclang) — optional; gated behind an import probe because the
-# python bindings + shared library are not part of the base toolchain.
-# --------------------------------------------------------------------------
-
-
-def _load_cindex():  # type: ignore[no-untyped-def]
-    try:
-        from clang import cindex  # noqa: PLC0415 - optional dependency probe
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-    except Exception:  # library missing / version mismatch
-        return None
-    return cindex
-
-
-def ast_available() -> bool:
-    return _load_cindex() is not None
-
-
-def _ast_findings(  # noqa: C901 - one cursor walk, several rule arms
-    cindex,  # type: ignore[no-untyped-def]
-    path: Path,
-    rel: str,
-    args: list[str],
-) -> list[Finding]:
-    """Best-effort AST checks for one TU; raises on parse failure (caller
-    falls back to the lexical backend)."""
-    index = cindex.Index.create()
-    tu = index.parse(
-        str(path),
-        args=args,
-        options=cindex.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0,
-    )
-    severe = [d for d in tu.diagnostics if d.severity >= 4]
-    if severe:
-        raise RuntimeError(f"parse failure: {severe[0].spelling}")
-    ck = cindex.CursorKind
-    findings: list[Finding] = []
-
-    def here(cursor) -> bool:  # type: ignore[no-untyped-def]
-        loc = cursor.location
-        return loc.file is not None and Path(loc.file.name).resolve() == path
-
-    def derives_from_contract_error(type_decl) -> bool:  # type: ignore[no-untyped-def]
-        seen = set()
-        stack = [type_decl]
-        while stack:
-            d = stack.pop()
-            if d is None or d.hash in seen:
-                continue
-            seen.add(d.hash)
-            if d.spelling in ALLOWED_THROW_TYPES or d.spelling == "contract_error":
-                return True
-            for child in d.get_children():
-                if child.kind == ck.CXX_BASE_SPECIFIER:
-                    stack.append(child.type.get_declaration())
-        return False
-
-    for cursor in tu.cursor.walk_preorder():
-        if not here(cursor):
-            continue
-        line = cursor.location.line
-        if cursor.kind == ck.CALL_EXPR:
-            ref = cursor.referenced
-            name = ref.spelling if ref is not None else cursor.spelling
-            parent = ref.semantic_parent if ref is not None else None
-            pname = parent.spelling if parent is not None else ""
-            if name in ENTROPY_CALLS and pname in ("", "std"):
-                findings.append(
-                    Finding(rel, line, "R1", f"call to `{name}` reads wall clock / OS entropy")
-                )
-            elif name == CLOCK_NOW and "clock" in pname:
-                findings.append(Finding(rel, line, "R1", f"clock read `{pname}::now()`"))
-            elif name in RAW_IO_CALLS and pname in ("", "std"):
-                findings.append(
-                    Finding(
-                        rel,
-                        line,
-                        "R3",
-                        f"raw `{name}()` bypasses the dist::channel deadline API (src/dist/wire.h)",
-                    )
-                )
-        elif cursor.kind in (ck.VAR_DECL, ck.TYPE_REF):
-            if "random_device" in cursor.type.spelling:
-                findings.append(
-                    Finding(rel, line, "R1", "`random_device` is a non-deterministic source")
-                )
-        elif cursor.kind == ck.CXX_FOR_RANGE_STMT:
-            children = list(cursor.get_children())
-            if children:
-                range_t = children[-2].type.spelling if len(children) >= 2 else ""
-                if "unordered_" in range_t:
-                    findings.append(
-                        Finding(
-                            rel,
-                            line,
-                            "R2",
-                            "range-for over an unordered container (iteration "
-                            "order is not stable across implementations)",
-                        )
-                    )
-        elif cursor.kind == ck.CXX_THROW_EXPR:
-            operands = list(cursor.get_children())
-            if operands:
-                decl = operands[0].type.get_declaration()
-                if not derives_from_contract_error(decl):
-                    findings.append(
-                        Finding(
-                            rel,
-                            line,
-                            "R4",
-                            f"throws `{operands[0].type.spelling}`, which does not "
-                            "derive from `contract_error` (src/common/check.h)",
-                        )
-                    )
-    # The AST walk double-reports nothing by construction, but dedupe anyway
-    # to keep parity with the lexical backend on macro-heavy code.
-    return sorted(set(findings), key=lambda f: (f.line, f.rule_id, f.message))
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -797,40 +672,25 @@ def rule_applies(rule: Rule, rel: str) -> bool:
     return in_scope and not allowed
 
 
-def load_compile_commands(cc_path: Path) -> dict[Path, list[str]]:
-    """Map of absolute TU path -> clang-ish args (for the AST backend)."""
-    entries = json.loads(cc_path.read_text())
-    out: dict[Path, list[str]] = {}
-    for entry in entries:
-        file_path = Path(entry["directory"], entry["file"]).resolve()
-        raw = entry.get("arguments") or entry.get("command", "").split()
-        args: list[str] = []
-        keep_next = False
-        for a in raw[1:]:
-            if keep_next:
-                args.append(a)
-                keep_next = False
-            elif a in ("-I", "-isystem", "-D", "-U", "-include"):
-                args.append(a)
-                keep_next = True
-            elif a.startswith(("-I", "-D", "-U", "-std=", "-isystem")):
-                args.append(a)
-        out[file_path] = args
-    return out
+def load_compile_commands(cc_path: Path) -> set[Path]:
+    """Absolute paths of the translation units in a compile database."""
+    return {
+        Path(entry["directory"], entry["file"]).resolve()
+        for entry in json.loads(cc_path.read_text())
+    }
 
 
 def collect_files(
     root: Path,
     explicit: Sequence[str],
-    compile_commands: dict[Path, list[str]] | None,
+    compile_commands: set[Path] | None,
 ) -> list[Path]:
     if explicit:
         return [Path(f).resolve() for f in explicit]
     files: set[Path] = set()
     if compile_commands:
-        # The build dir defines the TU set (e.g. build-nosimd drops the
-        # per-ISA SIMD TUs); headers are globbed on top since they are not
-        # TUs but still carry contract-relevant code.
+        # The build dir defines the TU set; headers are globbed on top since
+        # they are not TUs but still carry contract-relevant code.
         for tu in compile_commands:
             try:
                 tu.relative_to(root)
@@ -846,14 +706,7 @@ def collect_files(
     return sorted(files)
 
 
-def lint_file(
-    path: Path,
-    root: Path,
-    backend: str,
-    rules: set[str],
-    compile_commands: dict[Path, list[str]] | None,
-) -> tuple[list[Finding], str]:
-    """Returns (findings, backend_used)."""
+def lint_file(path: Path, root: Path, rules: set[str]) -> list[Finding]:
     try:
         rel = path.resolve().relative_to(root).as_posix()
     except ValueError:
@@ -862,35 +715,12 @@ def lint_file(
     lexed = lex(source)
     sup = scan_suppressions(lexed)
 
-    used = "lex"
     raw: list[Finding] = []
-    active = [r for r in ("R1", "R2", "R3", "R4") if r in rules and rule_applies(RULES[r], rel)]
-    if active:
-        if backend == "ast":
-            cindex = _load_cindex()
-            if cindex is None:
-                raise SystemExit(
-                    "rn_lint: --backend ast requested but python clang "
-                    "bindings / libclang are not available"
-                )
-            args = (compile_commands or {}).get(path.resolve(), ["-std=c++20"])
-            raw = _ast_findings(cindex, path.resolve(), rel, args)
-            used = "ast"
-        elif backend == "auto" and path.suffix == ".cpp" and ast_available():
-            try:
-                args = (compile_commands or {}).get(path.resolve(), ["-std=c++20"])
-                raw = _ast_findings(_load_cindex(), path.resolve(), rel, args)
-                used = "ast"
-            except Exception:
-                raw = []
-                for rule_id in active:
-                    raw.extend(LEX_CHECKS[rule_id](rel, lexed.tokens))
-        else:
-            for rule_id in active:
-                raw.extend(LEX_CHECKS[rule_id](rel, lexed.tokens))
+    for rule_id in ("R1", "R2", "R3", "R4"):
+        if rule_id in rules and rule_applies(RULES[rule_id], rel):
+            raw.extend(LEX_CHECKS[rule_id](rel, lexed.tokens))
 
-    # set(): `stats.begin()`/`stats.end()` on one line is one finding, and
-    # the AST backend may visit a macro-expanded node twice.
+    # set(): `stats.begin()`/`stats.end()` on one line is one finding.
     findings = [
         f
         for f in set(raw)
@@ -903,7 +733,7 @@ def lint_file(
             Finding(rel, line, "R5", msg) for line, msg in sup.reasonless
         )
     findings.sort(key=lambda f: (f.line, f.rule_id))
-    return findings, used
+    return findings
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -919,7 +749,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--build-dir", type=Path, help="build dir holding compile_commands.json")
     parser.add_argument("--compile-commands", type=Path, help="explicit compile_commands.json")
     parser.add_argument("--files", nargs="*", default=[], help="lint only these files")
-    parser.add_argument("--backend", choices=("auto", "lex", "ast"), default="auto")
     parser.add_argument("--rules", default=",".join(RULES), help="comma-separated rule subset")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--json", action="store_true", help="machine-readable findings")
@@ -946,7 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cc_path = opts.compile_commands
     elif opts.build_dir:
         cc_path = opts.build_dir / "compile_commands.json"
-    compile_commands: dict[Path, list[str]] | None = None
+    compile_commands: set[Path] | None = None
     if cc_path is not None:
         if not cc_path.exists():
             print(f"rn_lint: {cc_path} not found (configure with "
@@ -960,11 +789,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     all_findings: list[Finding] = []
-    backends_used: set[str] = set()
     for path in files:
-        findings, used = lint_file(path, root, opts.backend, rules, compile_commands)
-        backends_used.add(used)
-        all_findings.extend(findings)
+        all_findings.extend(lint_file(path, root, rules))
 
     if opts.json:
         print(
@@ -982,8 +808,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f.render())
         if not opts.quiet:
             print(
-                f"rn_lint: {len(all_findings)} finding(s) in {len(files)} "
-                f"file(s) [backend: {'+'.join(sorted(backends_used))}]",
+                f"rn_lint: {len(all_findings)} finding(s) in {len(files)} file(s)",
                 file=sys.stderr,
             )
     return 1 if all_findings else 0
