@@ -17,9 +17,7 @@ using namespace rn;
 
 // The owned-packet slow path: every round mints per-node packets into the
 // round_buffer arena and dispatches receptions through a type-erased
-// std::function. (Historically this measured the deleted legacy by-value
-// step adapter; the round shape is unchanged so the perf trajectory stays
-// comparable.)
+// std::function.
 static void BM_NetworkStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto g = graph::random_gnp_connected(n, 8.0 / static_cast<double>(n), 1);
@@ -185,7 +183,7 @@ BENCHMARK(BM_NetworkAdvance)->Arg(64)->Arg(4096);
 
 // End-to-end fast-forwarded Theorem 2.1 construction: the protocol simulates
 // ~10^6 rounds; wall-clock here tracks how well the quiet-round analysis
-// collapses them (the CI perf gate trends this).
+// collapses them.
 static void BM_GstConstructionFastForward(benchmark::State& state) {
   graph::layered_options lo;
   lo.depth = static_cast<std::size_t>(state.range(0));

@@ -57,19 +57,6 @@ void print_usage(std::ostream& os, const char* prog) {
      << "  --list            list experiments, topology kinds and protocols\n";
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
-
 /// The shared ad-hoc builder's spec for --topology/--protocol/--sweep (the
 /// broadcast service assembles the same struct from request JSON).
 adhoc_spec to_adhoc_spec(const cli_options& opt) {
@@ -90,6 +77,19 @@ void set_timing_extension(timing_extension fn) {
   g_timing_extension = std::move(fn);
 }
 
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  if (s.empty()) return false;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return false;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  out = v;
+  return true;
+}
+
 bool parse_cli(int argc, char** argv, cli_options& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -99,6 +99,10 @@ bool parse_cli(int argc, char** argv, cli_options& out) {
         return nullptr;
       }
       return argv[++i];
+    };
+    auto number = [&](auto& field) {
+      const char* v = value(arg);
+      return v != nullptr && parse_flag(arg, v, field);
     };
     if (arg == "--help" || arg == "-h") {
       out.help = true;
@@ -134,35 +138,24 @@ bool parse_cli(int argc, char** argv, cli_options& out) {
       out.options = v;
     } else if (arg == "--no-fast-forward") {
       out.no_fast_forward = true;
-    } else if (arg == "--trials" || arg == "-t" || arg == "--threads" ||
-               arg == "-j" || arg == "--seed" || arg == "-s" ||
-               arg == "--messages" || arg == "--intra-trial-threads") {
-      const char* v = value(arg);
-      if (v == nullptr) return false;
-      std::uint64_t n = 0;
-      if (!parse_u64(v, n)) {
-        std::cerr << "bad value for " << arg << ": " << v << "\n";
+    } else if (arg == "--trials" || arg == "-t") {
+      if (!number(out.trials)) return false;
+      if (out.trials == 0) {
+        std::cerr << "--trials must be >= 1\n";
         return false;
       }
-      if (arg == "--trials" || arg == "-t") {
-        if (n == 0) {
-          std::cerr << "--trials must be >= 1\n";
-          return false;
-        }
-        out.trials = static_cast<std::size_t>(n);
-      } else if (arg == "--threads" || arg == "-j") {
-        out.threads = static_cast<unsigned>(n);
-      } else if (arg == "--intra-trial-threads") {
-        out.intra_trial_threads = static_cast<unsigned>(n);
-      } else if (arg == "--messages") {
-        if (n == 0) {
-          std::cerr << "--messages must be >= 1\n";
-          return false;
-        }
-        out.messages = static_cast<std::size_t>(n);
-      } else {
-        out.seed = n;
+    } else if (arg == "--threads" || arg == "-j") {
+      if (!number(out.threads)) return false;
+    } else if (arg == "--intra-trial-threads") {
+      if (!number(out.intra_trial_threads)) return false;
+    } else if (arg == "--messages") {
+      if (!number(out.messages)) return false;
+      if (out.messages == 0) {
+        std::cerr << "--messages must be >= 1\n";
+        return false;
       }
+    } else if (arg == "--seed" || arg == "-s") {
+      if (!number(out.seed)) return false;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;

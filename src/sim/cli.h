@@ -9,7 +9,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "sim/json.h"
 
@@ -43,7 +46,8 @@ struct cli_options {
   /// kernel supports resets, with the process-lifetime maximum kept at the
   /// top level; v4 adds the host's vector ISA). Kept separate from --json
   /// so result files stay byte-identical across thread counts and
-  /// execution modes; the CI perf gate trends this file.
+  /// execution modes; bench/perf/run.py reads its "simd" field into the
+  /// host fingerprint.
   std::string timing_path;
   /// Disable fast-forward execution (cross-check mode: identical results,
   /// every protocol round resolved on the channel).
@@ -64,6 +68,26 @@ struct cli_options {
 
 /// Parses argv; returns false (with a message on stderr) on bad usage.
 [[nodiscard]] bool parse_cli(int argc, char** argv, cli_options& out);
+
+/// Strict decimal parse of a whole string: digits only (no sign, blank or
+/// suffix) and at most 2^64 - 1.
+[[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out);
+
+/// The one numeric-flag parser of bench_suite, rn_dist and rn_serve:
+/// parse_u64, and the value must fit `out`. Otherwise prints
+/// "bad value for FLAG: V" on stderr and returns false; the binary exits 2.
+template <class T>
+[[nodiscard]] bool parse_flag(std::string_view flag, std::string_view v,
+                              T& out) {
+  std::uint64_t n = 0;
+  if (!parse_u64(v, n) ||
+      n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    std::cerr << "bad value for " << flag << ": " << v << "\n";
+    return false;
+  }
+  out = static_cast<T>(n);
+  return true;
+}
 
 /// Full driver: parse, run, report. Returns a process exit code.
 int run_suite(int argc, char** argv);

@@ -9,8 +9,7 @@
 // experiment -> scenarios -> trials into one global work queue on the thread
 // pool (scenario-level parallelism) and aggregates each metric into a
 // `stats_summary`; the result renders as the classic aligned text table
-// and/or as machine-readable JSON (the BENCH_*.json format the CI perf
-// trajectory accumulates).
+// and/or as machine-readable JSON (rn-bench-v2, what `--json` writes).
 //
 // Determinism contract: scenario s / trial t always runs on rng stream
 // (s << 32) + t of the run seed, so aggregate results depend only on

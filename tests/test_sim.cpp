@@ -579,6 +579,22 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_FALSE(parse_cli(3, const_cast<char**>(bad_num), opt));
   const char* zero_trials[] = {"x", "--trials", "0"};
   EXPECT_FALSE(parse_cli(3, const_cast<char**>(zero_trials), opt));
+  // 2^32 + 1 must not truncate to 1 thread.
+  const char* wide_threads[] = {"x", "-j", "4294967297"};
+  EXPECT_FALSE(parse_cli(3, const_cast<char**>(wide_threads), opt));
+}
+
+TEST(Cli, ParseU64TakesWholeDecimalStringsOnly) {
+  for (const char* bad : {"", "-1", "1x", " 1", "18446744073709551616"}) {
+    std::uint64_t v = 7;
+    EXPECT_FALSE(parse_u64(bad, v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 7u) << '"' << bad << '"';
+  }
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, 18446744073709551615u);
 }
 
 // bench/perf/run.py fingerprints a host by the timing sidecar's "simd"

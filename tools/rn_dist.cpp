@@ -42,23 +42,17 @@
 
 namespace {
 
-/// Extracts "--flag N" from args (erasing it); returns fallback when absent.
-bool take_value_flag(std::vector<char*>& args, const std::string& flag,
+/// Extracts "--flag N" from args (erasing it) into out, which keeps its
+/// value when the flag is absent; exits 2 on a bad N.
+void take_value_flag(std::vector<char*>& args, const std::string& flag,
                      unsigned& out) {
   for (std::size_t i = 1; i + 1 < args.size(); ++i) {
     if (flag != args[i]) continue;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(args[i + 1], &end, 10);
-    if (end == nullptr || *end != '\0') {
-      std::cerr << "bad value for " << flag << ": " << args[i + 1] << "\n";
-      std::exit(2);
-    }
-    out = static_cast<unsigned>(v);
+    if (!rn::sim::parse_flag(flag, args[i + 1], out)) std::exit(2);
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return true;
+    return;
   }
-  return false;
 }
 
 /// Extracts "--flag TEXT" from args (erasing it); returns fallback when
@@ -75,12 +69,15 @@ bool take_string_flag(std::vector<char*>& args, const std::string& flag,
   return false;
 }
 
-/// Peeks (without erasing — run_suite consumes it too) at a numeric flag.
+/// Peeks (without erasing — run_suite consumes it too) at a numeric flag;
+/// exits 2 on a bad value.
 unsigned peek_value_flag(const std::vector<char*>& args,
                          const std::string& flag, unsigned fallback) {
-  for (std::size_t i = 1; i + 1 < args.size(); ++i)
-    if (flag == args[i])
-      return static_cast<unsigned>(std::strtoul(args[i + 1], nullptr, 10));
+  for (std::size_t i = 1; i + 1 < args.size(); ++i) {
+    if (flag != args[i]) continue;
+    if (!rn::sim::parse_flag(flag, args[i + 1], fallback)) std::exit(2);
+    break;
+  }
   return fallback;
 }
 
@@ -90,7 +87,9 @@ int main(int argc, char** argv) {
   // Hidden worker entry: the coordinator re-execs this binary per rank.
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string("--rn-worker-fd") == argv[i]) {
-      return rn::dist::worker_main(std::atoi(argv[i + 1]));
+      int fd = -1;
+      if (!rn::sim::parse_flag(argv[i], argv[i + 1], fd)) return 2;
+      return rn::dist::worker_main(fd);
     }
   }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "experiments/experiments.h"
+#include "sim/cli.h"
 #include "svc/service.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -281,6 +282,7 @@ int serve_socket(rn::svc::service& svc, metrics_file& mf,
 int main(int argc, char** argv) {
   rn::bench::register_all();
 
+  using rn::sim::parse_flag;
   serve_options opt;
   bool stdio = false;
   auto value = [&](int& i) -> const char* {
@@ -296,13 +298,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-file" && (v = value(i))) {
       opt.metrics_path = v;
     } else if (arg == "--workers" && (v = value(i))) {
-      opt.svc.workers = static_cast<unsigned>(std::stoul(v));
+      if (!parse_flag(arg, v, opt.svc.workers)) return usage(argv[0]);
     } else if (arg == "--threads" && (v = value(i))) {
-      opt.svc.threads_per_request = static_cast<unsigned>(std::stoul(v));
+      if (!parse_flag(arg, v, opt.svc.threads_per_request))
+        return usage(argv[0]);
     } else if (arg == "--cache" && (v = value(i))) {
-      opt.svc.cache_entries = std::stoul(v);
+      if (!parse_flag(arg, v, opt.svc.cache_entries)) return usage(argv[0]);
     } else if (arg == "--max-trials" && (v = value(i))) {
-      opt.svc.max_trials = std::stoul(v);
+      if (!parse_flag(arg, v, opt.svc.max_trials)) return usage(argv[0]);
     } else if (arg == "--cache-file" && (v = value(i))) {
       opt.svc.cache_file = v;
     } else {
