@@ -12,6 +12,7 @@
 
 #include "common/math.h"
 #include "common/types.h"
+#include "radio/block_walk.h"
 
 namespace rn::core {
 
@@ -27,7 +28,7 @@ namespace rn::core {
 /// and therefore requires a new contract version — never a silent edit
 /// (tests/test_channel_contract.cpp pins exact draw outcomes).
 inline constexpr std::string_view kChannelContract = "channel-v1";
-inline constexpr unsigned kChannelContractBlocks = 32;
+inline constexpr unsigned kChannelContractBlocks = radio::kPlanBlocks;
 
 struct params {
   /// Phases per "Theta(log n) phases of Decay" (each phase has L+1 rounds).

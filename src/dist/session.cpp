@@ -29,18 +29,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-/// Coordinator-side walk over the resident trial graph for a contiguous
-/// orphaned block range — the degraded-fleet fallback. Built lazily per
-/// (first, last) range and cached for the rest of the trial; walking it is
-/// exactly the rank walk (same view construction, same canonical plan), so
-/// locally covered blocks are byte-identical to remotely computed ones.
-/// Always team size 1: a fork-only coordinator may fork respawned ranks
-/// later, so no walk thread may outlive a walk here.
-struct session::local_cover {
-  graph::partitioned_view view;
-  radio::block_walker walker;
-};
-
 session::session(session_options opt)
     : opt_(std::move(opt)), plan_(fault_plan::parse(opt_.fault_plan)) {
   opt_.ranks = std::max(1u, std::min(opt_.ranks, kBlocks));
@@ -158,7 +146,6 @@ void session::recv_setup_ack(unsigned r) {
                          "setup_ack)");
   wire_reader in(frame_);
   const std::uint64_t n = in.u64();
-  static_cast<void>(in.u64());  // owned adjacency entries (diagnostic)
   // A node-count mismatch is NOT a rank failure — the spec replayed to a
   // different graph, so respawning cannot help. Let it escape as a plain
   // contract violation (fatal), past every recovery catch.
@@ -496,30 +483,25 @@ void session::cover_missing(std::uint64_t* hit_state,
     RN_REQUIRE(g != nullptr,
                "dist local cover requested without an armed trial graph");
     const auto t0 = std::chrono::steady_clock::now();  // rn-lint: allow(R1) local-cover recovery timing feeds the v6 sidecar, never results JSON
-    local_cover* cov = nullptr;
+    radio::block_walker* cov = nullptr;
     for (const auto& c : covers_)
-      if (c->view.first_block() == b && c->view.last_block() == e)
-        cov = c.get();
+      if (c->first_block() == b && c->last_block() == e) cov = c.get();
     if (cov == nullptr) {
-      auto made = std::make_unique<local_cover>();
-      made->view = graph::partitioned_view::from_graph(
-          *g, graph::compute_block_plan(*g, kBlocks), b, e);
-      made->walker.bind(made->view.plan().bounds, b, e);
-      made->walker.attach(
-          {made->view.row_start().data(), made->view.adjacency().data()});
-      covers_.push_back(std::move(made));
-      cov = covers_.back().get();
+      cov = covers_.emplace_back(std::make_unique<radio::block_walker>()).get();
+      cov->bind(graph::compute_block_plan(*g, kBlocks).bounds, b, e);
+      // The trial graph outlives every cover (trial_end drops them).
+      cov->load(g->csr(), 1);
     }
-    cov->walker.walk(current_txs_);
+    cov->walk(current_txs_);
     for (unsigned blk = b; blk < e; ++blk) {
       radio::touch_list& touched = block_touched[blk];
-      for (const node_id v : cov->walker.touched(blk)) {
+      for (const node_id v : cov->touched(blk)) {
         touched.push(v);
-        hit_state[v] = cov->walker.hit_word(v);
+        hit_state[v] = cov->hit_word(v);
       }
       applied_[blk] = 1;
     }
-    cov->walker.clear_round();
+    cov->clear_round();
     recovery_wall_ms_ += ms_since(t0);
     b = e;
   }

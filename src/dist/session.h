@@ -7,14 +7,14 @@
 //
 //   sim::trial_graph_hook — sees every declarative trial's topology spec and
 //   graph right after build_topology: it ships the spec (with its resolved
-//   seed) to every rank, waits for the partitioned CSRs to build, and arms
+//   seed) to every rank, waits for their adjacencies to build, and arms
 //   the radio remote-walk hook for that trial. Trials are serialized on an
 //   internal mutex, so scenario-pool threads compose with a session — they
 //   just take turns on the rank fleet.
 //
 //   radio::remote_walk — adopted by networks whose topology is the armed
-//   trial graph (pointer identity). The coordinator then skips its private
-//   adjacency copy; each stepped round sends the transmitter list to every
+//   trial graph (pointer identity). The coordinator's network then walks
+//   nothing itself; each stepped round sends the transmitter list to every
 //   rank and applies the returned per-block touch lists in ascending block
 //   order, reproducing the serial walk's dispatch state exactly.
 //
@@ -22,8 +22,8 @@
 // frame exchanged while a trial is live carries a per-phase deadline, so a
 // crashed rank (EOF) and a wedged rank (timeout) are both detected within a
 // bound, never a hang. The session then respawns the rank with bounded
-// exponential backoff — rebuilding its partitioned CSR slice by replaying
-// the edge source, then resending the round in flight (workers keep no
+// exponential backoff — rebuilding its adjacency from the topology spec,
+// then resending the round in flight (workers keep no
 // state between rounds) — or, once the respawn budget is exhausted, retires
 // the rank: its blocks are covered locally for the in-flight round (the
 // coordinator holds the trial graph) and reassigned to the surviving ranks
@@ -139,8 +139,6 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
     unsigned respawns_this_trial = 0;
   };
 
-  struct local_cover;  ///< coordinator-side walker for orphaned blocks
-
   [[nodiscard]] bool spawn_rank(unsigned r);
   void kill_rank(unsigned r);
   /// setup + setup-ack for the rank's current block range (workers are
@@ -192,7 +190,14 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   std::vector<node_id> current_txs_;
   std::vector<std::uint8_t> applied_;  ///< per block, current round
   bool needs_reassign_ = false;
-  std::vector<std::unique_ptr<local_cover>> covers_;
+  /// Coordinator-side walkers over the resident trial graph, one per
+  /// contiguous orphaned block range — the degraded-fleet fallback. Built
+  /// lazily and kept for the rest of the trial; each walks exactly the
+  /// rank's rows under the same canonical plan, so locally covered blocks
+  /// are byte-identical to remotely computed ones. Always team size 1: a
+  /// fork-only coordinator may fork respawned ranks later, so no walk
+  /// thread may outlive a walk here.
+  std::vector<std::unique_ptr<radio::block_walker>> covers_;
 
   std::vector<std::int64_t> rank_peak_rss_kb_;
   double merge_wall_ms_ = 0.0;

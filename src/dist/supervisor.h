@@ -5,9 +5,9 @@
 // drives recovery through this policy:
 //
 //   1. *Respawn*: fork (or fork+exec) a fresh process for the rank, with
-//      bounded exponential backoff between attempts, rebuild its partitioned
-//      CSR slice by replaying the edge source (the setup frame carries the
-//      topology spec), then resend the round in flight — workers keep no
+//      bounded exponential backoff between attempts, rebuild its adjacency
+//      (the setup frame carries the topology spec), then resend the round
+//      in flight — workers keep no
 //      state between rounds, so setup is the whole resync. Each rank gets
 //      `max_respawns` attempts per trial.
 //   2. *Degrade*: when respawn is exhausted the rank is retired for the rest

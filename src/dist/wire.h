@@ -41,7 +41,7 @@ namespace rn::dist {
 /// Frame types. Values are part of the wire format; append only.
 enum class msg_type : std::uint8_t {
   setup = 1,         ///< coord -> worker: block range + topology spec
-  setup_ack = 2,     ///< worker -> coord: node count + owned adjacency size
+  setup_ack = 2,     ///< worker -> coord: node count
   round = 3,         ///< coord -> worker: this round's transmitter ids
   round_results = 4, ///< worker -> coord: per-owned-block touched listeners
   teardown = 5,      ///< coord -> worker: trial over, free the partition

@@ -28,32 +28,26 @@ namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
 
-/// Builds the rank's partitioned view for a trial. Layered topologies — the
-/// family the n = 10^8 point uses — stream straight from the generator and
-/// never materialize the full graph in the worker; every other kind builds
-/// the graph and filters it down (its footprint is the same as a
-/// single-process trial, which those kinds already fit).
-graph::partitioned_view build_view(const graph::topology_spec& spec,
-                                   unsigned first_block, unsigned last_block) {
-  if (spec.kind == "layered") {
-    // Mirror of the topology registry's layered parameter mapping.
-    graph::layered_options lo;
-    lo.depth = static_cast<std::size_t>(spec.param("depth", 8));
-    lo.width = static_cast<std::size_t>(spec.param("width", 8));
-    lo.edge_prob = spec.param("edge_prob", lo.edge_prob);
-    lo.intra_prob = spec.param("intra_prob", lo.intra_prob);
-    lo.seed = spec.seed;
-    const std::size_t n = 1 + lo.depth * lo.width;
-    return graph::partitioned_view::from_edge_source(
-        n,
-        [&lo](const graph::edge_sink& sink) {
-          graph::for_each_layered_edge(lo, sink);
-        },
-        kBlocks, first_block, last_block);
-  }
-  const graph::graph g = graph::build_topology(spec);
-  return graph::partitioned_view::from_graph(
-      g, graph::compute_block_plan(g, kBlocks), first_block, last_block);
+/// Streams a layered topology's partitioned view — the family the
+/// n = 10^8 point uses — straight from the generator, so the worker never
+/// materializes the full graph.
+graph::partitioned_view stream_layered_view(const graph::topology_spec& spec,
+                                            unsigned first_block,
+                                            unsigned last_block) {
+  // Mirror of the topology registry's layered parameter mapping.
+  graph::layered_options lo;
+  lo.depth = static_cast<std::size_t>(spec.param("depth", 8));
+  lo.width = static_cast<std::size_t>(spec.param("width", 8));
+  lo.edge_prob = spec.param("edge_prob", lo.edge_prob);
+  lo.intra_prob = spec.param("intra_prob", lo.intra_prob);
+  lo.seed = spec.seed;
+  const std::size_t n = 1 + lo.depth * lo.width;
+  return graph::partitioned_view::from_edge_source(
+      n,
+      [&lo](const graph::edge_sink& sink) {
+        graph::for_each_layered_edge(lo, sink);
+      },
+      kBlocks, first_block, last_block);
 }
 
 }  // namespace
@@ -64,10 +58,11 @@ int worker_main(int fd) {
   std::signal(SIGPIPE, SIG_IGN);
   channel ch(fd);
   std::vector<std::uint8_t> payload;
-  graph::partitioned_view view;  ///< walked in place by a team of one
+  // The trial's adjacency — a streamed view (layered kinds) or the rebuilt
+  // graph (every other kind) — kept only while the walker reads it in place.
+  graph::partitioned_view view;
+  graph::graph resident;
   std::unique_ptr<radio::block_walker> walker;  ///< live trial only
-  unsigned first_block = 0;
-  unsigned last_block = 0;
   std::vector<node_id> tx_ids;
 
   try {
@@ -93,29 +88,35 @@ int worker_main(int fd) {
           graph::topology_spec spec = graph::parse_topology_spec(
               std::string(reinterpret_cast<const char*>(text), spec_len));
           spec.seed = seed;
-          // Free the previous slice first: a reassignment resync re-sends
-          // setup mid-trial, and two slices need not coexist.
+          // Free the previous adjacency first: a reassignment resync
+          // re-sends setup mid-trial, and two need not coexist.
           walker.reset();
           view = graph::partitioned_view();
-          view = build_view(spec, first, last);
-          first_block = first;
-          last_block = last;
-          wire_writer ack;
-          ack.u64(view.node_count());
-          ack.u64(view.adjacency().size());
+          resident = graph::graph();
+          std::vector<node_id> bounds;
+          graph::csr_ref csr;
+          if (spec.kind == "layered") {
+            view = stream_layered_view(spec, first, last);
+            bounds = view.plan().bounds;
+            csr = view.csr();
+          } else {
+            // Other kinds fit a rank whole, as they fit a single process.
+            resident = graph::build_topology(spec);
+            bounds = graph::compute_block_plan(resident, kBlocks).bounds;
+            csr = resident.csr();
+          }
           walker = std::make_unique<radio::block_walker>();
-          walker->bind(view.plan().bounds, first, last);
+          walker->bind(bounds, first, last);
           walker->set_min_parallel_volume(
               radio::get_intra_trial_policy().min_parallel_volume);
-          if (threads >= 2) {
-            // A team walks member slices copied from the view; the view's
-            // adjacency is then dropped, so the rank holds it once.
-            walker->slice([&view](node_id u) { return view.row(u); },
-                          threads);
+          // A walker that copied the rank's rows into slices leaves the
+          // source unread, so the rank holds its adjacency once.
+          if (!walker->load(csr, threads)) {
             view = graph::partitioned_view();
-          } else {
-            walker->attach({view.row_start().data(), view.adjacency().data()});
+            resident = graph::graph();
           }
+          wire_writer ack;
+          ack.u64(bounds.back());
           ch.send(msg_type::setup_ack, ack);
           break;
         }
@@ -134,7 +135,8 @@ int worker_main(int fd) {
                       std::size_t{m} * 4);
           walker->walk(tx_ids);
           wire_writer out;
-          for (unsigned b = first_block; b < last_block; ++b) {
+          for (unsigned b = walker->first_block(); b < walker->last_block();
+               ++b) {
             const std::span<const node_id> ids = walker->touched(b);
             out.u32(b);
             out.u32(static_cast<std::uint32_t>(ids.size()));
@@ -156,6 +158,7 @@ int worker_main(int fd) {
         case msg_type::teardown: {
           walker.reset();
           view = graph::partitioned_view();
+          resident = graph::graph();
           wire_writer ack;
           ack.u64(static_cast<std::uint64_t>(sim::process_peak_rss_kb()));
           ch.send(msg_type::teardown_ack, ack);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "graph/fill_csr.h"
 
 namespace rn::graph {
 
@@ -58,38 +59,16 @@ void graph::builder::add_edge(node_id u, node_id v) {
 }
 
 graph graph::builder::build() && {
-  // Counting-sort scatter into per-row slots, then sort + dedup each row.
-  // Rows stay sorted ascending (has_edge binary-searches them) but the
-  // global O(E log E) comparison sort becomes O(E + sum deg log deg) — at
-  // 10^6-node scale-sweep graphs that is most of the generation time.
-  std::vector<std::size_t> start(n_ + 1, 0);
-  for (auto [u, v] : edges_) {
-    ++start[u + 1];
-    ++start[v + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) start[i] += start[i - 1];
-  std::vector<node_id> adj(start[n_]);
-  {
-    std::vector<std::size_t> cur(start.begin(), start.end() - 1);
-    for (auto [u, v] : edges_) {
-      adj[cur[u]++] = v;
-      adj[cur[v]++] = u;
-    }
-  }
   graph g;
-  g.offsets_.assign(n_ + 1, 0);
-  std::size_t w = 0;  // write cursor; trails every row start, so in-place
-  for (std::size_t u = 0; u < n_; ++u) {
-    const auto row_begin = adj.begin() + static_cast<std::ptrdiff_t>(start[u]);
-    const auto row_end = adj.begin() + static_cast<std::ptrdiff_t>(start[u + 1]);
-    std::sort(row_begin, row_end);
-    const auto row_unique = std::unique(row_begin, row_end);
-    for (auto it = row_begin; it != row_unique; ++it) adj[w++] = *it;
-    g.offsets_[u + 1] = w;
-  }
-  adj.resize(w);
-  adj.shrink_to_fit();
-  g.adjacency_ = std::move(adj);
+  fill_csr(
+      n_,
+      [this](auto&& put) {
+        for (const auto& [u, v] : edges_) {
+          put(u, v);
+          put(v, u);
+        }
+      },
+      g.offsets_, g.adjacency_);
   return g;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -10,6 +11,14 @@
 #include "common/types.h"
 
 namespace rn::graph {
+
+/// A CSR (compressed sparse row) adjacency: row u spans adj[row_start[u] ..
+/// row_start[u+1]) and is strictly ascending. Offsets are 32-bit, so an
+/// adjacency holds at most 2^32 - 1 entries.
+struct csr_ref {
+  const std::uint32_t* row_start = nullptr;
+  const node_id* adj = nullptr;
+};
 
 /// Immutable undirected graph. Build with `builder`, then query.
 class graph {
@@ -32,6 +41,15 @@ class graph {
   /// True iff every node is reachable from node 0.
   [[nodiscard]] bool connected() const;
 
+  /// Row offsets (size n + 1): offsets()[v] is the degree sum of nodes < v.
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const {
+    return offsets_;
+  }
+  /// The adjacency itself, for walks that read it in place.
+  [[nodiscard]] csr_ref csr() const {
+    return {offsets_.data(), adjacency_.data()};
+  }
+
   class builder {
    public:
     explicit builder(std::size_t n) : n_(n) {}
@@ -45,7 +63,7 @@ class graph {
   };
 
  private:
-  std::vector<std::size_t> offsets_;  // size n+1
+  std::vector<std::uint32_t> offsets_ = {0};  // size n+1
   std::vector<node_id> adjacency_;
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "graph/fill_csr.h"
 
 namespace rn::graph {
 
@@ -29,52 +30,7 @@ block_plan compute_block_plan(std::span<const std::uint32_t> row_prefix,
 }
 
 block_plan compute_block_plan(const graph& g, unsigned blocks) {
-  std::vector<std::uint32_t> prefix(g.node_count() + 1, 0);
-  std::size_t total = 0;
-  for (node_id v = 0; v < g.node_count(); ++v) {
-    total += g.degree(v);
-    prefix[v + 1] = static_cast<std::uint32_t>(total);
-  }
-  return compute_block_plan(prefix, blocks);
-}
-
-namespace {
-
-void check_block_range(const block_plan& plan, unsigned first, unsigned last) {
-  RN_REQUIRE(first < last && last <= plan.blocks(),
-             "partitioned view needs a non-empty block range inside the plan");
-}
-
-}  // namespace
-
-partitioned_view partitioned_view::from_graph(const graph& g,
-                                              const block_plan& plan,
-                                              unsigned first_block,
-                                              unsigned last_block) {
-  check_block_range(plan, first_block, last_block);
-  partitioned_view pv;
-  pv.node_count_ = g.node_count();
-  pv.plan_ = plan;
-  pv.first_block_ = first_block;
-  pv.last_block_ = last_block;
-  const node_id lo = pv.owned_begin();
-  const node_id hi = pv.owned_end();
-
-  pv.row_start_.assign(pv.node_count_ + 1, 0);
-  std::size_t total = 0;
-  for (node_id u = 0; u < pv.node_count_; ++u) {
-    for (const node_id v : g.neighbors(u))
-      if (v >= lo && v < hi) ++total;
-    RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-               "partitioned adjacency too large for 32-bit offsets");
-    pv.row_start_[u + 1] = static_cast<std::uint32_t>(total);
-  }
-  pv.adj_.reserve(total);
-  // Graph rows are sorted ascending, so the filtered rows stay sorted.
-  for (node_id u = 0; u < pv.node_count_; ++u)
-    for (const node_id v : g.neighbors(u))
-      if (v >= lo && v < hi) pv.adj_.push_back(v);
-  return pv;
+  return compute_block_plan(g.offsets(), blocks);
 }
 
 partitioned_view partitioned_view::from_edge_source(std::size_t node_count,
@@ -102,37 +58,24 @@ partitioned_view partitioned_view::from_edge_source(std::size_t node_count,
              "adjacency too large for 32-bit CSR offsets");
   for (std::size_t i = 0; i < node_count; ++i) prefix[i + 1] += prefix[i];
   pv.plan_ = compute_block_plan(prefix, blocks);
-  check_block_range(pv.plan_, first_block, last_block);
+  RN_REQUIRE(first_block < last_block && last_block <= pv.plan_.blocks(),
+             "partitioned view needs a non-empty block range inside the plan");
   pv.first_block_ = first_block;
   pv.last_block_ = last_block;
   const node_id lo = pv.owned_begin();
   const node_id hi = pv.owned_end();
 
-  // Restricted per-row sizes follow from the filtered full prefix only when
-  // we re-count, so pass 2 counts owned-range entries per row, prefixes,
-  // then pass 2b (same replay) fills. The fill scatters in emission order; a
-  // final per-row sort restores the ascending-neighbor contract the row
-  // walks rely on.
-  pv.row_start_.assign(node_count + 1, 0);
-  edges([&](node_id u, node_id v) {
-    if (v >= lo && v < hi) pv.row_start_[u + 1] += 1;
-    if (u >= lo && u < hi) pv.row_start_[v + 1] += 1;
-  });
-  std::uint32_t owned_total = 0;
-  for (std::size_t i = 0; i < node_count; ++i) {
-    owned_total += pv.row_start_[i + 1];
-    pv.row_start_[i + 1] = owned_total;
-  }
-  pv.adj_.assign(owned_total, 0);
-  std::vector<std::uint32_t> cursor(pv.row_start_.begin(),
-                                    pv.row_start_.end() - 1);
-  edges([&](node_id u, node_id v) {
-    if (v >= lo && v < hi) pv.adj_[cursor[u]++] = v;
-    if (u >= lo && u < hi) pv.adj_[cursor[v]++] = u;
-  });
-  for (std::size_t u = 0; u < node_count; ++u)
-    std::sort(pv.adj_.begin() + pv.row_start_[u],
-              pv.adj_.begin() + pv.row_start_[u + 1]);
+  // Passes 2 and 3 (same replay): graph::builder's fill over the entries
+  // whose listener is owned.
+  fill_csr(
+      node_count,
+      [&](auto&& put) {
+        edges([&](node_id u, node_id v) {
+          if (v >= lo && v < hi) put(u, v);
+          if (u >= lo && u < hi) put(v, u);
+        });
+      },
+      pv.row_start_, pv.adj_);
   return pv;
 }
 

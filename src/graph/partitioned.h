@@ -11,10 +11,12 @@
 // every transmitter's hits on its own listeners from its view alone, because
 // rows are complete per listener even when they are partial per transmitter.
 //
-// Views can be built two ways: filtered from a resident `graph`, or streamed
-// from an edge source (two deterministic passes; the full graph never
-// materializes). The streamed path is what lets an n = 10^8 trial fit a rank
-// in a few GB — see graph/generators.h `for_each_layered_edge`.
+// A view is streamed from an edge source (several deterministic replays; the
+// full graph never materializes) through the same CSR fill as
+// graph::builder. The streamed path is what lets an n = 10^8 trial fit a rank
+// in a few GB — see graph/generators.h `for_each_layered_edge`. A process
+// that holds the resident graph needs no view: the block walker
+// (radio/block_walk.h) clips the graph's own rows to its blocks.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,6 @@ struct block_plan {
   [[nodiscard]] unsigned blocks() const {
     return bounds.empty() ? 0 : static_cast<unsigned>(bounds.size() - 1);
   }
-  [[nodiscard]] node_id block_begin(unsigned b) const { return bounds[b]; }
-  [[nodiscard]] node_id block_end(unsigned b) const { return bounds[b + 1]; }
 };
 
 /// Computes the canonical degree-balanced plan from a CSR row-offset prefix
@@ -49,7 +49,7 @@ struct block_plan {
 [[nodiscard]] block_plan compute_block_plan(
     std::span<const std::uint32_t> row_prefix, unsigned blocks);
 
-/// The same plan for a resident graph, from its degree sequence.
+/// The same plan for a resident graph, from its own row offsets.
 [[nodiscard]] block_plan compute_block_plan(const graph& g, unsigned blocks);
 
 /// Calls `sink(u, v)` exactly once per undirected edge, in a deterministic
@@ -64,13 +64,6 @@ using edge_source = std::function<void(const edge_sink&)>;
 class partitioned_view {
  public:
   partitioned_view() = default;
-
-  /// Filters a resident graph down to the view for blocks [first, last) of
-  /// `plan`. The plan must have been computed from this graph's degrees.
-  [[nodiscard]] static partitioned_view from_graph(const graph& g,
-                                                   const block_plan& plan,
-                                                   unsigned first_block,
-                                                   unsigned last_block);
 
   /// Streams `edges` (several identical replays: degrees — which also fix
   /// the plan — then count and fill) and never materializes the full
@@ -89,10 +82,8 @@ class partitioned_view {
   }
   [[nodiscard]] node_id owned_end() const { return plan_.bounds[last_block_]; }
 
-  /// Restricted CSR row of u: neighbors of u inside the owned range.
-  [[nodiscard]] std::span<const node_id> row(node_id u) const {
-    return {adj_.data() + row_start_[u], adj_.data() + row_start_[u + 1]};
-  }
+  /// The restricted CSR: row u holds u's neighbors inside the owned range.
+  [[nodiscard]] csr_ref csr() const { return {row_start_.data(), adj_.data()}; }
   [[nodiscard]] const std::vector<std::uint32_t>& row_start() const {
     return row_start_;
   }

@@ -15,12 +15,6 @@ double topology_spec::param(std::string_view name, double fallback) const {
   return fallback;
 }
 
-bool topology_spec::has_param(std::string_view name) const {
-  for (const auto& [k, v] : params)
-    if (k == name) return true;
-  return false;
-}
-
 void topology_spec::set_param(std::string_view name, double value) {
   for (auto& [k, v] : params) {
     if (k == name) {

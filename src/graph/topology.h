@@ -35,7 +35,6 @@ struct topology_spec {
 
   /// Value of `name`, or `fallback` if the spec does not set it.
   [[nodiscard]] double param(std::string_view name, double fallback) const;
-  [[nodiscard]] bool has_param(std::string_view name) const;
   /// Sets `name` to `value` (appends if new, overwrites in place otherwise).
   void set_param(std::string_view name, double value);
 

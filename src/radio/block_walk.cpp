@@ -5,7 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <limits>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -16,16 +16,12 @@ namespace rn::radio {
 
 namespace {
 
-/// Team slots the process-wide busy counters can hold: a team never
-/// outgrows the 32-block plan its members own blocks of.
-constexpr unsigned kMaxTeam = 32;
-
 /// Prefetch distances of the walk loop, in transmitters.
 constexpr std::uint32_t kOffsetsAhead = 16;
 constexpr std::uint32_t kHeadsAhead = 8;
 
 std::atomic<std::int64_t> g_parallel_rounds{0};
-std::atomic<std::int64_t> g_shard_busy_ns[kMaxTeam]{};
+std::atomic<std::int64_t> g_shard_busy_ns[kPlanBlocks]{};
 std::atomic<unsigned> g_max_team{0};
 
 }  // namespace
@@ -136,7 +132,8 @@ void block_walker::bind(std::span<const node_id> bounds, unsigned first,
                         unsigned last) {
   RN_REQUIRE(first < last && last < bounds.size(),
              "block walker needs a non-empty block range inside the plan");
-  RN_REQUIRE(last - first <= kMaxTeam, "block walker owns at most 32 blocks");
+  RN_REQUIRE(last - first <= kPlanBlocks,
+             "block walker owns at most 32 blocks");
   team_.reset();
   slices_.clear();
   owned_.clear();
@@ -156,49 +153,63 @@ void block_walker::bind(std::span<const node_id> bounds, unsigned first,
   route_ = {lists_.data(), owner_.data(), base};
 }
 
-void block_walker::attach(csr_ref csr) {
-  team_.reset();
-  owned_.clear();
-  slices_.assign(1, csr);
-}
-
-void block_walker::slice(const row_source& rows, unsigned members) {
-  members = std::clamp(members, 1u, last_ - first_);
-  // Free the previous adjacency first: slices replace it, never sit beside.
+bool block_walker::load(graph::csr_ref csr, unsigned members) {
+  // Free the previous adjacency first: the next replaces it, never sits
+  // beside it.
   team_.reset();
   slices_.clear();
   owned_.clear();
+  const node_id n = bounds_.back();
+  const node_id lo = bounds_[first_];
+  const node_id hi = bounds_[last_];
+  // Row u clipped to the owned blocks; rows are ascending, so only a row
+  // that strays past an end of the owned range needs a search.
+  const auto owned_run = [&](node_id u) {
+    const node_id* p = csr.adj + csr.row_start[u];
+    const node_id* q = csr.adj + csr.row_start[u + 1];
+    if (p != q && *p < lo) p = std::lower_bound(p, q, lo);
+    if (p != q && q[-1] >= hi) q = std::lower_bound(p, q, hi);
+    return std::pair{p, q};
+  };
+  std::size_t volume = 0;
+  bool inside = true;
+  for (node_id u = 0; u < n; ++u) {
+    const auto [p, q] = owned_run(u);
+    const auto len = static_cast<std::uint32_t>(q - p);
+    volume += len;
+    inside = inside && len == csr.row_start[u + 1] - csr.row_start[u];
+  }
+  // Waking a team costs more than it saves on an adjacency below the floor,
+  // whose rounds would never wake it either.
+  members = volume < min_parallel_volume_
+                ? 1
+                : std::clamp(members, 1u, last_ - first_);
+  if (members == 1 && inside) {
+    slices_.assign(1, csr);
+    return true;
+  }
   owned_.resize(members);
   // The team joins the walker only once its slices are built.
   std::unique_ptr<team> crew;
   if (members >= 2) crew = std::make_unique<team>(members);
-  const node_id n = bounds_.back();
-  const node_id lo = bounds_[first_];
-  const node_id hi = bounds_[last_];
   const unsigned blocks = last_ - first_;
   const node_id* ends = bounds_.data() + first_ + 1;  // owned block ends
-  std::array<std::uint8_t, kMaxTeam> member_of{};
+  std::array<std::uint8_t, kPlanBlocks> member_of{};
   for (unsigned j = 0; j < blocks; ++j)
     member_of[j] = static_cast<std::uint8_t>(j % members);
-  std::atomic<bool> stray{false};
-  // Calls f(member, begin, end) for each run of u's row inside one block:
-  // the row is ascending, so the run of each block between the blocks of
-  // its first and last neighbor is the prefix below the block's end.
+  // Calls f(member, begin, end) for each run of u's owned row inside one
+  // block: the row is ascending, so the run of each block between the
+  // blocks of its first and last neighbor is the prefix below the block's
+  // end.
   const auto for_each_run = [&](node_id u, auto&& f) {
-    const std::span<const node_id> row = rows(u);
-    if (row.empty()) return;
-    if (row.front() < lo || row.back() >= hi) {
-      stray.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const node_id* p = row.data();
-    const node_id* const stop = p + row.size();
+    auto [p, stop] = owned_run(u);
+    if (p == stop) return;
     if (members == 1) {
       f(0u, p, stop);
       return;
     }
-    unsigned j = owner_[row.front() - lo];
-    const unsigned j_last = owner_[row.back() - lo];
+    unsigned j = owner_[*p - lo];
+    const unsigned j_last = owner_[stop[-1] - lo];
     for (; j < j_last; ++j) {
       const node_id end = ends[j];
       std::uint32_t len = 0;  // branch-free: rows are short, runs shorter
@@ -218,26 +229,22 @@ void block_walker::slice(const row_source& rows, unsigned members) {
                      static_cast<node_id>(std::uint64_t{n} * (slot + 1) /
                                           members)};
   };
-  total_volume_ = 0;
-  for (node_id u = 0; u < n; ++u) total_volume_ += rows(u).size();
-  // Waking the team costs more than it saves on an adjacency below the
-  // floor — whose rounds never wake it either; the caller runs every slot.
-  const bool on_team = crew && total_volume_ >= min_parallel_volume_;
   const auto run = [&](const team::job& job) {
-    if (on_team) {
+    if (crew) {
       crew->run(job);
     } else {
-      for (unsigned slot = 0; slot < members; ++slot) job(slot);
+      job(0);
     }
   };
-  for (csr& s : owned_) {
+  for (owned_csr& s : owned_) {
     s.row_start = std::make_unique_for_overwrite<std::uint32_t[]>(
         std::size_t{n} + 1);
     s.row_start[0] = 0;
   }
   run([&](unsigned slot) {
     const auto [u0, u1] = row_range(slot);
-    std::array<std::uint32_t*, kMaxTeam> len{};  // len[k][u]: row u's length
+    // len[k][u]: row u's length in slice k.
+    std::array<std::uint32_t*, kPlanBlocks> len{};
     for (unsigned k = 0; k < members; ++k)
       len[k] = owned_[k].row_start.get() + 1;
     for (node_id u = u0; u < u1; ++u) {
@@ -247,20 +254,17 @@ void block_walker::slice(const row_source& rows, unsigned members) {
       });
     }
   });
-  RN_REQUIRE(!stray.load(), "sliced row leaves the owned block range");
-  for (csr& s : owned_) {
-    std::uint64_t total = 0;
+  for (owned_csr& s : owned_) {
+    std::uint32_t total = 0;  // at most the loaded CSR's 32-bit total
     for (node_id u = 1; u <= n; ++u) {
       total += s.row_start[u];
-      s.row_start[u] = static_cast<std::uint32_t>(total);
+      s.row_start[u] = total;
     }
-    RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-               "adjacency too large for 32-bit CSR offsets");
     s.adj = std::make_unique_for_overwrite<node_id[]>(total);
   }
   run([&](unsigned slot) {
     const auto [u0, u1] = row_range(slot);
-    std::array<node_id*, kMaxTeam> out{};
+    std::array<node_id*, kPlanBlocks> out{};
     for (unsigned k = 0; k < members; ++k)
       out[k] = owned_[k].adj.get() + owned_[k].row_start[u0];
     for (node_id u = u0; u < u1; ++u)
@@ -268,9 +272,10 @@ void block_walker::slice(const row_source& rows, unsigned members) {
         out[k] = std::copy(p, q, out[k]);
       });
   });
-  for (const csr& s : owned_)
+  for (const owned_csr& s : owned_)
     slices_.push_back({s.row_start.get(), s.adj.get()});
   team_ = std::move(crew);
+  return false;
 }
 
 unsigned block_walker::team_size() const {
@@ -288,7 +293,7 @@ bool block_walker::reaches_parallel_volume() const {
   std::size_t volume = 0;
   for (const node_id u : txs_) {
     if (volume >= min_parallel_volume_) return true;
-    for (const csr_ref& s : slices_)
+    for (const graph::csr_ref& s : slices_)
       volume += s.row_start[u + 1] - s.row_start[u];
   }
   return volume >= min_parallel_volume_;
@@ -296,8 +301,7 @@ bool block_walker::reaches_parallel_volume() const {
 
 void block_walker::walk(std::span<const node_id> tx_ids) {
   txs_ = tx_ids;
-  if (team_ && total_volume_ >= min_parallel_volume_ && !tx_ids.empty() &&
-      reaches_parallel_volume()) {
+  if (team_ && !tx_ids.empty() && reaches_parallel_volume()) {
     team_->run([this](unsigned slot) {
       using clock = std::chrono::steady_clock;
       const auto t0 = clock::now();  // rn-lint: allow(R1) shard busy_ns feeds the timing sidecar, never results JSON
@@ -311,11 +315,11 @@ void block_walker::walk(std::span<const node_id> tx_ids) {
   } else {
     // Below the floor the caller walks the member slices one after another:
     // each block still lives in one slice, walked in transmitter order.
-    for (const csr_ref& s : slices_) walk_slice(s);
+    for (const graph::csr_ref& s : slices_) walk_slice(s);
   }
 }
 
-void block_walker::walk_slice(const csr_ref& s) {
+void block_walker::walk_slice(const graph::csr_ref& s) {
   // The walk is bound by dependent misses — transmitter id, then its row
   // offsets, then its row — so it fetches offsets kOffsetsAhead
   // transmitters ahead and row heads kHeadsAhead ahead (by then their
@@ -351,7 +355,7 @@ shard_totals block_walker::process_totals() {
   shard_totals t;
   t.parallel_rounds = g_parallel_rounds.load(std::memory_order_relaxed);
   const unsigned slots =
-      std::min(g_max_team.load(std::memory_order_relaxed), kMaxTeam);
+      std::min(g_max_team.load(std::memory_order_relaxed), kPlanBlocks);
   t.busy_ns.reserve(slots);
   for (unsigned s = 0; s < slots; ++s)
     t.busy_ns.push_back(g_shard_busy_ns[s].load(std::memory_order_relaxed));

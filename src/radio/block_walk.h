@@ -7,16 +7,20 @@
 // `block_walker` is the one implementation of that tally. It walks a CSR
 // (compressed sparse row) adjacency over an owned range [first, last) of the
 // fixed 32-block listener plan and appends every first-touched listener to
-// its block's touch list, in walk order. Three callers share it:
-//   * radio::network — all 32 blocks, sliced straight from the graph;
-//   * each dist worker rank — its partitioned_view (graph/partitioned.h),
-//     walked in place on one thread or sliced for a team;
-//   * the dist coordinator's local cover for orphaned blocks (in place).
-//
-// A team of T members splits the owned blocks into T interleaved member
-// slices: member k owns the blocks b with (b - first) mod T == k and walks
-// its own CSR, whose row u holds u's neighbors inside those blocks. A team
-// of one walks a single CSR holding every owned listener.
+// its block's touch list, in walk order. Every caller hands it a CSR the
+// same way, through `load`:
+//   * radio::network — the graph's own CSR, all 32 blocks;
+//   * each dist worker rank — its streamed partitioned_view
+//     (graph/partitioned.h) for layered topologies, else the graph it
+//     rebuilt;
+//   * the dist coordinator's local cover for orphaned blocks — the resident
+//     trial graph.
+// A team of one walks that CSR in place when every row already lies inside
+// the owned blocks. Otherwise the walker copies each row's runs inside the
+// owned blocks into member slices: member k of a team of T owns the blocks b
+// with (b - first) mod T == k, and its slice's row u holds u's neighbors
+// inside those blocks. An adjacency below the volume floor gets a team of
+// one and no threads.
 //
 // Determinism: every slice is walked in transmitter-index order with its
 // rows ascending, and each block lives in exactly one slice, so every
@@ -28,15 +32,21 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/types.h"
+#include "graph/graph.h"
 #include "radio/touch_list.h"
 
 namespace rn::radio {
+
+/// Blocks of the fixed listener plan; core::kChannelContractBlocks names it
+/// for the channel contract. A constant, never the team size, so the
+/// listener partition — and with it the reception dispatch order — is the
+/// same at every team size. It also caps a team at one member per block.
+inline constexpr unsigned kPlanBlocks = 32;
 
 /// A host's vector ISA. The walk is scalar on every host; this only names
 /// the host. Kept for bench/perf/layer_trace.cpp, which reports it.
@@ -62,22 +72,11 @@ struct shard_totals {
   std::vector<std::int64_t> busy_ns;
 };
 
-/// A CSR adjacency: row u spans adj[row_start[u] .. row_start[u+1]) and is
-/// strictly ascending.
-struct csr_ref {
-  const std::uint32_t* row_start = nullptr;
-  const node_id* adj = nullptr;
-};
-
 /// One round's reception tally over an owned block range, with the round
 /// state it fills. Not thread-safe: one caller walks at a time (the team it
 /// runs is internal).
 class block_walker {
  public:
-  /// Row u of an adjacency to slice: u's neighbors inside the owned blocks,
-  /// strictly ascending.
-  using row_source = std::function<std::span<const node_id>(node_id)>;
-
   block_walker();
   ~block_walker();
   // Team jobs hold pointers into this object.
@@ -86,25 +85,28 @@ class block_walker {
 
   /// Binds to blocks [first, last) of the plan `bounds` (size blocks + 1;
   /// bounds.back() is the node count; copied) and sizes the round state.
-  /// Drops any adjacency and team: `attach` or `slice` supplies the next.
+  /// Drops any adjacency and team: `load` supplies the next.
   void bind(std::span<const node_id> bounds, unsigned first, unsigned last);
 
-  /// Walks a caller-owned CSR in place on the calling thread. Its rows must
-  /// hold only listeners inside the owned blocks, and it must outlive the
-  /// binding.
-  void attach(csr_ref csr);
+  /// Sets the adjacency to walk: `csr` has a row for every node id; entries
+  /// outside the owned blocks are skipped. A team of `members` walks it,
+  /// capped at the owned block count, and at one when the owned volume (the
+  /// entries inside the owned blocks) is below the floor. A team of one
+  /// whose rows all lie inside the owned blocks walks `csr` in place and
+  /// returns true: `csr` must then outlive the binding. Otherwise each
+  /// row's owned runs are copied into one slice per member and it returns
+  /// false: `csr` may be freed. Only a team of two or more starts threads
+  /// (the caller plus helpers), and they build the slices. Results are
+  /// identical at every size.
+  bool load(graph::csr_ref csr, unsigned members);
 
-  /// Copies `rows` (u in [0, node count)) into `members` interleaved member
-  /// slices, capped at the owned block count, and walks them on a
-  /// persistent team of that many threads (the caller plus helpers).
-  /// `members <= 1` builds one CSR and walks it on the calling thread.
-  /// Results are identical at every size. The team builds the slices, so
-  /// `rows` is called from its threads concurrently and must not throw.
-  void slice(const row_source& rows, unsigned members);
-
+  /// The owned block range [first_block(), last_block()).
+  [[nodiscard]] unsigned first_block() const { return first_; }
+  [[nodiscard]] unsigned last_block() const { return last_; }
   [[nodiscard]] unsigned team_size() const;
   /// Rounds whose row volume (sum of the transmitters' row lengths) is below
-  /// this walk on the calling thread even when a team exists.
+  /// this walk on the calling thread even when a team exists; `load` builds
+  /// no team for an adjacency whose owned volume is below it.
   void set_min_parallel_volume(std::size_t v) { min_parallel_volume_ = v; }
 
   /// Tallies one round: `tx_ids[i]` transmits with index i.
@@ -137,13 +139,13 @@ class block_walker {
 
     void push(node_id v) const { lists[owner[v - base]].push(v); }
   };
-  struct csr {
+  struct owned_csr {
     std::unique_ptr<std::uint32_t[]> row_start;
     std::unique_ptr<node_id[]> adj;
   };
 
   /// Walks every transmitter's row of one slice, in index order.
-  void walk_slice(const csr_ref& s);
+  void walk_slice(const graph::csr_ref& s);
   /// Tallies transmitter index `tx` into the hit words of the listeners
   /// adj[begin, end), routing each first touch to its block's list. Raw
   /// pointers, not members: the loop then keeps them in registers.
@@ -162,10 +164,9 @@ class block_walker {
   std::vector<std::uint8_t> owner_;
   touch_route route_{};
   /// What the walk reads, one CSR per member (one when there is no team);
-  /// `owned_` holds them unless they were attached.
-  std::vector<csr_ref> slices_;
-  std::vector<csr> owned_;
-  std::size_t total_volume_ = 0;  ///< row entries over all owned slices
+  /// `owned_` holds them unless the loaded CSR is walked in place.
+  std::vector<graph::csr_ref> slices_;
+  std::vector<owned_csr> owned_;
   std::size_t min_parallel_volume_ = 0;
   // This round's transmitters, read by every team member.
   std::span<const node_id> txs_;

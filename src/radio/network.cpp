@@ -12,12 +12,6 @@ namespace rn::radio {
 
 namespace {
 
-/// Fixed block count of the shard plan. A constant (never the team size!)
-/// so the listener partition — and with it the reception dispatch order —
-/// is identical no matter how many threads walk the blocks. It also caps
-/// the team: each member owns at least one block.
-constexpr unsigned kNumBlocks = 32;
-
 std::atomic<std::int64_t> g_stepped{0};
 std::atomic<std::int64_t> g_skipped{0};
 
@@ -94,21 +88,20 @@ network::network(const graph::graph& g, model m)
              "erasure probability must be in [0, 1)");
   node_count_ = g.node_count();
   // A multi-process backend may claim this network's walks: its ranks hold
-  // the partitioned adjacency, so no CSR copy — the dominant per-trial
-  // allocation — is made in remote mode.
+  // the adjacency, so the walker gets none and no team in remote mode.
   if (remote_walk* hook = get_remote_walk();
       hook != nullptr && hook->adopt(g))
     remote_ = hook;
   is_transmitting_.assign(node_count_, 0);
   tx_count_.assign(node_count_, 0);
 
-  // The reusable shard plan: kNumBlocks contiguous listener ranges with
+  // The reusable shard plan: kPlanBlocks contiguous listener ranges with
   // roughly equal adjacency volume (a listener's walk cost is its degree).
   // Recycled across every round; independent of the team size by design.
   // Shared with the distributed backend (graph/partitioned.h) so every
   // process derives the identical partition from the degree sequence alone.
-  walker_.bind(graph::compute_block_plan(g, kNumBlocks).bounds, 0,
-               kNumBlocks);
+  walker_.bind(graph::compute_block_plan(g, kPlanBlocks).bounds, 0,
+               kPlanBlocks);
   if (remote_ != nullptr) return;  // walks are external; no adjacency
 
   const intra_trial_policy pol = get_intra_trial_policy();
@@ -123,10 +116,12 @@ network::network(const graph::graph& g, model m)
     // constructed while the pool was still busy grows its team and
     // inherits the machine moments later.
     auto_shards_ = true;
-    borrowed_workers_ = borrow_workers(kNumBlocks - 1);
+    borrowed_workers_ = borrow_workers(kPlanBlocks - 1);
     team = borrowed_workers_ + 1;
   }
-  slice_adjacency(team);
+  // A team of one walks the graph's own CSR in place: every row lies inside
+  // the 32 blocks.
+  walker_.load(g.csr(), team);
 }
 
 network::~network() {
@@ -154,15 +149,8 @@ shard_totals network::process_shard_totals() {
 
 void network::enable_intra_trial(unsigned threads) {
   if (remote_ == nullptr &&
-      std::clamp(threads, 1u, kNumBlocks) != walker_.team_size())
-    slice_adjacency(threads);
-}
-
-void network::slice_adjacency(unsigned team) {
-  // Rows stay sorted ascending (the graph builder's contract), which is what
-  // lets the walker cut each row at the block boundaries in one pass.
-  const graph::graph& g = *g_;
-  walker_.slice([&g](node_id u) { return g.neighbors(u); }, team);
+      std::clamp(threads, 1u, kPlanBlocks) != walker_.team_size())
+    walker_.load(g_->csr(), threads);
 }
 
 unsigned network::intra_trial_threads() const { return walker_.team_size(); }
@@ -190,9 +178,9 @@ void network::prepare_round(const round_buffer& txs) {
   // an execution detail, so growing mid-run cannot perturb results.
   if (auto_shards_ && --auto_poll_ <= 0) {
     auto_poll_ = 64;
-    if (borrowed_workers_ + 1 < kNumBlocks) {
+    if (borrowed_workers_ + 1 < kPlanBlocks) {
       const unsigned extra =
-          borrow_workers(kNumBlocks - 1 - borrowed_workers_);
+          borrow_workers(kPlanBlocks - 1 - borrowed_workers_);
       if (extra > 0) {
         borrowed_workers_ += extra;
         enable_intra_trial(borrowed_workers_ + 1);

@@ -171,9 +171,10 @@ void return_workers(unsigned n);
 
 /// Hook through which a multi-process backend (src/dist) takes over the row
 /// walks of stepped rounds. At construction every network offers its
-/// topology to the installed hook; on adoption the network skips its private
-/// adjacency copy and shard team entirely — the memory that matters at
-/// n = 10^8 — and hands each stepped round's transmit list to `walk_round`,
+/// topology to the installed hook; on adoption the network's walker gets no
+/// adjacency and no shard team — at n = 10^8 the member slices a team would
+/// copy are the memory that matters — and the network hands each stepped
+/// round's transmit list to `walk_round`,
 /// which must leave per-listener hit words and per-block first-touch lists
 /// exactly as the local block walk would. The reception dispatch that follows
 /// (block order, erasure draws, callbacks) is shared and unchanged, which is
@@ -205,12 +206,13 @@ void set_remote_walk(remote_walk* hook);
 /// transmitting nodes with their packets; the engine resolves the channel and
 /// reports receptions via callback.
 ///
-/// The adjacency is copied into a private CSR (compressed sparse row) layout
-/// with 32-bit offsets at construction — one per team member, each holding
-/// that member's listener blocks: the per-round hot loop walks one
-/// contiguous row per transmitter and keeps per-listener state in flat
-/// arrays, with a per-round transmitter bitmap to separate talkers from
-/// listeners (bench_micro BM_NetworkStep / BM_StepNoAlloc track this path).
+/// A team of one walks the graph's own CSR (compressed sparse row)
+/// adjacency in place; a team of T walks T member slices of it, copied at
+/// construction or resize, each holding that member's listener blocks. The
+/// per-round hot loop walks one contiguous row per transmitter and keeps
+/// per-listener state in flat arrays, with a per-round transmitter bitmap to
+/// separate talkers from listeners (bench_micro BM_NetworkStep /
+/// BM_StepNoAlloc track this path). The graph must outlive the network.
 ///
 /// Reception order contract: listeners are resolved block by block (a fixed
 /// degree-balanced partition of the node-id space computed at construction),
@@ -269,14 +271,16 @@ class network {
 
   /// Resizes this network's shard team: `threads >= 2` spawns (or reshapes)
   /// a team of that many walkers (capped at the block count), `threads <= 1`
-  /// tears it down. Each change re-slices the adjacency from the graph, so
-  /// the graph must still be alive. The process policy applies this
-  /// automatically at construction; call it directly to override per
+  /// tears it down and walks the graph in place. An adjacency below the
+  /// volume floor (`set_min_parallel_volume`) gets no team. Each change
+  /// re-slices the adjacency from the graph. The process policy applies
+  /// this automatically at construction; call it directly to override per
   /// network (tests do). No-op when a remote walk adopted this network.
   void enable_intra_trial(unsigned threads);
   /// Current team size (1 = serial row walks).
   [[nodiscard]] unsigned intra_trial_threads() const;
-  /// Per-round volume floor below which a team, if any, is bypassed.
+  /// Per-round volume floor below which a team, if any, is bypassed; the
+  /// next `enable_intra_trial` builds no team for an adjacency below it.
   void set_min_parallel_volume(std::size_t v) {
     walker_.set_min_parallel_volume(v);
   }
@@ -336,8 +340,6 @@ class network {
   /// transmitting neighbors into the walker's round state — through the
   /// walker itself, or the adopted remote walk.
   void prepare_round(const round_buffer& txs);
-  /// (Re)builds the walker's adjacency from the graph for a team of `team`.
-  void slice_adjacency(unsigned team);
 
   const graph::graph* g_;
   model model_;
@@ -352,7 +354,7 @@ class network {
   unsigned borrowed_workers_ = 0;
   // Non-null when the process-wide remote-walk hook adopted this network:
   // stepped rounds route through it instead of the local walks, and the
-  // walker holds no adjacency (the hook's ranks hold the partitioned one).
+  // walker holds no adjacency (the hook's ranks hold it).
   remote_walk* remote_ = nullptr;
   // Auto mode re-polls the worker budget between rounds: a big trial
   // constructed while the pool was busy grows its team as scenario workers
@@ -362,8 +364,9 @@ class network {
   // Bound to all 32 blocks of the shard plan — a fixed partition of the
   // node-id space into contiguous listener ranges balanced by adjacency
   // volume, computed once and never dependent on the team size, which is
-  // what makes reception order thread-count-invariant. Holds the adjacency
-  // (one slice per team member), the per-round hit words and per-block
+  // what makes reception order thread-count-invariant. Walks the graph in
+  // place or holds one slice per team member, holds the per-round hit words
+  // and per-block
   // first-touch lists (filled remotely in remote mode, where the walker
   // holds no adjacency and never walks) and owns the shard team.
   block_walker walker_;

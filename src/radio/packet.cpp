@@ -60,14 +60,6 @@ packet packet::make_rank(node_id from, rank_t rank) {
   return p;
 }
 
-packet packet::make_level(node_id from, level_t level) {
-  packet p;
-  p.kind = packet_kind::level_announce;
-  p.a = from;
-  p.x = static_cast<std::uint32_t>(level);
-  return p;
-}
-
 packet packet::make_data(node_id origin,
                          std::shared_ptr<const packet_body> body) {
   packet p;

@@ -27,7 +27,6 @@ enum class packet_kind : std::uint8_t {
   grow_intent,    ///< [DEV-2] class-1 red announcing it wants to grow; a: red id
   ack,            ///< [DEV-2] lone child acknowledging grow_intent; a: child, b: red
   rank_announce,  ///< a: sender id, x: rank (stage III / virtual distance)
-  level_announce, ///< a: sender id, x: level (BFS layering epochs)
   data,           ///< single-message broadcast payload; a: origin, body: message
   coded,          ///< RLNC packet; x: batch id, body: coeffs+payload
 };
@@ -56,7 +55,6 @@ struct packet {
   [[nodiscard]] static packet make_grow_intent(node_id red);
   [[nodiscard]] static packet make_ack(node_id child, node_id red);
   [[nodiscard]] static packet make_rank(node_id from, rank_t rank);
-  [[nodiscard]] static packet make_level(node_id from, level_t level);
   [[nodiscard]] static packet make_data(node_id origin,
                                         std::shared_ptr<const packet_body> body);
   [[nodiscard]] static packet make_coded(std::uint32_t batch,

@@ -47,7 +47,6 @@ class completion_tracker {
     }
   }
 
-  [[nodiscard]] bool is_done(node_id v) const { return done_[v] != 0; }
   [[nodiscard]] bool all_done() const { return remaining_ == 0; }
   [[nodiscard]] std::size_t remaining() const { return remaining_; }
 

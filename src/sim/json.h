@@ -65,9 +65,6 @@ class json_value {
   /// Typed reads with a fallback for absent/mistyped values. A field that is
   /// present but of the wrong type reads as the fallback — callers that need
   /// to distinguish use find() + type().
-  [[nodiscard]] bool as_bool(bool fallback = false) const {
-    return kind_ == kind::boolean ? bool_ : fallback;
-  }
   [[nodiscard]] double as_number(double fallback = 0) const {
     return kind_ == kind::number ? num_ : fallback;
   }

@@ -90,8 +90,11 @@ radio::model workload_model() {
 trace run_workload(unsigned team_threads) {
   const graph::graph g = graph::build_topology(workload_spec());
   radio::network net(g, workload_model());
+  // Shard every round regardless of volume; set first, or the small graph
+  // gets no team.
+  net.set_min_parallel_volume(0);
   if (team_threads >= 2) net.enable_intra_trial(team_threads);
-  net.set_min_parallel_volume(0);  // shard every round regardless of volume
+  EXPECT_EQ(net.intra_trial_threads(), team_threads);
   return run_rounds(net);
 }
 

@@ -1,6 +1,6 @@
-// Distributed backend: streamed-vs-filtered partitioned views,
-// block-walker identity against a serial reference at every rank/thread
-// split, fork-only session byte-identity
+// Distributed backend: streamed partitioned views against the resident
+// graph's rows, block-walker identity against a serial reference at every
+// rank/thread split and topology kind, fork-only session byte-identity
 // through the declarative runner, wire-level fuzz of the framing error
 // paths, and the fault matrix — injected crashes, wedges, truncations, and
 // delays must recover (respawn or degrade) with byte-identical results JSON.
@@ -30,6 +30,7 @@
 #include "graph/partitioned.h"
 #include "graph/topology.h"
 #include "radio/block_walk.h"
+#include "radio/network.h"
 #include "sim/adhoc.h"
 #include "sim/experiment.h"
 #include "sim/json.h"
@@ -45,6 +46,36 @@ graph::block_plan plan_of(const graph::graph& g) {
   return graph::compute_block_plan(g, kBlocks);
 }
 
+/// Rows of `g` restricted to the listeners in [lo, hi), ascending — what a
+/// view of that range must hold.
+struct filtered_rows {
+  std::vector<std::uint32_t> row_start{0};
+  std::vector<node_id> adj;
+};
+
+filtered_rows filter_rows(const graph::graph& g, node_id lo, node_id hi) {
+  filtered_rows f;
+  for (node_id u = 0; u < g.node_count(); ++u) {
+    for (const node_id v : g.neighbors(u))
+      if (v >= lo && v < hi) f.adj.push_back(v);
+    f.row_start.push_back(static_cast<std::uint32_t>(f.adj.size()));
+  }
+  return f;
+}
+
+/// The rank view a worker streams for `opt`'s layered graph.
+graph::partitioned_view stream_view(const graph::layered_options& opt,
+                                    std::size_t n, unsigned first,
+                                    unsigned last) {
+  return graph::partitioned_view::from_edge_source(
+      n,
+      [&](const graph::edge_sink& sink) {
+        graph::for_each_layered_edge(
+            opt, [&](node_id u, node_id v) { sink(u, v); });
+      },
+      kBlocks, first, last);
+}
+
 TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
   graph::layered_options opt;
   opt.depth = 7;
@@ -56,21 +87,15 @@ TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
 
   for (const auto& [first, last] :
        {std::pair{0u, kBlocks}, {0u, 11u}, {11u, 21u}, {21u, kBlocks}}) {
-    const auto filtered = graph::partitioned_view::from_graph(
-        g, plan, first, last);
-    const auto streamed = graph::partitioned_view::from_edge_source(
-        g.node_count(),
-        [&](const graph::edge_sink& sink) {
-          graph::for_each_layered_edge(
-              opt, [&](node_id u, node_id v) { sink(u, v); });
-        },
-        kBlocks, first, last);
+    const filtered_rows filtered =
+        filter_rows(g, plan.bounds[first], plan.bounds[last]);
+    const auto streamed = stream_view(opt, g.node_count(), first, last);
     ASSERT_EQ(streamed.plan().bounds, plan.bounds)
         << "streamed degree pass disagreed with the resident graph";
-    EXPECT_EQ(streamed.row_start(), filtered.row_start());
-    EXPECT_EQ(streamed.adjacency(), filtered.adjacency());
-    EXPECT_EQ(streamed.owned_begin(), filtered.owned_begin());
-    EXPECT_EQ(streamed.owned_end(), filtered.owned_end());
+    EXPECT_EQ(streamed.row_start(), filtered.row_start);
+    EXPECT_EQ(streamed.adjacency(), filtered.adj);
+    EXPECT_EQ(streamed.owned_begin(), plan.bounds[first]);
+    EXPECT_EQ(streamed.owned_end(), plan.bounds[last]);
   }
 }
 
@@ -110,31 +135,40 @@ reference_walk serial_reference(const graph::graph& g,
 
 using walker_ptr = std::unique_ptr<radio::block_walker>;
 
-/// A rank's walker bound to its view as a worker binds it — in place for
-/// one thread, member slices for a team of `threads` — whose team takes
-/// every non-empty round.
-walker_ptr rank_walker(const graph::partitioned_view& v, unsigned threads) {
+/// A rank's walker over blocks [first, last), loaded as a worker loads it —
+/// `csr` for a team of `members` — whose team takes every non-empty round.
+walker_ptr load_rank(const graph::block_plan& plan, unsigned first,
+                     unsigned last, graph::csr_ref csr, unsigned members) {
   auto w = std::make_unique<radio::block_walker>();
-  w->bind(v.plan().bounds, v.first_block(), v.last_block());
+  w->bind(plan.bounds, first, last);
   w->set_min_parallel_volume(0);
-  if (threads >= 2)
-    w->slice([&v](node_id u) { return v.row(u); }, threads);
-  else
-    w->attach({v.row_start().data(), v.adjacency().data()});
+  w->load(csr, members);
+  EXPECT_EQ(w->team_size(), std::min(members, last - first));
   return w;
 }
 
-/// Walks `txs` on every rank's view and asserts each owned block's touch
-/// list and hit words equal the serial reference; clears the round state.
-void expect_ranks_match(const std::vector<graph::partitioned_view>& views,
-                        const std::vector<walker_ptr>& walkers,
+/// `ranks` ranks splitting the plan as a session does, each loaded with the
+/// resident graph: the walker clips its rows to the rank's blocks.
+std::vector<walker_ptr> resident_ranks(const graph::graph& g,
+                                       const graph::block_plan& plan,
+                                       unsigned ranks, unsigned members) {
+  std::vector<walker_ptr> out;
+  out.reserve(ranks);
+  for (unsigned rk = 0; rk < ranks; ++rk)
+    out.push_back(load_rank(plan, kBlocks * rk / ranks,
+                            kBlocks * (rk + 1) / ranks, g.csr(), members));
+  return out;
+}
+
+/// Walks `txs` on every rank and asserts each owned block's touch list and
+/// hit words equal the serial reference; clears the round state.
+void expect_ranks_match(const std::vector<walker_ptr>& ranks,
                         const reference_walk& ref,
                         std::span<const node_id> txs) {
-  for (std::size_t rk = 0; rk < views.size(); ++rk) {
-    radio::block_walker& w = *walkers[rk];
+  for (std::size_t rk = 0; rk < ranks.size(); ++rk) {
+    radio::block_walker& w = *ranks[rk];
     w.walk(txs);
-    for (unsigned b = views[rk].first_block(); b < views[rk].last_block();
-         ++b) {
+    for (unsigned b = w.first_block(); b < w.last_block(); ++b) {
       const auto got = w.touched(b);
       ASSERT_EQ(std::vector<node_id>(got.begin(), got.end()), ref.touched[b])
           << "rank=" << rk << " block=" << b;
@@ -159,13 +193,16 @@ std::vector<std::vector<node_id>> test_rounds(std::size_t n,
     std::vector<node_id> ids(n);
     for (node_id v = 0; v < n; ++v) ids[v] = v;
     std::shuffle(ids.begin(), ids.end(), r);
-    rounds.emplace_back(ids.begin(), ids.begin() + m);
+    rounds.emplace_back(ids.begin(), ids.begin() + std::min(m, n));
   }
   for (auto& txs : rounds) std::shuffle(txs.begin(), txs.end(), r);
   return rounds;
 }
 
 TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
+  // Both ways a rank gets its rows: the resident graph, which the walker
+  // clips to the rank's blocks, and a streamed view, walked in place by a
+  // team of one.
   graph::layered_options opt;
   opt.depth = 6;
   opt.width = 40;
@@ -180,17 +217,77 @@ TEST(BlockWalker, MatchesSerialReferenceAtEveryRankAndThreadSplit) {
     std::vector<graph::partitioned_view> views;
     views.reserve(ranks);
     for (unsigned rk = 0; rk < ranks; ++rk)
-      views.push_back(graph::partitioned_view::from_graph(
-          g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
-
+      views.push_back(stream_view(opt, g.node_count(), kBlocks * rk / ranks,
+                                  kBlocks * (rk + 1) / ranks));
     for (const unsigned threads : {1u, 2u, 3u, 5u}) {
       SCOPED_TRACE("ranks=" + std::to_string(ranks) +
                    " threads=" + std::to_string(threads));
-      std::vector<walker_ptr> walkers;
-      for (const auto& v : views) walkers.push_back(rank_walker(v, threads));
-      for (const auto& txs : test_rounds(g.node_count(), r))
-        expect_ranks_match(views, walkers, serial_reference(g, plan, txs),
-                           txs);
+      const std::vector<walker_ptr> resident =
+          resident_ranks(g, plan, ranks, threads);
+      std::vector<walker_ptr> streamed;
+      for (const auto& v : views)
+        streamed.push_back(load_rank(v.plan(), v.first_block(),
+                                     v.last_block(), v.csr(), threads));
+      for (const auto& txs : test_rounds(g.node_count(), r)) {
+        const reference_walk ref = serial_reference(g, plan, txs);
+        expect_ranks_match(resident, ref, txs);
+        expect_ranks_match(streamed, ref, txs);
+      }
+    }
+  }
+}
+
+/// The receptions a network must deliver for `ref`: blocks in ascending
+/// order, each in first-touch order, transmitters skipped; one transmitter
+/// is a message from it, more a collision (the CD model).
+std::vector<std::pair<node_id, node_id>> expected_receptions(
+    const reference_walk& ref, std::span<const node_id> txs) {
+  std::vector<std::pair<node_id, node_id>> out;
+  for (const auto& block : ref.touched)
+    for (const node_id v : block) {
+      if (std::find(txs.begin(), txs.end(), v) != txs.end()) continue;
+      const std::uint64_t hs = ref.words[v];
+      out.emplace_back(v, (hs >> 32) == 1 ? txs[hs & 0xffffffffU] : no_node);
+    }
+  return out;
+}
+
+TEST(BlockWalker, EveryTopologyKindMatchesSerialReference) {
+  // Every registered kind at its registry defaults: the resident graph fed
+  // to rank walkers at rank splits 1 and 3 and teams 1, 2 and 4, and a
+  // team-one network walking the graph's own CSR.
+  const auto kinds = graph::topology_registry::instance().kinds();
+  ASSERT_EQ(kinds.size(), 13u);
+  for (const std::string& kind : kinds) {
+    SCOPED_TRACE(kind);
+    graph::topology_spec spec;
+    spec.kind = kind;
+    const graph::graph g = graph::build_topology(spec);
+    const graph::block_plan plan = plan_of(g);
+    std::mt19937_64 r(29);
+    const auto rounds = test_rounds(g.node_count(), r);
+    for (const unsigned ranks : {1u, 3u}) {
+      for (const unsigned members : {1u, 2u, 4u}) {
+        SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                     " members=" + std::to_string(members));
+        const std::vector<walker_ptr> walkers =
+            resident_ranks(g, plan, ranks, members);
+        for (const auto& txs : rounds)
+          expect_ranks_match(walkers, serial_reference(g, plan, txs), txs);
+      }
+    }
+    radio::network net(g, {.collision_detection = true});
+    ASSERT_EQ(net.intra_trial_threads(), 1u);
+    const radio::packet pkt = radio::packet::make_noise();
+    radio::round_buffer buf;
+    for (const auto& txs : rounds) {
+      buf.clear();
+      for (const node_id v : txs) buf.add(v, pkt);
+      std::vector<std::pair<node_id, node_id>> got;
+      net.step(buf, [&](const radio::reception& rx) {
+        got.emplace_back(rx.listener, rx.from);
+      });
+      EXPECT_EQ(got, expected_receptions(serial_reference(g, plan, txs), txs));
     }
   }
 }
@@ -209,18 +306,14 @@ TEST(BlockWalker, TeamsAreCappedAtTheOwnedBlocks) {
   const graph::block_plan plan = plan_of(g);
   for (const unsigned width : {1u, 2u}) {
     SCOPED_TRACE("blocks per rank=" + std::to_string(width));
-    std::vector<graph::partitioned_view> views;
-    std::vector<walker_ptr> walkers;
-    for (unsigned b = 0; b < kBlocks; b += width)
-      views.push_back(
-          graph::partitioned_view::from_graph(g, plan, b, b + width));
-    for (const auto& v : views) {
-      walkers.push_back(rank_walker(v, 3));
-      EXPECT_EQ(walkers.back()->team_size(), width);
+    std::vector<walker_ptr> ranks;
+    for (unsigned b = 0; b < kBlocks; b += width) {
+      ranks.push_back(load_rank(plan, b, b + width, g.csr(), 3));
+      EXPECT_EQ(ranks.back()->team_size(), width);
     }
     std::mt19937_64 r(17);
     for (const auto& txs : test_rounds(g.node_count(), r))
-      expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+      expect_ranks_match(ranks, serial_reference(g, plan, txs), txs);
   }
 }
 
@@ -235,16 +328,16 @@ TEST(BlockWalker, BelowTheFloorTheCallerWalksEverySlice) {
   opt.seed = 8;
   const graph::graph g = graph::random_layered(opt);
   const graph::block_plan plan = plan_of(g);
-  std::vector<graph::partitioned_view> views;
-  views.push_back(graph::partitioned_view::from_graph(g, plan, 3, 20));
-  std::vector<walker_ptr> walkers;
-  walkers.push_back(rank_walker(views[0], 3));
-  walkers[0]->set_min_parallel_volume(std::numeric_limits<std::size_t>::max());
+  std::vector<walker_ptr> ranks;
+  ranks.push_back(load_rank(plan, 3, 20, g.csr(), 3));
+  ASSERT_EQ(ranks[0]->team_size(), 3u);
+  ranks[0]->set_min_parallel_volume(
+      std::numeric_limits<std::size_t>::max());
   const std::int64_t parallel =
       radio::block_walker::process_totals().parallel_rounds;
   std::mt19937_64 r(23);
   for (const auto& txs : test_rounds(g.node_count(), r))
-    expect_ranks_match(views, walkers, serial_reference(g, plan, txs), txs);
+    expect_ranks_match(ranks, serial_reference(g, plan, txs), txs);
   EXPECT_EQ(radio::block_walker::process_totals().parallel_rounds, parallel);
 }
 
@@ -267,13 +360,7 @@ TEST(BlockWalker, BlocksNoTransmitterReachesStayEmpty) {
 
   for (const unsigned ranks : {1u, 2u}) {
     SCOPED_TRACE("ranks=" + std::to_string(ranks));
-    std::vector<graph::partitioned_view> views;
-    std::vector<walker_ptr> walkers;
-    for (unsigned rk = 0; rk < ranks; ++rk)
-      views.push_back(graph::partitioned_view::from_graph(
-          g, plan, kBlocks * rk / ranks, kBlocks * (rk + 1) / ranks));
-    for (const auto& v : views) walkers.push_back(rank_walker(v, 4));
-    expect_ranks_match(views, walkers, ref, txs);
+    expect_ranks_match(resident_ranks(g, plan, ranks, 4), ref, txs);
   }
 }
 
@@ -437,6 +524,11 @@ TEST(FaultPlan, ParsesAndFiresEachEntryOnce) {
   EXPECT_EQ(d->kind, fault_kind::delay);
   EXPECT_EQ(d->arg_ms, 50u);
   EXPECT_TRUE(fault_plan::parse("").empty());
+  // 2^32 - 1 is the largest value that parses.
+  fault_plan widest = fault_plan::parse("kill:rank=4294967295,trial=0,round=0");
+  const fault_spec* w = widest.take(4294967295u, 0, 0);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->rank, 4294967295u);
 }
 
 TEST(FaultPlan, RejectsMalformedEntries) {
@@ -449,6 +541,12 @@ TEST(FaultPlan, RejectsMalformedEntries) {
                contract_error);
   EXPECT_THROW((void)fault_plan::parse("delay:rank=0,trial=0,round=0"),
                contract_error);  // delay needs ms=
+  // Numbers are whole unsigned decimals below 2^32: no sign, no suffix, no
+  // wrap, not empty.
+  for (const char* bad :
+       {"kill:rank=-1,trial=0,round=0", "kill:rank=4294967296,trial=0,round=0",
+        "kill:rank=0,trial=0,round=1x", "kill:rank=0,trial=,round=0"})
+    EXPECT_THROW((void)fault_plan::parse(bad), contract_error) << bad;
 }
 
 TEST(SupervisePolicy, BackoffIsBoundedExponential) {

@@ -295,6 +295,7 @@ TEST(ShardedStep, BoundaryListenersHearCollisionsIdentically) {
   network sharded(g, {.collision_detection = true});
   sharded.set_min_parallel_volume(0);
   sharded.enable_intra_trial(3);
+  ASSERT_EQ(sharded.intra_trial_threads(), 3u);
 
   std::vector<packet> beacons;
   beacons.reserve(600);
@@ -317,12 +318,16 @@ TEST(ShardedStep, TeamResizeAndVolumeFloor) {
   const auto g = star(64);
   network net(g, {.collision_detection = true});
   EXPECT_EQ(net.intra_trial_threads(), 1u);  // default policy: serial
-  net.enable_intra_trial(2);
-  EXPECT_EQ(net.intra_trial_threads(), 2u);
-  // Below the volume floor the team idles and the serial walk runs — the
+  // The whole adjacency is below the volume floor, so a forced team stays
+  // at one member, starts no thread and walks no round in parallel — the
   // round must still resolve normally.
+  const std::int64_t parallel =
+      network::process_shard_totals().parallel_rounds;
+  net.enable_intra_trial(2);
+  EXPECT_EQ(net.intra_trial_threads(), 1u);
   run_round(net, {{1, beacon(1)}});
   EXPECT_EQ(net.stats().deliveries, 1);
+  EXPECT_EQ(network::process_shard_totals().parallel_rounds, parallel);
   net.enable_intra_trial(1);
   EXPECT_EQ(net.intra_trial_threads(), 1u);
   run_round(net, {{2, beacon(2)}});
@@ -342,6 +347,7 @@ TEST(ShardedStep, ErasureDrawsAreShardCountInvariant) {
   network sharded(g, m);
   sharded.set_min_parallel_volume(0);
   sharded.enable_intra_trial(4);
+  ASSERT_EQ(sharded.intra_trial_threads(), 4u);
 
   std::vector<packet> beacons;
   beacons.reserve(n);
@@ -402,6 +408,7 @@ replay_log replay_schedule(const graph::graph& g, const model& m,
     net.set_min_parallel_volume(0);
     net.enable_intra_trial(team);
   }
+  EXPECT_EQ(net.intra_trial_threads(), team);
   replay_log out;
   step_schedule(net, schedule, out.rx, [](std::size_t) {});
   out.erasures = net.stats().erasures;
@@ -466,6 +473,7 @@ TEST(ShardedStep, BelowTheFloorTheCallerWalksEverySlice) {
   add_short_rounds(schedule, n, 10);
   const replay_log ref = replay_schedule(g, kLossy, 1, schedule);
   network net(g, kLossy);
+  net.set_min_parallel_volume(0);  // or the small graph gets no team
   net.enable_intra_trial(3);
   ASSERT_EQ(net.intra_trial_threads(), 3u);
   net.set_min_parallel_volume(std::numeric_limits<std::size_t>::max());

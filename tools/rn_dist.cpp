@@ -7,10 +7,10 @@
 // worker ranks (re-exec'ing this binary with the hidden --rn-worker-fd
 // flag), installs the dist session as the trial observer, and runs the
 // ordinary suite driver: declarative trials execute on the fleet, each rank
-// holding only its partitioned CSR slice. Results JSON is byte-identical to
-// bench_suite at any --ranks / --intra-trial-threads; the timing sidecar is
-// rn-bench-timing-v6 with per-rank peak RSS, transport byte counts,
-// coordinator merge time, and the recovery counters.
+// walking only the rows of its listener blocks. Results JSON is
+// byte-identical to bench_suite at any --ranks / --intra-trial-threads; the
+// timing sidecar is rn-bench-timing-v6 with per-rank peak RSS, transport
+// byte counts, coordinator merge time, and the recovery counters.
 //
 // Supervision flags (dist/supervisor.h; values in milliseconds / attempts):
 //
@@ -24,7 +24,8 @@
 //                           "kill:rank=1,trial=0,round=4;drop:rank=0,..."
 //                           (grammar in dist/fault.h)
 //
-// A crashed or wedged rank is respawned (bounded backoff) with its CSR slice
+// A bad numeric value or fault plan exits 2 with "bad value for FLAG". A
+// crashed or wedged rank is respawned (bounded backoff) with its adjacency
 // rebuilt and the trial replayed; past the budget its blocks are reassigned
 // to the survivors. Results stay byte-identical through every path.
 #include <algorithm>
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "dist/session.h"
 #include "dist/worker.h"
 #include "experiments/experiments.h"
@@ -106,6 +108,12 @@ int main(int argc, char** argv) {
   take_value_flag(args, "--max-respawns", opt.policy.max_respawns);
   take_value_flag(args, "--backoff-ms", opt.policy.backoff_base_ms);
   take_string_flag(args, "--fault-plan", opt.fault_plan);
+  try {
+    static_cast<void>(rn::dist::fault_plan::parse(opt.fault_plan));
+  } catch (const rn::contract_error& e) {
+    std::cerr << "bad value for --fault-plan: " << e.what() << "\n";
+    return 2;
+  }
   // In distributed mode the intra-trial knob applies worker-side (the
   // coordinator's networks delegate their walks); run_suite still parses
   // the flag for the local fallback paths.

@@ -13,13 +13,17 @@
 // payload bytes — which are byte-identical to the file `bench_suite --json`
 // writes for the same workload, whether the daemon served them from the
 // cache or ran the experiment. Exits 1 on an error response (the structured
-// code and message go to stderr).
+// code and message go to stderr), and 2 on bad usage or a bad numeric value
+// ("bad value for FLAG: V"), before connecting.
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 
+#include "sim/cli.h"
 #include "sim/json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -41,6 +45,22 @@ int usage(const char* argv0) {
       << "actions:\n"
       << "  --metrics | --list | --shutdown\n";
   return 2;
+}
+
+/// --priority: an optional '-' before sim::parse_u64's digits, and the value
+/// must fit an int. Otherwise prints "bad value for FLAG: V".
+bool parse_int_flag(std::string_view flag, std::string_view v, int& out) {
+  const bool negative = v.starts_with('-');
+  std::uint64_t n = 0;
+  const auto limit =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + negative;
+  if (!rn::sim::parse_u64(v.substr(negative ? 1 : 0), n) || n > limit) {
+    std::cerr << "bad value for " << flag << ": " << v << "\n";
+    return false;
+  }
+  out = negative ? static_cast<int>(-static_cast<std::int64_t>(n))
+                 : static_cast<int>(n);
+  return true;
 }
 
 #if RN_HAVE_UNIX_SOCKETS
@@ -133,14 +153,16 @@ int main(int argc, char** argv) {
       req["sweep"] = v;
     } else if (arg == "--options" && (v = value(i))) {
       req["options"] = v;
-    } else if (arg == "--messages" && (v = value(i))) {
-      req["messages"] = static_cast<std::uint64_t>(std::stoull(v));
-    } else if (arg == "--trials" && (v = value(i))) {
-      req["trials"] = static_cast<std::uint64_t>(std::stoull(v));
-    } else if (arg == "--seed" && (v = value(i))) {
-      req["seed"] = static_cast<std::uint64_t>(std::stoull(v));
+    } else if ((arg == "--messages" || arg == "--trials" ||
+                arg == "--seed") &&
+               (v = value(i))) {
+      std::uint64_t n = 0;
+      if (!rn::sim::parse_flag(arg, v, n)) return 2;
+      req[arg.substr(2)] = n;
     } else if (arg == "--priority" && (v = value(i))) {
-      req["priority"] = std::stoi(v);
+      int priority = 0;
+      if (!parse_int_flag(arg, v, priority)) return 2;
+      req["priority"] = priority;
     } else {
       return usage(argv[0]);
     }
