@@ -4,7 +4,7 @@
 // uses generous constants (property tests / high-probability guarantees);
 // `fast()` trades slack for simulation speed so that the log^4..log^6 n terms
 // do not drown laptop-scale diameters in the benches. Benches report the
-// profile they use; EXPERIMENTS.md discusses sensitivity.
+// profile they use.
 #pragma once
 
 #include <cstddef>

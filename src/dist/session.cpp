@@ -132,6 +132,7 @@ void session::send_setup(unsigned r) {
   setup.u64(trial_spec_.seed);
   setup.u32(static_cast<std::uint32_t>(text.size()));
   setup.raw(text.data(), text.size());
+  for (const node_id bound : trial_plan_.bounds) setup.u32(bound);
   rk.ch.send(msg_type::setup, setup);
 }
 
@@ -146,12 +147,19 @@ void session::recv_setup_ack(unsigned r) {
                          "setup_ack)");
   wire_reader in(frame_);
   const std::uint64_t n = in.u64();
-  // A node-count mismatch is NOT a rank failure — the spec replayed to a
-  // different graph, so respawning cannot help. Let it escape as a plain
-  // contract violation (fatal), past every recovery catch.
-  RN_REQUIRE(n == trial_node_count_,
-             "dist rank rebuilt a different graph (node count mismatch) "
-             "— topology spec is not replay-deterministic");
+  const std::uint64_t owned_entries = in.u64();
+  // A mismatch is NOT a rank failure — the spec replayed to a different
+  // graph, so respawning cannot help. Let it escape as a plain contract
+  // violation (fatal), past every recovery catch. The owned entry count is
+  // the degree sum over the rank's listeners, which the shipped plan alone
+  // does not pin down.
+  const auto offsets = trial_graph_->offsets();
+  const std::uint64_t want_entries =
+      offsets[trial_plan_.bounds[rk.last_block]] -
+      offsets[trial_plan_.bounds[rk.first_block]];
+  RN_REQUIRE(n == trial_graph_->node_count() && owned_entries == want_entries,
+             "dist rank rebuilt a different graph (node or entry count "
+             "mismatch) — topology spec is not replay-deterministic");
 }
 
 void session::resync_rank(unsigned r) {
@@ -246,7 +254,8 @@ void session::trial_begin(const graph::topology_spec& spec,
   trial_mu_.lock();
   try {
     trial_spec_ = spec;
-    trial_node_count_ = g.node_count();
+    trial_graph_ = &g;
+    trial_plan_ = graph::compute_block_plan(g, kBlocks);
     trial_index_ = static_cast<std::uint32_t>(trials_);
     trial_live_ = true;
     round_index_ = 0;
@@ -488,7 +497,7 @@ void session::cover_missing(std::uint64_t* hit_state,
       if (c->first_block() == b && c->last_block() == e) cov = c.get();
     if (cov == nullptr) {
       cov = covers_.emplace_back(std::make_unique<radio::block_walker>()).get();
-      cov->bind(graph::compute_block_plan(*g, kBlocks).bounds, b, e);
+      cov->bind(trial_plan_.bounds, b, e);
       // The trial graph outlives every cover (trial_end drops them).
       cov->load(g->csr(), 1);
     }

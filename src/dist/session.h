@@ -7,10 +7,12 @@
 //
 //   sim::trial_graph_hook — sees every declarative trial's topology spec and
 //   graph right after build_topology: it ships the spec (with its resolved
-//   seed) to every rank, waits for their adjacencies to build, and arms
-//   the radio remote-walk hook for that trial. Trials are serialized on an
-//   internal mutex, so scenario-pool threads compose with a session — they
-//   just take turns on the rank fleet.
+//   seed) and the graph's block plan to every rank, waits for their
+//   adjacencies to build, checks each rank's node and owned entry counts
+//   against the graph (a mismatch is a contract error: the spec does not
+//   replay), and arms the radio remote-walk hook for that trial. Trials are
+//   serialized on an internal mutex, so scenario-pool threads compose with a
+//   session — they just take turns on the rank fleet.
 //
 //   radio::remote_walk — adopted by networks whose topology is the armed
 //   trial graph (pointer identity). The coordinator's network then walks
@@ -112,7 +114,8 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
 
   // sim::trial_graph_hook — also directly callable by tests that build
   // their networks by hand instead of through make_trial: `spec` must
-  // rebuild exactly the graph `g` in the workers.
+  // rebuild exactly the graph `g` in the workers, else trial_begin throws
+  // contract_error on the first rank whose node or entry count disagrees.
   void trial_begin(const graph::topology_spec& spec,
                    const graph::graph& g) override;
   void trial_end(const graph::graph& g) override;
@@ -183,7 +186,8 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
 
   // Per-trial state (valid between trial_begin and trial_end).
   graph::topology_spec trial_spec_;
-  std::uint64_t trial_node_count_ = 0;
+  const graph::graph* trial_graph_ = nullptr;
+  graph::block_plan trial_plan_;  ///< shipped in every setup frame
   bool trial_live_ = false;
   std::uint32_t trial_index_ = 0;  ///< 0-based once the first trial begins
   std::uint32_t round_index_ = 0;  ///< stepped rounds within the trial

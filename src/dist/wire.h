@@ -40,8 +40,8 @@ namespace rn::dist {
 
 /// Frame types. Values are part of the wire format; append only.
 enum class msg_type : std::uint8_t {
-  setup = 1,         ///< coord -> worker: block range + topology spec
-  setup_ack = 2,     ///< worker -> coord: node count
+  setup = 1,         ///< coord -> worker: block range, topology spec, plan
+  setup_ack = 2,     ///< worker -> coord: node count + owned entry count
   round = 3,         ///< coord -> worker: this round's transmitter ids
   round_results = 4, ///< worker -> coord: per-owned-block touched listeners
   teardown = 5,      ///< coord -> worker: trial over, free the partition

@@ -28,26 +28,13 @@ namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
 
-/// Streams a layered topology's partitioned view — the family the
-/// n = 10^8 point uses — straight from the generator, so the worker never
-/// materializes the full graph.
-graph::partitioned_view stream_layered_view(const graph::topology_spec& spec,
-                                            unsigned first_block,
-                                            unsigned last_block) {
-  // Mirror of the topology registry's layered parameter mapping.
-  graph::layered_options lo;
-  lo.depth = static_cast<std::size_t>(spec.param("depth", 8));
-  lo.width = static_cast<std::size_t>(spec.param("width", 8));
-  lo.edge_prob = spec.param("edge_prob", lo.edge_prob);
-  lo.intra_prob = spec.param("intra_prob", lo.intra_prob);
-  lo.seed = spec.seed;
-  const std::size_t n = 1 + lo.depth * lo.width;
-  return graph::partitioned_view::from_edge_source(
-      n,
-      [&lo](const graph::edge_sink& sink) {
-        graph::for_each_layered_edge(lo, sink);
-      },
-      kBlocks, first_block, last_block);
+/// Checks that the plan a setup frame carries fits a graph of `n` nodes:
+/// kBlocks + 1 ascending bounds from 0 to n.
+void check_plan(const graph::block_plan& plan, std::size_t n) {
+  RN_REQUIRE(plan.bounds.size() == kBlocks + 1 && plan.bounds.front() == 0 &&
+                 plan.bounds.back() == n &&
+                 std::is_sorted(plan.bounds.begin(), plan.bounds.end()),
+             "dist setup plan does not fit the rank's graph");
 }
 
 }  // namespace
@@ -88,25 +75,41 @@ int worker_main(int fd) {
           graph::topology_spec spec = graph::parse_topology_spec(
               std::string(reinterpret_cast<const char*>(text), spec_len));
           spec.seed = seed;
+          // The coordinator's plan of its resident graph: the rank never
+          // derives it, so a layered view needs no degree replay.
+          graph::block_plan plan;
+          plan.bounds.resize(kBlocks + 1);
+          for (node_id& bound : plan.bounds) bound = in.u32();
           // Free the previous adjacency first: a reassignment resync
           // re-sends setup mid-trial, and two need not coexist.
           walker.reset();
           view = graph::partitioned_view();
           resident = graph::graph();
-          std::vector<node_id> bounds;
+          std::size_t n = 0;
+          std::uint64_t owned_entries = 0;
           graph::csr_ref csr;
           if (spec.kind == "layered") {
-            view = stream_layered_view(spec, first, last);
-            bounds = view.plan().bounds;
+            // Streamed straight from the generator: the family the
+            // n = 10^8 point uses never materializes the full graph.
+            const graph::layered_options lo = graph::layered_options_of(spec);
+            n = 1 + lo.depth * lo.width;
+            check_plan(plan, n);
+            view = graph::partitioned_view::from_plan(
+                n, plan, first, last,
+                [&lo](auto&& add) { graph::for_each_layered_edge(lo, add); });
+            owned_entries = view.adjacency().size();
             csr = view.csr();
           } else {
             // Other kinds fit a rank whole, as they fit a single process.
             resident = graph::build_topology(spec);
-            bounds = graph::compute_block_plan(resident, kBlocks).bounds;
+            n = resident.node_count();
+            check_plan(plan, n);
+            owned_entries = resident.offsets()[plan.bounds[last]] -
+                            resident.offsets()[plan.bounds[first]];
             csr = resident.csr();
           }
           walker = std::make_unique<radio::block_walker>();
-          walker->bind(bounds, first, last);
+          walker->bind(plan.bounds, first, last);
           walker->set_min_parallel_volume(
               radio::get_intra_trial_policy().min_parallel_volume);
           // A walker that copied the rank's rows into slices leaves the
@@ -116,7 +119,8 @@ int worker_main(int fd) {
             resident = graph::graph();
           }
           wire_writer ack;
-          ack.u64(bounds.back());
+          ack.u64(n);
+          ack.u64(owned_entries);
           ch.send(msg_type::setup_ack, ack);
           break;
         }

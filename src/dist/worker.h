@@ -1,9 +1,12 @@
 // Worker-rank side of the distributed backend.
 //
-// A worker owns a contiguous range of the 32-block listener partition. For
-// layered topologies it holds only the in-edge partitioned CSR for that
-// range (graph::partitioned_view, streamed from the generator); every other
-// kind it rebuilds whole and walks the rows inside its range. Per round it
+// A worker owns a contiguous range of the 32-block listener partition of the
+// plan the coordinator ships in each setup frame. For layered topologies it
+// holds only the in-edge partitioned CSR for that range
+// (graph::partitioned_view, filled in two replays of the generator); every
+// other kind it rebuilds whole and walks the rows inside its range. Its
+// setup ack returns the node count and the owned entry count, which the
+// coordinator checks against its own graph. Per round it
 // receives the global transmitter list, tallies hit words for its own
 // listeners, and returns each owned block's first-touched listeners (in the
 // canonical walk order) with their packed words. The coordinator applies

@@ -1,5 +1,5 @@
-// The CSR fill shared by graph::builder and partitioned_view::from_edge_source
-// (private to src/graph).
+// The one CSR fill: graph::from_edges (every generator and graph::builder)
+// and the partitioned views of distributed ranks all fill through it.
 #pragma once
 
 #include <algorithm>

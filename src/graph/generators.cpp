@@ -9,89 +9,81 @@
 
 namespace rn::graph {
 
-using detail::bernoulli_indices;
-
 graph path(std::size_t n) {
   RN_REQUIRE(n >= 1, "path needs >= 1 node");
-  graph::builder b(n);
-  for (node_id i = 0; i + 1 < n; ++i) b.add_edge(i, i + 1);
-  return std::move(b).build();
+  return graph::from_edges(n, [n](auto&& add) {
+    for (node_id i = 0; i + 1 < n; ++i) add(i, i + 1);
+  });
 }
 
 graph cycle(std::size_t n) {
   RN_REQUIRE(n >= 3, "cycle needs >= 3 nodes");
-  graph::builder b(n);
-  for (node_id i = 0; i < n; ++i)
-    b.add_edge(i, static_cast<node_id>((i + 1) % n));
-  return std::move(b).build();
+  return graph::from_edges(n, [n](auto&& add) {
+    for (node_id i = 0; i < n; ++i) add(i, static_cast<node_id>((i + 1) % n));
+  });
 }
 
 graph star(std::size_t n) {
   RN_REQUIRE(n >= 2, "star needs >= 2 nodes");
-  graph::builder b(n);
-  for (node_id i = 1; i < n; ++i) b.add_edge(0, i);
-  return std::move(b).build();
+  return graph::from_edges(n, [n](auto&& add) {
+    for (node_id i = 1; i < n; ++i) add(0, i);
+  });
 }
 
 graph complete(std::size_t n) {
   RN_REQUIRE(n >= 1, "complete graph needs >= 1 node");
-  graph::builder b(n);
-  for (node_id i = 0; i < n; ++i)
-    for (node_id j = i + 1; j < n; ++j) b.add_edge(i, j);
-  return std::move(b).build();
+  return graph::from_edges(n, [n](auto&& add) {
+    for (node_id i = 0; i < n; ++i)
+      for (node_id j = i + 1; j < n; ++j) add(i, j);
+  });
 }
 
 graph grid(std::size_t rows, std::size_t cols) {
   RN_REQUIRE(rows >= 1 && cols >= 1, "grid needs positive dimensions");
-  graph::builder b(rows * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<node_id>(r * cols + c);
   };
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) b.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) b.add_edge(id(r, c), id(r + 1, c));
+  return graph::from_edges(rows * cols, [&](auto&& add) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (c + 1 < cols) add(id(r, c), id(r, c + 1));
+        if (r + 1 < rows) add(id(r, c), id(r + 1, c));
+      }
     }
-  }
-  return std::move(b).build();
+  });
 }
 
 graph binary_tree(std::size_t n) {
   RN_REQUIRE(n >= 1, "tree needs >= 1 node");
-  graph::builder b(n);
-  for (node_id i = 1; i < n; ++i) b.add_edge(i, (i - 1) / 2);
-  return std::move(b).build();
+  return graph::from_edges(n, [n](auto&& add) {
+    for (node_id i = 1; i < n; ++i) add(i, (i - 1) / 2);
+  });
 }
 
 graph caterpillar(std::size_t spine, std::size_t legs) {
   RN_REQUIRE(spine >= 1, "caterpillar needs a spine");
   const std::size_t n = spine * (1 + legs);
-  graph::builder b(n);
-  for (node_id i = 0; i + 1 < spine; ++i) b.add_edge(i, i + 1);
-  node_id next = static_cast<node_id>(spine);
-  for (node_id s = 0; s < spine; ++s)
-    for (std::size_t l = 0; l < legs; ++l) b.add_edge(s, next++);
-  return std::move(b).build();
+  return graph::from_edges(n, [spine, legs](auto&& add) {
+    for (node_id i = 0; i + 1 < spine; ++i) add(i, i + 1);
+    node_id next = static_cast<node_id>(spine);
+    for (node_id s = 0; s < spine; ++s)
+      for (std::size_t l = 0; l < legs; ++l) add(s, next++);
+  });
 }
 
 graph random_layered(const layered_options& opt) {
   RN_REQUIRE(opt.depth >= 1 && opt.width >= 1, "layered graph dimensions");
   const std::size_t n = 1 + opt.depth * opt.width;
-  graph::builder b(n);
-  for_each_layered_edge(opt, [&](node_id u, node_id v) { b.add_edge(u, v); });
-  return std::move(b).build();
+  return graph::from_edges(
+      n, [&opt](auto&& add) { for_each_layered_edge(opt, add); });
 }
 
 graph random_gnp_connected(std::size_t n, double p, std::uint64_t seed) {
   RN_REQUIRE(n >= 1, "gnp needs >= 1 node");
   for (std::uint64_t attempt = 0; attempt < 64; ++attempt) {
-    rng r(seed + attempt * 0x51ed2701ULL);
-    graph::builder b(n);
-    for (node_id i = 0; i < n; ++i)
-      bernoulli_indices(r, n - i - 1, p, [&](std::size_t j) {
-        b.add_edge(i, static_cast<node_id>(i + 1 + j));
-      });
-    graph g = std::move(b).build();
+    graph g = graph::from_edges(n, [&](auto&& add) {
+      for_each_gnp_edge(n, p, seed, attempt, add);
+    });
     if (g.connected()) return g;
   }
   RN_REQUIRE(false, "G(n,p) never connected; p too small");
@@ -120,24 +112,24 @@ graph random_unit_disk(std::size_t n, double radius, std::uint64_t seed) {
     for (node_id i = 0; i < n; ++i)
       grid_cells[cell_of(pts[i].first) * cells + cell_of(pts[i].second)]
           .push_back(i);
-    graph::builder b(n);
-    for (node_id i = 0; i < n; ++i) {
-      const std::size_t cx = cell_of(pts[i].first);
-      const std::size_t cy = cell_of(pts[i].second);
-      for (std::size_t nx = cx > 0 ? cx - 1 : 0;
-           nx <= (cx + 1 < cells ? cx + 1 : cells - 1); ++nx) {
-        for (std::size_t ny = cy > 0 ? cy - 1 : 0;
-             ny <= (cy + 1 < cells ? cy + 1 : cells - 1); ++ny) {
-          for (const node_id j : grid_cells[nx * cells + ny]) {
-            if (j <= i) continue;
-            const double dx = pts[i].first - pts[j].first;
-            const double dy = pts[i].second - pts[j].second;
-            if (std::sqrt(dx * dx + dy * dy) <= radius) b.add_edge(i, j);
+    graph g = graph::from_edges(n, [&](auto&& add) {
+      for (node_id i = 0; i < n; ++i) {
+        const std::size_t cx = cell_of(pts[i].first);
+        const std::size_t cy = cell_of(pts[i].second);
+        for (std::size_t nx = cx > 0 ? cx - 1 : 0;
+             nx <= (cx + 1 < cells ? cx + 1 : cells - 1); ++nx) {
+          for (std::size_t ny = cy > 0 ? cy - 1 : 0;
+               ny <= (cy + 1 < cells ? cy + 1 : cells - 1); ++ny) {
+            for (const node_id j : grid_cells[nx * cells + ny]) {
+              if (j <= i) continue;
+              const double dx = pts[i].first - pts[j].first;
+              const double dy = pts[i].second - pts[j].second;
+              if (std::sqrt(dx * dx + dy * dy) <= radius) add(i, j);
+            }
           }
         }
       }
-    }
-    graph g = std::move(b).build();
+    });
     if (g.connected()) return g;
   }
   RN_REQUIRE(false, "unit disk never connected; radius too small");
@@ -148,7 +140,6 @@ graph power_law(std::size_t n, std::size_t edges_per_node,
                 std::uint64_t seed) {
   RN_REQUIRE(n >= 2 && edges_per_node >= 1, "power law parameters");
   rng r(seed);
-  graph::builder b(n);
   // One entry per edge endpoint: sampling it uniformly is sampling a node
   // with probability proportional to degree (the classic BA list trick).
   std::vector<node_id> endpoints;
@@ -175,48 +166,50 @@ graph power_law(std::size_t n, std::size_t edges_per_node,
       }
     }
     for (const node_id u : chosen) {
-      b.add_edge(v, u);
       endpoints.push_back(v);
       endpoints.push_back(u);
     }
   }
-  return std::move(b).build();
+  // The list holds each edge as its (v, u) endpoint pair: it is the stream.
+  return graph::from_edges(n, [&endpoints](auto&& add) {
+    for (std::size_t k = 0; k < endpoints.size(); k += 2)
+      add(endpoints[k], endpoints[k + 1]);
+  });
 }
 
 graph clique_chain(std::size_t cliques, std::size_t clique_size) {
   RN_REQUIRE(cliques >= 1 && clique_size >= 1, "clique chain parameters");
   const std::size_t n = cliques * clique_size;
-  graph::builder b(n);
   auto id = [clique_size](std::size_t c, std::size_t i) {
     return static_cast<node_id>(c * clique_size + i);
   };
-  for (std::size_t c = 0; c < cliques; ++c) {
-    for (std::size_t i = 0; i < clique_size; ++i)
-      for (std::size_t j = i + 1; j < clique_size; ++j)
-        b.add_edge(id(c, i), id(c, j));
-    if (c + 1 < cliques)
-      b.add_edge(id(c, clique_size - 1), id(c + 1, 0));
-  }
-  return std::move(b).build();
+  return graph::from_edges(n, [&](auto&& add) {
+    for (std::size_t c = 0; c < cliques; ++c) {
+      for (std::size_t i = 0; i < clique_size; ++i)
+        for (std::size_t j = i + 1; j < clique_size; ++j)
+          add(id(c, i), id(c, j));
+      if (c + 1 < cliques) add(id(c, clique_size - 1), id(c + 1, 0));
+    }
+  });
 }
 
 graph dumbbell(std::size_t side, std::size_t bridge_len) {
   RN_REQUIRE(side >= 1, "dumbbell side size");
   const std::size_t n = 2 * side + bridge_len;
-  graph::builder b(n);
-  for (node_id i = 0; i < side; ++i)
-    for (node_id j = i + 1; j < side; ++j) b.add_edge(i, j);
   const node_id right = static_cast<node_id>(side + bridge_len);
-  for (node_id i = right; i < n; ++i)
-    for (node_id j = i + 1; j < n; ++j) b.add_edge(i, j);
-  node_id prev = side - 1;
-  for (std::size_t i = 0; i < bridge_len; ++i) {
-    const node_id mid = static_cast<node_id>(side + i);
-    b.add_edge(prev, mid);
-    prev = mid;
-  }
-  b.add_edge(prev, right);
-  return std::move(b).build();
+  return graph::from_edges(n, [&](auto&& add) {
+    for (node_id i = 0; i < side; ++i)
+      for (node_id j = i + 1; j < side; ++j) add(i, j);
+    for (node_id i = right; i < n; ++i)
+      for (node_id j = i + 1; j < n; ++j) add(i, j);
+    node_id prev = side - 1;
+    for (std::size_t i = 0; i < bridge_len; ++i) {
+      const node_id mid = static_cast<node_id>(side + i);
+      add(prev, mid);
+      prev = mid;
+    }
+    add(prev, right);
+  });
 }
 
 }  // namespace rn::graph

@@ -1,4 +1,6 @@
-// Topology generators for the experiments. Each returns a connected graph.
+// Topology generators for the experiments. Each returns a connected graph,
+// filled straight from its own edge loop by graph::from_edges, which replays
+// the loop twice (count, scatter) and never stores a pair list.
 //
 // The workhorse for diameter-controlled experiments is `random_layered`: D+1
 // layers of a given width with random inter-layer edges, so the BFS depth from
@@ -82,13 +84,12 @@ struct layered_options {
 
 /// Streams the edges of `random_layered(opt)` as `fn(u, v)` calls without
 /// building the graph: same seed, same RNG draw order, and each undirected
-/// edge emitted exactly once. The only duplicate `random_layered`'s builder
-/// ever deduplicates is a Bernoulli cross-layer pick landing on the node
-/// already chosen as the guaranteed parent, so skipping exactly that pick
-/// here makes the stream duplicate-free while `random_layered` itself stays
-/// a thin wrapper over this function (graph identity by construction).
-/// Replaying with the same options replays the identical edge sequence,
-/// which is what `partitioned_view::from_edge_source` requires.
+/// edge emitted exactly once. The only duplicate the layered draw can make
+/// is a Bernoulli cross-layer pick landing on the node already chosen as the
+/// guaranteed parent, and this stream skips exactly that pick, so it is
+/// duplicate-free; `random_layered` fills its CSR from it (graph identity by
+/// construction). Replaying with the same options replays the identical edge
+/// sequence, which graph::from_edges and a rank's partitioned view require.
 template <class Fn>
 void for_each_layered_edge(const layered_options& opt, Fn&& fn) {
   RN_REQUIRE(opt.depth >= 1 && opt.width >= 1, "layered graph dimensions");
@@ -120,8 +121,22 @@ void for_each_layered_edge(const layered_options& opt, Fn&& fn) {
   }
 }
 
-/// Erdos-Renyi G(n, p) conditioned on connectivity: edges are resampled with
-/// fresh seeds until the graph is connected (p should be above the threshold).
+/// Streams attempt `attempt` of `random_gnp_connected(n, p, seed)` as
+/// `fn(u, v)` calls with u < v: each pair is one Bernoulli(p) trial, and the
+/// attempt draws from its own reseeded stream, so a replay is identical.
+template <class Fn>
+void for_each_gnp_edge(std::size_t n, double p, std::uint64_t seed,
+                       std::uint64_t attempt, Fn&& fn) {
+  rng r(seed + attempt * 0x51ed2701ULL);
+  for (node_id i = 0; i < n; ++i)
+    detail::bernoulli_indices(r, n - i - 1, p, [&](std::size_t j) {
+      fn(i, static_cast<node_id>(i + 1 + j));
+    });
+}
+
+/// Erdos-Renyi G(n, p) conditioned on connectivity: attempts 0, 1, ... of
+/// `for_each_gnp_edge` until one is connected (p should be above the
+/// threshold); throws after 64 disconnected attempts.
 [[nodiscard]] graph random_gnp_connected(std::size_t n, double p,
                                          std::uint64_t seed);
 

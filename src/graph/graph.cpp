@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "graph/fill_csr.h"
 
 namespace rn::graph {
 
@@ -59,17 +58,9 @@ void graph::builder::add_edge(node_id u, node_id v) {
 }
 
 graph graph::builder::build() && {
-  graph g;
-  fill_csr(
-      n_,
-      [this](auto&& put) {
-        for (const auto& [u, v] : edges_) {
-          put(u, v);
-          put(v, u);
-        }
-      },
-      g.offsets_, g.adjacency_);
-  return g;
+  return from_edges(n_, [this](auto&& add) {
+    for (const auto& [u, v] : edges_) add(u, v);
+  });
 }
 
 }  // namespace rn::graph

@@ -8,7 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
+#include "graph/fill_csr.h"
 
 namespace rn::graph {
 
@@ -20,10 +22,33 @@ struct csr_ref {
   const node_id* adj = nullptr;
 };
 
-/// Immutable undirected graph. Build with `builder`, then query.
+/// Immutable undirected graph. Generators fill one straight from their edge
+/// streams (`from_edges`); hand-built graphs go through `builder`.
 class graph {
  public:
   graph() = default;
+
+  /// The graph on `n` nodes whose edges `edges(add)` emits as add(u, v)
+  /// calls, filled straight into the CSR with no pair list. `edges` runs
+  /// twice (count, then scatter) and must replay identically; each edge gets
+  /// builder::add_edge's range check, and self-loops and duplicates drop out,
+  /// so the graph is the one a builder fed the same edges builds.
+  template <class Edges>
+  [[nodiscard]] static graph from_edges(std::size_t n, Edges&& edges) {
+    graph g;
+    fill_csr(
+        n,
+        [&](auto&& put) {
+          edges([&](node_id u, node_id v) {
+            RN_REQUIRE(u < n && v < n, "edge endpoint out of range");
+            if (u == v) return;
+            put(u, v);
+            put(v, u);
+          });
+        },
+        g.offsets_, g.adjacency_);
+    return g;
+  }
 
   [[nodiscard]] std::size_t node_count() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   [[nodiscard]] std::size_t edge_count() const { return adjacency_.size() / 2; }
@@ -50,6 +75,8 @@ class graph {
     return {offsets_.data(), adjacency_.data()};
   }
 
+  /// Collects the edges of a hand-built graph (tests, small experiments),
+  /// then fills the CSR through `from_edges`.
   class builder {
    public:
     explicit builder(std::size_t n) : n_(n) {}

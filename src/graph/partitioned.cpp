@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "graph/fill_csr.h"
 
 namespace rn::graph {
 
@@ -38,45 +37,27 @@ partitioned_view partitioned_view::from_edge_source(std::size_t node_count,
                                                     unsigned blocks,
                                                     unsigned first_block,
                                                     unsigned last_block) {
-  RN_REQUIRE(node_count >= 1, "partitioned view needs >= 1 node");
-  partitioned_view pv;
-  pv.node_count_ = node_count;
-
-  // Pass 1: the full degree prefix. This is what fixes the plan —
-  // identically to a process holding the resident graph, because both run
-  // compute_block_plan over the same prefix values.
-  std::vector<std::uint32_t> prefix(node_count + 1, 0);
-  std::uint64_t total = 0;
-  edges([&](node_id u, node_id v) {
-    RN_REQUIRE(u < node_count && v < node_count && u != v,
-               "edge source emitted an invalid edge");
-    prefix[u + 1] += 1;
-    prefix[v + 1] += 1;
-    total += 2;
-  });
-  RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-             "adjacency too large for 32-bit CSR offsets");
-  for (std::size_t i = 0; i < node_count; ++i) prefix[i + 1] += prefix[i];
-  pv.plan_ = compute_block_plan(prefix, blocks);
-  RN_REQUIRE(first_block < last_block && last_block <= pv.plan_.blocks(),
-             "partitioned view needs a non-empty block range inside the plan");
-  pv.first_block_ = first_block;
-  pv.last_block_ = last_block;
-  const node_id lo = pv.owned_begin();
-  const node_id hi = pv.owned_end();
-
-  // Passes 2 and 3 (same replay): graph::builder's fill over the entries
-  // whose listener is owned.
-  fill_csr(
-      node_count,
-      [&](auto&& put) {
-        edges([&](node_id u, node_id v) {
-          if (v >= lo && v < hi) put(u, v);
-          if (u >= lo && u < hi) put(v, u);
-        });
-      },
-      pv.row_start_, pv.adj_);
-  return pv;
+  // The degree pass fixes the plan — identically to a process holding the
+  // resident graph, because both run compute_block_plan over the same
+  // prefix values.
+  block_plan plan;
+  {
+    std::vector<std::uint32_t> prefix(node_count + 1, 0);
+    std::uint64_t total = 0;
+    edges([&](node_id u, node_id v) {
+      RN_REQUIRE(u < node_count && v < node_count && u != v,
+                 "edge source emitted an invalid edge");
+      prefix[u + 1] += 1;
+      prefix[v + 1] += 1;
+      total += 2;
+    });
+    RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
+               "adjacency too large for 32-bit CSR offsets");
+    for (std::size_t i = 0; i < node_count; ++i) prefix[i + 1] += prefix[i];
+    plan = compute_block_plan(prefix, blocks);
+  }
+  return from_plan(node_count, std::move(plan), first_block, last_block,
+                   edges);
 }
 
 }  // namespace rn::graph

@@ -11,20 +11,26 @@
 // every transmitter's hits on its own listeners from its view alone, because
 // rows are complete per listener even when they are partial per transmitter.
 //
-// A view is streamed from an edge source (several deterministic replays; the
-// full graph never materializes) through the same CSR fill as
-// graph::builder. The streamed path is what lets an n = 10^8 trial fit a rank
-// in a few GB — see graph/generators.h `for_each_layered_edge`. A process
-// that holds the resident graph needs no view: the block walker
-// (radio/block_walk.h) clips the graph's own rows to its blocks.
+// A view is streamed from an edge stream (the full graph never
+// materializes) through the same CSR fill as graph::from_edges: `from_plan`
+// takes the plan a process holding the graph computed and replays the stream
+// twice (count, scatter); `from_edge_source` first derives the plan itself
+// from one more replay (the degree pass). The streamed path is what lets an
+// n = 10^8 trial fit a rank in a few GB — see graph/generators.h
+// `for_each_layered_edge`. A process that holds the resident graph needs no
+// view: the block walker (radio/block_walk.h) clips the graph's own rows to
+// its blocks.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
+#include "graph/fill_csr.h"
 #include "graph/graph.h"
 
 namespace rn::graph {
@@ -53,9 +59,9 @@ struct block_plan {
 [[nodiscard]] block_plan compute_block_plan(const graph& g, unsigned blocks);
 
 /// Calls `sink(u, v)` exactly once per undirected edge, in a deterministic
-/// order. A build invokes the source several times (degree pass, count pass,
-/// fill pass) — sources must replay identically, which the deterministic
-/// generators do by reseeding.
+/// order. `from_edge_source` invokes the source three times (degree, count
+/// and scatter passes) — sources must replay identically, which the
+/// deterministic generators do by reseeding.
 using edge_sink = std::function<void(node_id, node_id)>;
 using edge_source = std::function<void(const edge_sink&)>;
 
@@ -65,10 +71,21 @@ class partitioned_view {
  public:
   partitioned_view() = default;
 
-  /// Streams `edges` (several identical replays: degrees — which also fix
-  /// the plan — then count and fill) and never materializes the full
-  /// adjacency. `edges` must emit each undirected edge exactly once and
-  /// replay identically across passes.
+  /// Fills blocks [first_block, last_block) of `plan` — the plan the full
+  /// graph's degrees give, shipped by a process that holds the graph — from
+  /// two replays of `edges` (count, scatter). `edges(add)` must call
+  /// add(u, v) exactly once per undirected edge and replay identically; a
+  /// template sink, so no call per edge goes through a std::function.
+  template <class Edges>
+  [[nodiscard]] static partitioned_view from_plan(std::size_t node_count,
+                                                  block_plan plan,
+                                                  unsigned first_block,
+                                                  unsigned last_block,
+                                                  Edges&& edges);
+
+  /// Derives the plan from one degree replay of `edges` (what a process
+  /// without the graph must do), then fills as `from_plan`: three replays in
+  /// all, and never the full adjacency.
   [[nodiscard]] static partitioned_view from_edge_source(
       std::size_t node_count, const edge_source& edges, unsigned blocks,
       unsigned first_block, unsigned last_block);
@@ -97,5 +114,38 @@ class partitioned_view {
   std::vector<std::uint32_t> row_start_;  ///< size node_count_ + 1
   std::vector<node_id> adj_;              ///< owned-range neighbors, sorted
 };
+
+template <class Edges>
+partitioned_view partitioned_view::from_plan(std::size_t node_count,
+                                             block_plan plan,
+                                             unsigned first_block,
+                                             unsigned last_block,
+                                             Edges&& edges) {
+  RN_REQUIRE(node_count >= 1, "partitioned view needs >= 1 node");
+  RN_REQUIRE(!plan.bounds.empty() && plan.bounds.back() == node_count,
+             "partitioned view plan does not end at the node count");
+  RN_REQUIRE(first_block < last_block && last_block <= plan.blocks(),
+             "partitioned view needs a non-empty block range inside the plan");
+  partitioned_view pv;
+  pv.node_count_ = node_count;
+  pv.plan_ = std::move(plan);
+  pv.first_block_ = first_block;
+  pv.last_block_ = last_block;
+  const node_id lo = pv.owned_begin();
+  const node_id hi = pv.owned_end();
+  // The fill over the entries whose listener is owned.
+  fill_csr(
+      node_count,
+      [&](auto&& put) {
+        edges([&](node_id u, node_id v) {
+          RN_REQUIRE(u < node_count && v < node_count && u != v,
+                     "edge source emitted an invalid edge");
+          if (v >= lo && v < hi) put(u, v);
+          if (u >= lo && u < hi) put(v, u);
+        });
+      },
+      pv.row_start_, pv.adj_);
+  return pv;
+}
 
 }  // namespace rn::graph

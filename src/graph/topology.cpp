@@ -170,15 +170,7 @@ topology_registry::topology_registry() {
   });
   wrap("layered", "depth, width, edge_prob, intra_prob",
        [](const topology_spec& s) {
-         param_reader p(s);
-         layered_options lo;
-         lo.depth = p.count("depth", lo.depth, 1);
-         lo.width = p.count("width", lo.width, 1);
-         lo.edge_prob = p.get("edge_prob", lo.edge_prob);
-         lo.intra_prob = p.get("intra_prob", lo.intra_prob);
-         lo.seed = s.seed;
-         p.finish();
-         p.nodes(1 + lo.depth * lo.width);
+         const layered_options lo = layered_options_of(s);
          return [lo] { return random_layered(lo); };
        });
   wrap("gnp", "n, p", [](const topology_spec& s) {
@@ -225,6 +217,21 @@ topology_registry::topology_registry() {
     p.nodes(2 * side + bridge_len);
     return [side, bridge_len] { return dumbbell(side, bridge_len); };
   });
+}
+
+layered_options layered_options_of(const topology_spec& spec) {
+  RN_REQUIRE(spec.kind == "layered",
+             "layered options of a '" + spec.kind + "' spec");
+  param_reader p(spec);
+  layered_options lo;
+  lo.depth = p.count("depth", lo.depth, 1);
+  lo.width = p.count("width", lo.width, 1);
+  lo.edge_prob = p.get("edge_prob", lo.edge_prob);
+  lo.intra_prob = p.get("intra_prob", lo.intra_prob);
+  lo.seed = spec.seed;
+  p.finish();
+  p.nodes(1 + lo.depth * lo.width);
+  return lo;
 }
 
 graph build_topology(const topology_spec& spec) {

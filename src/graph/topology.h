@@ -23,6 +23,8 @@
 
 namespace rn::graph {
 
+struct layered_options;
+
 /// A graph family member as a value: generator kind + numeric parameters.
 struct topology_spec {
   std::string kind;  ///< registry key, e.g. "layered", "unit_disk", "power_law"
@@ -97,6 +99,12 @@ class topology_registry {
 /// Throws exactly where `build_topology` would for these; seed-dependent
 /// generation failures are left to the build.
 void check_topology(const topology_spec& spec);
+
+/// The `layered` kind's generator options for `spec`: its parameters read
+/// and range-checked exactly as build_topology reads them, and its seed. The
+/// registry's layered adapter and a rank streaming its view both use it, so
+/// they cannot map a layered spec differently.
+[[nodiscard]] layered_options layered_options_of(const topology_spec& spec);
 
 /// Parses the canonical text form, e.g. "layered:depth=12,width=8". Parameter
 /// values must be plain, finite decimal numbers. Throws contract_error on

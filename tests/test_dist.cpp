@@ -99,6 +99,62 @@ TEST(PartitionedView, StreamedLayeredBuildEqualsFilteredBuild) {
   }
 }
 
+TEST(PartitionedView, PlanFilledViewEqualsDerivedViewAtEveryRankSplit) {
+  graph::layered_options opt;
+  opt.depth = 7;
+  opt.width = 23;
+  opt.edge_prob = 0.2;
+  opt.intra_prob = 0.1;
+  opt.seed = 31;
+  const graph::graph g = graph::random_layered(opt);
+  const graph::block_plan plan = plan_of(g);
+  for (unsigned ranks = 1; ranks <= 4; ++ranks) {
+    for (unsigned r = 0; r < ranks; ++r) {
+      SCOPED_TRACE(std::to_string(r) + " of " + std::to_string(ranks));
+      const unsigned first = kBlocks * r / ranks;
+      const unsigned last = kBlocks * (r + 1) / ranks;
+      const auto derived = stream_view(opt, g.node_count(), first, last);
+      const auto shipped = graph::partitioned_view::from_plan(
+          g.node_count(), plan, first, last,
+          [&](auto&& add) { graph::for_each_layered_edge(opt, add); });
+      EXPECT_EQ(shipped.plan().bounds, derived.plan().bounds);
+      EXPECT_EQ(shipped.owned_begin(), derived.owned_begin());
+      EXPECT_EQ(shipped.owned_end(), derived.owned_end());
+      EXPECT_EQ(shipped.row_start(), derived.row_start());
+      EXPECT_EQ(shipped.adjacency(), derived.adjacency());
+    }
+  }
+}
+
+TEST(PartitionedView, ResidentBuildAndRankViewReplayTheirStreamTwice) {
+  graph::layered_options opt;
+  opt.depth = 5;
+  opt.width = 11;
+  opt.edge_prob = 0.3;
+  opt.seed = 7;
+  const std::size_t n = 1 + opt.depth * opt.width;
+  unsigned replays = 0;
+  const auto counted = [&](auto&& add) {
+    ++replays;
+    graph::for_each_layered_edge(opt, add);
+  };
+  const graph::graph g = graph::graph::from_edges(n, counted);
+  EXPECT_EQ(replays, 2u) << "resident build: count, scatter";
+  EXPECT_EQ(g.edges(), graph::random_layered(opt).edges());
+
+  replays = 0;
+  const auto view =
+      graph::partitioned_view::from_plan(n, plan_of(g), 0, 11, counted);
+  EXPECT_EQ(replays, 2u) << "rank view from a shipped plan: count, scatter";
+
+  replays = 0;
+  const auto derived = graph::partitioned_view::from_edge_source(
+      n, [&](const graph::edge_sink& sink) { counted(sink); }, kBlocks, 0,
+      11);
+  EXPECT_EQ(replays, 3u) << "a view that derives its plan: degrees too";
+  EXPECT_EQ(view.adjacency(), derived.adjacency());
+}
+
 // --- block walker vs serial reference -------------------------------------
 
 /// The serial walk's per-reception update: transmitter index i touches the
@@ -395,6 +451,25 @@ TEST(DistSession, ForkOnlyRunIsByteIdenticalToLocal) {
   EXPECT_GT(t.bytes_received, 0u);
   ASSERT_EQ(t.peak_rss_kb_per_rank.size(), 3u);
   for (const std::int64_t kb : t.peak_rss_kb_per_rank) EXPECT_GT(kb, 0);
+}
+
+TEST(DistSession, RankReplayingAnotherGraphIsAContractError) {
+  // The spec at another seed replays to another graph with the same node
+  // count; the ranks' owned entry counts must give it away, on the
+  // streamed-view path (layered) and the resident path (power_law) alike.
+  for (const char* text :
+       {"layered:depth=6,width=9,edge_prob=0.3", "power_law:n=64"}) {
+    SCOPED_TRACE(text);
+    session_options so;
+    so.ranks = 2;
+    session s(so);  // fresh: a failed setup leaves acks unread
+    graph::topology_spec spec = graph::parse_topology_spec(text);
+    spec.seed = 11;
+    const graph::graph g = graph::build_topology(spec);
+    spec.seed = 12;
+    ASSERT_EQ(graph::build_topology(spec).node_count(), g.node_count());
+    EXPECT_THROW(s.trial_begin(spec, g), contract_error);
+  }
 }
 
 // --- wire-level fuzz: framing failures are structured, never hangs --------

@@ -45,6 +45,9 @@ TEST(Graph, NeighborsSorted) {
 TEST(Graph, EdgeOutOfRangeThrows) {
   graph::builder b(2);
   EXPECT_THROW(b.add_edge(0, 2), contract_error);
+  EXPECT_THROW(static_cast<void>(graph::from_edges(
+                   2, [](auto&& add) { add(2, 0); })),
+               contract_error);
 }
 
 TEST(Graph, Connectivity) {

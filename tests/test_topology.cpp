@@ -235,6 +235,88 @@ TEST(TopologyCheck, SeedDependentFailureIsLeftToTheBuild) {
   EXPECT_THROW(static_cast<void>(build_topology(spec)), contract_error);
 }
 
+// --- the streamed build -------------------------------------------------------
+
+/// Offsets and adjacency bit for bit.
+void expect_same_csr(const graph& got, const graph& want) {
+  const auto off = got.offsets();
+  ASSERT_TRUE(std::equal(off.begin(), off.end(), want.offsets().begin(),
+                         want.offsets().end()));
+  EXPECT_TRUE(std::equal(got.csr().adj, got.csr().adj + off.back(),
+                         want.csr().adj));
+}
+
+/// graph::builder fed `g`'s edges last to first, each in both orientations
+/// and twice, plus a self-loop per node: the fill's CSR depends on none of
+/// emission order, duplicates or self-loops.
+graph rebuilt_by_builder(const graph& g) {
+  const auto edges = g.edges();
+  graph::builder b(g.node_count());
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    b.add_edge(it->second, it->first);
+    b.add_edge(it->first, it->second);
+  }
+  for (const auto& [u, v] : edges) b.add_edge(v, u);
+  for (node_id v = 0; v < g.node_count(); ++v) b.add_edge(v, v);
+  return std::move(b).build();
+}
+
+TEST(StreamBuild, EveryKindEqualsTheBuilderOnItsEdges) {
+  std::vector<topology_spec> specs;
+  for (const auto& kind : topology_registry::instance().kinds())
+    if (kind != "counting_path") specs.push_back({kind, {}, 1});
+  // Bigger than the registry defaults: a G(n, p) near its connectivity
+  // threshold (retries) and a power law with a hub tail.
+  specs.push_back(parse_topology_spec("gnp:n=100,p=0.05"));
+  specs.push_back(parse_topology_spec("power_law:n=3000"));
+  for (topology_spec& spec : specs) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      spec.seed = seed;
+      SCOPED_TRACE(spec.to_string() + " seed " + std::to_string(seed));
+      const graph g = build_topology(spec);
+      expect_same_csr(g, rebuilt_by_builder(g));
+    }
+  }
+}
+
+TEST(StreamBuild, LayeredEqualsTheBuilderOnItsStream) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    auto spec =
+        parse_topology_spec("layered:depth=9,width=30,edge_prob=0.2,"
+                            "intra_prob=0.1");
+    spec.seed = seed;
+    const layered_options lo = layered_options_of(spec);
+    graph::builder b(1 + lo.depth * lo.width);
+    for_each_layered_edge(lo, [&](node_id u, node_id v) { b.add_edge(u, v); });
+    expect_same_csr(build_topology(spec), std::move(b).build());
+  }
+}
+
+TEST(StreamBuild, GnpRetryEqualsTheBuilderOnTheConnectedAttempt) {
+  const std::size_t n = 100;
+  const double p = 0.05;
+  std::size_t retried = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    graph want;
+    for (std::uint64_t attempt = 0; want.node_count() == 0; ++attempt) {
+      ASSERT_LT(attempt, 64u);
+      graph::builder b(n);
+      for_each_gnp_edge(n, p, seed, attempt,
+                        [&](node_id u, node_id v) { b.add_edge(u, v); });
+      graph g = std::move(b).build();
+      if (g.connected()) {
+        want = std::move(g);
+        retried += attempt > 0 ? 1 : 0;
+      }
+    }
+    auto spec = parse_topology_spec("gnp:n=100,p=0.05");
+    spec.seed = seed;
+    expect_same_csr(build_topology(spec), want);
+  }
+  EXPECT_GT(retried, 0u) << "no seed's first attempt failed to connect";
+}
+
 /// Generations of the "counting_path" kind registered below.
 std::size_t counting_builds = 0;
 
