@@ -85,6 +85,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
   res.transmissions = net.stats().transmissions;
   res.deliveries = net.stats().deliveries;
   res.collisions_observed = net.stats().collisions_observed;
+  res.energy = net.energy();
   return res;
 }
 
@@ -156,6 +157,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
   res.transmissions = net.stats().transmissions;
   res.deliveries = net.stats().deliveries;
   res.collisions_observed = net.stats().collisions_observed;
+  res.energy = net.energy();
   return res;
 }
 

@@ -1,9 +1,11 @@
-// Cross-commit golden pins: the exact results of every protocol whose coin
-// planning runs through the GST slow-slot scan or the batched Decay sampler,
-// on two fixed graphs at fixed seeds. The values were recorded before that
-// planning code was last rewritten, and a rewrite of it is only an
-// optimization if it leaves every draw — and so every number below — where
-// it was. Never edit a pin to make a change pass.
+// Cross-commit golden pins: the exact results of every broadcast runner —
+// the GST slow-slot scan, the batched Decay sampler and its per-round
+// oracles, and the uncoded multi-message baselines — on two fixed graphs at
+// fixed seeds. The values were recorded before that code was last rewritten
+// (the oracle and baseline rows before the runners moved onto one trial
+// frame), and a rewrite of it is only an optimization if it leaves every
+// draw — and so every number below — where it was. Never edit a pin to make
+// a change pass.
 //
 // Each case runs with fast-forward off and on, at intra-trial teams 1 and 2;
 // all four runs must hit the same pin (the execution-mode byte-identity
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "baseline/decay.h"
+#include "baseline/multi_baselines.h"
 #include "coding/rlnc.h"
 #include "core/gst.h"
 #include "core/gst_broadcast.h"
@@ -44,6 +47,7 @@ struct pin {
 
 constexpr pin kPins[] = {
     {"gnp/decay", 36, 107, 156, 0, 0x58d17b46267befcULL},
+    {"gnp/decay/per-round", 29, 89, 136, 0, 0x787e01f317777db2ULL},
     {"gnp/gst-known/mmv=0,classic=0,roots=1", 40, 76, 190, 0, 0xf609416d9e37e033ULL},
     {"gnp/gst-known/mmv=0,classic=0,roots=2", 40, 90, 208, 0, 0x3ccc3c3dc0b62a13ULL},
     {"gnp/gst-known/mmv=0,classic=1,roots=1", 40, 83, 179, 0, 0xbc9247fa7eacacb0ULL},
@@ -55,10 +59,16 @@ constexpr pin kPins[] = {
     {"gnp/gst-unknown-cd", 690343, 10719, 19272, 6343, 0xc1a6a712d3d2ddbULL},
     {"gnp/leveled-decay/mmv=0", 28, 132, 235, 0, 0x2d5363075dde6625ULL},
     {"gnp/leveled-decay/mmv=1", 54, 270, 430, 0, 0x7480601808a84477ULL},
+    {"gnp/leveled-decay/per-round/mmv=0", 52, 244, 372, 0, 0x52346611adc61e71ULL},
+    {"gnp/leveled-decay/per-round/mmv=1", 52, 272, 373, 0, 0xfbade12a084aead1ULL},
     {"gnp/rlnc-known", 188, 543, 987, 0, 0x2fd1c86e3c52a940ULL},
     {"gnp/rlnc-unknown-cd", 690623, 12253, 20424, 8935, 0x42ccd27173189d07ULL},
+    {"gnp/routing/k=3", 282, 1809, 2047, 0, 0x78327e9a5f8d9dc0ULL},
+    {"gnp/seq-decay/k=3", 102, 293, 430, 0, 0x7727f38c001f42e6ULL},
     {"gnp/tuned-decay", 23, 88, 125, 0, 0x61a2a039c0cf2505ULL},
+    {"gnp/tuned-decay/per-round", 29, 139, 172, 0, 0xb7478ca027d29324ULL},
     {"layered/decay", 37, 180, 290, 0, 0x686abac8ad7f3329ULL},
+    {"layered/decay/per-round", 34, 134, 218, 0, 0x432368534c9b9cbULL},
     {"layered/gst-known/mmv=0,classic=0,roots=1", 59, 138, 347, 0, 0x4ff97489fd78ea65ULL},
     {"layered/gst-known/mmv=0,classic=0,roots=2", 30, 79, 243, 0, 0xa09dbd3d6e65ef76ULL},
     {"layered/gst-known/mmv=0,classic=1,roots=1", 104, 305, 754, 0, 0xa200c253e8d7a320ULL},
@@ -70,9 +80,14 @@ constexpr pin kPins[] = {
     {"layered/gst-unknown-cd", 1058351, 14752, 32489, 15463, 0x51d7e2ee8ca0e7dbULL},
     {"layered/leveled-decay/mmv=0", 54, 218, 379, 0, 0x1f4c9ca5eb4f5dddULL},
     {"layered/leveled-decay/mmv=1", 123, 744, 1277, 0, 0xf6c75c5b00a01bf1ULL},
+    {"layered/leveled-decay/per-round/mmv=0", 51, 216, 374, 0, 0xd5a6e68ec5ac1cc9ULL},
+    {"layered/leveled-decay/per-round/mmv=1", 84, 503, 767, 0, 0x6817ee9bff945e4ULL},
     {"layered/rlnc-known", 300, 1125, 2500, 0, 0x35e2793dabc3dc76ULL},
     {"layered/rlnc-unknown-cd", 1058559, 18011, 40166, 17155, 0x3d91402ccd6c4a4dULL},
+    {"layered/routing/k=3", 241, 2067, 2628, 0, 0xe1283f3d3ef1fe1aULL},
+    {"layered/seq-decay/k=3", 156, 831, 1148, 0, 0x30051d1acc1e090aULL},
     {"layered/tuned-decay", 30, 283, 328, 0, 0xb1d56b733afcb924ULL},
+    {"layered/tuned-decay/per-round", 35, 277, 354, 0, 0xff29ecfb5348401aULL},
 };
 
 std::uint64_t fnv1a(const std::vector<std::uint32_t>& energy) {
@@ -126,6 +141,45 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
           return baseline::run_leveled_decay_broadcast(
               g, 0, graph::bfs(g, 0).level, o);
         });
+  // The per-round xoshiro oracles of the batched Decay contract.
+  add("decay/per-round", [&g](bool ff) {
+    baseline::decay_options o;
+    o.seed = 14;
+    o.fast_forward = ff;
+    o.draws = baseline::draw_mode::per_round;
+    return baseline::run_decay_broadcast(g, 0, o);
+  });
+  add("tuned-decay/per-round", [&g](bool ff) {
+    baseline::tuned_decay_options o;
+    o.seed = 15;
+    o.fast_forward = ff;
+    o.draws = baseline::draw_mode::per_round;
+    return baseline::run_tuned_decay_broadcast(g, 0, o);
+  });
+  for (const bool mmv : {false, true})
+    add(std::string("leveled-decay/per-round/mmv=") + (mmv ? "1" : "0"),
+        [&g, mmv](bool ff) {
+          baseline::leveled_decay_options o;
+          o.seed = 16;
+          o.mmv_noise = mmv;
+          o.fast_forward = ff;
+          o.draws = baseline::draw_mode::per_round;
+          return baseline::run_leveled_decay_broadcast(
+              g, 0, graph::bfs(g, 0).level, o);
+        });
+  // The uncoded multi-message baselines step every round (no fast-forward).
+  add("seq-decay/k=3", [&g](bool) {
+    baseline::multi_options o;
+    o.k = 3;
+    o.seed = 17;
+    return baseline::run_sequential_decay_multi(g, 0, o);
+  });
+  add("routing/k=3", [&g](bool) {
+    baseline::multi_options o;
+    o.k = 3;
+    o.seed = 18;
+    return baseline::run_routing_multi(g, 0, o);
+  });
   add("gst-unknown-cd", [&g](bool ff) {
     core::single_broadcast_options o;
     o.seed = 10;
