@@ -9,7 +9,7 @@
 
 #include "common/math.h"
 #include "common/rng.h"
-#include "core/runner.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::baseline {
@@ -22,29 +22,21 @@ std::shared_ptr<const radio::packet_body> make_message_body() {
   return body;
 }
 
-radio::broadcast_result finish(const radio::network& net,
-                               const radio::completion_tracker& tracker) {
-  radio::broadcast_result res;
-  res.completed = tracker.all_done();
-  res.rounds_to_complete = tracker.first_complete_round();
-  res.rounds_executed = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
-  res.deliveries = net.stats().deliveries;
-  res.collisions_observed = net.stats().collisions_observed;
-  res.energy = net.energy();
-  return res;
-}
-
 // ---------------------------------------------------------------------------
 // Round schedules: when a participating node is prompted, and with which
-// Decay exponent. Each variant is a tiny policy consumed by the shared
-// batched engine below: `start(v, t)` places a cursor on v's first prompted
-// round >= t, and `next()` steps the cursor's (round t, exponent e) to the
-// following prompted round without a division.
+// Decay exponent. Each variant is a tiny policy with two readings of one
+// definition. The batched engine walks cursors: `start(v, t)` places one on
+// v's first prompted round >= t, and `next()` steps its (round t, exponent
+// e) to the following prompted round without a division. The per-round
+// oracle reads `exponent(v, t)`, the definition itself (-1 = v is not
+// prompted in round t), so each engine checks the other.
 
 /// Classic BGI: every round, exponent (t mod L) + 1.
 struct classic_schedule {
   int L;
+  [[nodiscard]] int exponent(node_id, round_t t) const {
+    return static_cast<int>(t % L) + 1;
+  }
   struct cursor {
     round_t t;
     int e;
@@ -64,6 +56,11 @@ struct classic_schedule {
 struct leveled_schedule {
   const std::vector<level_t>* levels;
   int L;
+  [[nodiscard]] int exponent(node_id v, round_t t) const {
+    const round_t lv = (*levels)[v];
+    if (t < lv || (t - lv) % 3 != 0) return -1;
+    return static_cast<int>(((t - lv) / 3) % L);
+  }
   struct cursor {
     round_t t;
     int e;
@@ -80,11 +77,18 @@ struct leveled_schedule {
   }
 };
 
-/// Czumaj-Rytter stand-in: super-phases of 3 short phases + 1 full phase.
+/// Czumaj-Rytter stand-in: super-phases of 3 short phases + 1 full phase;
+/// round t sits at pos = t mod super, with exponent (pos mod L_short) + 1 in
+/// the short phases and (pos - 3 L_short) + 1 in the full one.
 struct tuned_schedule {
   int L_short;
   int L_full;
   round_t super;  // 3 * L_short + L_full
+  [[nodiscard]] int exponent(node_id, round_t t) const {
+    const round_t pos = t % super;
+    return pos < 3 * L_short ? static_cast<int>(pos % L_short) + 1
+                             : static_cast<int>(pos - 3 * L_short) + 1;
+  }
   struct cursor {
     round_t t;
     int e;
@@ -144,12 +148,13 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
   return limit;
 }
 
-struct batched_config {
+/// What both engines run: the round budget, the coin seed and the modes.
+struct decay_config {
   std::uint64_t seed = 1;
   round_t max_rounds = 0;
   bool stop_when_complete = true;
   bool fast_forward = false;
-  bool mmv_noise = false;  ///< scheduled-but-uninformed nodes jam with noise
+  bool mmv_noise = false;  ///< prompted-but-uninformed nodes jam with noise
 };
 
 /// Calendar of upcoming transmissions: a ring of W per-round buckets over
@@ -229,20 +234,19 @@ class tx_calendar {
 };
 
 /// `eligible(v)`: may v ever be prompted (leveled: has a BFS level)?
-/// `jamming(v)`: is v scheduled from round 0 even while uninformed (MMV)?
-template <class Sched, class EligibleFn, class JammingFn>
+/// `from_start(v)`: is v prompted from round 0 even while uninformed? The
+/// source always is; everyone else joins the round after it is informed.
+template <class Sched, class EligibleFn, class FromStartFn>
 radio::broadcast_result run_batched_decay(const graph::graph& g,
                                           node_id source, const Sched& sched,
                                           EligibleFn&& eligible,
-                                          JammingFn&& jamming,
-                                          const batched_config& cfg) {
+                                          FromStartFn&& from_start,
+                                          const decay_config& cfg) {
   const std::size_t n = g.node_count();
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
+  core::trial_frame frame(g, {.collision_detection = false}, cfg.fast_forward);
+  core::informed_set informed(frame);
+  informed.inform(source);
   std::vector<char> scheduled(n, 0);  // participating in the coin process
-  informed[source] = 1;
-  tracker.mark(source);
 
   std::vector<std::uint32_t> word_idx(n, 0);
   tx_calendar cal;
@@ -254,40 +258,27 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
   };
   if (eligible(source)) schedule_from(source, 0);
   for (node_id v = 0; v < n; ++v)
-    if (!scheduled[v] && eligible(v) && jamming(v)) schedule_from(v, 0);
+    if (!scheduled[v] && eligible(v) && from_start(v)) schedule_from(v, 0);
 
-  const auto body = make_message_body();
-  const radio::packet data_pkt = radio::packet::make_data(source, body);
+  const radio::packet data_pkt =
+      radio::packet::make_data(source, make_message_body());
   const radio::packet noise_pkt = radio::packet::make_noise();
-
   radio::round_buffer txs;
   std::vector<node_id> firing;
   std::vector<node_id> fresh;
   auto on_rx = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      tracker.mark(rx.listener);
-      fresh.push_back(rx.listener);
-    }
+    if (informed.receive(rx)) fresh.push_back(rx.listener);
   };
 
-  tracker.observe_round(0);  // n = 1 completes before any round runs
   round_t now = 0;
   while (now < cfg.max_rounds) {
-    if (cfg.stop_when_complete && tracker.all_done()) break;
+    if (cfg.stop_when_complete && frame.tracker().all_done()) break;
     // Idle stretch up to the next calendar entry. Nothing can be delivered
     // (and completion cannot change) in it, so skipping vs stepping the
     // empty rounds is bit-identical.
     const round_t next_busy = cal.next_event(cfg.max_rounds);
     if (next_busy > now) {
-      if (cfg.fast_forward) {
-        net.advance(next_busy - now);
-      } else {
-        txs.clear();
-        for (round_t i = now; i < next_busy; ++i)
-          net.step(txs, [](const radio::reception&) {});
-      }
+      frame.advance(next_busy - now);
       now = next_busy;
       if (now >= cfg.max_rounds) break;
       cal.advance_to(now);
@@ -302,10 +293,9 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
       else if (cfg.mmv_noise)
         txs.add(v, noise_pkt);
     }
-    net.step(txs, on_rx);
+    frame.commit(txs, on_rx);
     ++now;
     cal.advance_to(now);
-    tracker.observe_round(net.stats().rounds);
     for (node_id v : firing) {
       const round_t t = sample_next_tx(sched, cfg.seed, v, word_idx[v], now,
                                        cfg.max_rounds);
@@ -314,7 +304,60 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
     for (node_id u : fresh)
       if (!scheduled[u] && eligible(u)) schedule_from(u, now);
   }
-  return finish(net, tracker);
+  return frame.finish();
+}
+
+// ---------------------------------------------------------------------------
+// per_round oracle: the historical draw order. Every drawing node flips one
+// xoshiro coin (core::node_coins) in each round its schedule prompts it,
+// with the exponent read from `Sched::exponent` — the definition, not the
+// batched cursor. Drawing nodes are taken as in the batched engine
+// (`eligible`, `from_start`), kept in the order they join. fast_forward
+// only defers planned-but-empty rounds (exact).
+
+template <class Sched, class EligibleFn, class FromStartFn>
+radio::broadcast_result run_per_round_decay(const graph::graph& g,
+                                            node_id source,
+                                            const Sched& sched,
+                                            EligibleFn&& eligible,
+                                            FromStartFn&& from_start,
+                                            const decay_config& cfg) {
+  const std::size_t n = g.node_count();
+  core::trial_frame frame(g, {.collision_detection = false}, cfg.fast_forward);
+  core::informed_set informed(frame);
+  informed.inform(source);
+  std::vector<rng> coins = core::node_coins(n, cfg.seed);
+  std::vector<char> drawing(n, 0);
+  std::vector<node_id> drawers;
+  const auto join = [&](node_id v) {
+    if (drawing[v] || !eligible(v)) return;
+    drawing[v] = 1;
+    drawers.push_back(v);
+  };
+  for (node_id v = 0; v < n; ++v)
+    if (v == source || from_start(v)) join(v);
+
+  const radio::packet data_pkt =
+      radio::packet::make_data(source, make_message_body());
+  const radio::packet noise_pkt = radio::packet::make_noise();
+  radio::round_buffer txs;
+  const auto on_rx = [&](const radio::reception& rx) {
+    if (informed.receive(rx)) join(rx.listener);
+  };
+  for (round_t t = 0; t < cfg.max_rounds; ++t) {
+    if (cfg.stop_when_complete && frame.tracker().all_done()) break;
+    txs.clear();
+    for (node_id v : drawers) {
+      const int e = sched.exponent(v, t);
+      if (e < 0 || !coins[v].with_probability_pow2(e)) continue;
+      if (informed[v])
+        txs.add(v, data_pkt);
+      else if (cfg.mmv_noise)
+        txs.add(v, noise_pkt);
+    }
+    frame.commit(txs, on_rx);
+  }
+  return frame.finish();
 }
 
 constexpr auto always = [](node_id) { return true; };
@@ -327,65 +370,18 @@ radio::broadcast_result run_decay_broadcast(const graph::graph& g,
                                             const decay_options& opt) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  const int L = log_range(n_hat) + 1;
-  const round_t max_rounds =
-      opt.max_rounds > 0
-          ? opt.max_rounds
-          : 64 * (static_cast<round_t>(g.node_count()) * L + sq(L));
-
-  if (opt.draws == draw_mode::batched) {
-    batched_config cfg;
-    cfg.seed = opt.seed;
-    cfg.max_rounds = max_rounds;
-    cfg.stop_when_complete = opt.stop_when_complete;
-    cfg.fast_forward = opt.fast_forward;
-    return run_batched_decay(g, source, classic_schedule{L}, always, never,
-                             cfg);
-  }
-
-  // per_round oracle: the historical one-draw-per-informed-node-per-round
-  // loop. fast_forward only defers planned-but-empty rounds (exact).
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
-  std::vector<node_id> informed_list;
-  informed[source] = 1;
-  informed_list.push_back(source);
-  tracker.mark(source);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
-
-  const auto body = make_message_body();
-  const radio::packet data_pkt = radio::packet::make_data(source, body);
-  radio::round_buffer txs;
-  core::round_sink sink(net, opt.fast_forward);
-  const auto on_rx = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      informed_list.push_back(rx.listener);
-      tracker.mark(rx.listener);
-    }
-  };
-  tracker.observe_round(0);  // n = 1 completes before any round (as batched)
-  for (round_t t = 0; t < max_rounds && !(opt.stop_when_complete &&
-                                          tracker.all_done());
-       ++t) {
-    txs.clear();
-    // Round position within the phase: i in [1, L], transmit w.p. 2^-i.
-    const int i = static_cast<int>(t % L) + 1;
-    for (node_id v : informed_list) {
-      if (node_rng[v].with_probability_pow2(i)) txs.add(v, data_pkt);
-    }
-    if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    if (opt.stop_when_complete && tracker.all_done()) break;
-  }
-  sink.flush();
-  return finish(net, tracker);
+  const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
+  decay_config cfg;
+  cfg.seed = opt.seed;
+  cfg.max_rounds = opt.max_rounds > 0
+                       ? opt.max_rounds
+                       : 64 * (static_cast<round_t>(n) * L + sq(L));
+  cfg.stop_when_complete = opt.stop_when_complete;
+  cfg.fast_forward = opt.fast_forward;
+  const classic_schedule sched{L};
+  if (opt.draws == draw_mode::batched)
+    return run_batched_decay(g, source, sched, always, never, cfg);
+  return run_per_round_decay(g, source, sched, always, never, cfg);
 }
 
 radio::broadcast_result run_leveled_decay_broadcast(
@@ -394,86 +390,33 @@ radio::broadcast_result run_leveled_decay_broadcast(
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   RN_REQUIRE(levels.size() == n, "level vector size mismatch");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  const int L = log_range(n_hat) + 1;
+  const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
   level_t max_level = 0;
   for (level_t l : levels) max_level = std::max(max_level, l);
-  const round_t max_rounds =
-      64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L));
 
   // MMV mode exercises noise, i.e. collisions; CD does not change behavior of
   // this protocol, so run without CD as in the paper's baseline setting.
-  if (opt.draws == draw_mode::batched) {
-    batched_config cfg;
-    cfg.seed = opt.seed;
-    cfg.max_rounds = max_rounds;
-    cfg.fast_forward = opt.fast_forward;
-    cfg.mmv_noise = opt.mmv_noise;
-    const auto eligible = [&levels](node_id v) {
-      return levels[v] != no_level;
-    };
-    const auto jamming = [mmv = opt.mmv_noise](node_id) { return mmv; };
-    return run_batched_decay(g, source, leveled_schedule{&levels, L}, eligible,
-                             jamming, cfg);
-  }
-
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
-  informed[source] = 1;
-  tracker.mark(source);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
-
-  const auto body = make_message_body();
-  const radio::packet data_pkt = radio::packet::make_data(source, body);
-  const radio::packet noise_pkt = radio::packet::make_noise();
-  radio::round_buffer txs;
-  core::round_sink sink(net, opt.fast_forward);
-  const auto on_rx = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      tracker.mark(rx.listener);
-    }
-  };
-  tracker.observe_round(0);  // n = 1 completes before any round (as batched)
-  for (round_t t = 0; t < max_rounds && !tracker.all_done(); ++t) {
-    txs.clear();
-    // Lemma 3.2 schedule (1-based round index r): a node at level lv is
-    // prompted iff r == lv + 1 (mod 3), with probability
-    // 2^-((r - lv - 1)/3 mod L).
-    const round_t r = t + 1;
-    for (node_id v = 0; v < n; ++v) {
-      const level_t lv = levels[v];
-      if (lv == no_level) continue;
-      if (r < lv + 1) continue;  // schedule reaches level lv at round lv+1
-      if ((r - lv - 1) % 3 != 0) continue;
-      const int e = static_cast<int>(((r - lv - 1) / 3) % L);
-      if (!node_rng[v].with_probability_pow2(e)) continue;
-      if (informed[v]) {
-        txs.add(v, data_pkt);
-      } else if (opt.mmv_noise) {
-        txs.add(v, noise_pkt);
-      }
-    }
-    if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    if (tracker.all_done()) break;
-  }
-  sink.flush();
-  return finish(net, tracker);
+  decay_config cfg;
+  cfg.seed = opt.seed;
+  cfg.max_rounds = 64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L));
+  cfg.fast_forward = opt.fast_forward;
+  cfg.mmv_noise = opt.mmv_noise;
+  const leveled_schedule sched{&levels, L};
+  const auto eligible = [&levels](node_id v) { return levels[v] != no_level; };
+  // The batched contract schedules uninformed nodes only to jam (MMV); the
+  // per-round oracle draws every leveled node's coin from round 0.
+  if (opt.draws == draw_mode::per_round)
+    return run_per_round_decay(g, source, sched, eligible, always, cfg);
+  const auto jamming = [mmv = opt.mmv_noise](node_id) { return mmv; };
+  return run_batched_decay(g, source, sched, eligible, jamming, cfg);
 }
 
 radio::broadcast_result run_tuned_decay_broadcast(
     const graph::graph& g, node_id source, const tuned_decay_options& opt) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  const level_t d_hat =
-      opt.d_hat > 0 ? opt.d_hat : graph::bfs(g, source).max_level;
+  const std::size_t n_hat = core::resolve_n_hat(opt.n_hat, n);
+  const level_t d_hat = core::resolve_d_hat(g, source, opt.d_hat);
   const int L_full = log_range(n_hat) + 1;
   // Short phases target per-hop contention ~ n/D (layer width on the layered
   // workloads); full phases cover the high-degree tail.
@@ -482,65 +425,17 @@ radio::broadcast_result run_tuned_decay_broadcast(
              2, n_hat / std::max<std::size_t>(1, static_cast<std::size_t>(
                                                      std::max(d_hat, 1))))) +
              1);
-  const round_t max_rounds =
+  decay_config cfg;
+  cfg.seed = opt.seed;
+  cfg.max_rounds =
       64 * (static_cast<round_t>(std::max(d_hat, 1)) * (3 * L_short + L_full) +
             8 * sq(L_full));
-
+  cfg.fast_forward = opt.fast_forward;
   // Super-phase = 3 short phases followed by 1 full phase.
-  const round_t super = 3 * L_short + L_full;
-
-  if (opt.draws == draw_mode::batched) {
-    batched_config cfg;
-    cfg.seed = opt.seed;
-    cfg.max_rounds = max_rounds;
-    cfg.fast_forward = opt.fast_forward;
-    return run_batched_decay(g, source,
-                             tuned_schedule{L_short, L_full, super}, always,
-                             never, cfg);
-  }
-
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
-  std::vector<node_id> informed_list;
-  informed[source] = 1;
-  informed_list.push_back(source);
-  tracker.mark(source);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
-
-  const auto body = make_message_body();
-  const radio::packet data_pkt = radio::packet::make_data(source, body);
-  radio::round_buffer txs;
-  core::round_sink sink(net, opt.fast_forward);
-  const auto on_rx = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      informed_list.push_back(rx.listener);
-      tracker.mark(rx.listener);
-    }
-  };
-  tracker.observe_round(0);  // n = 1 completes before any round (as batched)
-  for (round_t t = 0; t < max_rounds && !tracker.all_done(); ++t) {
-    const round_t pos = t % super;
-    int i;  // decay exponent for this round
-    if (pos < 3 * L_short)
-      i = static_cast<int>(pos % L_short) + 1;
-    else
-      i = static_cast<int>(pos - 3 * L_short) + 1;
-    txs.clear();
-    for (node_id v : informed_list) {
-      if (node_rng[v].with_probability_pow2(i)) txs.add(v, data_pkt);
-    }
-    if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    if (tracker.all_done()) break;
-  }
-  sink.flush();
-  return finish(net, tracker);
+  const tuned_schedule sched{L_short, L_full, 3 * L_short + L_full};
+  if (opt.draws == draw_mode::batched)
+    return run_batched_decay(g, source, sched, always, never, cfg);
+  return run_per_round_decay(g, source, sched, always, never, cfg);
 }
 
 }  // namespace rn::baseline

@@ -23,9 +23,13 @@
 // into one O(1) `network::advance`, without it they are stepped one by one.
 // The two modes are bit-identical by construction (`--no-fast-forward` is the
 // cross-check). `draw_mode::per_round` keeps the historical per-node xoshiro
-// streams (one draw per informed node per scheduled round) as the
-// distributional oracle for the batched contract — same completion-round
-// law, different draw order (tests/test_broadcast.cpp compares quantiles).
+// streams as the distributional oracle for the batched contract — same
+// completion-round law, different draw order (tests/test_broadcast.cpp
+// compares quantiles). One per-round loop serves all three variants: each
+// drawing node (an informed node; under leveled, every leveled node from
+// round 0) flips one coin per prompted round, with the exponent read from
+// the schedule's definition rather than from the batched cursor it checks.
+// Both engines run their rounds on `core::trial_frame`.
 #pragma once
 
 #include <cstdint>

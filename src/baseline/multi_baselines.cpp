@@ -4,6 +4,7 @@
 
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::baseline {
@@ -21,23 +22,20 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
                                                    const multi_options& opt) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  const int L = log_range(n_hat) + 1;
+  const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
   const round_t per_message_cap =
       64 * (static_cast<round_t>(n) * L + sq(L));
   const round_t max_rounds = per_message_cap * static_cast<round_t>(opt.k);
 
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
+  // Every round is stepped: the baseline plans no idle rounds to skip.
+  core::trial_frame frame(g, {.collision_detection = false},
+                          /*fast_forward=*/false);
+  radio::completion_tracker& tracker = frame.tracker();
   // has[v] counts fully received messages; each message is broadcast in order.
   std::vector<std::size_t> has(n, 0);
   has[source] = opt.k;
   tracker.mark(source);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
+  std::vector<rng> node_rng = core::node_coins(n, opt.seed);
 
   radio::round_buffer txs;
   std::size_t current = 0;  // message being broadcast
@@ -53,7 +51,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
     for (node_id v = 0; v < n; ++v) {
       if (informed[v] && node_rng[v].with_probability_pow2(i)) txs.add(v, pkt);
     }
-    net.step(txs, [&](const radio::reception& rx) {
+    frame.commit(txs, [&](const radio::reception& rx) {
       if (rx.what == radio::observation::message &&
           rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
         informed[rx.listener] = 1;
@@ -74,19 +72,9 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
             make_body(static_cast<std::uint32_t>(current)));
       }
     }
-    tracker.observe_round(net.stats().rounds);
     if (tracker.all_done()) break;
   }
-
-  radio::broadcast_result res;
-  res.completed = tracker.all_done();
-  res.rounds_to_complete = tracker.first_complete_round();
-  res.rounds_executed = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
-  res.deliveries = net.stats().deliveries;
-  res.collisions_observed = net.stats().collisions_observed;
-  res.energy = net.energy();
-  return res;
+  return frame.finish();
 }
 
 radio::broadcast_result run_routing_multi(const graph::graph& g,
@@ -95,12 +83,12 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   RN_REQUIRE(opt.k >= 1, "need at least one message");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  const int L = log_range(n_hat) + 1;
+  const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
   const round_t max_rounds = 64 * static_cast<round_t>(opt.k + n) * L * L;
 
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
+  core::trial_frame frame(g, {.collision_detection = false},
+                          /*fast_forward=*/false);
+  radio::completion_tracker& tracker = frame.tracker();
   // holds[v] = bitmap of received messages (k is small in benches).
   std::vector<std::vector<char>> holds(n, std::vector<char>(opt.k, 0));
   std::vector<std::vector<node_id>> have_list(n);
@@ -109,11 +97,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
     have_list[source].push_back(static_cast<node_id>(m));
   }
   tracker.mark(source);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
+  std::vector<rng> node_rng = core::node_coins(n, opt.seed);
 
   // One flyweight packet per message, referenced by every forwarder.
   std::vector<radio::packet> pkts;
@@ -134,7 +118,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
           have_list[v][node_rng[v].uniform(have_list[v].size())];
       txs.add(v, pkts[m]);
     }
-    net.step(txs, [&](const radio::reception& rx) {
+    frame.commit(txs, [&](const radio::reception& rx) {
       if (rx.what != radio::observation::message ||
           rx.pkt->kind != radio::packet_kind::data)
         return;
@@ -146,19 +130,9 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
         if (have_list[rx.listener].size() == opt.k) tracker.mark(rx.listener);
       }
     });
-    tracker.observe_round(net.stats().rounds);
     if (tracker.all_done()) break;
   }
-
-  radio::broadcast_result res;
-  res.completed = tracker.all_done();
-  res.rounds_to_complete = tracker.first_complete_round();
-  res.rounds_executed = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
-  res.deliveries = net.stats().deliveries;
-  res.collisions_observed = net.stats().collisions_observed;
-  res.energy = net.energy();
-  return res;
+  return frame.finish();
 }
 
 }  // namespace rn::baseline

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/runner.h"
 
 namespace rn::core {
 
@@ -541,24 +542,7 @@ assignment_run_result run_assignment(const graph::graph& g,
   cfg.recruit_exp_step = recruit_exp_step;
   cfg.seed = seed;
   assignment_problem prob(std::move(cfg));
-
-  radio::network net(g, {.collision_detection = false});
-  radio::round_buffer txs;
-  while (!prob.finished()) {
-    if (fast_forward) {
-      const round_t q = prob.quiet_rounds();
-      if (q > 0) {
-        net.advance(q);
-        prob.skip_rounds(q);
-        continue;
-      }
-    }
-    txs.clear();
-    prob.plan(txs);
-    net.step(txs, [&](const radio::reception& rx) { prob.on_reception(rx); });
-    prob.end_round();
-  }
-  res.rounds = net.stats().rounds;
+  res.rounds = drive(g, prob, fast_forward);
   for (node_id u : blues)
     if (!st.assigned[u]) res.all_assigned = false;
   res.fallback_finalizations = st.fallback_finalizations;

@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -45,7 +46,7 @@ layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
                                     const params& prm, std::uint64_t seed) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
-  const std::size_t nh = n_hat == 0 ? n : n_hat;
+  const std::size_t nh = resolve_n_hat(n_hat, n);
   const int L = log_range(nh);
   const int phases = prm.decay_phases(nh);
 
@@ -54,10 +55,7 @@ layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
   out.level.assign(n, no_level);
   out.level[source] = 0;
 
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(seed, v));
+  std::vector<rng> node_rng = node_coins(n, seed);
 
   std::vector<node_id> informed{source};
   std::vector<node_id> fresh;

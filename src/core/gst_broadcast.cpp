@@ -5,8 +5,8 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "core/runner.h"
 #include "core/schedule.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -18,19 +18,6 @@ round_t default_budget(const gst& t, int L, double slack) {
   // budget ~ slack * (2D + c L^2) fast/slow interleaved rounds.
   const round_t d = static_cast<round_t>(t.max_level());
   return static_cast<round_t>(slack * (6.0 * d + 48.0 * L * L + 64));
-}
-
-radio::broadcast_result finish(const radio::network& net,
-                               const radio::completion_tracker& tracker) {
-  radio::broadcast_result res;
-  res.completed = tracker.all_done();
-  res.rounds_to_complete = tracker.first_complete_round();
-  res.rounds_executed = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
-  res.deliveries = net.stats().deliveries;
-  res.collisions_observed = net.stats().collisions_observed;
-  res.energy = net.energy();
-  return res;
 }
 
 std::vector<node_id> all_nodes(std::size_t n) {
@@ -46,27 +33,20 @@ radio::broadcast_result run_gst_single_broadcast(
     const std::vector<node_id>& informed_init,
     const gst_broadcast_options& opt) {
   const std::size_t n = g.node_count();
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  gst_schedule sched(t, d, n_hat, !opt.classic_levels);
+  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n), !opt.classic_levels);
   const round_t max_rounds =
       opt.max_rounds > 0 ? opt.max_rounds
                          : default_budget(t, sched.log_n(), opt.prm.schedule_slack);
 
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
+  trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
+  informed_set informed(frame);
   for (node_id v = 0; v < n; ++v)
-    if (!t.member[v]) tracker.exclude(v);
+    if (!t.member[v]) frame.tracker().exclude(v);
   for (node_id v : informed_init) {
     RN_REQUIRE(t.member[v], "initially informed node must be a member");
-    informed[v] = 1;
-    tracker.mark(v);
+    informed.inform(v);
   }
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
+  std::vector<rng> node_rng = node_coins(n, opt.seed);
 
   auto body = std::make_shared<radio::packet_body>();
   body->data = {0x6d, 0x73, 0x67};
@@ -79,25 +59,20 @@ radio::broadcast_result run_gst_single_broadcast(
   // Bucketed planning: per round only the nodes whose schedule (and coin)
   // that round consults are visited — observably identical to the full scan.
   gst_schedule_index idx(sched, all_nodes(n));
-  round_sink sink(net, opt.fast_forward);
   round_t r = 0;
   const auto on_rx = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      tracker.mark(rx.listener);
-      // Lazy catch-up: discard the slow coins the full scan would have
-      // drawn for this member through this round.
-      if (!opt.mmv_noise)
-        for (auto k = sched.slow_draws_through(rx.listener, r); k > 0; --k)
-          node_rng[rx.listener]();
-    }
+    // Lazy catch-up: discard the slow coins the full scan would have drawn
+    // for a newly informed member through this round.
+    if (informed.receive(rx) && !opt.mmv_noise)
+      for (auto k = sched.slow_draws_through(rx.listener, r); k > 0; --k)
+        node_rng[rx.listener]();
   };
 
   for (; r < max_rounds; ++r) {
     // Naive stepping executes one more (possibly empty) round after the run
     // completes before noticing; force-step it so both modes agree.
-    const bool completing = opt.stop_when_complete && tracker.all_done();
+    const bool completing =
+        opt.stop_when_complete && frame.tracker().all_done();
     txs.clear();
     if (r % 2 == 0) {
       for (node_id v : idx.fast_bucket(r)) {
@@ -118,13 +93,11 @@ radio::broadcast_result run_gst_single_broadcast(
           txs.add(v, informed[v] ? data_pkt : noise_pkt);
       });
     }
-    if (sink.commit(txs, on_rx, completing)) {
-      tracker.observe_round(net.stats().rounds);
-      if (opt.stop_when_complete && tracker.all_done()) break;
-    }
+    if (frame.commit(txs, on_rx, completing) && opt.stop_when_complete &&
+        frame.tracker().all_done())
+      break;
   }
-  sink.flush();
-  return finish(net, tracker);
+  return frame.finish();
 }
 
 radio::broadcast_result run_gst_rlnc_broadcast(
@@ -135,16 +108,16 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   const std::size_t n = g.node_count();
   RN_REQUIRE(source_messages.size() == n, "source_messages size mismatch");
   RN_REQUIRE(k >= 1, "k must be positive");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
-  gst_schedule sched(t, d, n_hat, /*slow_by_virtual_distance=*/true);
+  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n),
+                     /*slow_by_virtual_distance=*/true);
   const int L = sched.log_n();
   const round_t max_rounds =
       default_budget(t, L, opt.prm.schedule_slack) +
       static_cast<round_t>(opt.prm.schedule_slack * 8.0 *
                            static_cast<double>(k) * (L + 1));
 
-  radio::network net(g, {.collision_detection = false});
-  radio::completion_tracker tracker(n);
+  trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
+  radio::completion_tracker& tracker = frame.tracker();
 
   std::vector<coding::rlnc_node> buf;
   buf.reserve(n);
@@ -165,10 +138,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   }
   RN_REQUIRE(source_loaded == k, "sources must jointly hold all k messages");
 
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed, v));
+  std::vector<rng> node_rng = node_coins(n, opt.seed);
 
   // Interior stretch nodes relay the most recent packet received from their
   // stretch predecessor (paper 3.3.2 case (b)).
@@ -184,7 +154,6 @@ radio::broadcast_result run_gst_rlnc_broadcast(
 
   radio::round_buffer txs;
   gst_schedule_index idx(sched, all_nodes(n));
-  round_sink sink(net, opt.fast_forward);
   const auto on_rx = [&](const radio::reception& rx) {
     if (rx.what != radio::observation::message ||
         rx.pkt->kind != radio::packet_kind::coded)
@@ -221,16 +190,10 @@ radio::broadcast_result run_gst_rlnc_broadcast(
           plan(v, gst_schedule::action::slow_prompt);
       });
     }
-    if (sink.commit(txs, on_rx, completing)) {
-      tracker.observe_round(net.stats().rounds);
-      if (tracker.all_done()) break;
-    }
+    if (frame.commit(txs, on_rx, completing) && tracker.all_done()) break;
   }
-  sink.flush();
-
-  auto res = finish(net, tracker);
   if (decoders != nullptr) *decoders = std::move(buf);
-  return res;
+  return frame.finish();
 }
 
 }  // namespace rn::core

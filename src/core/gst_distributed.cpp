@@ -7,7 +7,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "core/bfs_protocols.h"
-#include "graph/bfs.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -28,7 +28,7 @@ distributed_gst_outcome build_gst_distributed(
     const graph::graph& g, const ring_decomposition& rd,
     const distributed_gst_options& opt) {
   const std::size_t n = g.node_count();
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
+  const std::size_t n_hat = resolve_n_hat(opt.n_hat, n);
   const int L = log_range(n_hat);
   const int dp = opt.prm.decay_phases(n_hat);
   const int epochs = opt.prm.epochs(n_hat);
@@ -232,11 +232,11 @@ distributed_gst_outcome build_gst_distributed(
 distributed_gst_outcome build_gst_distributed_single(
     const graph::graph& g, node_id source,
     const distributed_gst_options& opt) {
-  const std::size_t n_hat = opt.n_hat == 0 ? g.node_count() : opt.n_hat;
   // Layering first (no CD needed), then a single whole-graph ring.
-  const auto ecc = graph::bfs(g, source).max_level;
-  auto layering =
-      run_decay_epoch_bfs(g, source, ecc, n_hat, opt.prm, opt.seed ^ 0xbf5ULL);
+  const level_t ecc = resolve_d_hat(g, source);
+  auto layering = run_decay_epoch_bfs(g, source, ecc,
+                                      resolve_n_hat(opt.n_hat, g.node_count()),
+                                      opt.prm, opt.seed ^ 0xbf5ULL);
   const auto rd = decompose_rings(layering.level, ecc + 1);
   auto out = build_gst_distributed(g, rd, opt);
   out.rounds += layering.rounds;

@@ -8,8 +8,8 @@
 #include "common/rng.h"
 #include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
-#include "core/runner.h"
 #include "core/schedule.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -58,7 +58,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   const std::size_t n = g.node_count();
   const std::size_t k = messages.size();
   RN_REQUIRE(k >= 1, "need at least one message");
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
+  const std::size_t n_hat = resolve_n_hat(opt.n_hat, n);
   const int L = log_range(n_hat);
   const int dp = opt.prm.decay_phases(n_hat);
 
@@ -74,12 +74,6 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   // Batches of Theta(log n) messages [DEV-7].
   coding::batch_layout batches{k, std::max<std::size_t>(1, static_cast<std::size_t>(L))};
   const std::size_t B = batches.batch_count();
-
-  multi_broadcast_result out;
-  out.base.phase_rounds.emplace_back("bfs_wave", setup.wave_rounds);
-  out.base.phase_rounds.emplace_back("gst_construction",
-                                     setup.construction_rounds);
-  out.base.phase_rounds.emplace_back("vdist_labeling", setup.labeling_rounds);
 
   // Per-node per-batch RLNC buffers.
   std::vector<std::vector<coding::rlnc_node>> buf(n);
@@ -97,7 +91,8 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
                                          messages[i]);
     }
 
-  radio::completion_tracker tracker(n);
+  trial_frame frame(g, {.collision_detection = true}, opt.fast_forward);
+  radio::completion_tracker& tracker = frame.tracker();
   auto node_done = [&](node_id v) {
     for (std::size_t b = 0; b < B; ++b)
       if (!buf[v][b].can_decode()) return false;
@@ -110,11 +105,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
       tracker.mark(v);
   }
 
-  radio::network net(g, {.collision_detection = true});
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed ^ 0x3517ULL, v));
+  std::vector<rng> node_rng = node_coins(n, opt.seed ^ 0x3517ULL);
 
   // Schedules (and per-round candidate buckets) per ring.
   std::vector<gst_schedule> scheds;
@@ -169,7 +160,6 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   };
 
   radio::round_buffer txs;
-  core::round_sink sink(net, opt.fast_forward);
   const std::size_t super_epochs = ring_count + B;  // one slack epoch
   round_t pipeline_rounds = 0;
   for (std::size_t e = 0; e < super_epochs; ++e) {
@@ -205,7 +195,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
           }
         }
       }
-      if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
+      frame.commit(txs, on_rx);
     }
     pipeline_rounds += intra_budget;
 
@@ -225,25 +215,16 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
               txs.add_owned(v, fresh_packet(v, b));
           }
         }
-        if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
+        frame.commit(txs, on_rx);
       }
     }
     pipeline_rounds += static_cast<round_t>(handoff_phases) * (L + 1);
   }
-  sink.flush();
+
+  multi_broadcast_result out;
+  out.base = frame.finish(setup.total_rounds());
+  out.base.phase_rounds = setup.phase_rounds();
   out.base.phase_rounds.emplace_back("batch_pipeline", pipeline_rounds);
-
-  out.base.completed = tracker.all_done();
-  out.base.rounds_to_complete =
-      tracker.first_complete_round() < 0
-          ? -1
-          : setup.total_rounds() + tracker.first_complete_round();
-  out.base.rounds_executed = setup.total_rounds() + net.stats().rounds;
-  out.base.transmissions = net.stats().transmissions;
-  out.base.deliveries = net.stats().deliveries;
-  out.base.collisions_observed = net.stats().collisions_observed;
-  out.base.energy = net.energy();
-
   out.payloads_verified = out.base.completed;
   for (node_id v = 0; v < n && out.payloads_verified; ++v) {
     if (setup.rings.ring_of[v] < 0) continue;

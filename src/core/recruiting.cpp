@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "core/runner.h"
 
 namespace rn::core {
 
@@ -264,26 +265,8 @@ recruiting_run_result run_recruiting(const graph::graph& g,
   cfg.seed = seed;
   recruiting_instance inst(std::move(cfg));
 
-  radio::network net(g, {.collision_detection = false});
-  radio::round_buffer txs;
-  while (!inst.finished()) {
-    if (fast_forward) {
-      const round_t q = inst.quiet_rounds();
-      if (q > 0) {
-        net.advance(q);
-        inst.skip_rounds(q);
-        continue;
-      }
-    }
-    txs.clear();
-    inst.plan(txs);
-    net.step(txs,
-             [&](const radio::reception& rx) { inst.on_reception(rx); });
-    inst.end_round();
-  }
-
   recruiting_run_result res;
-  res.rounds = net.stats().rounds;
+  res.rounds = drive(g, inst, fast_forward);
   res.blues = blues.size();
   // Count recruits and cross-check properties (b)/(c).
   std::vector<std::size_t> child_count(g.node_count(), 0);

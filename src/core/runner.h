@@ -7,12 +7,19 @@
 // stats read — needs the round counter to be current. In naive mode every
 // round is stepped individually; both modes produce bit-identical protocol
 // results (see tests/test_fast_forward.cpp), which is what makes the naive
-// path a cross-check oracle for the fast one.
+// path a cross-check oracle for the fast one. Every broadcast runner reaches
+// its sink through `core::trial_frame` (core/trial_frame.h).
+//
+// `drive` is the one driver of the standalone construction primitives
+// (`recruiting_instance`, `assignment_problem`): plan, step, deliver and end
+// each round on the instance's own network, skipping the instance's quiet
+// windows in fast-forward mode.
 #pragma once
 
 #include <vector>
 
 #include "common/check.h"
+#include "graph/graph.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -49,12 +56,18 @@ class round_sink {
     return true;
   }
 
-  /// Defers `k` rounds the caller has proven idle (no transmitter can be
-  /// scheduled in them). Only meaningful in fast-forward mode.
+  /// Commits `k` rounds the caller has proven idle (no transmitter can be
+  /// scheduled in them): deferred in fast-forward mode, stepped empty in
+  /// naive mode — what committing k empty rounds does, in O(1) when fast.
   void advance(round_t k) {
-    RN_REQUIRE(ff_, "round_sink::advance requires fast-forward mode");
     RN_REQUIRE(k >= 0, "cannot advance by a negative round count");
-    pending_ += k;
+    if (ff_) {
+      pending_ += k;
+      return;
+    }
+    const radio::round_buffer none;
+    for (round_t i = 0; i < k; ++i)
+      net_->step(none, [](const radio::reception&) {});
   }
 
   /// Applies all deferred rounds. Call before reading network statistics.
@@ -70,5 +83,30 @@ class round_sink {
   bool ff_;
   round_t pending_ = 0;
 };
+
+/// Runs a plan/on_reception/end_round protocol instance on its own network
+/// (no collision detection) until it finishes; returns the rounds it took.
+/// With `fast_forward`, each quiet window the instance proves
+/// (`quiet_rounds`/`skip_rounds`) is skipped through network::advance.
+template <class Instance>
+round_t drive(const graph::graph& g, Instance& inst, bool fast_forward) {
+  radio::network net(g, {.collision_detection = false});
+  radio::round_buffer txs;
+  while (!inst.finished()) {
+    if (fast_forward) {
+      const round_t q = inst.quiet_rounds();
+      if (q > 0) {
+        net.advance(q);
+        inst.skip_rounds(q);
+        continue;
+      }
+    }
+    txs.clear();
+    inst.plan(txs);
+    net.step(txs, [&](const radio::reception& rx) { inst.on_reception(rx); });
+    inst.end_round();
+  }
+  return net.stats().rounds;
+}
 
 }  // namespace rn::core

@@ -8,10 +8,9 @@
 #include "core/bfs_protocols.h"
 #include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
-#include "core/runner.h"
 #include "core/schedule.h"
+#include "core/trial_frame.h"
 #include "core/virtual_distance.h"
-#include "graph/bfs.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -32,13 +31,12 @@ radio::broadcast_result run_known_single_broadcast(
 unknown_topology_setup prepare_unknown_topology(
     const graph::graph& g, node_id source,
     const single_broadcast_options& opt) {
-  const std::size_t n_hat = opt.n_hat == 0 ? g.node_count() : opt.n_hat;
-  const level_t d_hat =
-      opt.d_hat > 0 ? opt.d_hat : graph::bfs(g, source).max_level;
+  const std::size_t n_hat = resolve_n_hat(opt.n_hat, g.node_count());
 
   unknown_topology_setup setup;
   // 1. Collision-wave layering (the only step that uses collision detection).
-  auto wave = run_collision_wave_bfs(g, source, d_hat);
+  auto wave =
+      run_collision_wave_bfs(g, source, resolve_d_hat(g, source, opt.d_hat));
   setup.wave_rounds = wave.rounds;
 
   // 2. Rings.
@@ -87,28 +85,17 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     const graph::graph& g, node_id source,
     const single_broadcast_options& opt) {
   const std::size_t n = g.node_count();
-  const std::size_t n_hat = opt.n_hat == 0 ? n : opt.n_hat;
+  const std::size_t n_hat = resolve_n_hat(opt.n_hat, n);
   const int L = log_range(n_hat);
   auto setup = prepare_unknown_topology(g, source, opt);
 
-  radio::broadcast_result res;
-  res.phase_rounds.emplace_back("bfs_wave", setup.wave_rounds);
-  res.phase_rounds.emplace_back("gst_construction", setup.construction_rounds);
-  res.phase_rounds.emplace_back("vdist_labeling", setup.labeling_rounds);
-
   // 5. Ring-by-ring dissemination on one shared network.
-  radio::network net(g, {.collision_detection = true});
-  radio::completion_tracker tracker(n);
-  std::vector<char> informed(n, 0);
-  informed[source] = 1;
-  tracker.mark(source);
+  trial_frame frame(g, {.collision_detection = true}, opt.fast_forward);
+  informed_set informed(frame);
+  informed.inform(source);
   for (node_id v = 0; v < n; ++v)
-    if (setup.rings.ring_of[v] < 0) tracker.exclude(v);
-
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(opt.seed ^ 0xbca57ULL, v));
+    if (setup.rings.ring_of[v] < 0) frame.tracker().exclude(v);
+  std::vector<rng> node_rng = node_coins(n, opt.seed ^ 0xbca57ULL);
 
   auto body = std::make_shared<radio::packet_body>();
   body->data = {0x11, 0x22, 0x33};
@@ -116,16 +103,11 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
   const radio::packet data_pkt = radio::packet::make_data(source, body);
   const int dp = opt.prm.decay_phases(n_hat);
   radio::round_buffer txs;
-  auto deliver = [&](const radio::reception& rx) {
-    if (rx.what == radio::observation::message &&
-        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-      informed[rx.listener] = 1;
-      tracker.mark(rx.listener);
-    }
+  const auto deliver = [&](const radio::reception& rx) {
+    informed.receive(rx);
   };
 
   round_t relay_rounds = 0;
-  round_sink sink(net, opt.fast_forward);
   for (std::size_t j = 0; j < setup.rings.rings.size(); ++j) {
     const gst& t = setup.forests[j];
     const auto& members = setup.rings.rings[j].members;
@@ -152,8 +134,7 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
             txs.add(v, data_pkt);
         });
       }
-      if (sink.commit(txs, deliver))
-        tracker.observe_round(net.stats().rounds);
+      frame.commit(txs, deliver);
     }
     relay_rounds += budget;
 
@@ -171,7 +152,7 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
         // Nobody can transmit (and nobody flips a coin: the informed check
         // short-circuits the draw), and the informed set cannot grow without
         // transmissions — the whole handoff block is idle.
-        sink.advance(static_cast<round_t>(dp) * (L + 1));
+        frame.advance(static_cast<round_t>(dp) * (L + 1));
       } else {
         for (int ph = 0; ph < dp; ++ph) {
           for (int e = 0; e <= L; ++e) {
@@ -181,27 +162,17 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
                   node_rng[v].with_probability_pow2(e))
                 txs.add(v, data_pkt);
             }
-            if (sink.commit(txs, deliver))
-              tracker.observe_round(net.stats().rounds);
+            frame.commit(txs, deliver);
           }
         }
       }
       relay_rounds += static_cast<round_t>(dp) * (L + 1);
     }
   }
-  sink.flush();
-  res.phase_rounds.emplace_back("ring_relay", relay_rounds);
 
-  res.completed = tracker.all_done();
-  res.rounds_to_complete =
-      tracker.first_complete_round() < 0
-          ? -1
-          : setup.total_rounds() + tracker.first_complete_round();
-  res.rounds_executed = setup.total_rounds() + net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
-  res.deliveries = net.stats().deliveries;
-  res.collisions_observed = net.stats().collisions_observed;
-  res.energy = net.energy();
+  radio::broadcast_result res = frame.finish(setup.total_rounds());
+  res.phase_rounds = setup.phase_rounds();
+  res.phase_rounds.emplace_back("ring_relay", relay_rounds);
   return res;
 }
 

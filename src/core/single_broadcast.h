@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/gst.h"
 #include "core/gst_distributed.h"
@@ -53,6 +55,13 @@ struct unknown_topology_setup {
   std::size_t unlabeled = 0;
   [[nodiscard]] round_t total_rounds() const {
     return wave_rounds + construction_rounds + labeling_rounds;
+  }
+  /// The three setup phases, in order, for a result's `phase_rounds`.
+  [[nodiscard]] std::vector<std::pair<const char*, round_t>> phase_rounds()
+      const {
+    return {{"bfs_wave", wave_rounds},
+            {"gst_construction", construction_rounds},
+            {"vdist_labeling", labeling_rounds}};
   }
 };
 

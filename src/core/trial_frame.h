@@ -1,0 +1,121 @@
+// One trial frame for every broadcast runner.
+//
+// Every algorithm the library compares — the Theorem 1.1/1.3 pipelines, the
+// known-topology GST schedule and the Decay baselines — runs the same
+// synchronous radio round (paper section 1.1): plan a transmit list, resolve
+// it on the channel, apply the receptions, and measure completion out of
+// band [DEV-8]. `trial_frame` builds that scaffold in one place: the
+// `radio::network`, the fast-forward `round_sink` in front of it, the
+// `completion_tracker` and the one `broadcast_result`. A runner brings only
+// its planning loop and its receive rule.
+//
+// Completion is recorded before the first round and after every stepped
+// round. Only a stepped round can change it, so the recorded round is the
+// same whether fast-forward defers the empty rounds or steps them.
+//
+// Beside the frame live the inputs every runner resolves the same way: the
+// single-message informed set, the per-node coins, n̂ and d̂.
+#pragma once
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/types.h"
+#include "core/runner.h"
+#include "graph/graph.h"
+#include "radio/network.h"
+#include "radio/result.h"
+
+namespace rn::core {
+
+/// The bound on n a runner plans with: `n_hat`, or n when it is 0.
+[[nodiscard]] inline std::size_t resolve_n_hat(std::size_t n_hat,
+                                               std::size_t n) {
+  return n_hat == 0 ? n : n_hat;
+}
+
+/// The diameter bound a runner plans with: `d_hat`, or when it is 0 the
+/// BFS eccentricity of `source` (an oracle standing in for a known d̂).
+[[nodiscard]] level_t resolve_d_hat(const graph::graph& g, node_id source,
+                                    level_t d_hat = 0);
+
+/// One coin stream per node: node v draws from rng::for_stream(seed, v).
+[[nodiscard]] std::vector<rng> node_coins(std::size_t n, std::uint64_t seed);
+
+class trial_frame {
+ public:
+  trial_frame(const graph::graph& g, radio::model m, bool fast_forward);
+
+  trial_frame(const trial_frame&) = delete;
+  trial_frame& operator=(const trial_frame&) = delete;
+
+  [[nodiscard]] radio::network& net() { return net_; }
+  [[nodiscard]] radio::completion_tracker& tracker() { return tracker_; }
+
+  /// Commits one planned round (round_sink::commit) and records completion
+  /// if it was stepped. Returns true iff it was stepped.
+  template <class OnRx>
+  bool commit(const radio::round_buffer& txs, OnRx&& on_rx,
+              bool force = false) {
+    start();
+    if (!sink_.commit(txs, std::forward<OnRx>(on_rx), force)) return false;
+    tracker_.observe_round(net_.stats().rounds);
+    return true;
+  }
+
+  /// Commits `k` rounds the caller has proven idle (round_sink::advance).
+  void advance(round_t k) {
+    start();
+    sink_.advance(k);
+  }
+
+  /// Applies the deferred rounds and builds the trial's result.
+  /// `setup_rounds` (spent before this frame's network ran) count toward
+  /// both round fields.
+  [[nodiscard]] radio::broadcast_result finish(round_t setup_rounds = 0);
+
+ private:
+  void start() {
+    if (started_) return;
+    started_ = true;
+    tracker_.observe_round(0);  // complete before the first round
+  }
+
+  radio::network net_;
+  round_sink sink_;
+  radio::completion_tracker tracker_;
+  bool started_ = false;
+};
+
+/// The single-message informed set: which nodes hold the message. Informing
+/// a node marks it complete in the frame's tracker.
+class informed_set {
+ public:
+  explicit informed_set(trial_frame& f)
+      : has_(f.net().node_count(), 0), tracker_(&f.tracker()) {}
+
+  [[nodiscard]] bool operator[](node_id v) const { return has_[v] != 0; }
+
+  /// Informs `v`; false if it already held the message.
+  bool inform(node_id v) {
+    if (has_[v]) return false;
+    has_[v] = 1;
+    tracker_->mark(v);
+    return true;
+  }
+
+  /// The receive rule: a data packet heard alone informs its listener.
+  /// True iff `rx` newly informed it.
+  bool receive(const radio::reception& rx) {
+    return rx.what == radio::observation::message &&
+           rx.pkt->kind == radio::packet_kind::data && inform(rx.listener);
+  }
+
+ private:
+  std::vector<char> has_;
+  radio::completion_tracker* tracker_;
+};
+
+}  // namespace rn::core

@@ -4,6 +4,7 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "core/runner.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -14,7 +15,7 @@ vdist_labeling_result run_vdist_labeling(
     const std::vector<node_id>& stretch_child, std::size_t n_hat,
     const params& prm, std::uint64_t seed, bool fast_forward) {
   const std::size_t n = g.node_count();
-  const std::size_t nh = n_hat == 0 ? n : n_hat;
+  const std::size_t nh = resolve_n_hat(n_hat, n);
   const int L = log_range(nh);
   const int dp = prm.decay_phases(nh);
   const level_t depth = t.max_level();
@@ -55,10 +56,7 @@ vdist_labeling_result run_vdist_labeling(
 
   radio::network net(g, {.collision_detection = false});
   round_sink sink(net, fast_forward);
-  std::vector<rng> node_rng;
-  node_rng.reserve(n);
-  for (node_id v = 0; v < n; ++v)
-    node_rng.push_back(rng::for_stream(seed, v));
+  std::vector<rng> node_rng = node_coins(n, seed);
 
   radio::round_buffer txs;
   auto rx_stretch = [&](const radio::reception& rx, level_t d) {

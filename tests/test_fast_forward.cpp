@@ -7,6 +7,7 @@
 
 #include "baseline/decay.h"
 #include "coding/rlnc.h"
+#include "core/api.h"
 #include "core/assignment.h"
 #include "core/gst_distributed.h"
 #include "core/multi_broadcast.h"
@@ -279,6 +280,32 @@ TEST(FastForward, TunedDecayBitIdentical) {
     opt.fast_forward = true;
     const auto ff = baseline::run_tuned_decay_broadcast(g, 0, opt);
     expect_same_result(naive, ff);
+  }
+}
+
+// A trial that is complete before its first round (one node, which holds
+// the message) completes at round 0 of its dissemination in both modes, so
+// every protocol reports its setup rounds + 0. The setup rounds are every
+// phase but the last (the unknown-topology pipelines); the others have none.
+TEST(FastForward, EveryProtocolCompletesBeforeRoundOneOnASingleNode) {
+  const auto g = graph::path(1);
+  const auto& reg = core::protocol_registry::instance();
+  for (const std::string& id : reg.ids()) {
+    const core::broadcast_workload w{0, reg.find(id)->multi_message ? 3u : 1u};
+    core::options opt;
+    opt.prm = core::params::fast();
+    opt.fast_forward = false;
+    const auto naive = core::run_broadcast(g, id, w, opt);
+    opt.fast_forward = true;
+    const auto ff = core::run_broadcast(g, id, w, opt);
+    SCOPED_TRACE(id);
+    expect_same_result(naive.base, ff.base);
+    round_t setup = 0;
+    for (std::size_t i = 0; i + 1 < naive.base.phase_rounds.size(); ++i)
+      setup += naive.base.phase_rounds[i].second;
+    EXPECT_TRUE(naive.base.completed);
+    EXPECT_EQ(naive.base.rounds_to_complete, setup);
+    EXPECT_TRUE(naive.payloads_verified);
   }
 }
 
