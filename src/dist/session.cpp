@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include <sys/wait.h>
@@ -150,7 +151,8 @@ void session::recv_setup_ack(unsigned r) {
   const std::uint64_t owned_entries = in.u64();
   // A mismatch is NOT a rank failure — the spec replayed to a different
   // graph, so respawning cannot help. Let it escape as a plain contract
-  // violation (fatal), past every recovery catch. The owned entry count is
+  // violation (fatal), past every recovery catch; trial_begin reads the
+  // other ranks' acks before rethrowing it. The owned entry count is
   // the degree sum over the rank's listeners, which the shipped plan alone
   // does not pin down.
   const auto offsets = trial_graph_->offsets();
@@ -301,6 +303,10 @@ void session::trial_begin(const graph::topology_spec& spec,
             degrade_rank(r);
         }
       }
+      // A contract error (a rank rebuilt another graph) is fatal, but only
+      // after every outstanding ack is read: a stale ack would fail the
+      // next trial_begin on this session.
+      std::exception_ptr mismatch;
       for (unsigned r = 0; r < ranks_.size(); ++r) {
         if (ranks_[r].state != rank_state::up || stage[r] != 1) continue;
         try {
@@ -308,8 +314,11 @@ void session::trial_begin(const graph::topology_spec& spec,
         } catch (const wire_error&) {
           if (!respawn_rank(r, "failed at trial setup"))
             degrade_rank(r);
+        } catch (const contract_error&) {
+          if (!mismatch) mismatch = std::current_exception();
         }
       }
+      if (mismatch) std::rethrow_exception(mismatch);
       if (!needs_reassign_) break;
     }
 

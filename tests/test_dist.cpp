@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "common/check.h"
+#include "core/api.h"
 #include "core/params.h"
 #include "dist/fault.h"
 #include "dist/session.h"
@@ -457,12 +458,13 @@ TEST(DistSession, RankReplayingAnotherGraphIsAContractError) {
   // The spec at another seed replays to another graph with the same node
   // count; the ranks' owned entry counts must give it away, on the
   // streamed-view path (layered) and the resident path (power_law) alike.
+  // One session serves both: a failed setup reads every rank's ack.
+  session_options so;
+  so.ranks = 2;
+  session s(so);
   for (const char* text :
        {"layered:depth=6,width=9,edge_prob=0.3", "power_law:n=64"}) {
     SCOPED_TRACE(text);
-    session_options so;
-    so.ranks = 2;
-    session s(so);  // fresh: a failed setup leaves acks unread
     graph::topology_spec spec = graph::parse_topology_spec(text);
     spec.seed = 11;
     const graph::graph g = graph::build_topology(spec);
@@ -470,6 +472,34 @@ TEST(DistSession, RankReplayingAnotherGraphIsAContractError) {
     ASSERT_EQ(graph::build_topology(spec).node_count(), g.node_count());
     EXPECT_THROW(s.trial_begin(spec, g), contract_error);
   }
+}
+
+TEST(DistSession, FailedSetupLeavesTheSessionUsable) {
+  // Every rank's ack of the mismatched setup must be read before the
+  // contract error escapes; a stale ack would fail the next trial_begin.
+  session_options so;
+  so.ranks = 3;
+  session s(so);
+  graph::topology_spec spec =
+      graph::parse_topology_spec("layered:depth=6,width=9,edge_prob=0.3");
+  spec.seed = 11;
+  const graph::graph g = graph::build_topology(spec);
+  graph::topology_spec other = spec;
+  other.seed = 12;
+  EXPECT_THROW(s.trial_begin(other, g), contract_error);
+
+  core::options opt;
+  opt.seed = 5;
+  const core::broadcast_workload w{0, 1};
+  const auto local = core::run_broadcast(g, "gst-known", w, opt);
+  s.trial_begin(spec, g);
+  const auto dist = core::run_broadcast(g, "gst-known", w, opt);
+  s.trial_end(g);
+  EXPECT_EQ(dist.base.rounds_to_complete, local.base.rounds_to_complete);
+  EXPECT_EQ(dist.base.transmissions, local.base.transmissions);
+  EXPECT_EQ(dist.base.deliveries, local.base.deliveries);
+  EXPECT_EQ(dist.base.energy, local.base.energy);
+  EXPECT_EQ(s.totals().trials, 1u);
 }
 
 // --- wire-level fuzz: framing failures are structured, never hangs --------
