@@ -39,38 +39,45 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
 struct field {
   std::string_view key;
   bool integral;  ///< parse as u64 (size/seed fields) vs double (multipliers)
+  std::uint64_t max;  ///< integral fields: the largest value the field holds
   double (*get)(const options&);
   void (*set)(options&, double num, std::uint64_t integer);
 };
 
+template <class T>
+constexpr std::uint64_t max_of =
+    static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+
 constexpr field kFields[] = {
-    {"n_hat", true, [](const options& o) { return static_cast<double>(o.n_hat); },
+    {"n_hat", true, max_of<std::size_t>,
+     [](const options& o) { return static_cast<double>(o.n_hat); },
      [](options& o, double, std::uint64_t i) { o.n_hat = static_cast<std::size_t>(i); }},
-    {"d_hat", true, [](const options& o) { return static_cast<double>(o.d_hat); },
+    {"d_hat", true, max_of<level_t>,
+     [](const options& o) { return static_cast<double>(o.d_hat); },
      [](options& o, double, std::uint64_t i) { o.d_hat = static_cast<level_t>(i); }},
-    {"payload_size", true,
+    {"payload_size", true, max_of<std::size_t>,
      [](const options& o) { return static_cast<double>(o.payload_size); },
      [](options& o, double, std::uint64_t i) { o.payload_size = static_cast<std::size_t>(i); }},
-    {"message_seed", true,
+    {"message_seed", true, max_of<std::uint64_t>,
      [](const options& o) { return static_cast<double>(o.message_seed); },
      [](options& o, double, std::uint64_t i) { o.message_seed = i; }},
-    {"decay_phase_mult", false,
+    {"decay_phase_mult", false, 0,
      [](const options& o) { return o.prm.decay_phase_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.decay_phase_mult = v; }},
-    {"recruit_iter_mult", false,
+    {"recruit_iter_mult", false, 0,
      [](const options& o) { return o.prm.recruit_iter_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_iter_mult = v; }},
-    {"recruit_exp_step_mult", false,
+    {"recruit_exp_step_mult", false, 0,
      [](const options& o) { return o.prm.recruit_exp_step_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_exp_step_mult = v; }},
-    {"epoch_mult", false, [](const options& o) { return o.prm.epoch_mult; },
+    {"epoch_mult", false, 0, [](const options& o) { return o.prm.epoch_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.epoch_mult = v; }},
-    {"schedule_slack", false,
+    {"schedule_slack", false, 0,
      [](const options& o) { return o.prm.schedule_slack; },
      [](options& o, double v, std::uint64_t) { o.prm.schedule_slack = v; }},
-    {"fec_overhead", false, [](const options& o) { return o.prm.fec_overhead; },
+    {"fec_overhead", false, 0, [](const options& o) { return o.prm.fec_overhead; },
      [](options& o, double v, std::uint64_t) { o.prm.fec_overhead = v; }},
-    {"ring_divisor", false, [](const options& o) { return o.prm.ring_divisor; },
+    {"ring_divisor", false, 0, [](const options& o) { return o.prm.ring_divisor; },
      [](options& o, double v, std::uint64_t) { o.prm.ring_divisor = v; }},
 };
 
@@ -125,7 +132,7 @@ options parse_options(std::string_view text) {
                "unknown option key '" + std::string(key) + "'");
     if (found->integral) {
       std::uint64_t v = 0;
-      RN_REQUIRE(parse_u64(value, v),
+      RN_REQUIRE(parse_u64(value, v) && v <= found->max,
                  "bad integer value for option '" + std::string(key) +
                      "': " + value);
       found->set(out, static_cast<double>(v), v);

@@ -61,5 +61,18 @@ TEST(Options, RejectsMalformedStrings) {
   EXPECT_THROW(static_cast<void>(parse_options("opt-v1:=3")), contract_error);
 }
 
+TEST(Options, RejectsIntegersAboveTheirFieldsRange) {
+  // d_hat is a 32-bit level: a larger value must not wrap (3000000000
+  // would read -1294967296) or truncate (4294967296 would read 0).
+  EXPECT_THROW(static_cast<void>(parse_options("opt-v1:d_hat=3000000000")),
+               contract_error);
+  EXPECT_THROW(static_cast<void>(parse_options("opt-v1:d_hat=4294967296")),
+               contract_error);
+  const options top = parse_options("opt-v1:d_hat=2147483647");
+  EXPECT_EQ(top.d_hat, 2147483647);
+  EXPECT_EQ(top.to_string(), "opt-v1:d_hat=2147483647");
+  EXPECT_EQ(parse_options(top.to_string()), top);
+}
+
 }  // namespace
 }  // namespace rn::core
