@@ -10,7 +10,7 @@
 // path a cross-check oracle for the fast one. Every broadcast runner reaches
 // its sink through `core::trial_frame` (core/trial_frame.h).
 //
-// `drive` is the one driver of the standalone construction primitives
+// `drive` is the one round loop of the standalone construction primitives
 // (`recruiting_instance`, `assignment_problem`): plan, step, deliver and end
 // each round on the instance's own network, skipping the instance's quiet
 // windows in fast-forward mode.
