@@ -3,7 +3,8 @@
 // oracles, and the uncoded multi-message baselines — on two fixed graphs at
 // fixed seeds. The values were recorded before that code was last rewritten
 // (the oracle and baseline rows before the runners moved onto one trial
-// frame), and a rewrite of it is only an optimization if it leaves every
+// frame, the RLNC rows at k = 20 before the coded data path stopped
+// allocating), and a rewrite of it is only an optimization if it leaves every
 // draw — and so every number below — where it was. Never edit a pin to make
 // a change pass.
 //
@@ -62,7 +63,9 @@ constexpr pin kPins[] = {
     {"gnp/leveled-decay/per-round/mmv=0", 52, 244, 372, 0, 0x52346611adc61e71ULL},
     {"gnp/leveled-decay/per-round/mmv=1", 52, 272, 373, 0, 0xfbade12a084aead1ULL},
     {"gnp/rlnc-known", 188, 543, 987, 0, 0x2fd1c86e3c52a940ULL},
+    {"gnp/rlnc-known/k=20,payload=13", 692, 1985, 3752, 0, 0x26021187a90412feULL},
     {"gnp/rlnc-unknown-cd", 690623, 12253, 20424, 8935, 0x42ccd27173189d07ULL},
+    {"gnp/rlnc-unknown-cd/k=20,payload=13", 704055, 48533, 81183, 35328, 0x10d95fb56bd21400ULL},
     {"gnp/routing/k=3", 282, 1809, 2047, 0, 0x78327e9a5f8d9dc0ULL},
     {"gnp/seq-decay/k=3", 102, 293, 430, 0, 0x7727f38c001f42e6ULL},
     {"gnp/tuned-decay", 23, 88, 125, 0, 0x61a2a039c0cf2505ULL},
@@ -83,7 +86,9 @@ constexpr pin kPins[] = {
     {"layered/leveled-decay/per-round/mmv=0", 51, 216, 374, 0, 0xd5a6e68ec5ac1cc9ULL},
     {"layered/leveled-decay/per-round/mmv=1", 84, 503, 767, 0, 0x6817ee9bff945e4ULL},
     {"layered/rlnc-known", 300, 1125, 2500, 0, 0x35e2793dabc3dc76ULL},
+    {"layered/rlnc-known/k=20,payload=13", 630, 2472, 5640, 0, 0xab4a587469f29ecfULL},
     {"layered/rlnc-unknown-cd", 1058559, 18011, 40166, 17155, 0x3d91402ccd6c4a4dULL},
+    {"layered/rlnc-unknown-cd/k=20,payload=13", 1071933, 71527, 160805, 68063, 0x4737a1ad6b2a1d42ULL},
     {"layered/routing/k=3", 241, 2067, 2628, 0, 0xe1283f3d3ef1fe1aULL},
     {"layered/seq-decay/k=3", 156, 831, 1148, 0, 0x30051d1acc1e090aULL},
     {"layered/tuned-decay", 30, 283, 328, 0, 0xb1d56b733afcb924ULL},
@@ -107,6 +112,13 @@ std::string row(const std::string& name, const radio::broadcast_result& r) {
      << r.collisions_observed << ", 0x" << std::hex << fnv1a(r.energy)
      << "ULL},";
   return os.str();
+}
+
+/// The broadcast result of a multi-message run, failing the case unless
+/// every node decoded the messages that were sent.
+radio::broadcast_result verified(const core::multi_broadcast_result& r) {
+  EXPECT_TRUE(r.payloads_verified) << "decoded payloads differ";
+  return r.base;
 }
 
 struct pin_case {
@@ -187,25 +199,32 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
     o.fast_forward = ff;
     return core::run_unknown_cd_single_broadcast(g, 0, o);
   });
-  add("rlnc-known", [&g](bool ff) {
-    core::multi_broadcast_options o;
-    o.seed = 11;
-    o.payload_size = 8;
-    o.fast_forward = ff;
-    return core::run_known_multi_broadcast(
-               g, 0, coding::make_test_messages(3, 8, 0x5eed), o)
-        .base;
-  });
-  add("rlnc-unknown-cd", [&g](bool ff) {
-    core::multi_broadcast_options o;
-    o.seed = 12;
-    o.payload_size = 8;
-    o.prm = core::params::fast();
-    o.fast_forward = ff;
-    return core::run_unknown_cd_multi_broadcast(
-               g, 0, coding::make_test_messages(3, 8, 0x5eed), o)
-        .base;
-  });
+  // The RLNC runners at k = 3 (one batch) and at k = 20 with 13-byte
+  // payloads: four batches of L = 6, and payloads of one 8-byte word plus a
+  // 5-byte tail. Every case must also decode the messages it sent.
+  for (const std::size_t k : {std::size_t{3}, std::size_t{20}}) {
+    const std::size_t size = k == 3 ? 8 : 13;
+    const std::string shape =
+        k == 3 ? "" : "/k=" + std::to_string(k) + ",payload=" +
+                          std::to_string(size);
+    add("rlnc-known" + shape, [&g, k, size](bool ff) {
+      core::multi_broadcast_options o;
+      o.seed = 11;
+      o.payload_size = size;
+      o.fast_forward = ff;
+      return verified(core::run_known_multi_broadcast(
+          g, 0, coding::make_test_messages(k, size, 0x5eed), o));
+    });
+    add("rlnc-unknown-cd" + shape, [&g, k, size](bool ff) {
+      core::multi_broadcast_options o;
+      o.seed = 12;
+      o.payload_size = size;
+      o.prm = core::params::fast();
+      o.fast_forward = ff;
+      return verified(core::run_unknown_cd_multi_broadcast(
+          g, 0, coding::make_test_messages(k, size, 0x5eed), o));
+    });
+  }
   const node_id last = static_cast<node_id>(g.node_count() - 1);
   for (const bool mmv : {false, true})
     for (const bool classic : {false, true})
@@ -265,6 +284,7 @@ TEST(GoldenPins, EveryProtocolReproducesItsRecordedResults) {
 
   std::set<std::string> seen;
   for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
     seen.insert(c.name);
     const auto it = want.find(c.name);
     for (const unsigned team : {1u, 2u})
