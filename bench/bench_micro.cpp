@@ -212,13 +212,15 @@ static void BM_Gf2DecoderInsert(benchmark::State& state) {
   for (std::size_t i = 0; i < k; ++i)
     src.insert(coding::gf2_vector::unit(k, i),
                std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(i)));
+  coding::gf2_vector coeffs;
+  std::vector<std::uint8_t> payload;
   for (auto _ : state) {
     state.PauseTiming();
     coding::gf2_decoder sink(k, 32);
     state.ResumeTiming();
     while (!sink.complete()) {
-      auto row = src.random_combination(r);
-      sink.insert(std::move(row.coeffs), std::move(row.payload));
+      src.random_combination(r, coeffs, payload);
+      sink.insert(coeffs, payload);
     }
     benchmark::DoNotOptimize(sink.rank());
   }

@@ -9,7 +9,9 @@
 // (expected overhead ~1.6 packets, no coupon-collector term); splitting k
 // messages into generations of size b trades header bits (b per packet) for
 // a small extra-packet overhead per generation.
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "coding/gf2.h"
 #include "coding/rlnc.h"
@@ -45,10 +47,12 @@ void register_e8(sim::registry& reg) {
           src.insert(coding::gf2_vector::unit(k, i),
                      {static_cast<std::uint8_t>(i)});
         coding::gf2_decoder sink(k, 1);
+        coding::gf2_vector coeffs;
+        std::vector<std::uint8_t> payload;
         int packets = 0;
         while (!sink.complete()) {
-          auto row = src.random_combination(r);
-          sink.insert(std::move(row.coeffs), std::move(row.payload));
+          src.random_combination(r, coeffs, payload);
+          sink.insert(coeffs, payload);
           ++packets;
         }
         sim::metrics m;
@@ -68,6 +72,8 @@ void register_e8(sim::registry& reg) {
                    {"header_bits", static_cast<double>(gen)}};
       sc.run = [k, gen](std::size_t, rng& r) {
         coding::batch_layout bl{k, gen};
+        coding::gf2_vector coeffs;
+        std::vector<std::uint8_t> payload;
         int sent = 0;
         for (std::size_t b = 0; b < bl.batch_count(); ++b) {
           const std::size_t dim = bl.size_of(b);
@@ -77,10 +83,10 @@ void register_e8(sim::registry& reg) {
                        {static_cast<std::uint8_t>(i)});
           coding::gf2_decoder sink(dim, 1);
           while (!sink.complete()) {
-            auto row = src.random_combination(r);
+            src.random_combination(r, coeffs, payload);
             ++sent;
             if (r.bernoulli(0.3)) continue;  // packet lost
-            sink.insert(std::move(row.coeffs), std::move(row.payload));
+            sink.insert(coeffs, payload);
           }
         }
         sim::metrics m;

@@ -25,15 +25,6 @@ void rlnc_node::load_source_message(std::size_t i, const message& m) {
   RN_REQUIRE(innovative, "source message loaded twice");
 }
 
-bool rlnc_node::receive(const gf2_vector& coeffs,
-                        const std::vector<std::uint8_t>& body) {
-  return decoder_.insert(coeffs, body);
-}
-
-gf2_decoder::coded_row rlnc_node::encode(rn::rng& r) const {
-  return decoder_.random_combination(r);
-}
-
 std::vector<message> rlnc_node::decode_all() const {
   RN_REQUIRE(can_decode(), "decode_all before full rank");
   std::vector<message> out(decoder_.dimension());

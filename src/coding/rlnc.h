@@ -33,14 +33,21 @@ class rlnc_node {
   void load_source_message(std::size_t i, const message& m);
 
   /// Receive a coded packet; returns true iff innovative.
-  bool receive(const gf2_vector& coeffs, const std::vector<std::uint8_t>& body);
+  bool receive(const gf2_vector& coeffs,
+               const std::vector<std::uint8_t>& body) {
+    return decoder_.insert(coeffs, body);
+  }
 
   [[nodiscard]] bool has_anything() const { return decoder_.rank() > 0; }
   [[nodiscard]] bool can_decode() const { return decoder_.complete(); }
   [[nodiscard]] std::size_t rank() const { return decoder_.rank(); }
 
-  /// Fresh random re-encoding of everything held (requires has_anything()).
-  [[nodiscard]] gf2_decoder::coded_row encode(rn::rng& r) const;
+  /// Fresh random re-encoding of everything held, written into `coeffs` and
+  /// `payload` with their storage reused (requires has_anything()).
+  void encode(rn::rng& r, gf2_vector& coeffs,
+              std::vector<std::uint8_t>& payload) const {
+    decoder_.random_combination(r, coeffs, payload);
+  }
 
   /// All decoded messages (requires can_decode()).
   [[nodiscard]] std::vector<message> decode_all() const;

@@ -143,14 +143,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
   // Interior stretch nodes relay the most recent packet received from their
   // stretch predecessor (paper 3.3.2 case (b)).
   std::vector<std::shared_ptr<const radio::packet_body>> relay(n);
-
-  auto fresh_packet = [&](node_id v) -> radio::packet {
-    auto row = buf[v].encode(node_rng[v]);
-    auto body = std::make_shared<radio::packet_body>();
-    body->coeffs = std::move(row.coeffs);
-    body->data = std::move(row.payload);
-    return radio::packet::make_coded(0, std::move(body));
-  };
+  coded_packets coded;
 
   radio::round_buffer txs;
   gst_schedule_index idx(sched, all_nodes(n));
@@ -174,7 +167,8 @@ radio::broadcast_result run_gst_rlnc_broadcast(
       return;
     }
     // Stretch heads (fast) and all slow prompts send fresh combinations.
-    if (buf[v].has_anything()) txs.add_owned(v, fresh_packet(v));
+    if (buf[v].has_anything())
+      txs.add_owned(v, coded.fresh(0, buf[v], node_rng[v]));
   };
 
   for (round_t r = 0; r < max_rounds; ++r) {

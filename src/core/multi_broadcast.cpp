@@ -127,13 +127,9 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
       dp + static_cast<int>(opt.prm.fec_overhead *
                             static_cast<double>(batches.batch_size));
 
+  coded_packets coded;
   auto fresh_packet = [&](node_id v, std::size_t b) {
-    auto row = buf[v][b].encode(node_rng[v]);
-    auto body = std::make_shared<radio::packet_body>();
-    body->coeffs = std::move(row.coeffs);
-    body->data = std::move(row.payload);
-    return radio::packet::make_coded(static_cast<std::uint32_t>(b),
-                                     std::move(body));
+    return coded.fresh(static_cast<std::uint32_t>(b), buf[v][b], node_rng[v]);
   };
 
   // Relay buffers for interior stretch nodes (reset per super-epoch).

@@ -1,5 +1,8 @@
 #include "core/trial_frame.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "graph/bfs.h"
 
 namespace rn::core {
@@ -34,6 +37,24 @@ radio::broadcast_result trial_frame::finish(round_t setup_rounds) {
   res.collisions_observed = s.collisions_observed;
   res.energy = net_.energy();
   return res;
+}
+
+std::shared_ptr<radio::packet_body> coded_packets::acquire() {
+  if (free_.empty()) {
+    // Reclaim every lent body that only this pool still references. Topping
+    // the free list up to a quarter of the lent ones puts the next sweep at
+    // least that many handouts away: amortized O(1) per body.
+    const auto held = std::partition(
+        lent_.begin(), lent_.end(),
+        [](const auto& body) { return body.use_count() > 1; });
+    std::move(held, lent_.end(), std::back_inserter(free_));
+    lent_.erase(held, lent_.end());
+    while (free_.size() <= lent_.size() / 4)
+      free_.push_back(std::make_shared<radio::packet_body>());
+  }
+  lent_.push_back(std::move(free_.back()));
+  free_.pop_back();
+  return lent_.back();
 }
 
 }  // namespace rn::core

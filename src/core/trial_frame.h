@@ -14,13 +14,16 @@
 // same whether fast-forward defers the empty rounds or steps them.
 //
 // Beside the frame live the inputs every runner resolves the same way: the
-// single-message informed set, the per-node coins, n̂ and d̂.
+// single-message informed set, the per-node coins, n̂ and d̂, and the coded
+// packets of the two RLNC runners.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "coding/rlnc.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/runner.h"
@@ -116,6 +119,28 @@ class informed_set {
  private:
   std::vector<char> has_;
   radio::completion_tracker* tracker_;
+};
+
+/// Fresh coded packets on recycled bodies. A body is handed out again once
+/// nothing but this pool references it: no relay kept it and no round
+/// buffer slot still holds it. So the pool holds about the relays' bodies
+/// plus one round's transmitters, and the coded data path allocates only
+/// while that number grows.
+class coded_packets {
+ public:
+  /// A coded packet of `batch` carrying a fresh re-encoding of `node`.
+  [[nodiscard]] radio::packet fresh(std::uint32_t batch,
+                                    const coding::rlnc_node& node, rng& r) {
+    std::shared_ptr<radio::packet_body> body = acquire();
+    node.encode(r, body->coeffs, body->data);
+    return radio::packet::make_coded(batch, std::move(body));
+  }
+
+ private:
+  std::shared_ptr<radio::packet_body> acquire();
+
+  std::vector<std::shared_ptr<radio::packet_body>> lent_;
+  std::vector<std::shared_ptr<radio::packet_body>> free_;
 };
 
 }  // namespace rn::core

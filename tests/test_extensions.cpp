@@ -140,15 +140,17 @@ TEST(Infection, Proposition39RelayProbability) {
     coding::gf2_decoder src(k, 1);
     for (std::size_t i = 0; i < k; ++i)
       src.insert(coding::gf2_vector::unit(k, i), {0});
+    coding::gf2_vector coeffs;
+    std::vector<std::uint8_t> payload;
     for (int i = 0; i < rows; ++i) {
-      auto row = src.random_combination(r);
-      v.receive(row.coeffs, row.payload);
+      src.random_combination(r, coeffs, payload);
+      v.receive(coeffs, payload);
     }
     const auto mu = coding::gf2_vector::random(k, r);
     if (mu.is_zero() || !v.decoder().infected_by(mu)) continue;
     ++trials;
-    auto pkt = v.encode(r);
-    if (pkt.coeffs.dot(mu)) ++infected;  // u receives pkt; infected iff <pkt,mu> != 0
+    v.encode(r, coeffs, payload);
+    if (coeffs.dot(mu)) ++infected;  // u receives it; infected iff <coeffs,mu> != 0
   }
   ASSERT_GT(trials, 400);
   EXPECT_GE(static_cast<double>(infected) / trials, 0.45);
@@ -162,9 +164,11 @@ TEST(Infection, FullInfectionImpliesDecodability) {
   coding::gf2_decoder src(k, 1);
   for (std::size_t i = 0; i < k; ++i)
     src.insert(coding::gf2_vector::unit(k, i), {0});
+  coding::gf2_vector coeffs;
+  std::vector<std::uint8_t> payload;
   while (!dec.complete()) {
-    auto row = src.random_combination(r);
-    dec.insert(std::move(row.coeffs), std::move(row.payload));
+    src.random_combination(r, coeffs, payload);
+    dec.insert(coeffs, payload);
   }
   for (std::uint32_t bits = 1; bits < (1u << k); ++bits) {
     coding::gf2_vector mu(k);
