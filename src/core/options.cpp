@@ -36,11 +36,14 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
 
 /// The canonical key set, in print order. Each key reads and writes one field
 /// through accessors so the print and parse sides can never drift apart.
+/// Integral fields (sizes, seeds) are read, compared and printed as u64, so
+/// no value loses bits to a double; the multipliers are doubles.
 struct field {
   std::string_view key;
   bool integral;  ///< parse as u64 (size/seed fields) vs double (multipliers)
   std::uint64_t max;  ///< integral fields: the largest value the field holds
-  double (*get)(const options&);
+  std::uint64_t (*get_int)(const options&);  ///< integral fields
+  double (*get)(const options&);             ///< the others
   void (*set)(options&, double num, std::uint64_t integer);
 };
 
@@ -50,36 +53,40 @@ constexpr std::uint64_t max_of =
 
 constexpr field kFields[] = {
     {"n_hat", true, max_of<std::size_t>,
-     [](const options& o) { return static_cast<double>(o.n_hat); },
+     [](const options& o) { return static_cast<std::uint64_t>(o.n_hat); }, nullptr,
      [](options& o, double, std::uint64_t i) { o.n_hat = static_cast<std::size_t>(i); }},
     {"d_hat", true, max_of<level_t>,
-     [](const options& o) { return static_cast<double>(o.d_hat); },
+     [](const options& o) { return static_cast<std::uint64_t>(o.d_hat); }, nullptr,
      [](options& o, double, std::uint64_t i) { o.d_hat = static_cast<level_t>(i); }},
     {"payload_size", true, max_of<std::size_t>,
-     [](const options& o) { return static_cast<double>(o.payload_size); },
+     [](const options& o) { return static_cast<std::uint64_t>(o.payload_size); }, nullptr,
      [](options& o, double, std::uint64_t i) { o.payload_size = static_cast<std::size_t>(i); }},
     {"message_seed", true, max_of<std::uint64_t>,
-     [](const options& o) { return static_cast<double>(o.message_seed); },
+     [](const options& o) { return o.message_seed; }, nullptr,
      [](options& o, double, std::uint64_t i) { o.message_seed = i; }},
-    {"decay_phase_mult", false, 0,
+    {"decay_phase_mult", false, 0, nullptr,
      [](const options& o) { return o.prm.decay_phase_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.decay_phase_mult = v; }},
-    {"recruit_iter_mult", false, 0,
+    {"recruit_iter_mult", false, 0, nullptr,
      [](const options& o) { return o.prm.recruit_iter_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_iter_mult = v; }},
-    {"recruit_exp_step_mult", false, 0,
+    {"recruit_exp_step_mult", false, 0, nullptr,
      [](const options& o) { return o.prm.recruit_exp_step_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_exp_step_mult = v; }},
-    {"epoch_mult", false, 0, [](const options& o) { return o.prm.epoch_mult; },
+    {"epoch_mult", false, 0, nullptr,
+     [](const options& o) { return o.prm.epoch_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.epoch_mult = v; }},
-    {"schedule_slack", false, 0,
+    {"schedule_slack", false, 0, nullptr,
      [](const options& o) { return o.prm.schedule_slack; },
      [](options& o, double v, std::uint64_t) { o.prm.schedule_slack = v; }},
-    {"fec_overhead", false, 0, [](const options& o) { return o.prm.fec_overhead; },
+    {"fec_overhead", false, 0, nullptr,
+     [](const options& o) { return o.prm.fec_overhead; },
      [](options& o, double v, std::uint64_t) { o.prm.fec_overhead = v; }},
-    {"ring_divisor", false, 0, [](const options& o) { return o.prm.ring_divisor; },
+    {"ring_divisor", false, 0, nullptr,
+     [](const options& o) { return o.prm.ring_divisor; },
      [](options& o, double v, std::uint64_t) { o.prm.ring_divisor = v; }},
 };
+
 
 }  // namespace
 
@@ -88,17 +95,16 @@ std::string options::to_string() const {
   std::string out{version};
   bool first = true;
   for (const field& f : kFields) {
-    if (f.get(*this) == f.get(defaults)) continue;
+    const bool is_default = f.integral
+                                ? f.get_int(*this) == f.get_int(defaults)
+                                : f.get(*this) == f.get(defaults);
+    if (is_default) continue;
     out += first ? ":" : ",";
     first = false;
     out += f.key;
     out += "=";
-    if (f.integral && f.key == "message_seed") {
-      // Full 64-bit precision: seeds are not representable as doubles.
-      out += std::to_string(message_seed);
-    } else {
-      out += format_value(f.get(*this));
-    }
+    out += f.integral ? std::to_string(f.get_int(*this))
+                      : format_value(f.get(*this));
   }
   return out;
 }

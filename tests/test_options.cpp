@@ -74,5 +74,22 @@ TEST(Options, RejectsIntegersAboveTheirFieldsRange) {
   EXPECT_EQ(parse_options(top.to_string()), top);
 }
 
+TEST(Options, IntegralKeysKeepEveryBit) {
+  // 2^53 + 1 is not a double, and 2^64 - 1 rounds up to 2^64 as one: both
+  // must print from their integer value and parse back to the same options.
+  for (const char* text : {"opt-v1:n_hat=9007199254740993",
+                           "opt-v1:payload_size=9007199254740993",
+                           "opt-v1:n_hat=18446744073709551615"}) {
+    const options o = parse_options(text);
+    EXPECT_EQ(o.to_string(), text);
+    EXPECT_EQ(parse_options(o.to_string()), o);
+  }
+  options a;
+  options b;
+  a.n_hat = 9007199254740992ULL;
+  b.n_hat = 9007199254740993ULL;
+  EXPECT_NE(a.to_string(), b.to_string());
+}
+
 }  // namespace
 }  // namespace rn::core
