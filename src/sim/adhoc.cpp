@@ -142,7 +142,12 @@ std::string canonical_run_key(const adhoc_spec& spec, std::size_t trials,
       const std::string one =
           graph::topology_spec{"x", {{sweep.param, sweep.values[i]}}}
               .to_string();
-      key += i == 0 ? one.substr(2) : "," + one.substr(one.find('=') + 1);
+      if (i == 0) {
+        key += one.substr(2);
+      } else {
+        key += ',';
+        key += one.substr(one.find('=') + 1);
+      }
     }
   }
   key += ";messages=" + std::to_string(spec.messages);

@@ -46,10 +46,11 @@ void check_assignment(const graph::graph& g, const build_state& st,
       EXPECT_EQ(st.rank[v], no_rank);
       continue;
     }
-    if (rank_i_children[v] == 1)
+    if (rank_i_children[v] == 1) {
       EXPECT_EQ(st.rank[v], i) << "red " << v;
-    else if (rank_i_children[v] >= 2)
+    } else if (rank_i_children[v] >= 2) {
       EXPECT_EQ(st.rank[v], i + 1) << "red " << v;
+    }
   }
   // (3) collision-freeness: a rank-i blue with rank-i parent must not be
   // adjacent to another rank-i red that also has a rank-i child.

@@ -228,9 +228,11 @@ TEST(Theorem11, SetupProducesValidForests) {
     const auto errs = validate_gst(g, setup.forests[j]);
     EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs.front());
     // Virtual distances must exist for every member.
-    for (node_id v = 0; v < g.node_count(); ++v)
-      if (setup.forests[j].member[v])
+    for (node_id v = 0; v < g.node_count(); ++v) {
+      if (setup.forests[j].member[v]) {
         EXPECT_NE(setup.derived[j].virtual_distance[v], no_level);
+      }
+    }
   }
 }
 
