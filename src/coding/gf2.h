@@ -4,8 +4,8 @@
 //
 // Inline words. A `gf2_vector` keeps up to 128 bits in two inline words and
 // uses the heap only for wider vectors. An RLNC batch is L = ceil(log2 n̂)
-// <= 64 messages wide, so coded packets and decoder rows never allocate
-// their coefficients.
+// <= 64 messages wide, so the coefficients of coded packets and decoder rows
+// need no heap block of their own.
 //
 // Reduced basis. `gf2_decoder` keeps one row per pivot, and every row is
 // zero at every other row's pivot. Reducing an incoming vector c by the

@@ -87,7 +87,6 @@ constexpr field kFields[] = {
      [](options& o, double v, std::uint64_t) { o.prm.ring_divisor = v; }},
 };
 
-
 }  // namespace
 
 std::string options::to_string() const {
