@@ -199,8 +199,8 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
     o.fast_forward = ff;
     return core::run_unknown_cd_single_broadcast(g, 0, o);
   });
-  // The RLNC runners at k = 3 (one batch) and at k = 20 with 13-byte
-  // payloads: four batches of L = 6, and payloads of one 8-byte word plus a
+  // The RLNC runners at k = 3 and at k = 20 with 13-byte payloads: four
+  // rlnc-unknown-cd batches of L = 6, and payloads of one 8-byte word plus a
   // 5-byte tail. Every case must also decode the messages it sent.
   for (const std::size_t k : {std::size_t{3}, std::size_t{20}}) {
     const std::size_t size = k == 3 ? 8 : 13;
