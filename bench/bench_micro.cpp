@@ -152,7 +152,7 @@ static void BM_DecayRound(benchmark::State& state) {
   std::uint64_t seed = 1;
   std::int64_t rounds = 0;
   for (auto _ : state) {
-    baseline::decay_options opt;
+    core::options opt;
     opt.seed = ++seed;
     opt.fast_forward = true;
     const auto res = baseline::run_decay_broadcast(g, 0, opt);
@@ -191,7 +191,7 @@ static void BM_GstConstructionFastForward(benchmark::State& state) {
   lo.edge_prob = 0.4;
   lo.seed = 5;
   const auto g = graph::random_layered(lo);
-  core::distributed_gst_options opt;
+  core::options opt;
   opt.seed = 11;
   opt.prm = core::params::fast();
   opt.fast_forward = true;
@@ -272,7 +272,7 @@ static void BM_GstKnownLayered(benchmark::State& state) {
   const auto g = graph::random_layered(lo);
   const auto t = core::build_gst_centralized(g, 0);
   const auto d = core::derive(g, t);
-  core::gst_broadcast_options opt;
+  core::options opt;
   opt.seed = 1;
   opt.fast_forward = true;
   std::int64_t rounds = 0;

@@ -43,14 +43,13 @@ void register_e4(sim::registry& reg) {
         lo.edge_prob = 0.4;
         lo.seed = r();
         const auto g = graph::random_layered(lo);
-        core::distributed_gst_options opt;
+        core::options opt;
         opt.seed = r();
         opt.prm = core::params::fast();
         opt.fast_forward = sim::use_fast_forward();
-        opt.pipelined = true;
         const auto p = core::build_gst_distributed_single(g, 0, opt);
-        opt.pipelined = false;
-        const auto s = core::build_gst_distributed_single(g, 0, opt);
+        const auto s = core::build_gst_distributed_single(g, 0, opt,
+                                                          /*pipelined=*/false);
         sim::metrics m;
         m.set("pipelined", static_cast<double>(p.rounds));
         m.set("sequential", static_cast<double>(s.rounds));

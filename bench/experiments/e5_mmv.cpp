@@ -58,23 +58,17 @@ void register_e5(sim::registry& reg) {
         lo.intra_prob = 0.2;
         lo.seed = r();
         const auto g = graph::random_layered(lo);
+        core::options opt;
+        opt.seed = r();
+        opt.fast_forward = sim::use_fast_forward();
         radio::broadcast_result res;
         if (v.leveled_decay) {
-          baseline::leveled_decay_options opt;
-          opt.seed = r();
-          opt.mmv_noise = v.noise;
-          opt.fast_forward = sim::use_fast_forward();
           res = baseline::run_leveled_decay_broadcast(
-              g, 0, graph::bfs(g, 0).level, opt);
+              g, 0, graph::bfs(g, 0).level, opt, v.noise);
         } else {
           const auto t = core::build_gst_centralized(g, 0);
-          const auto d = core::derive(g, t);
-          core::gst_broadcast_options opt;
-          opt.seed = r();
-          opt.mmv_noise = v.noise;
-          opt.classic_levels = v.classic;
-          opt.fast_forward = sim::use_fast_forward();
-          res = core::run_gst_single_broadcast(g, t, d, {0}, opt);
+          res = core::run_gst_single_broadcast(g, t, core::derive(g, t), {0},
+                                               opt, v.noise, v.classic);
         }
         return sim::of_broadcast_result(res);
       };

@@ -40,7 +40,7 @@ void register_e9(sim::registry& reg) {
         lo.edge_prob = 0.4;
         lo.seed = r();
         const auto g = graph::random_layered(lo);
-        core::single_broadcast_options opt;
+        core::options opt;
         opt.seed = r();
         opt.prm = core::params::fast();
         opt.prm.ring_divisor = divisor;

@@ -36,10 +36,7 @@ int main() {
   // With collision detection, the unknown-topology pipeline prepares the
   // same GST infrastructure distributedly; once built, every further alert
   // reuses it at known-topology speed.
-  core::single_broadcast_options so;
-  so.seed = 9;
-  so.prm = core::params::fast();
-  const auto setup = core::prepare_unknown_topology(g, 0, so);
+  const auto setup = core::prepare_unknown_topology(g, 0, opt);
   std::printf(
       "\none-time distributed setup with CD (Theorem 1.1 preprocessing):\n"
       "  wave=%lld rounds, construction=%lld, labeling=%lld  "

@@ -148,12 +148,11 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
   return limit;
 }
 
-/// What both engines run: the round budget, the coin seed and the modes.
+/// What both engines run beside the options (coin seed, fast-forward): the
+/// round budget and the modes.
 struct decay_config {
-  std::uint64_t seed = 1;
   round_t max_rounds = 0;
-  bool stop_when_complete = true;
-  bool fast_forward = false;
+  bool exact = false;      ///< run every budgeted round, past completion
   bool mmv_noise = false;  ///< prompted-but-uninformed nodes jam with noise
 };
 
@@ -241,9 +240,10 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
                                           node_id source, const Sched& sched,
                                           EligibleFn&& eligible,
                                           FromStartFn&& from_start,
+                                          const core::options& opt,
                                           const decay_config& cfg) {
   const std::size_t n = g.node_count();
-  core::trial_frame frame(g, {.collision_detection = false}, cfg.fast_forward);
+  core::trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   core::informed_set informed(frame);
   informed.inform(source);
   std::vector<char> scheduled(n, 0);  // participating in the coin process
@@ -252,7 +252,7 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
   tx_calendar cal;
   auto schedule_from = [&](node_id v, round_t from) {
     scheduled[v] = 1;
-    const round_t t = sample_next_tx(sched, cfg.seed, v, word_idx[v], from,
+    const round_t t = sample_next_tx(sched, opt.seed, v, word_idx[v], from,
                                      cfg.max_rounds);
     if (t < cfg.max_rounds) cal.push(t, v);
   };
@@ -272,7 +272,7 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
 
   round_t now = 0;
   while (now < cfg.max_rounds) {
-    if (cfg.stop_when_complete && frame.tracker().all_done()) break;
+    if (!cfg.exact && frame.tracker().all_done()) break;
     // Idle stretch up to the next calendar entry. Nothing can be delivered
     // (and completion cannot change) in it, so skipping vs stepping the
     // empty rounds is bit-identical.
@@ -297,7 +297,7 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
     ++now;
     cal.advance_to(now);
     for (node_id v : firing) {
-      const round_t t = sample_next_tx(sched, cfg.seed, v, word_idx[v], now,
+      const round_t t = sample_next_tx(sched, opt.seed, v, word_idx[v], now,
                                        cfg.max_rounds);
       if (t < cfg.max_rounds) cal.push(t, v);
     }
@@ -321,12 +321,13 @@ radio::broadcast_result run_per_round_decay(const graph::graph& g,
                                             const Sched& sched,
                                             EligibleFn&& eligible,
                                             FromStartFn&& from_start,
+                                            const core::options& opt,
                                             const decay_config& cfg) {
   const std::size_t n = g.node_count();
-  core::trial_frame frame(g, {.collision_detection = false}, cfg.fast_forward);
+  core::trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   core::informed_set informed(frame);
   informed.inform(source);
-  std::vector<rng> coins = core::node_coins(n, cfg.seed);
+  std::vector<rng> coins = core::node_coins(n, opt.seed);
   std::vector<char> drawing(n, 0);
   std::vector<node_id> drawers;
   const auto join = [&](node_id v) {
@@ -345,7 +346,7 @@ radio::broadcast_result run_per_round_decay(const graph::graph& g,
     if (informed.receive(rx)) join(rx.listener);
   };
   for (round_t t = 0; t < cfg.max_rounds; ++t) {
-    if (cfg.stop_when_complete && frame.tracker().all_done()) break;
+    if (!cfg.exact && frame.tracker().all_done()) break;
     txs.clear();
     for (node_id v : drawers) {
       const int e = sched.exponent(v, t);
@@ -365,28 +366,26 @@ constexpr auto never = [](node_id) { return false; };
 
 }  // namespace
 
-radio::broadcast_result run_decay_broadcast(const graph::graph& g,
-                                            node_id source,
-                                            const decay_options& opt) {
+radio::broadcast_result run_decay_broadcast(
+    const graph::graph& g, node_id source, const core::options& opt,
+    draw_mode draws, round_t exact_rounds) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
-  decay_config cfg;
-  cfg.seed = opt.seed;
-  cfg.max_rounds = opt.max_rounds > 0
-                       ? opt.max_rounds
-                       : 64 * (static_cast<round_t>(n) * L + sq(L));
-  cfg.stop_when_complete = opt.stop_when_complete;
-  cfg.fast_forward = opt.fast_forward;
+  const decay_config cfg{
+      .max_rounds = exact_rounds > 0
+                        ? exact_rounds
+                        : 64 * (static_cast<round_t>(n) * L + sq(L)),
+      .exact = exact_rounds > 0};
   const classic_schedule sched{L};
-  if (opt.draws == draw_mode::batched)
-    return run_batched_decay(g, source, sched, always, never, cfg);
-  return run_per_round_decay(g, source, sched, always, never, cfg);
+  if (draws == draw_mode::batched)
+    return run_batched_decay(g, source, sched, always, never, opt, cfg);
+  return run_per_round_decay(g, source, sched, always, never, opt, cfg);
 }
 
 radio::broadcast_result run_leveled_decay_broadcast(
     const graph::graph& g, node_id source, const std::vector<level_t>& levels,
-    const leveled_decay_options& opt) {
+    const core::options& opt, bool mmv_noise, draw_mode draws) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   RN_REQUIRE(levels.size() == n, "level vector size mismatch");
@@ -396,23 +395,22 @@ radio::broadcast_result run_leveled_decay_broadcast(
 
   // MMV mode exercises noise, i.e. collisions; CD does not change behavior of
   // this protocol, so run without CD as in the paper's baseline setting.
-  decay_config cfg;
-  cfg.seed = opt.seed;
-  cfg.max_rounds = 64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L));
-  cfg.fast_forward = opt.fast_forward;
-  cfg.mmv_noise = opt.mmv_noise;
+  const decay_config cfg{
+      .max_rounds = 64 * (3 * static_cast<round_t>(max_level) * L + 3 * sq(L)),
+      .mmv_noise = mmv_noise};
   const leveled_schedule sched{&levels, L};
   const auto eligible = [&levels](node_id v) { return levels[v] != no_level; };
   // The batched contract schedules uninformed nodes only to jam (MMV); the
   // per-round oracle draws every leveled node's coin from round 0.
-  if (opt.draws == draw_mode::per_round)
-    return run_per_round_decay(g, source, sched, eligible, always, cfg);
-  const auto jamming = [mmv = opt.mmv_noise](node_id) { return mmv; };
-  return run_batched_decay(g, source, sched, eligible, jamming, cfg);
+  if (draws == draw_mode::per_round)
+    return run_per_round_decay(g, source, sched, eligible, always, opt, cfg);
+  const auto jamming = [mmv_noise](node_id) { return mmv_noise; };
+  return run_batched_decay(g, source, sched, eligible, jamming, opt, cfg);
 }
 
 radio::broadcast_result run_tuned_decay_broadcast(
-    const graph::graph& g, node_id source, const tuned_decay_options& opt) {
+    const graph::graph& g, node_id source, const core::options& opt,
+    draw_mode draws) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   const std::size_t n_hat = core::resolve_n_hat(opt.n_hat, n);
@@ -425,17 +423,15 @@ radio::broadcast_result run_tuned_decay_broadcast(
              2, n_hat / std::max<std::size_t>(1, static_cast<std::size_t>(
                                                      std::max(d_hat, 1))))) +
              1);
-  decay_config cfg;
-  cfg.seed = opt.seed;
-  cfg.max_rounds =
-      64 * (static_cast<round_t>(std::max(d_hat, 1)) * (3 * L_short + L_full) +
-            8 * sq(L_full));
-  cfg.fast_forward = opt.fast_forward;
+  const decay_config cfg{
+      .max_rounds = 64 * (static_cast<round_t>(std::max(d_hat, 1)) *
+                              (3 * L_short + L_full) +
+                          8 * sq(L_full))};
   // Super-phase = 3 short phases followed by 1 full phase.
   const tuned_schedule sched{L_short, L_full, 3 * L_short + L_full};
-  if (opt.draws == draw_mode::batched)
-    return run_batched_decay(g, source, sched, always, never, cfg);
-  return run_per_round_decay(g, source, sched, always, never, cfg);
+  if (draws == draw_mode::batched)
+    return run_batched_decay(g, source, sched, always, never, opt, cfg);
+  return run_per_round_decay(g, source, sched, always, never, opt, cfg);
 }
 
 }  // namespace rn::baseline

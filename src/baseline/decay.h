@@ -33,8 +33,9 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "graph/bfs.h"
+#include "core/options.h"
 #include "graph/graph.h"
 #include "radio/result.h"
 
@@ -46,43 +47,28 @@ enum class draw_mode : std::uint8_t {
   per_round,  ///< historical per-node xoshiro stream, one draw per scheduled round
 };
 
-struct decay_options {
-  std::size_t n_hat = 0;       ///< known upper bound on n; 0 = use n
-  round_t max_rounds = 0;      ///< 0 = generous default from n_hat & graph
-  std::uint64_t seed = 1;
-  bool stop_when_complete = true;    ///< stop the simulation at completion
-  bool fast_forward = false;  ///< skip transmitter-free rounds (bit-identical)
-  draw_mode draws = draw_mode::batched;
-};
+// Every variant reads `opt.n_hat` (0 = use n), `opt.seed` and
+// `opt.fast_forward` (skip transmitter-free rounds, bit-identical).
 
-/// Classic BGI Decay single-message broadcast from `source`.
+/// Classic BGI Decay single-message broadcast from `source`. `exact_rounds`
+/// > 0 runs exactly that many rounds, past completion; 0 stops at
+/// completion within a generous budget from n_hat and the graph.
 [[nodiscard]] radio::broadcast_result run_decay_broadcast(
-    const graph::graph& g, node_id source, const decay_options& opt);
-
-struct leveled_decay_options {
-  std::size_t n_hat = 0;
-  std::uint64_t seed = 1;
-  bool mmv_noise = false;  ///< Definition 3.1: prompted uninformed nodes jam
-  bool fast_forward = false;
-  draw_mode draws = draw_mode::batched;
-};
+    const graph::graph& g, node_id source, const core::options& opt,
+    draw_mode draws = draw_mode::batched, round_t exact_rounds = 0);
 
 /// Lemma 3.2 leveled Decay. `levels` must hold the BFS level of every node
-/// (obtained e.g. from the collision-wave layering).
+/// (obtained e.g. from the collision-wave layering). `mmv_noise`:
+/// Definition 3.1, prompted uninformed nodes jam.
 [[nodiscard]] radio::broadcast_result run_leveled_decay_broadcast(
     const graph::graph& g, node_id source, const std::vector<level_t>& levels,
-    const leveled_decay_options& opt);
+    const core::options& opt, bool mmv_noise = false,
+    draw_mode draws = draw_mode::batched);
 
-struct tuned_decay_options {
-  std::size_t n_hat = 0;
-  level_t d_hat = 0;  ///< known diameter bound; 0 = eccentricity of source
-  std::uint64_t seed = 1;
-  bool fast_forward = false;
-  draw_mode draws = draw_mode::batched;
-};
-
-/// Czumaj-Rytter-style tuned Decay [DEV-4].
+/// Czumaj-Rytter-style tuned Decay [DEV-4]. Also reads `opt.d_hat`, the
+/// known diameter bound (0 = eccentricity of source).
 [[nodiscard]] radio::broadcast_result run_tuned_decay_broadcast(
-    const graph::graph& g, node_id source, const tuned_decay_options& opt);
+    const graph::graph& g, node_id source, const core::options& opt,
+    draw_mode draws = draw_mode::batched);
 
 }  // namespace rn::baseline

@@ -17,15 +17,15 @@ std::shared_ptr<const radio::packet_body> make_body(std::uint32_t idx) {
 }
 }  // namespace
 
-radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
-                                                   node_id source,
-                                                   const multi_options& opt) {
+radio::broadcast_result run_sequential_decay_multi(
+    const graph::graph& g, node_id source, std::size_t k,
+    const core::options& opt) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
   const round_t per_message_cap =
       64 * (static_cast<round_t>(n) * L + sq(L));
-  const round_t max_rounds = per_message_cap * static_cast<round_t>(opt.k);
+  const round_t max_rounds = per_message_cap * static_cast<round_t>(k);
 
   // Every round is stepped: the baseline plans no idle rounds to skip.
   core::trial_frame frame(g, {.collision_detection = false},
@@ -33,7 +33,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
   radio::completion_tracker& tracker = frame.tracker();
   // has[v] counts fully received messages; each message is broadcast in order.
   std::vector<std::size_t> has(n, 0);
-  has[source] = opt.k;
+  has[source] = k;
   tracker.mark(source);
   std::vector<rng> node_rng = core::node_coins(n, opt.seed);
 
@@ -45,7 +45,7 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
   // One flyweight packet per in-flight message; rebuilt only on msg switch.
   radio::packet pkt = radio::packet::make_data(0, make_body(0));
 
-  for (round_t t = 0; t < max_rounds && current < opt.k; ++t) {
+  for (round_t t = 0; t < max_rounds && current < k; ++t) {
     const int i = static_cast<int>(t % L) + 1;
     txs.clear();
     for (node_id v = 0; v < n; ++v) {
@@ -57,13 +57,13 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
         informed[rx.listener] = 1;
         --current_remaining;
         has[rx.listener] += 1;
-        if (has[rx.listener] == opt.k) tracker.mark(rx.listener);
+        if (has[rx.listener] == k) tracker.mark(rx.listener);
       }
     });
     if (current_remaining == 0) {
       // Next message: reset the informed set to {source}.
       ++current;
-      if (current < opt.k) {
+      if (current < k) {
         informed.assign(n, 0);
         informed[source] = 1;
         current_remaining = n - 1;
@@ -78,21 +78,21 @@ radio::broadcast_result run_sequential_decay_multi(const graph::graph& g,
 }
 
 radio::broadcast_result run_routing_multi(const graph::graph& g,
-                                          node_id source,
-                                          const multi_options& opt) {
+                                          node_id source, std::size_t k,
+                                          const core::options& opt) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
-  RN_REQUIRE(opt.k >= 1, "need at least one message");
+  RN_REQUIRE(k >= 1, "need at least one message");
   const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
-  const round_t max_rounds = 64 * static_cast<round_t>(opt.k + n) * L * L;
+  const round_t max_rounds = 64 * static_cast<round_t>(k + n) * L * L;
 
   core::trial_frame frame(g, {.collision_detection = false},
                           /*fast_forward=*/false);
   radio::completion_tracker& tracker = frame.tracker();
   // holds[v] = bitmap of received messages (k is small in benches).
-  std::vector<std::vector<char>> holds(n, std::vector<char>(opt.k, 0));
+  std::vector<std::vector<char>> holds(n, std::vector<char>(k, 0));
   std::vector<std::vector<node_id>> have_list(n);
-  for (std::size_t m = 0; m < opt.k; ++m) {
+  for (std::size_t m = 0; m < k; ++m) {
     holds[source][m] = 1;
     have_list[source].push_back(static_cast<node_id>(m));
   }
@@ -101,8 +101,8 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
 
   // One flyweight packet per message, referenced by every forwarder.
   std::vector<radio::packet> pkts;
-  pkts.reserve(opt.k);
-  for (std::size_t m = 0; m < opt.k; ++m)
+  pkts.reserve(k);
+  for (std::size_t m = 0; m < k; ++m)
     pkts.push_back(radio::packet::make_data(
         static_cast<node_id>(m), make_body(static_cast<std::uint32_t>(m))));
 
@@ -127,7 +127,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
       if (!hv[m]) {
         hv[m] = 1;
         have_list[rx.listener].push_back(static_cast<node_id>(m));
-        if (have_list[rx.listener].size() == opt.k) tracker.mark(rx.listener);
+        if (have_list[rx.listener].size() == k) tracker.mark(rx.listener);
       }
     });
     if (tracker.all_done()) break;

@@ -9,25 +9,25 @@
 //    coupon-collector factor that RLNC avoids.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
+#include "core/options.h"
 #include "graph/graph.h"
 #include "radio/result.h"
 
 namespace rn::baseline {
 
-struct multi_options {
-  std::size_t k = 4;            ///< number of messages
-  std::size_t n_hat = 0;
-  std::uint64_t seed = 1;
-};
+// Both broadcast `k` messages from `source` and read `opt.n_hat` (0 = use n)
+// and `opt.seed`. They step every round: there are no idle rounds to skip.
 
 /// Sequential single-message Decay broadcasts.
 [[nodiscard]] radio::broadcast_result run_sequential_decay_multi(
-    const graph::graph& g, node_id source, const multi_options& opt);
+    const graph::graph& g, node_id source, std::size_t k,
+    const core::options& opt);
 
 /// Pipelined random-message routing over the Decay schedule.
 [[nodiscard]] radio::broadcast_result run_routing_multi(
-    const graph::graph& g, node_id source, const multi_options& opt);
+    const graph::graph& g, node_id source, std::size_t k,
+    const core::options& opt);
 
 }  // namespace rn::baseline

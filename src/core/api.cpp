@@ -10,27 +10,6 @@ namespace rn::core {
 
 namespace {
 
-single_broadcast_options to_single_options(const options& opt) {
-  single_broadcast_options o;
-  o.n_hat = opt.n_hat;
-  o.d_hat = opt.d_hat;
-  o.seed = opt.seed;
-  o.prm = opt.prm;
-  o.fast_forward = opt.fast_forward;
-  return o;
-}
-
-multi_broadcast_options to_multi_options(const options& opt) {
-  multi_broadcast_options o;
-  o.n_hat = opt.n_hat;
-  o.d_hat = opt.d_hat;
-  o.seed = opt.seed;
-  o.prm = opt.prm;
-  o.payload_size = opt.payload_size;
-  o.fast_forward = opt.fast_forward;
-  return o;
-}
-
 std::vector<coding::message> test_messages(const broadcast_workload& w,
                                            const options& opt) {
   const std::uint64_t seed =
@@ -59,56 +38,40 @@ protocol_registry::protocol_registry() {
   using o_t = const options&;
   add({"decay", "BGI Decay baseline (single message)", false,
        [](g_t g, w_t w, o_t opt) {
-         baseline::decay_options o;
-         o.n_hat = opt.n_hat;
-         o.seed = opt.seed;
-         o.fast_forward = opt.fast_forward;
-         return of_single(baseline::run_decay_broadcast(g, w.source, o));
+         return of_single(baseline::run_decay_broadcast(g, w.source, opt));
        }});
   add({"tuned-decay", "Czumaj-Rytter-style tuned Decay baseline", false,
        [](g_t g, w_t w, o_t opt) {
-         baseline::tuned_decay_options o;
-         o.n_hat = opt.n_hat;
-         o.d_hat = opt.d_hat;
-         o.seed = opt.seed;
-         o.fast_forward = opt.fast_forward;
-         return of_single(baseline::run_tuned_decay_broadcast(g, w.source, o));
+         return of_single(
+             baseline::run_tuned_decay_broadcast(g, w.source, opt));
        }});
   add({"gst-known", "known topology, GST schedule (O(D + log^2 n))", false,
        [](g_t g, w_t w, o_t opt) {
-         return of_single(
-             run_known_single_broadcast(g, w.source, to_single_options(opt)));
+         return of_single(run_known_single_broadcast(g, w.source, opt));
        }});
   add({"gst-unknown-cd", "Theorem 1.1 pipeline (O(D + log^6 n))", false,
        [](g_t g, w_t w, o_t opt) {
-         return of_single(run_unknown_cd_single_broadcast(
-             g, w.source, to_single_options(opt)));
+         return of_single(run_unknown_cd_single_broadcast(g, w.source, opt));
        }});
   add({"seq-decay", "one Decay broadcast per message (baseline)", true,
        [](g_t g, w_t w, o_t opt) {
-         baseline::multi_options o;
-         o.k = w.messages;
-         o.n_hat = opt.n_hat;
-         o.seed = opt.seed;
-         return of_single(baseline::run_sequential_decay_multi(g, w.source, o));
+         return of_single(baseline::run_sequential_decay_multi(
+             g, w.source, w.messages, opt));
        }});
   add({"routing", "store-and-forward random forwarding (baseline)", true,
        [](g_t g, w_t w, o_t opt) {
-         baseline::multi_options o;
-         o.k = w.messages;
-         o.n_hat = opt.n_hat;
-         o.seed = opt.seed;
-         return of_single(baseline::run_routing_multi(g, w.source, o));
+         return of_single(
+             baseline::run_routing_multi(g, w.source, w.messages, opt));
        }});
   add({"rlnc-known", "Theorem 1.2: RLNC over a central MMV-GST schedule", true,
        [](g_t g, w_t w, o_t opt) {
-         return of_multi(run_known_multi_broadcast(
-             g, w.source, test_messages(w, opt), to_multi_options(opt)));
+         return of_multi(run_known_multi_broadcast(g, w.source,
+                                                   test_messages(w, opt), opt));
        }});
   add({"rlnc-unknown-cd", "Theorem 1.3: Thm 1.1 setup + batched RLNC relay",
        true, [](g_t g, w_t w, o_t opt) {
          return of_multi(run_unknown_cd_multi_broadcast(
-             g, w.source, test_messages(w, opt), to_multi_options(opt)));
+             g, w.source, test_messages(w, opt), opt));
        }});
 }
 

@@ -30,13 +30,15 @@ std::vector<node_id> all_nodes(std::size_t n) {
 
 radio::broadcast_result run_gst_single_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
-    const std::vector<node_id>& informed_init,
-    const gst_broadcast_options& opt) {
+    const std::vector<node_id>& informed_init, const options& opt,
+    bool mmv_noise, bool classic_levels, round_t exact_rounds) {
   const std::size_t n = g.node_count();
-  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n), !opt.classic_levels);
+  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n), !classic_levels);
+  const bool stop_when_complete = exact_rounds == 0;
   const round_t max_rounds =
-      opt.max_rounds > 0 ? opt.max_rounds
-                         : default_budget(t, sched.log_n(), opt.prm.schedule_slack);
+      stop_when_complete
+          ? default_budget(t, sched.log_n(), opt.prm.schedule_slack)
+          : exact_rounds;
 
   trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   informed_set informed(frame);
@@ -63,7 +65,7 @@ radio::broadcast_result run_gst_single_broadcast(
   const auto on_rx = [&](const radio::reception& rx) {
     // Lazy catch-up: discard the slow coins the full scan would have drawn
     // for a newly informed member through this round.
-    if (informed.receive(rx) && !opt.mmv_noise)
+    if (informed.receive(rx) && !mmv_noise)
       for (auto k = sched.slow_draws_through(rx.listener, r); k > 0; --k)
         node_rng[rx.listener]();
   };
@@ -71,29 +73,25 @@ radio::broadcast_result run_gst_single_broadcast(
   for (; r < max_rounds; ++r) {
     // Naive stepping executes one more (possibly empty) round after the run
     // completes before noticing; force-step it so both modes agree.
-    const bool completing =
-        opt.stop_when_complete && frame.tracker().all_done();
+    const bool completing = stop_when_complete && frame.tracker().all_done();
     txs.clear();
     if (r % 2 == 0) {
       for (node_id v : idx.fast_bucket(r)) {
-        if (!informed[v] && !opt.mmv_noise) continue;
-        if (sched.query(v, r, node_rng[v]) == gst_schedule::action::none)
-          continue;
         if (informed[v])
           txs.add(v, data_pkt);
-        else
+        else if (mmv_noise)
           txs.add(v, noise_pkt);
       }
     } else {
       // Without MMV noise an uninformed member's coin cannot make it
       // transmit: its draw is skipped here and caught up in on_rx.
       idx.for_each_slow(r, [&](node_id v, int e) {
-        if (!informed[v] && !opt.mmv_noise) return;
+        if (!informed[v] && !mmv_noise) return;
         if (node_rng[v].with_probability_pow2(e))
           txs.add(v, informed[v] ? data_pkt : noise_pkt);
       });
     }
-    if (frame.commit(txs, on_rx, completing) && opt.stop_when_complete &&
+    if (frame.commit(txs, on_rx, completing) && stop_when_complete &&
         frame.tracker().all_done())
       break;
   }
@@ -103,7 +101,7 @@ radio::broadcast_result run_gst_single_broadcast(
 radio::broadcast_result run_gst_rlnc_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
     const std::vector<std::vector<coding::message>>& source_messages,
-    std::size_t k, std::size_t payload_size, const rlnc_broadcast_options& opt,
+    std::size_t k, const options& opt,
     std::vector<coding::rlnc_node>* decoders) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source_messages.size() == n, "source_messages size mismatch");
@@ -121,7 +119,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
 
   std::vector<coding::rlnc_node> buf;
   buf.reserve(n);
-  for (node_id v = 0; v < n; ++v) buf.emplace_back(k, payload_size);
+  for (node_id v = 0; v < n; ++v) buf.emplace_back(k, opt.payload_size);
   std::size_t source_loaded = 0;
   for (node_id v = 0; v < n; ++v) {
     if (!t.member[v]) {
@@ -129,7 +127,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
       continue;
     }
     for (std::size_t i = 0; i < source_messages[v].size(); ++i) {
-      RN_REQUIRE(source_messages[v][i].size() == payload_size,
+      RN_REQUIRE(source_messages[v][i].size() == opt.payload_size,
                  "message payload size mismatch");
       buf[v].load_source_message(source_loaded + i, source_messages[v][i]);
     }
@@ -175,9 +173,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
     const bool completing = tracker.all_done();
     txs.clear();
     if (r % 2 == 0) {
-      for (node_id v : idx.fast_bucket(r))
-        if (sched.query(v, r, node_rng[v]) == gst_schedule::action::fast)
-          plan(v, gst_schedule::action::fast);
+      for (node_id v : idx.fast_bucket(r)) plan(v, gst_schedule::action::fast);
     } else {
       idx.for_each_slow(r, [&](node_id v, int e) {
         if (node_rng[v].with_probability_pow2(e))

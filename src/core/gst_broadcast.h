@@ -16,48 +16,40 @@
 
 #include "coding/rlnc.h"
 #include "core/gst.h"
-#include "core/params.h"
+#include "core/options.h"
 #include "graph/graph.h"
 #include "radio/result.h"
 
 namespace rn::core {
 
-struct gst_broadcast_options {
-  std::size_t n_hat = 0;       ///< 0 = graph size
-  round_t max_rounds = 0;      ///< 0 = budget from params::schedule_slack
-  std::uint64_t seed = 1;
-  bool mmv_noise = false;      ///< prompted nodes without data jam (Def. 3.1)
-  bool classic_levels = false; ///< slow keyed by level (E5 ablation)
-  bool stop_when_complete = true;
-  /// Skip transmitter-free rounds via network::advance (bit-identical
-  /// results; see README "Fast-forward execution").
-  bool fast_forward = false;
-  params prm = params::paper();
-};
+// Both runners read `opt.n_hat` (0 = graph size), `opt.seed`,
+// `opt.prm.schedule_slack` (the round budget) and `opt.fast_forward` (skip
+// transmitter-free rounds via network::advance; bit-identical results, see
+// README "Fast-forward execution").
 
 /// Single-message broadcast over one GST forest. `informed` lists the nodes
 /// that initially hold the message (the source, or a ring's inner boundary).
-/// Only forest members are simulated and tracked.
+/// Only forest members are simulated and tracked. The ablation seams:
+/// `mmv_noise` makes prompted nodes without data jam (Definition 3.1),
+/// `classic_levels` keys slow rounds by level (E5), and `exact_rounds` > 0
+/// runs exactly that many rounds instead of stopping at completion within
+/// the slack budget.
 [[nodiscard]] radio::broadcast_result run_gst_single_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
-    const std::vector<node_id>& informed, const gst_broadcast_options& opt);
-
-struct rlnc_broadcast_options {
-  std::size_t n_hat = 0;
-  std::uint64_t seed = 1;
-  bool fast_forward = false;  ///< as in gst_broadcast_options
-  params prm = params::paper();
-};
+    const std::vector<node_id>& informed, const options& opt,
+    bool mmv_noise = false, bool classic_levels = false,
+    round_t exact_rounds = 0);
 
 /// RLNC k-message broadcast over one GST forest (Theorem 1.2 when the forest
 /// is a single-source whole-graph GST). `source_messages[v]` holds the plain
-/// messages initially known to v (typically empty except at the source).
-/// On return, `decoders` (if non-null) receives each member's final decoder
-/// so callers can verify the decoded payloads.
+/// messages initially known to v (typically empty except at the source),
+/// each of `opt.payload_size` bytes. On return, `decoders` (if non-null)
+/// receives each member's final decoder so callers can verify the decoded
+/// payloads.
 [[nodiscard]] radio::broadcast_result run_gst_rlnc_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
     const std::vector<std::vector<coding::message>>& source_messages,
-    std::size_t k, std::size_t payload_size, const rlnc_broadcast_options& opt,
+    std::size_t k, const options& opt,
     std::vector<coding::rlnc_node>* decoders = nullptr);
 
 }  // namespace rn::core

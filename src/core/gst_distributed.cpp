@@ -25,8 +25,8 @@ struct problem_slot {
 }  // namespace
 
 distributed_gst_outcome build_gst_distributed(
-    const graph::graph& g, const ring_decomposition& rd,
-    const distributed_gst_options& opt) {
+    const graph::graph& g, const ring_decomposition& rd, const options& opt,
+    bool pipelined) {
   const std::size_t n = g.node_count();
   const std::size_t n_hat = resolve_n_hat(opt.n_hat, n);
   const int L = log_range(n_hat);
@@ -56,14 +56,14 @@ distributed_gst_outcome build_gst_distributed(
   // Enumerate problems with their slots.
   const round_t R =
       assignment_problem::rounds_required(L, dp, epochs, iters);
-  const round_t slot_len = opt.pipelined ? 3 * R : R;
+  const round_t slot_len = pipelined ? 3 * R : R;
   std::vector<problem_slot> problems;
   round_t max_slot = 0;
   for (std::size_t j = 0; j < rd.rings.size(); ++j) {
     for (level_t lam = 1; lam <= rd.rings[j].depth; ++lam) {
       for (rank_t i = max_rank; i >= 1; --i) {
         round_t slot;
-        if (opt.pipelined) {
+        if (pipelined) {
           slot = 2 * static_cast<round_t>(w_max - lam) +
                  static_cast<round_t>(max_rank - i);
         } else {
@@ -134,7 +134,7 @@ distributed_gst_outcome build_gst_distributed(
         for (const auto& ap : active) {
           if (ap.prob->finished()) continue;
           const round_t q = ap.prob->quiet_rounds();
-          if (opt.pipelined) {
+          if (pipelined) {
             const round_t d = (ap.meta.round_class - r % 3 + 3) % 3;
             k = std::min(k, d + 3 * q);
           } else {
@@ -145,7 +145,7 @@ distributed_gst_outcome build_gst_distributed(
           for (auto& ap : active) {
             if (ap.prob->finished()) continue;
             round_t consumed = k;
-            if (opt.pipelined) {
+            if (pipelined) {
               const round_t d = (ap.meta.round_class - r % 3 + 3) % 3;
               consumed = k > d ? (k - d + 2) / 3 : 0;
             }
@@ -160,7 +160,7 @@ distributed_gst_outcome build_gst_distributed(
       const int cls = static_cast<int>(r % 3);
       auto consumes = [&](const active_problem& ap) {
         return !ap.prob->finished() &&
-               (!opt.pipelined || ap.meta.round_class == cls);
+               (!pipelined || ap.meta.round_class == cls);
       };
       bool any = false;
       for (auto& ap : active) {
@@ -230,15 +230,15 @@ distributed_gst_outcome build_gst_distributed(
 }
 
 distributed_gst_outcome build_gst_distributed_single(
-    const graph::graph& g, node_id source,
-    const distributed_gst_options& opt) {
+    const graph::graph& g, node_id source, const options& opt,
+    bool pipelined) {
   // Layering first (no CD needed), then a single whole-graph ring.
   const level_t ecc = resolve_d_hat(g, source);
   auto layering = run_decay_epoch_bfs(g, source, ecc,
                                       resolve_n_hat(opt.n_hat, g.node_count()),
                                       opt.prm, opt.seed ^ 0xbf5ULL);
   const auto rd = decompose_rings(layering.level, ecc + 1);
-  auto out = build_gst_distributed(g, rd, opt);
+  auto out = build_gst_distributed(g, rd, opt, pipelined);
   out.rounds += layering.rounds;
   out.transmissions += layering.transmissions;
   return out;

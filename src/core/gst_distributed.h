@@ -24,23 +24,11 @@
 
 #include "core/assignment.h"
 #include "core/gst.h"
-#include "core/params.h"
+#include "core/options.h"
 #include "core/rings.h"
 #include "graph/graph.h"
 
 namespace rn::core {
-
-struct distributed_gst_options {
-  std::size_t n_hat = 0;
-  std::uint64_t seed = 1;
-  params prm = params::paper();
-  bool pipelined = true;
-  /// Skip provably-idle rounds (no problem transmits or draws randomness)
-  /// via network::advance. Bit-identical results; orders of magnitude fewer
-  /// simulated rounds — most (ring, layer, rank) problems are empty or go
-  /// quiet after a few epochs.
-  bool fast_forward = false;
-};
 
 struct distributed_gst_outcome {
   std::vector<gst> forests;  ///< one per ring
@@ -55,15 +43,21 @@ struct distributed_gst_outcome {
 };
 
 /// Runs the construction for every ring of `rd` in parallel on one shared
-/// radio network.
+/// radio network. Reads `opt.n_hat`, `opt.seed`, `opt.prm` and
+/// `opt.fast_forward`, which skips provably-idle rounds (no problem transmits
+/// or draws randomness) via network::advance: bit-identical results, orders
+/// of magnitude fewer simulated rounds — most (ring, layer, rank) problems
+/// are empty or go quiet after a few epochs. `pipelined == false` runs the
+/// section 2.2.3 sequential baseline.
 [[nodiscard]] distributed_gst_outcome build_gst_distributed(
-    const graph::graph& g, const ring_decomposition& rd,
-    const distributed_gst_options& opt);
+    const graph::graph& g, const ring_decomposition& rd, const options& opt,
+    bool pipelined = true);
 
 /// Convenience wrapper: whole graph as a single ring rooted at `source`,
 /// layered with the (CD-free) Decay-epoch BFS; this is Theorem 2.1 end to
 /// end. Rounds include the layering.
 [[nodiscard]] distributed_gst_outcome build_gst_distributed_single(
-    const graph::graph& g, node_id source, const distributed_gst_options& opt);
+    const graph::graph& g, node_id source, const options& opt,
+    bool pipelined = true);
 
 }  // namespace rn::core

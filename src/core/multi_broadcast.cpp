@@ -16,8 +16,7 @@ namespace rn::core {
 
 multi_broadcast_result run_known_multi_broadcast(
     const graph::graph& g, node_id source,
-    const std::vector<coding::message>& messages,
-    const multi_broadcast_options& opt) {
+    const std::vector<coding::message>& messages, const options& opt) {
   const std::size_t n = g.node_count();
   const std::size_t k = messages.size();
   RN_REQUIRE(k >= 1, "need at least one message");
@@ -27,16 +26,10 @@ multi_broadcast_result run_known_multi_broadcast(
   std::vector<std::vector<coding::message>> source_messages(n);
   source_messages[source] = messages;
 
-  rlnc_broadcast_options bo;
-  bo.n_hat = opt.n_hat;
-  bo.seed = opt.seed;
-  bo.prm = opt.prm;
-  bo.fast_forward = opt.fast_forward;
-
   std::vector<coding::rlnc_node> decoders;
   multi_broadcast_result out;
-  out.base = run_gst_rlnc_broadcast(g, t, d, source_messages, k,
-                                    opt.payload_size, bo, &decoders);
+  out.base = run_gst_rlnc_broadcast(g, t, d, source_messages, k, opt,
+                                    &decoders);
   out.payloads_verified = out.base.completed;
   for (node_id v = 0; v < n && out.payloads_verified; ++v) {
     if (!t.member[v]) continue;
@@ -53,8 +46,7 @@ multi_broadcast_result run_known_multi_broadcast(
 
 multi_broadcast_result run_unknown_cd_multi_broadcast(
     const graph::graph& g, node_id source,
-    const std::vector<coding::message>& messages,
-    const multi_broadcast_options& opt) {
+    const std::vector<coding::message>& messages, const options& opt) {
   const std::size_t n = g.node_count();
   const std::size_t k = messages.size();
   RN_REQUIRE(k >= 1, "need at least one message");
@@ -62,13 +54,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   const int L = log_range(n_hat);
   const int dp = opt.prm.decay_phases(n_hat);
 
-  single_broadcast_options so;
-  so.n_hat = opt.n_hat;
-  so.d_hat = opt.d_hat;
-  so.seed = opt.seed;
-  so.prm = opt.prm;
-  so.fast_forward = opt.fast_forward;
-  auto setup = prepare_unknown_topology(g, source, so);
+  auto setup = prepare_unknown_topology(g, source, opt);
   const std::size_t ring_count = setup.rings.rings.size();
 
   // Batches of Theta(log n) messages [DEV-7].
@@ -180,9 +166,6 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
           });
         } else {
           for (node_id v : sched_idx[j].fast_bucket(r)) {
-            if (scheds[j].query(v, r, node_rng[v]) ==
-                gst_schedule::action::none)
-              continue;
             if (der.is_stretch_head[v])
               fresh(v);
             else if (relay[v] && relay_batch[v] == b)

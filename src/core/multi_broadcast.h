@@ -17,39 +17,28 @@
 #include <vector>
 
 #include "coding/rlnc.h"
-#include "core/params.h"
+#include "core/options.h"
 #include "core/single_broadcast.h"
 #include "graph/graph.h"
 #include "radio/result.h"
 
 namespace rn::core {
 
-struct multi_broadcast_options {
-  std::size_t n_hat = 0;
-  level_t d_hat = 0;
-  std::uint64_t seed = 1;
-  params prm = params::paper();
-  std::size_t payload_size = 32;  ///< bytes per message
-  /// Skip transmitter-free rounds in every phase via network::advance
-  /// (bit-identical results; see README "Fast-forward execution").
-  bool fast_forward = false;
-};
-
 struct multi_broadcast_result {
   radio::broadcast_result base;
   bool payloads_verified = false;  ///< every node decoded every message bit-exactly
 };
 
-/// Theorem 1.2. `messages` all start at `source`.
+/// Theorem 1.2. `messages` all start at `source`, each of
+/// `opt.payload_size` bytes. The options are read as by the single-message
+/// runners (single_broadcast.h).
 [[nodiscard]] multi_broadcast_result run_known_multi_broadcast(
     const graph::graph& g, node_id source,
-    const std::vector<coding::message>& messages,
-    const multi_broadcast_options& opt);
+    const std::vector<coding::message>& messages, const options& opt);
 
 /// Theorem 1.3.
 [[nodiscard]] multi_broadcast_result run_unknown_cd_multi_broadcast(
     const graph::graph& g, node_id source,
-    const std::vector<coding::message>& messages,
-    const multi_broadcast_options& opt);
+    const std::vector<coding::message>& messages, const options& opt);
 
 }  // namespace rn::core

@@ -1,47 +1,24 @@
 #include "core/options.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <vector>
 
 #include "common/check.h"
+#include "common/text.h"
 
 namespace rn::core {
 
 namespace {
 
-std::string format_value(double v) {
-  if (v == std::floor(v) && std::fabs(v) < 9e15)
-    return std::to_string(static_cast<long long>(v));
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  RN_REQUIRE(ec == std::errc(), "unformattable option value");
-  return std::string(buf, ptr);
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
-
 /// The canonical key set, in print order. Each key reads and writes one field
 /// through accessors so the print and parse sides can never drift apart.
 /// Integral fields (sizes, seeds) are read, compared and printed as u64, so
-/// no value loses bits to a double; the multipliers are doubles.
+/// no value loses bits to a double; the multipliers are doubles. Every value
+/// lies in [0, max]; a multiplier must be finite as well.
 struct field {
   std::string_view key;
   bool integral;  ///< parse as u64 (size/seed fields) vs double (multipliers)
-  std::uint64_t max;  ///< integral fields: the largest value the field holds
+  std::uint64_t max;  ///< the largest value the field holds
   std::uint64_t (*get_int)(const options&);  ///< integral fields
   double (*get)(const options&);             ///< the others
   void (*set)(options&, double num, std::uint64_t integer);
@@ -50,6 +27,11 @@ struct field {
 template <class T>
 constexpr std::uint64_t max_of =
     static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+
+/// The largest multiplier. At 2^16 the largest derived count,
+/// ceil(recruit_iter_mult * L^2) at L = 64, is 2^28: inside `int`, and every
+/// round budget stays inside round_t.
+constexpr std::uint64_t kMaxMultiplier = std::uint64_t{1} << 16;
 
 constexpr field kFields[] = {
     {"n_hat", true, max_of<std::size_t>,
@@ -64,25 +46,25 @@ constexpr field kFields[] = {
     {"message_seed", true, max_of<std::uint64_t>,
      [](const options& o) { return o.message_seed; }, nullptr,
      [](options& o, double, std::uint64_t i) { o.message_seed = i; }},
-    {"decay_phase_mult", false, 0, nullptr,
+    {"decay_phase_mult", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.decay_phase_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.decay_phase_mult = v; }},
-    {"recruit_iter_mult", false, 0, nullptr,
+    {"recruit_iter_mult", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.recruit_iter_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_iter_mult = v; }},
-    {"recruit_exp_step_mult", false, 0, nullptr,
+    {"recruit_exp_step_mult", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.recruit_exp_step_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.recruit_exp_step_mult = v; }},
-    {"epoch_mult", false, 0, nullptr,
+    {"epoch_mult", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.epoch_mult; },
      [](options& o, double v, std::uint64_t) { o.prm.epoch_mult = v; }},
-    {"schedule_slack", false, 0, nullptr,
+    {"schedule_slack", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.schedule_slack; },
      [](options& o, double v, std::uint64_t) { o.prm.schedule_slack = v; }},
-    {"fec_overhead", false, 0, nullptr,
+    {"fec_overhead", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.fec_overhead; },
      [](options& o, double v, std::uint64_t) { o.prm.fec_overhead = v; }},
-    {"ring_divisor", false, 0, nullptr,
+    {"ring_divisor", false, kMaxMultiplier, nullptr,
      [](const options& o) { return o.prm.ring_divisor; },
      [](options& o, double v, std::uint64_t) { o.prm.ring_divisor = v; }},
 };
@@ -144,7 +126,9 @@ options parse_options(std::string_view text) {
     } else {
       char* end = nullptr;
       const double v = std::strtod(value.c_str(), &end);
-      RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty(),
+      // NaN fails both bounds, so an in-range value is finite.
+      RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
+                     v >= 0.0 && v <= static_cast<double>(found->max),
                  "bad numeric value for option '" + std::string(key) +
                      "': " + value);
       found->set(out, v, 0);

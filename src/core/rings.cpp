@@ -37,9 +37,14 @@ ring_decomposition decompose_rings(const std::vector<level_t>& levels,
 }
 
 level_t ring_width_for(level_t depth, double ring_divisor) {
-  if (ring_divisor <= 0.0) return depth + 1;  // single ring
-  const auto w = static_cast<level_t>(static_cast<double>(depth) / ring_divisor);
-  return std::clamp<level_t>(w, 3, depth + 1);
+  // A single ring when asked for, and below depth 3, where the [DEV-6]
+  // minimum width already covers every layer (std::clamp needs 3 <= depth + 1).
+  if (ring_divisor <= 0.0 || depth < 3) return depth + 1;
+  // Clamped to depth + 1 before the cast, so a tiny divisor cannot overflow
+  // level_t (std::min keeps its first argument when the quotient is NaN).
+  const double w = std::min(static_cast<double>(depth) + 1.0,
+                            static_cast<double>(depth) / ring_divisor);
+  return std::clamp<level_t>(static_cast<level_t>(w), 3, depth + 1);
 }
 
 }  // namespace rn::core

@@ -84,7 +84,8 @@ class gst_schedule_index {
   /// the same order their naive scan used).
   gst_schedule_index(const gst_schedule& s, std::span<const node_id> members);
 
-  /// Candidates for even (fast) round r: members mapped to this slot.
+  /// Even (fast) round r's transmitters: exactly the members for which
+  /// query(v, r, rng) returns fast, in member order. No coin is drawn.
   [[nodiscard]] const std::vector<node_id>& fast_bucket(round_t r) const {
     return fast_[static_cast<std::size_t>((r % period_) / 2)];
   }

@@ -16,21 +16,13 @@
 namespace rn::core {
 
 radio::broadcast_result run_known_single_broadcast(
-    const graph::graph& g, node_id source,
-    const single_broadcast_options& opt) {
+    const graph::graph& g, node_id source, const options& opt) {
   const auto t = build_gst_centralized(g, source);
-  const auto d = derive(g, t);
-  gst_broadcast_options bo;
-  bo.n_hat = opt.n_hat;
-  bo.seed = opt.seed;
-  bo.prm = opt.prm;
-  bo.fast_forward = opt.fast_forward;
-  return run_gst_single_broadcast(g, t, d, {source}, bo);
+  return run_gst_single_broadcast(g, t, derive(g, t), {source}, opt);
 }
 
 unknown_topology_setup prepare_unknown_topology(
-    const graph::graph& g, node_id source,
-    const single_broadcast_options& opt) {
+    const graph::graph& g, node_id source, const options& opt) {
   const std::size_t n_hat = resolve_n_hat(opt.n_hat, g.node_count());
 
   unknown_topology_setup setup;
@@ -46,11 +38,8 @@ unknown_topology_setup prepare_unknown_topology(
       decompose_rings(wave.level, ring_width_for(depth, opt.prm.ring_divisor));
 
   // 3. Distributed GST construction, all rings in parallel.
-  distributed_gst_options go;
-  go.n_hat = n_hat;
+  options go = opt;
   go.seed = opt.seed ^ 0x657aULL;
-  go.prm = opt.prm;
-  go.fast_forward = opt.fast_forward;
   auto built = build_gst_distributed(g, setup.rings, go);
   setup.construction_rounds = built.rounds;
   setup.fallback_finalizations = built.fallback_finalizations;
@@ -82,8 +71,7 @@ unknown_topology_setup prepare_unknown_topology(
 }
 
 radio::broadcast_result run_unknown_cd_single_broadcast(
-    const graph::graph& g, node_id source,
-    const single_broadcast_options& opt) {
+    const graph::graph& g, node_id source, const options& opt) {
   const std::size_t n = g.node_count();
   const std::size_t n_hat = resolve_n_hat(opt.n_hat, n);
   const int L = log_range(n_hat);
@@ -122,11 +110,8 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     for (round_t r = 0; r < budget; ++r) {
       txs.clear();
       if (r % 2 == 0) {
-        for (node_id v : idx.fast_bucket(r)) {
-          if (informed[v] &&
-              sched.query(v, r, node_rng[v]) != gst_schedule::action::none)
-            txs.add(v, data_pkt);
-        }
+        for (node_id v : idx.fast_bucket(r))
+          if (informed[v]) txs.add(v, data_pkt);
       } else {
         // Coin flipped for uninformed members too, as in the naive scan.
         idx.for_each_slow(r, [&](node_id v, int e) {

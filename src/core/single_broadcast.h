@@ -18,28 +18,23 @@
 
 #include "core/gst.h"
 #include "core/gst_distributed.h"
-#include "core/params.h"
+#include "core/options.h"
 #include "core/rings.h"
 #include "graph/graph.h"
 #include "radio/result.h"
 
 namespace rn::core {
 
-struct single_broadcast_options {
-  std::size_t n_hat = 0;
-  level_t d_hat = 0;  ///< 0 = use the source's true eccentricity
-  std::uint64_t seed = 1;
-  params prm = params::paper();
-  /// Skip transmitter-free rounds in every phase (construction, labeling,
-  /// relay) via network::advance. Bit-identical results; see README
-  /// "Fast-forward execution".
-  bool fast_forward = false;
-};
+// The runners read `opt.n_hat`, `opt.d_hat` (0 = the source's true
+// eccentricity), `opt.seed`, `opt.prm` and `opt.fast_forward`, which skips
+// transmitter-free rounds in every phase (construction, labeling, relay) via
+// network::advance. Bit-identical results; see README "Fast-forward
+// execution".
 
 /// Known-topology single-message broadcast (GST built centrally, no rounds
 /// charged for construction, as in [7]).
 [[nodiscard]] radio::broadcast_result run_known_single_broadcast(
-    const graph::graph& g, node_id source, const single_broadcast_options& opt);
+    const graph::graph& g, node_id source, const options& opt);
 
 /// Everything Theorems 1.1/1.3 need before data flows: layering, rings,
 /// per-ring GSTs with local stretch knowledge, virtual distances.
@@ -66,10 +61,10 @@ struct unknown_topology_setup {
 };
 
 [[nodiscard]] unknown_topology_setup prepare_unknown_topology(
-    const graph::graph& g, node_id source, const single_broadcast_options& opt);
+    const graph::graph& g, node_id source, const options& opt);
 
 /// Theorem 1.1: unknown topology, collision detection.
 [[nodiscard]] radio::broadcast_result run_unknown_cd_single_broadcast(
-    const graph::graph& g, node_id source, const single_broadcast_options& opt);
+    const graph::graph& g, node_id source, const options& opt);
 
 }  // namespace rn::core

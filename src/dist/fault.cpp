@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
-#include "sim/cli.h"
+#include "common/text.h"
 
 namespace rn::dist {
 
@@ -20,11 +20,11 @@ std::pair<std::string, std::string> split_kv(const std::string& field,
   return {field.substr(0, eq), field.substr(eq + 1)};
 }
 
-/// A whole decimal string (sim::parse_u64: no sign, blank or suffix) of at
+/// A whole decimal string (parse_u64: no sign, blank or suffix) of at
 /// most 2^32 - 1.
 std::uint32_t parse_u32(const std::string& value, const std::string& entry) {
   std::uint64_t v = 0;
-  RN_REQUIRE(sim::parse_u64(value, v) &&
+  RN_REQUIRE(parse_u64(value, v) &&
                  v <= std::numeric_limits<std::uint32_t>::max(),
              "fault plan entry '" + entry + "': bad number '" + value + "'");
   return static_cast<std::uint32_t>(v);

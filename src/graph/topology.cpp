@@ -1,10 +1,10 @@
 #include "graph/topology.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/text.h"
 #include "graph/generators.h"
 
 namespace rn::graph {
@@ -26,15 +26,6 @@ void topology_spec::set_param(std::string_view name, double value) {
 }
 
 namespace {
-
-std::string format_value(double v) {
-  if (v == std::floor(v) && std::fabs(v) < 9e15)
-    return std::to_string(static_cast<long long>(v));
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  RN_REQUIRE(ec == std::errc(), "unformattable parameter value");
-  return std::string(buf, ptr);
-}
 
 /// Reads params off a spec while checking every provided name is known, so a
 /// typo ("with=8") fails instead of silently running the default.

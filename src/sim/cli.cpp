@@ -4,7 +4,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -75,19 +74,6 @@ timing_extension g_timing_extension;
 
 void set_timing_extension(timing_extension fn) {
   g_timing_extension = std::move(fn);
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
 }
 
 bool parse_cli(int argc, char** argv, cli_options& out) {

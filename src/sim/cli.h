@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/text.h"
 #include "sim/json.h"
 
 namespace rn::sim {
@@ -69,13 +70,10 @@ struct cli_options {
 /// Parses argv; returns false (with a message on stderr) on bad usage.
 [[nodiscard]] bool parse_cli(int argc, char** argv, cli_options& out);
 
-/// Strict decimal parse of a whole string: digits only (no sign, blank or
-/// suffix) and at most 2^64 - 1.
-[[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out);
-
 /// The one numeric-flag parser of bench_suite, rn_dist and rn_serve:
-/// parse_u64, and the value must fit `out`. Otherwise prints
-/// "bad value for FLAG: V" on stderr and returns false; the binary exits 2.
+/// rn::parse_u64 (common/text.h), and the value must fit `out`. Otherwise
+/// prints "bad value for FLAG: V" on stderr and returns false; the binary
+/// exits 2.
 template <class T>
 [[nodiscard]] bool parse_flag(std::string_view flag, std::string_view v,
                               T& out) {

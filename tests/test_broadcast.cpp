@@ -49,7 +49,7 @@ TEST_P(DecayFamilyTest, ClassicDecayCompletes) {
     case 2: g = graph::random_gnp_connected(40, 0.12, static_cast<std::uint64_t>(seed)); break;
     default: g = graph::grid(5, 6); break;
   }
-  baseline::decay_options opt;
+  options opt;
   opt.seed = static_cast<std::uint64_t>(seed) * 31 + 1;
   const auto res = baseline::run_decay_broadcast(g, 0, opt);
   EXPECT_TRUE(res.completed);
@@ -67,7 +67,7 @@ TEST(Decay, TunedDecayCompletes) {
   lo.edge_prob = 0.5;
   lo.seed = 2;
   const auto g = graph::random_layered(lo);
-  baseline::tuned_decay_options opt;
+  options opt;
   opt.seed = 5;
   const auto res = baseline::run_tuned_decay_broadcast(g, 0, opt);
   EXPECT_TRUE(res.completed);
@@ -86,10 +86,10 @@ TEST_P(LeveledDecayMmvTest, Lemma32CompletesEvenUnderNoise) {
   lo.seed = static_cast<std::uint64_t>(seed) * 7;
   const auto g = graph::random_layered(lo);
   const auto levels = graph::bfs(g, 0).level;
-  baseline::leveled_decay_options opt;
+  options opt;
   opt.seed = static_cast<std::uint64_t>(seed);
-  opt.mmv_noise = mmv;
-  const auto res = baseline::run_leveled_decay_broadcast(g, 0, levels, opt);
+  const auto res =
+      baseline::run_leveled_decay_broadcast(g, 0, levels, opt, mmv);
   EXPECT_TRUE(res.completed) << "seed=" << seed << " mmv=" << mmv;
 }
 
@@ -112,11 +112,10 @@ TEST(Decay, BatchedCoinsMatchPerRoundDistribution) {
   const std::size_t trials = 240;
   auto run_mode = [&](baseline::draw_mode draws) {
     return completion_quantiles(trials, [&](std::size_t t) {
-      baseline::decay_options opt;
+      options opt;
       opt.seed = 1000 + t;
-      opt.draws = draws;
       opt.fast_forward = true;
-      return baseline::run_decay_broadcast(g, 0, opt);
+      return baseline::run_decay_broadcast(g, 0, opt, draws);
     });
   };
   const auto batched = run_mode(baseline::draw_mode::batched);
@@ -137,12 +136,11 @@ TEST(Decay, LeveledBatchedCoinsMatchPerRoundDistribution) {
   const std::size_t trials = 400;  // completion rounds are lumpy (level mod 3)
   auto run_mode = [&](baseline::draw_mode draws, bool mmv) {
     return completion_quantiles(trials, [&](std::size_t t) {
-      baseline::leveled_decay_options opt;
+      options opt;
       opt.seed = 500 + t;
-      opt.draws = draws;
-      opt.mmv_noise = mmv;
       opt.fast_forward = true;
-      return baseline::run_leveled_decay_broadcast(g, 0, levels, opt);
+      return baseline::run_leveled_decay_broadcast(g, 0, levels, opt, mmv,
+                                                   draws);
     });
   };
   for (const bool mmv : {false, true}) {
@@ -159,10 +157,9 @@ TEST(Decay, SingleNodeCompletesInZeroRoundsInBothDrawModes) {
   const auto g = graph::path(1);
   for (const auto draws :
        {baseline::draw_mode::batched, baseline::draw_mode::per_round}) {
-    baseline::decay_options opt;
+    options opt;
     opt.seed = 3;
-    opt.draws = draws;
-    const auto res = baseline::run_decay_broadcast(g, 0, opt);
+    const auto res = baseline::run_decay_broadcast(g, 0, opt, draws);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.rounds_to_complete, 0);
     EXPECT_EQ(res.rounds_executed, 0);
@@ -177,7 +174,7 @@ TEST(KnownSingle, CompletesOnFamilies) {
       case 1: g = graph::grid(5, 8); break;
       default: g = graph::clique_chain(5, 4); break;
     }
-    single_broadcast_options opt;
+    options opt;
     opt.seed = 11 + static_cast<std::uint64_t>(family);
     const auto res = run_known_single_broadcast(g, 0, opt);
     EXPECT_TRUE(res.completed) << "family " << family;
@@ -194,7 +191,7 @@ TEST_P(Theorem11Test, UnknownTopologyCdBroadcastCompletes) {
   lo.edge_prob = 0.4;
   lo.seed = static_cast<std::uint64_t>(seed) * 41;
   const auto g = graph::random_layered(lo);
-  single_broadcast_options opt;
+  options opt;
   opt.seed = static_cast<std::uint64_t>(seed);
   opt.prm = params::fast();
   if (multi_ring) opt.prm.ring_divisor = 3.0;  // force several rings
@@ -217,7 +214,7 @@ TEST(Theorem11, SetupProducesValidForests) {
   lo.edge_prob = 0.4;
   lo.seed = 77;
   const auto g = graph::random_layered(lo);
-  single_broadcast_options opt;
+  options opt;
   opt.seed = 3;
   opt.prm = params::fast();
   opt.prm.ring_divisor = 3.0;
@@ -238,7 +235,7 @@ TEST(Theorem11, SetupProducesValidForests) {
 
 TEST(Theorem11, PhaseAccountingAddsUp) {
   const auto g = graph::grid(4, 6);
-  single_broadcast_options opt;
+  options opt;
   opt.seed = 5;
   opt.prm = params::fast();
   const auto res = run_unknown_cd_single_broadcast(g, 0, opt);

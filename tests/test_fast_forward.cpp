@@ -49,7 +49,7 @@ TEST(FastForward, Theorem11PipelineBitIdentical) {
   // E1-style single-message broadcast at small n: the full unknown-topology
   // pipeline (wave, construction, labeling, ring relay + handoffs).
   const auto g = layered(8, 5, 11);
-  core::single_broadcast_options opt;
+  core::options opt;
   opt.seed = 21;
   opt.prm = core::params::fast();
   opt.fast_forward = false;
@@ -62,7 +62,7 @@ TEST(FastForward, Theorem11PipelineBitIdentical) {
 
 TEST(FastForward, Theorem11MultiRingBitIdentical) {
   const auto g = layered(12, 4, 5);
-  core::single_broadcast_options opt;
+  core::options opt;
   opt.seed = 3;
   opt.prm = core::params::fast();
   opt.prm.ring_divisor = 3.0;  // several rings => handoff blocks exercised
@@ -75,7 +75,7 @@ TEST(FastForward, Theorem11MultiRingBitIdentical) {
 
 TEST(FastForward, KnownGstBroadcastBitIdentical) {
   const auto g = layered(10, 5, 7);
-  core::single_broadcast_options opt;
+  core::options opt;
   opt.seed = 9;
   opt.prm = core::params::fast();
   opt.fast_forward = false;
@@ -88,14 +88,13 @@ TEST(FastForward, KnownGstBroadcastBitIdentical) {
 TEST(FastForward, DistributedGstConstructionBitIdentical) {
   for (const bool pipelined : {true, false}) {
     const auto g = layered(6, 4, 13);
-    core::distributed_gst_options opt;
+    core::options opt;
     opt.seed = 17;
     opt.prm = core::params::fast();
-    opt.pipelined = pipelined;
     opt.fast_forward = false;
-    const auto naive = core::build_gst_distributed_single(g, 0, opt);
+    const auto naive = core::build_gst_distributed_single(g, 0, opt, pipelined);
     opt.fast_forward = true;
-    const auto ff = core::build_gst_distributed_single(g, 0, opt);
+    const auto ff = core::build_gst_distributed_single(g, 0, opt, pipelined);
     EXPECT_EQ(naive.rounds, ff.rounds);
     EXPECT_EQ(naive.transmissions, ff.transmissions);
     EXPECT_EQ(naive.fallback_finalizations, ff.fallback_finalizations);
@@ -115,7 +114,7 @@ TEST(FastForward, DistributedGstConstructionBitIdentical) {
 TEST(FastForward, MultiMessageBroadcastBitIdentical) {
   const auto g = layered(5, 4, 23);
   const auto msgs = coding::make_test_messages(4, 8, 31);
-  core::multi_broadcast_options opt;
+  core::options opt;
   opt.seed = 41;
   opt.prm = core::params::fast();
   opt.payload_size = 8;
@@ -236,13 +235,12 @@ TEST(FastForward, ClassicDecayBitIdenticalInBothDrawModes) {
   const auto g = layered(10, 5, 31);
   for (const auto draws :
        {baseline::draw_mode::batched, baseline::draw_mode::per_round}) {
-    baseline::decay_options opt;
+    core::options opt;
     opt.seed = 7;
-    opt.draws = draws;
     opt.fast_forward = false;
-    const auto naive = baseline::run_decay_broadcast(g, 0, opt);
+    const auto naive = baseline::run_decay_broadcast(g, 0, opt, draws);
     opt.fast_forward = true;
-    const auto ff = baseline::run_decay_broadcast(g, 0, opt);
+    const auto ff = baseline::run_decay_broadcast(g, 0, opt, draws);
     expect_same_result(naive, ff);
     EXPECT_TRUE(naive.completed);
   }
@@ -254,14 +252,14 @@ TEST(FastForward, LeveledDecayBitIdenticalWithAndWithoutNoise) {
   for (const bool mmv : {false, true}) {
     for (const auto draws :
          {baseline::draw_mode::batched, baseline::draw_mode::per_round}) {
-      baseline::leveled_decay_options opt;
+      core::options opt;
       opt.seed = 11;
-      opt.mmv_noise = mmv;
-      opt.draws = draws;
       opt.fast_forward = false;
-      const auto naive = baseline::run_leveled_decay_broadcast(g, 0, levels, opt);
+      const auto naive =
+          baseline::run_leveled_decay_broadcast(g, 0, levels, opt, mmv, draws);
       opt.fast_forward = true;
-      const auto ff = baseline::run_leveled_decay_broadcast(g, 0, levels, opt);
+      const auto ff =
+          baseline::run_leveled_decay_broadcast(g, 0, levels, opt, mmv, draws);
       expect_same_result(naive, ff);
       EXPECT_TRUE(naive.completed) << "mmv=" << mmv;
     }
@@ -272,13 +270,12 @@ TEST(FastForward, TunedDecayBitIdentical) {
   const auto g = layered(12, 4, 17);
   for (const auto draws :
        {baseline::draw_mode::batched, baseline::draw_mode::per_round}) {
-    baseline::tuned_decay_options opt;
+    core::options opt;
     opt.seed = 3;
-    opt.draws = draws;
     opt.fast_forward = false;
-    const auto naive = baseline::run_tuned_decay_broadcast(g, 0, opt);
+    const auto naive = baseline::run_tuned_decay_broadcast(g, 0, opt, draws);
     opt.fast_forward = true;
-    const auto ff = baseline::run_tuned_decay_broadcast(g, 0, opt);
+    const auto ff = baseline::run_tuned_decay_broadcast(g, 0, opt, draws);
     expect_same_result(naive, ff);
   }
 }
@@ -309,18 +306,17 @@ TEST(FastForward, EveryProtocolCompletesBeforeRoundOneOnASingleNode) {
   }
 }
 
-// Without stop_when_complete the run must execute its full budget in both
+// Asked for exactly N rounds, the run must execute all of them in both
 // modes, and the fast path must not disturb post-completion rounds.
 TEST(FastForward, DecayFullBudgetBitIdentical) {
   const auto g = layered(4, 4, 5);
-  baseline::decay_options opt;
+  core::options opt;
   opt.seed = 19;
-  opt.max_rounds = 400;
-  opt.stop_when_complete = false;
   opt.fast_forward = false;
-  const auto naive = baseline::run_decay_broadcast(g, 0, opt);
+  const auto batched = baseline::draw_mode::batched;
+  const auto naive = baseline::run_decay_broadcast(g, 0, opt, batched, 400);
   opt.fast_forward = true;
-  const auto ff = baseline::run_decay_broadcast(g, 0, opt);
+  const auto ff = baseline::run_decay_broadcast(g, 0, opt, batched, 400);
   expect_same_result(naive, ff);
   EXPECT_EQ(naive.rounds_executed, 400);
 }

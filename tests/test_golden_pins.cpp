@@ -126,77 +126,57 @@ struct pin_case {
   std::function<radio::broadcast_result(bool fast_forward)> run;
 };
 
+/// Default options at a seed, in the run's fast-forward mode.
+core::options opts(std::uint64_t seed, bool fast_forward) {
+  core::options o;
+  o.seed = seed;
+  o.fast_forward = fast_forward;
+  return o;
+}
+
 void add_cases(std::vector<pin_case>& out, const std::string& prefix,
                const graph::graph& g) {
   const auto add = [&](std::string name, auto run) {
     out.push_back({prefix + "/" + std::move(name), std::move(run)});
   };
   add("decay", [&g](bool ff) {
-    baseline::decay_options o;
-    o.seed = 7;
-    o.fast_forward = ff;
-    return baseline::run_decay_broadcast(g, 0, o);
+    return baseline::run_decay_broadcast(g, 0, opts(7, ff));
   });
   add("tuned-decay", [&g](bool ff) {
-    baseline::tuned_decay_options o;
-    o.seed = 8;
-    o.fast_forward = ff;
-    return baseline::run_tuned_decay_broadcast(g, 0, o);
+    return baseline::run_tuned_decay_broadcast(g, 0, opts(8, ff));
   });
   for (const bool mmv : {false, true})
     add(std::string("leveled-decay/mmv=") + (mmv ? "1" : "0"),
         [&g, mmv](bool ff) {
-          baseline::leveled_decay_options o;
-          o.seed = 9;
-          o.mmv_noise = mmv;
-          o.fast_forward = ff;
           return baseline::run_leveled_decay_broadcast(
-              g, 0, graph::bfs(g, 0).level, o);
+              g, 0, graph::bfs(g, 0).level, opts(9, ff), mmv);
         });
   // The per-round xoshiro oracles of the batched Decay contract.
   add("decay/per-round", [&g](bool ff) {
-    baseline::decay_options o;
-    o.seed = 14;
-    o.fast_forward = ff;
-    o.draws = baseline::draw_mode::per_round;
-    return baseline::run_decay_broadcast(g, 0, o);
+    return baseline::run_decay_broadcast(g, 0, opts(14, ff),
+                                         baseline::draw_mode::per_round);
   });
   add("tuned-decay/per-round", [&g](bool ff) {
-    baseline::tuned_decay_options o;
-    o.seed = 15;
-    o.fast_forward = ff;
-    o.draws = baseline::draw_mode::per_round;
-    return baseline::run_tuned_decay_broadcast(g, 0, o);
+    return baseline::run_tuned_decay_broadcast(g, 0, opts(15, ff),
+                                               baseline::draw_mode::per_round);
   });
   for (const bool mmv : {false, true})
     add(std::string("leveled-decay/per-round/mmv=") + (mmv ? "1" : "0"),
         [&g, mmv](bool ff) {
-          baseline::leveled_decay_options o;
-          o.seed = 16;
-          o.mmv_noise = mmv;
-          o.fast_forward = ff;
-          o.draws = baseline::draw_mode::per_round;
           return baseline::run_leveled_decay_broadcast(
-              g, 0, graph::bfs(g, 0).level, o);
+              g, 0, graph::bfs(g, 0).level, opts(16, ff), mmv,
+              baseline::draw_mode::per_round);
         });
   // The uncoded multi-message baselines step every round (no fast-forward).
   add("seq-decay/k=3", [&g](bool) {
-    baseline::multi_options o;
-    o.k = 3;
-    o.seed = 17;
-    return baseline::run_sequential_decay_multi(g, 0, o);
+    return baseline::run_sequential_decay_multi(g, 0, 3, opts(17, false));
   });
   add("routing/k=3", [&g](bool) {
-    baseline::multi_options o;
-    o.k = 3;
-    o.seed = 18;
-    return baseline::run_routing_multi(g, 0, o);
+    return baseline::run_routing_multi(g, 0, 3, opts(18, false));
   });
   add("gst-unknown-cd", [&g](bool ff) {
-    core::single_broadcast_options o;
-    o.seed = 10;
+    core::options o = opts(10, ff);
     o.prm = core::params::fast();
-    o.fast_forward = ff;
     return core::run_unknown_cd_single_broadcast(g, 0, o);
   });
   // The RLNC runners at k = 3 and at k = 20 with 13-byte payloads: four
@@ -208,19 +188,15 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
         k == 3 ? "" : "/k=" + std::to_string(k) + ",payload=" +
                           std::to_string(size);
     add("rlnc-known" + shape, [&g, k, size](bool ff) {
-      core::multi_broadcast_options o;
-      o.seed = 11;
+      core::options o = opts(11, ff);
       o.payload_size = size;
-      o.fast_forward = ff;
       return verified(core::run_known_multi_broadcast(
           g, 0, coding::make_test_messages(k, size, 0x5eed), o));
     });
     add("rlnc-unknown-cd" + shape, [&g, k, size](bool ff) {
-      core::multi_broadcast_options o;
-      o.seed = 12;
+      core::options o = opts(12, ff);
       o.payload_size = size;
       o.prm = core::params::fast();
-      o.fast_forward = ff;
       return verified(core::run_unknown_cd_multi_broadcast(
           g, 0, coding::make_test_messages(k, size, 0x5eed), o));
     });
@@ -239,13 +215,9 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
           const auto t = roots == 1
                              ? core::build_gst_centralized(g, 0)
                              : core::build_gst_centralized_multi(g, informed);
-          const auto d = core::derive(g, t);
-          core::gst_broadcast_options o;
-          o.seed = 13;
-          o.mmv_noise = mmv;
-          o.classic_levels = classic;
-          o.fast_forward = ff;
-          return core::run_gst_single_broadcast(g, t, d, informed, o);
+          return core::run_gst_single_broadcast(g, t, core::derive(g, t),
+                                                informed, opts(13, ff), mmv,
+                                                classic);
         });
       }
 }

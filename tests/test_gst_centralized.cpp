@@ -281,6 +281,10 @@ TEST(Rings, WidthClamp) {
   EXPECT_EQ(ring_width_for(100, 10.0), 10);
   EXPECT_EQ(ring_width_for(100, 1000.0), 3);  // clamped to >= 3 [DEV-6]
   EXPECT_EQ(ring_width_for(4, 2.0), 3);
+  // depth / divisor is 1e14, far past level_t: one ring, not a wrapped cast.
+  EXPECT_EQ(ring_width_for(100, 1e-12), 101);
+  // Below depth 3 the minimum width covers the graph: one ring.
+  EXPECT_EQ(ring_width_for(1, 1.0), 2);
 }
 
 }  // namespace

@@ -18,11 +18,10 @@ void expect_valid(const graph::graph& g, const gst& t, const char* what) {
 distributed_gst_outcome build_single(const graph::graph& g, node_id source,
                                      std::uint64_t seed, bool pipelined,
                                      params prm = params::fast()) {
-  distributed_gst_options opt;
+  options opt;
   opt.seed = seed;
   opt.prm = prm;
-  opt.pipelined = pipelined;
-  return build_gst_distributed_single(g, source, opt);
+  return build_gst_distributed_single(g, source, opt, pipelined);
 }
 
 TEST(Distributed, Path) {
@@ -118,7 +117,7 @@ TEST_P(DistributedRingsTest, ParallelRingConstructionsAreValid) {
   const auto b = graph::bfs(g, 0);
   const auto rd = decompose_rings(b.level, 4);
   ASSERT_GE(rd.rings.size(), 3u);
-  distributed_gst_options opt;
+  options opt;
   opt.seed = seed;
   opt.prm = params::paper();
   const auto out = build_gst_distributed(g, rd, opt);
@@ -150,9 +149,8 @@ TEST(Distributed, FallbacksRareAtPaperParams) {
 
 TEST(Distributed, RoundCountMatchesSlotBudget) {
   const auto g = graph::path(6);
-  distributed_gst_options opt;
+  options opt;
   opt.prm = params::fast();
-  opt.pipelined = true;
   const auto out = build_gst_distributed(
       g, decompose_rings(graph::bfs(g, 0).level, 6), opt);
   const std::size_t n_hat = g.node_count();

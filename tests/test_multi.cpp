@@ -19,7 +19,7 @@ TEST_P(KnownMultiTest, Theorem12DecodesExactPayloads) {
   const auto g = graph::random_layered(lo);
   const auto msgs = coding::make_test_messages(static_cast<std::size_t>(k), 16,
                                                static_cast<std::uint64_t>(seed));
-  multi_broadcast_options opt;
+  options opt;
   opt.seed = static_cast<std::uint64_t>(seed);
   opt.payload_size = 16;
   const auto res = run_known_multi_broadcast(g, 0, msgs, opt);
@@ -47,7 +47,7 @@ TEST(KnownMulti, ThroughputScalesWithLogNotD) {
     const auto m16 = coding::make_test_messages(16, 8, 1);
     double total = 0;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      multi_broadcast_options opt;
+      options opt;
       opt.seed = seed;
       opt.payload_size = 8;
       const auto r8 = run_known_multi_broadcast(g, 0, m8, opt);
@@ -77,7 +77,7 @@ TEST_P(UnknownMultiTest, Theorem13DecodesExactPayloads) {
   const std::size_t k = 10;
   const auto msgs =
       coding::make_test_messages(k, 16, static_cast<std::uint64_t>(seed));
-  multi_broadcast_options opt;
+  options opt;
   opt.seed = static_cast<std::uint64_t>(seed);
   opt.payload_size = 16;
   opt.prm = params::fast();
@@ -93,19 +93,17 @@ INSTANTIATE_TEST_SUITE_P(Sweep, UnknownMultiTest,
 
 TEST(Baselines, SequentialDecayDeliversAll) {
   const auto g = graph::grid(4, 5);
-  baseline::multi_options opt;
-  opt.k = 5;
+  options opt;
   opt.seed = 3;
-  const auto res = baseline::run_sequential_decay_multi(g, 0, opt);
+  const auto res = baseline::run_sequential_decay_multi(g, 0, 5, opt);
   EXPECT_TRUE(res.completed);
 }
 
 TEST(Baselines, RoutingDeliversAll) {
   const auto g = graph::grid(4, 5);
-  baseline::multi_options opt;
-  opt.k = 5;
+  options opt;
   opt.seed = 3;
-  const auto res = baseline::run_routing_multi(g, 0, opt);
+  const auto res = baseline::run_routing_multi(g, 0, 5, opt);
   EXPECT_TRUE(res.completed);
 }
 
@@ -117,15 +115,12 @@ TEST(Baselines, SequentialSlowerThanCodingOnDeepGraphs) {
   lo.seed = 4;
   const auto g = graph::random_layered(lo);
   const std::size_t k = 10;
-  baseline::multi_options bopt;
-  bopt.k = k;
-  bopt.seed = 6;
-  const auto seq = baseline::run_sequential_decay_multi(g, 0, bopt);
-  multi_broadcast_options copt;
-  copt.seed = 6;
-  copt.payload_size = 8;
+  options opt;
+  opt.seed = 6;
+  opt.payload_size = 8;
+  const auto seq = baseline::run_sequential_decay_multi(g, 0, k, opt);
   const auto rlnc = run_known_multi_broadcast(
-      g, 0, coding::make_test_messages(k, 8, 2), copt);
+      g, 0, coding::make_test_messages(k, 8, 2), opt);
   ASSERT_TRUE(seq.completed && rlnc.base.completed);
   EXPECT_GT(seq.rounds_to_complete, rlnc.base.rounds_to_complete);
 }

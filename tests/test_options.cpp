@@ -2,6 +2,8 @@
 // default elision, and structured rejection of malformed strings.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/check.h"
 #include "core/api.h"
 #include "core/options.h"
@@ -72,6 +74,31 @@ TEST(Options, RejectsIntegersAboveTheirFieldsRange) {
   EXPECT_EQ(top.d_hat, 2147483647);
   EXPECT_EQ(top.to_string(), "opt-v1:d_hat=2147483647");
   EXPECT_EQ(parse_options(top.to_string()), top);
+}
+
+TEST(Options, MultipliersAreFiniteAndInRange) {
+  // Outside input: a NaN would not round-trip, and an infinite, negative or
+  // huge multiplier would overflow the counts and budgets derived from it.
+  for (const char* key :
+       {"decay_phase_mult", "recruit_iter_mult", "recruit_exp_step_mult",
+        "epoch_mult", "schedule_slack", "fec_overhead", "ring_divisor"}) {
+    SCOPED_TRACE(key);
+    for (const char* bad : {"nan", "inf", "-inf", "-1", "1e300"}) {
+      const std::string text = std::string("opt-v1:") + key + "=" + bad;
+      try {
+        static_cast<void>(parse_options(text));
+        ADD_FAILURE() << "parsed " << text;
+      } catch (const contract_error& e) {
+        EXPECT_NE(std::string(e.what()).find("bad numeric value for option"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    const std::string top = std::string("opt-v1:") + key + "=65536";
+    const options o = parse_options(top);
+    EXPECT_EQ(o.to_string(), top);
+    EXPECT_EQ(parse_options(o.to_string()), o);
+  }
 }
 
 TEST(Options, IntegralKeysKeepEveryBit) {

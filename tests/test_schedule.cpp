@@ -120,10 +120,9 @@ TEST_P(GstBroadcastTest, SingleMessageCompletes) {
   const auto g = graph::random_layered(lo);
   const auto t = build_gst_centralized(g, 0);
   const auto d = derive(g, t);
-  gst_broadcast_options opt;
+  options opt;
   opt.seed = 1000 + static_cast<std::uint64_t>(seed);
-  opt.mmv_noise = mmv;
-  const auto res = run_gst_single_broadcast(g, t, d, {0}, opt);
+  const auto res = run_gst_single_broadcast(g, t, d, {0}, opt, mmv);
   EXPECT_TRUE(res.completed) << "depth=" << depth << " mmv=" << mmv;
 }
 
@@ -136,10 +135,10 @@ TEST(GstBroadcast, RespectsExplicitBudget) {
   const auto g = graph::path(10);
   const auto t = build_gst_centralized(g, 0);
   const auto d = derive(g, t);
-  gst_broadcast_options opt;
-  opt.max_rounds = 7;
-  opt.stop_when_complete = false;
-  const auto res = run_gst_single_broadcast(g, t, d, {0}, opt);
+  const auto res = run_gst_single_broadcast(g, t, d, {0}, options{},
+                                            /*mmv_noise=*/false,
+                                            /*classic_levels=*/false,
+                                            /*exact_rounds=*/7);
   EXPECT_EQ(res.rounds_executed, 7);
 }
 
@@ -158,8 +157,7 @@ TEST(GstBroadcast, MultiRootInformedSet) {
   t.rank = compute_ranks(t);
   ASSERT_TRUE(validate_gst(g, t).empty());
   const auto d = derive(g, t);
-  gst_broadcast_options opt;
-  const auto res = run_gst_single_broadcast(g, t, d, {0, 10}, opt);
+  const auto res = run_gst_single_broadcast(g, t, d, {0, 10}, options{});
   EXPECT_TRUE(res.completed);
 }
 
@@ -224,8 +222,10 @@ int coin_exponent(const gst_schedule& s, node_id v, round_t t) {
 /// For both keyings and L = 1, 2 and 18: in every odd round until each
 /// member's slow schedule has run three fast periods, for_each_slow yields
 /// exactly the members whose coin query() flips, in member order, with
-/// query()'s exponent; and the draws query() takes from a node's rng
-/// through any round r equal slow_draws_through(v, r).
+/// query()'s exponent; the draws query() takes from a node's rng
+/// through any round r equal slow_draws_through(v, r); and over two fast
+/// periods every even round's fast_bucket holds exactly the members query()
+/// fires fast, in member order, with no draw taken.
 void expect_slow_scan_matches_query(const graph::graph& g, const gst& t,
                                     const std::vector<node_id>& members) {
   const auto d = derive(g, t);
@@ -257,6 +257,17 @@ void expect_slow_scan_matches_query(const graph::graph& g, const gst& t,
         std::vector<std::pair<node_id, int>> got;
         idx.for_each_slow(r, [&](node_id v, int e) { got.emplace_back(v, e); });
         ASSERT_EQ(got, want) << "round " << r;
+      }
+
+      for (round_t r = 0; r < 2 * s.fast_period(); r += 2) {
+        std::vector<node_id> fast;
+        rng coins(1);
+        for (const node_id v : members)
+          if (s.query(v, r, coins) == gst_schedule::action::fast)
+            fast.push_back(v);
+        ASSERT_EQ(idx.fast_bucket(r), fast) << "round " << r;
+        rng fresh(1);
+        ASSERT_EQ(coins(), fresh()) << "round " << r << " drew a coin";
       }
 
       for (node_id v = 0; v < g.node_count(); ++v) {

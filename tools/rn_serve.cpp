@@ -100,10 +100,14 @@ int usage(const char* argv0) {
 /// several worker threads).
 class metrics_file {
  public:
-  explicit metrics_file(std::string path) : path_(std::move(path)) {}
+  metrics_file(std::string path, const rn::svc::service& svc)
+      : path_(std::move(path)), svc_(svc) {}
 
-  void write(const std::string& text) {
+  /// Rewrites the file with the current metrics. Without a path it returns
+  /// before rendering them.
+  void write() {
     if (path_.empty()) return;
+    const std::string text = svc_.metrics_text();
     std::lock_guard<std::mutex> lock(mu_);
     std::FILE* f = std::fopen(path_.c_str(), "w");
     if (f == nullptr) return;
@@ -113,6 +117,7 @@ class metrics_file {
 
  private:
   std::string path_;
+  const rn::svc::service& svc_;
   std::mutex mu_;
 };
 
@@ -129,12 +134,12 @@ int serve_stdio(rn::svc::service& svc, metrics_file& mf) {
         std::lock_guard<std::mutex> lock(out_mu);
         std::cout << resp << "\n" << std::flush;
       }
-      mf.write(svc.metrics_text());
+      mf.write();
     });
     if (svc.shutdown_requested()) break;
   }
   svc.drain();
-  mf.write(svc.metrics_text());
+  mf.write();
   return 0;
 }
 
@@ -237,9 +242,9 @@ int serve_socket(rn::svc::service& svc, metrics_file& mf,
           break;  // the rest of the line is unread: drop the connection
         }
         if (line.empty()) continue;
-        svc.submit(line, [&svc, &mf, fd, write_mu](const std::string& resp) {
+        svc.submit(line, [&mf, fd, write_mu](const std::string& resp) {
           send_line(fd, *write_mu, resp);
-          mf.write(svc.metrics_text());
+          mf.write();
         });
         if (svc.shutdown_requested()) {
           // Stop accepting; in-flight and queued runs still complete.
@@ -270,7 +275,7 @@ int serve_socket(rn::svc::service& svc, metrics_file& mf,
     for (const int fd : conn_fds) ::close(fd);
   }
   svc.drain();
-  mf.write(svc.metrics_text());
+  mf.write();
   ::unlink(path.c_str());
   return 0;
 }
@@ -316,8 +321,8 @@ int main(int argc, char** argv) {
 
   install_stop_handlers();
   rn::svc::service svc(opt.svc);
-  metrics_file mf(opt.metrics_path);
-  mf.write(svc.metrics_text());
+  metrics_file mf(opt.metrics_path, svc);
+  mf.write();
   if (stdio) return serve_stdio(svc, mf);
 #if RN_HAVE_UNIX_SOCKETS
   return serve_socket(svc, mf, opt.socket_path);

@@ -23,6 +23,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/text.h"
 #include "sim/cli.h"
 #include "sim/json.h"
 
@@ -47,14 +48,14 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// --priority: an optional '-' before sim::parse_u64's digits, and the value
+/// --priority: an optional '-' before rn::parse_u64's digits, and the value
 /// must fit an int. Otherwise prints "bad value for FLAG: V".
 bool parse_int_flag(std::string_view flag, std::string_view v, int& out) {
   const bool negative = v.starts_with('-');
   std::uint64_t n = 0;
   const auto limit =
       static_cast<std::uint64_t>(std::numeric_limits<int>::max()) + negative;
-  if (!rn::sim::parse_u64(v.substr(negative ? 1 : 0), n) || n > limit) {
+  if (!rn::parse_u64(v.substr(negative ? 1 : 0), n) || n > limit) {
     std::cerr << "bad value for " << flag << ": " << v << "\n";
     return false;
   }
