@@ -542,7 +542,9 @@ assignment_run_result run_assignment(const graph::graph& g,
   cfg.recruit_exp_step = recruit_exp_step;
   cfg.seed = seed;
   assignment_problem prob(std::move(cfg));
-  res.rounds = drive(g, prob, fast_forward);
+  const auto stats = drive(g, prob, fast_forward);
+  res.rounds = stats.rounds;
+  res.transmissions = stats.transmissions;
   for (node_id u : blues)
     if (!st.assigned[u]) res.all_assigned = false;
   res.fallback_finalizations = st.fallback_finalizations;

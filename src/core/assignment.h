@@ -170,6 +170,7 @@ class assignment_problem {
 /// bipartite layered graph and reports per-epoch active-red counts.
 struct assignment_run_result {
   round_t rounds = 0;
+  std::int64_t transmissions = 0;
   bool all_assigned = true;
   int fallback_finalizations = 0;
   int fallback_adoptions = 0;

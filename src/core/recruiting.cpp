@@ -266,7 +266,9 @@ recruiting_run_result run_recruiting(const graph::graph& g,
   recruiting_instance inst(std::move(cfg));
 
   recruiting_run_result res;
-  res.rounds = drive(g, inst, fast_forward);
+  const auto stats = drive(g, inst, fast_forward);
+  res.rounds = stats.rounds;
+  res.transmissions = stats.transmissions;
   res.blues = blues.size();
   // Count recruits and cross-check properties (b)/(c).
   std::vector<std::size_t> child_count(g.node_count(), 0);

@@ -137,6 +137,7 @@ class recruiting_instance {
 /// wall-clock.
 struct recruiting_run_result {
   round_t rounds = 0;
+  std::int64_t transmissions = 0;
   std::size_t recruited = 0;
   std::size_t blues = 0;
   bool properties_ok = true;  ///< (b)/(c) consistency checks

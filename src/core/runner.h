@@ -85,11 +85,12 @@ class round_sink {
 };
 
 /// Runs a plan/on_reception/end_round protocol instance on its own network
-/// (no collision detection) until it finishes; returns the rounds it took.
-/// With `fast_forward`, each quiet window the instance proves
+/// (no collision detection) until it finishes; returns that network's
+/// statistics. With `fast_forward`, each quiet window the instance proves
 /// (`quiet_rounds`/`skip_rounds`) is skipped through network::advance.
 template <class Instance>
-round_t drive(const graph::graph& g, Instance& inst, bool fast_forward) {
+radio::network_stats drive(const graph::graph& g, Instance& inst,
+                           bool fast_forward) {
   radio::network net(g, {.collision_detection = false});
   radio::round_buffer txs;
   while (!inst.finished()) {
@@ -106,7 +107,7 @@ round_t drive(const graph::graph& g, Instance& inst, bool fast_forward) {
     net.step(txs, [&](const radio::reception& rx) { inst.on_reception(rx); });
     inst.end_round();
   }
-  return net.stats().rounds;
+  return net.stats();
 }
 
 }  // namespace rn::core

@@ -12,6 +12,11 @@
 // all four runs must hit the same pin (the execution-mode byte-identity
 // contract). On a mismatch or a missing pin the test prints the observed row
 // in the table's own syntax.
+//
+// The distributed GST construction and its two primitives have pins of their
+// own, recorded before their coins were drawn ahead of the round that spends
+// them: the construction's round count depends only on the layering and L, so
+// the broadcast pins cannot see a construction coin that moved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,10 +30,13 @@
 #include "baseline/decay.h"
 #include "baseline/multi_baselines.h"
 #include "coding/rlnc.h"
+#include "core/assignment.h"
 #include "core/gst.h"
 #include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
+#include "core/gst_distributed.h"
 #include "core/multi_broadcast.h"
+#include "core/recruiting.h"
 #include "core/single_broadcast.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
@@ -58,6 +66,7 @@ constexpr pin kPins[] = {
     {"gnp/gst-known/mmv=1,classic=1,roots=1", 68, 207, 378, 0, 0x7f7701f5bf55a030ULL},
     {"gnp/gst-known/mmv=1,classic=1,roots=2", 68, 211, 351, 0, 0xe2118db5869dbbc2ULL},
     {"gnp/gst-unknown-cd", 690343, 10719, 19272, 6343, 0xc1a6a712d3d2ddbULL},
+    {"gnp/gst-unknown-cd/ring_divisor=3", 418737, 10119, 16547, 7404, 0xdfe04ebf314574cbULL},
     {"gnp/leveled-decay/mmv=0", 28, 132, 235, 0, 0x2d5363075dde6625ULL},
     {"gnp/leveled-decay/mmv=1", 54, 270, 430, 0, 0x7480601808a84477ULL},
     {"gnp/leveled-decay/per-round/mmv=0", 52, 244, 372, 0, 0x52346611adc61e71ULL},
@@ -81,6 +90,7 @@ constexpr pin kPins[] = {
     {"layered/gst-known/mmv=1,classic=1,roots=1", 174, 706, 1585, 0, 0xb2c72e4b8047c657ULL},
     {"layered/gst-known/mmv=1,classic=1,roots=2", 92, 393, 724, 0, 0xa7ee788d974b8884ULL},
     {"layered/gst-unknown-cd", 1058351, 14752, 32489, 15463, 0x51d7e2ee8ca0e7dbULL},
+    {"layered/gst-unknown-cd/ring_divisor=3", 423877, 13236, 23488, 19610, 0xe049dacebbc80a6ULL},
     {"layered/leveled-decay/mmv=0", 54, 218, 379, 0, 0x1f4c9ca5eb4f5dddULL},
     {"layered/leveled-decay/mmv=1", 123, 744, 1277, 0, 0xf6c75c5b00a01bf1ULL},
     {"layered/leveled-decay/per-round/mmv=0", 51, 216, 374, 0, 0xd5a6e68ec5ac1cc9ULL},
@@ -95,13 +105,18 @@ constexpr pin kPins[] = {
     {"layered/tuned-decay/per-round", 35, 277, 354, 0, 0xff29ecfb5348401aULL},
 };
 
-std::uint64_t fnv1a(const std::vector<std::uint32_t>& energy) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint32_t x : energy)
+/// FNV-1a over the little-endian bytes of 32-bit values, continuing from `h`.
+template <class T>
+std::uint64_t fnv1a(const std::vector<T>& values,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  static_assert(sizeof(T) == 4);
+  for (const T v : values) {
+    const auto x = static_cast<std::uint32_t>(v);
     for (int i = 0; i < 4; ++i) {
       h ^= (x >> (8 * i)) & 0xffu;
       h *= 0x100000001b3ULL;
     }
+  }
   return h;
 }
 
@@ -177,6 +192,14 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
   add("gst-unknown-cd", [&g](bool ff) {
     core::options o = opts(10, ff);
     o.prm = core::params::fast();
+    return core::run_unknown_cd_single_broadcast(g, 0, o);
+  });
+  // Rings of width 3: construction problems of several rings run
+  // concurrently, and the relay hands the message from ring to ring.
+  add("gst-unknown-cd/ring_divisor=3", [&g](bool ff) {
+    core::options o = opts(10, ff);
+    o.prm = core::params::fast();
+    o.prm.ring_divisor = 3.0;
     return core::run_unknown_cd_single_broadcast(g, 0, o);
   });
   // The RLNC runners at k = 3 and at k = 20 with 13-byte payloads: four
@@ -279,6 +302,150 @@ TEST(GoldenPins, EveryProtocolReproducesItsRecordedResults) {
       }
   }
   for (const pin& p : kPins)
+    EXPECT_TRUE(seen.count(p.name)) << "pin without a case: " << p.name;
+}
+
+/// One construction run: rounds and transmissions on its own network, the
+/// two [DEV-9] fallback counters, and FNV-1a over its outputs (parent_rank,
+/// stretch_child, then parent and rank). run_recruiting reports no fallbacks
+/// and no arrays; its row pins the recruited blues and properties_ok in the
+/// counter columns and leaves the hash at 0.
+struct construction_pin {
+  const char* name;
+  round_t rounds;
+  std::int64_t transmissions;
+  std::int64_t count_a;  ///< fallback_finalizations / recruited blues
+  std::int64_t count_b;  ///< fallback_adoptions / properties_ok
+  std::uint64_t output_fnv;
+};
+
+constexpr construction_pin kConstructionPins[] = {
+    {"bipartite/assignment", 21748, 997, 0, 0, 0xe24f2508ed64b17bULL},
+    {"bipartite/recruiting", 216, 225, 9, 1, 0x0ULL},
+    {"gnp/construction/pipelined", 689520, 2624, 0, 0, 0xb7bf273a9564311fULL},
+    {"gnp/construction/sequential", 536340, 2790, 0, 0, 0x27ccf7409e263552ULL},
+    {"layered/construction/pipelined", 1057320, 5762, 0, 0, 0xf24bd9e5dfe0ee47ULL},
+    {"layered/construction/sequential", 965412, 5820, 0, 0, 0x76a3f085101c3176ULL},
+};
+
+std::string row(const std::string& name, const construction_pin& r) {
+  std::ostringstream os;
+  os << "{\"" << name << "\", " << r.rounds << ", " << r.transmissions << ", "
+     << r.count_a << ", " << r.count_b << ", 0x" << std::hex << r.output_fnv
+     << "ULL},";
+  return os.str();
+}
+
+construction_pin observed(const core::distributed_gst_outcome& o) {
+  EXPECT_EQ(o.forests.size(), 1u);
+  std::uint64_t h = fnv1a(o.parent_rank);
+  h = fnv1a(o.stretch_child, h);
+  h = fnv1a(o.forests[0].parent, h);
+  h = fnv1a(o.forests[0].rank, h);
+  return {nullptr, o.rounds, o.transmissions, o.fallback_finalizations,
+          o.fallback_adoptions, h};
+}
+
+construction_pin observed(const core::assignment_run_result& r) {
+  std::uint64_t h = fnv1a(r.st.parent_rank);
+  h = fnv1a(r.st.stretch_child, h);
+  h = fnv1a(r.st.parent, h);
+  h = fnv1a(r.st.rank, h);
+  return {nullptr, r.rounds, r.transmissions, r.fallback_finalizations,
+          r.fallback_adoptions, h};
+}
+
+construction_pin observed(const core::recruiting_run_result& r) {
+  return {nullptr, r.rounds, r.transmissions,
+          static_cast<std::int64_t>(r.recruited), r.properties_ok ? 1 : 0, 0};
+}
+
+/// A bipartite instance: reds 0..half-1, blues half..2*half-1, each red-blue
+/// edge present with probability p (the instances of test_fast_forward).
+graph::graph bipartite(std::size_t half, double p, std::uint64_t seed) {
+  graph::graph::builder gb(2 * half);
+  rng r(seed);
+  for (node_id red = 0; red < half; ++red)
+    for (node_id blue = 0; blue < half; ++blue)
+      if (r.bernoulli(p)) gb.add_edge(red, static_cast<node_id>(half + blue));
+  return std::move(gb).build();
+}
+
+TEST(GoldenPins, ConstructionReproducesItsRecordedResults) {
+  std::map<std::string, construction_pin> want;
+  for (const construction_pin& p : kConstructionPins) want.emplace(p.name, p);
+
+  graph::layered_options lo;
+  lo.depth = 9;
+  lo.width = 7;
+  lo.edge_prob = 0.35;
+  lo.intra_prob = 0.15;
+  lo.seed = 5;
+  const auto layered = graph::random_layered(lo);
+  const auto gnp = graph::random_gnp_connected(48, 0.09, 13);
+  const auto assign_g = bipartite(12, 0.3, 77);
+  const auto recruit_g = bipartite(10, 0.25, 3);
+
+  std::vector<node_id> assign_reds, assign_blues, recruit_reds, recruit_blues;
+  for (node_id v = 0; v < 12; ++v) {
+    assign_reds.push_back(v);
+    if (assign_g.degree(12 + v) > 0) assign_blues.push_back(12 + v);
+  }
+  for (node_id v = 0; v < 10; ++v) {
+    recruit_reds.push_back(v);
+    recruit_blues.push_back(10 + v);
+  }
+
+  using run_fn = std::function<construction_pin(bool fast_forward)>;
+  std::vector<std::pair<std::string, run_fn>> cases;
+  for (const auto& [prefix, g] :
+       {std::pair<std::string, const graph::graph*>{"layered", &layered},
+        {"gnp", &gnp}})
+    for (const bool pipelined : {true, false})
+      cases.emplace_back(
+          prefix + (pipelined ? "/construction/pipelined"
+                              : "/construction/sequential"),
+          [g, pipelined](bool ff) {
+            core::options o = opts(19, ff);
+            o.prm = core::params::fast();
+            return observed(
+                core::build_gst_distributed_single(*g, 0, o, pipelined));
+          });
+  cases.emplace_back("bipartite/assignment", [&](bool ff) {
+    const int L = 4;
+    return observed(core::run_assignment(assign_g, assign_reds, assign_blues,
+                                         1, L, 2 * L, 3 * L, 4 * L * L, L, 5,
+                                         ff));
+  });
+  cases.emplace_back("bipartite/recruiting", [&](bool ff) {
+    return observed(core::run_recruiting(recruit_g, recruit_reds,
+                                         recruit_blues, 4, 24, 4, 9, ff));
+  });
+
+  std::set<std::string> seen;
+  for (const auto& [name, run] : cases) {
+    SCOPED_TRACE(name);
+    seen.insert(name);
+    const auto it = want.find(name);
+    for (const unsigned team : {1u, 2u})
+      for (const bool ff : {false, true}) {
+        const team_scope scope(team);
+        const construction_pin got = run(ff);
+        if (it == want.end()) {
+          ADD_FAILURE() << "no pin; observed " << row(name, got);
+          continue;
+        }
+        const construction_pin& p = it->second;
+        const bool same = got.rounds == p.rounds &&
+                          got.transmissions == p.transmissions &&
+                          got.count_a == p.count_a &&
+                          got.count_b == p.count_b &&
+                          got.output_fnv == p.output_fnv;
+        EXPECT_TRUE(same) << "team " << team << " fast_forward " << ff
+                          << ": observed " << row(name, got);
+      }
+  }
+  for (const construction_pin& p : kConstructionPins)
     EXPECT_TRUE(seen.count(p.name)) << "pin without a case: " << p.name;
 }
 
