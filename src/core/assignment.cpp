@@ -66,18 +66,36 @@ round_t assignment_problem::rounds_required(int L, int decay_phases,
   return decay + static_cast<round_t>(epochs) * (1 + decay + 3 * part + decay);
 }
 
+round_t assignment_problem::seek_fire(node_id v, round_t after) {
+  // Decay ladder: exponent pos mod (L+1), from 0 (no draw) up to L.
+  return seek_success(node_rng(v), after, phase_pos_ + rounds_left_,
+                      [this](round_t pos) {
+                        return static_cast<int>(pos % (cfg_.L + 1));
+                      });
+}
+
 void assignment_problem::enter(sub_phase s) {
   sub_ = s;
   phase_pos_ = 0;
+  drawers_.clear();
   switch (s) {
     case sub_phase::p0_ident:
+      // Blues announce themselves so reds learn whether they participate.
       rounds_left_ = decay_rounds();
+      drawers_ = blues_;
       break;
     case sub_phase::s1_probe:
+      // Loner detection: one round in which every active red transmits.
       rounds_left_ = 1;
+      start_epoch();
+      for (node_id v : red_candidates_)
+        if (red_active_[v]) drawers_.push_back(v);
       break;
     case sub_phase::s1_decay:
+      // Unassigned loners announce themselves.
       rounds_left_ = decay_rounds();
+      for (node_id u : blues_)
+        if (blue_is_loner_[u] && !cfg_.st->assigned[u]) drawers_.push_back(u);
       break;
     case sub_phase::part1:
     case sub_phase::part2:
@@ -86,11 +104,19 @@ void assignment_problem::enter(sub_phase s) {
           cfg_.L, cfg_.recruit_iterations);
       break;
     case sub_phase::s3_adopt:
+      // Ranked reds announce (id, rank); index-aligned with announcers_.
       rounds_left_ = decay_rounds();
+      for (const auto& a : announcers_) drawers_.push_back(a.first);
       break;
     case sub_phase::done:
       rounds_left_ = 0;
       break;
+  }
+  fire_at_.resize(drawers_.size());
+  next_fire_ = rounds_left_;
+  for (std::size_t k = 0; k < drawers_.size(); ++k) {
+    fire_at_[k] = seek_fire(drawers_[k], -1);
+    next_fire_ = std::min(next_fire_, fire_at_[k]);
   }
 }
 
@@ -316,48 +342,22 @@ void assignment_problem::finish_problem() {
 
 void assignment_problem::plan(radio::round_buffer& out) {
   if (finished()) return;
-  auto& st = *cfg_.st;
-  switch (sub_) {
-    case sub_phase::p0_ident: {
-      // Blues announce themselves so reds learn whether they participate.
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (node_id u : blues_) {
-        if (node_rng(u).with_probability_pow2(e))
-          out.add_owned(u, radio::packet::make_beacon(u));
-      }
-      break;
+  if (recruiting()) {
+    recruit_->plan(out);
+    return;
+  }
+  // A coin sub-phase: the drawers whose success falls in this round.
+  if (next_fire_ != phase_pos_) return;
+  next_fire_ = phase_pos_ + rounds_left_;
+  for (std::size_t k = 0; k < drawers_.size(); ++k) {
+    if (fire_at_[k] == phase_pos_) {
+      const node_id v = drawers_[k];
+      out.add_owned(v, sub_ == sub_phase::s3_adopt
+                           ? radio::packet::make_rank(v, announcers_[k].second)
+                           : radio::packet::make_beacon(v));
+      fire_at_[k] = seek_fire(v, phase_pos_);
     }
-    case sub_phase::s1_probe: {
-      if (phase_pos_ == 0) start_epoch();
-      for (node_id v : red_candidates_)
-        if (red_active_[v])
-          out.add_owned(v, radio::packet::make_beacon(v));
-      break;
-    }
-    case sub_phase::s1_decay: {
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (node_id u : blues_) {
-        if (blue_is_loner_[u] && !st.assigned[u] &&
-            node_rng(u).with_probability_pow2(e))
-          out.add_owned(u, radio::packet::make_beacon(u));
-      }
-      break;
-    }
-    case sub_phase::part1:
-    case sub_phase::part2:
-    case sub_phase::part3:
-      recruit_->plan(out);
-      break;
-    case sub_phase::s3_adopt: {
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (const auto& [v, rk] : announcers_) {
-        if (node_rng(v).with_probability_pow2(e))
-          out.add_owned(v, radio::packet::make_rank(v, rk));
-      }
-      break;
-    }
-    case sub_phase::done:
-      break;
+    next_fire_ = std::min(next_fire_, fire_at_[k]);
   }
 }
 
@@ -405,9 +405,7 @@ void assignment_problem::on_reception(const radio::reception& rx) {
 
 void assignment_problem::end_round() {
   if (finished()) return;
-  if (sub_ == sub_phase::part1 || sub_ == sub_phase::part2 ||
-      sub_ == sub_phase::part3)
-    recruit_->end_round();
+  if (recruiting()) recruit_->end_round();
   ++phase_pos_;
   --rounds_left_;
   if (rounds_left_ > 0) return;
@@ -415,43 +413,15 @@ void assignment_problem::end_round() {
 }
 
 round_t assignment_problem::quiet_rounds() const {
-  switch (sub_) {
-    case sub_phase::p0_ident:
-      // Every blue draws an announcement coin each round.
-      return blues_.empty() ? rounds_left_ : 0;
-    case sub_phase::s1_probe: {
-      // Single deterministic round: transmitters are the active reds.
-      for (node_id v : red_candidates_)
-        if (red_active_[v]) return 0;
-      return rounds_left_;
-    }
-    case sub_phase::s1_decay: {
-      // Only unassigned loner blues flip coins / transmit.
-      for (node_id u : blues_)
-        if (blue_is_loner_[u] && !cfg_.st->assigned[u]) return 0;
-      return rounds_left_;
-    }
-    case sub_phase::part1:
-    case sub_phase::part2:
-    case sub_phase::part3:
-      return std::min(rounds_left_, recruit_->quiet_rounds());
-    case sub_phase::s3_adopt:
-      // Only stage-III announcers flip coins / transmit.
-      return announcers_.empty() ? rounds_left_ : 0;
-    case sub_phase::done:
-      return 0;
-  }
-  return 0;
+  if (finished()) return 0;
+  if (recruiting()) return std::min(rounds_left_, recruit_->quiet_rounds());
+  return next_fire_ - phase_pos_;
 }
 
 void assignment_problem::skip_rounds(round_t k) {
   RN_REQUIRE(k >= 0 && k <= rounds_left_, "skip beyond sub-phase");
   if (k == 0 || finished()) return;
-  // Epoch bookkeeping that naive stepping performs inside plan().
-  if (sub_ == sub_phase::s1_probe && phase_pos_ == 0) start_epoch();
-  if (sub_ == sub_phase::part1 || sub_ == sub_phase::part2 ||
-      sub_ == sub_phase::part3)
-    recruit_->skip_rounds(k);
+  if (recruiting()) recruit_->skip_rounds(k);
   phase_pos_ += k;
   rounds_left_ -= k;
   if (rounds_left_ == 0) advance_subphase();

@@ -20,6 +20,14 @@
 // The shared `build_state` is the blackboard all problems of one distributed
 // construction write into; every write a problem performs corresponds to
 // knowledge the participating node has locally learned.
+//
+// Coins are drawn ahead, as in recruiting (`seek_success`). A coin sub-phase
+// fixes its drawers when it starts: the rank-i blues (P0 identification), the
+// active reds (the probe, a single exponent-0 round), the unassigned loner
+// blues (stage I Decay) and the announcers (stage III). No reception, from
+// this problem or one routed from a concurrent one, writes a drawer set
+// inside its sub-phase, and the other problems write only their own blue
+// layer of the blackboard.
 #pragma once
 
 #include <cstdint>
@@ -91,12 +99,13 @@ class assignment_problem {
   void end_round();
 
   /// Fast-forward support: number of upcoming consumed rounds guaranteed
-  /// *quiet* — plan() would produce no transmission and draw no randomness,
-  /// provided nothing is received (sound whenever every problem sharing those
-  /// rounds is quiet too, since then nobody transmits at all). Never crosses
-  /// a sub-phase boundary, so sub-phase transition side effects (brisk/lazy
-  /// coins, recruiting part construction) happen exactly where naive stepping
-  /// performs them.
+  /// *quiet* — plan() would produce no transmission, provided nothing is
+  /// received (sound whenever every problem sharing those rounds is quiet
+  /// too, since then nobody transmits at all): the distance to the next
+  /// drawer's success, or the recruiting instance's own quiet window. Never
+  /// crosses a sub-phase boundary, so sub-phase transition side effects
+  /// (brisk/lazy coins, recruiting part construction) happen exactly where
+  /// naive stepping performs them.
   [[nodiscard]] round_t quiet_rounds() const;
   /// Skips `k` quiet rounds (k <= quiet_rounds()); performs the same
   /// bookkeeping and sub-phase transitions as k empty plan/end_round cycles.
@@ -146,6 +155,12 @@ class assignment_problem {
   std::vector<std::pair<node_id, rank_t>> announcers_;  // stage III (id, rank)
   std::vector<char> adopt_eligible_;                    // by node id
 
+  // The coin sub-phase's drawers, in plan order, and the phase position of
+  // each one's next success (the sub-phase length when it has none left).
+  std::vector<node_id> drawers_;
+  std::vector<round_t> fire_at_;
+  round_t next_fire_ = 0;  // earliest fire_at_
+
   std::unique_ptr<recruiting_instance> recruit_;
   std::vector<rng> rng_;  // per local participant (blue layer + red layer)
   std::vector<std::int32_t> rng_idx_;
@@ -154,6 +169,12 @@ class assignment_problem {
   rng coin_;  // brisk/lazy coins (per-red derived streams)
 
   [[nodiscard]] rng& node_rng(node_id v);
+  [[nodiscard]] bool recruiting() const {
+    return sub_ == sub_phase::part1 || sub_ == sub_phase::part2 ||
+           sub_ == sub_phase::part3;
+  }
+  /// Drawer v's next success in this sub-phase after position `after`.
+  [[nodiscard]] round_t seek_fire(node_id v, round_t after);
   void enter(sub_phase s);
   void advance_subphase();
   void start_epoch();

@@ -27,11 +27,37 @@ recruiting_instance::recruiting_instance(config c) : cfg_(std::move(c)) {
     blue_idx_[cfg_.blues[i]] = static_cast<std::int32_t>(i);
     blue_rng_.push_back(rng::for_stream(cfg_.seed * 3 + 2, cfg_.blues[i]));
   }
+  // The reds are fixed for the whole instance: draw each one's coins up to
+  // its first round-0 success.
+  next_beacon_ = cfg_.iterations;
+  for (std::size_t i = 0; i < red_.size(); ++i) {
+    red_[i].beacon_at = seek_beacon(i, -1);
+    next_beacon_ = std::min(next_beacon_, red_[i].beacon_at);
+  }
+  start_iteration();
+}
+
+round_t recruiting_instance::seek_beacon(std::size_t i, round_t after) {
+  // Round-0 exponent sweeps the Decay ladder, one step every `exp_step`
+  // iterations, and cycles [DEV-11]. The paper's monotone ramp gives every
+  // degree class one Theta(log n)-iteration window; cycling gives the same
+  // windows but recurring, which late recruitment (e.g. growth after an
+  // early lone echo) needs at small n.
+  return seek_success(red_rng_[i], after, cfg_.iterations, [this](round_t j) {
+    return 1 + static_cast<int>((j / cfg_.exp_step) % cfg_.L);
+  });
+}
+
+round_t recruiting_instance::seek_answer(std::size_t i, round_t after) {
+  // Blue Decay ladder: exponents 0..L at positions 1..L+1.
+  return seek_success(blue_rng_[i], after, cfg_.L + 2,
+                      [](round_t pos) { return static_cast<int>(pos - 1); });
 }
 
 void recruiting_instance::start_iteration() {
-  sent_r1_count_ = 0;
-  heard_count_ = 0;
+  beaconed_ = false;
+  acking_ = false;
+  next_answer_ = cfg_.L + 2;
   for (auto& r : red_) {
     r.sent_r1 = false;
     r.heard.clear();
@@ -41,6 +67,19 @@ void recruiting_instance::start_iteration() {
   for (auto& b : blue_) {
     b.heard_red = no_node;
     b.ack_due = false;
+    b.answer_at = cfg_.L + 2;
+  }
+}
+
+void recruiting_instance::open_ladder() {
+  // Round 0's receptions are in. Nothing writes `recruited` or `heard_red`
+  // again before the response round, whoever transmits, so the blues that
+  // answer stay the same through the whole ladder.
+  for (std::size_t i = 0; i < blue_.size(); ++i) {
+    auto& b = blue_[i];
+    if (b.recruited || b.heard_red == no_node) continue;
+    b.answer_at = seek_answer(i, 0);
+    next_answer_ = std::min(next_answer_, b.answer_at);
   }
 }
 
@@ -51,31 +90,33 @@ void recruiting_instance::plan(radio::round_buffer& out) {
 
   if (pos == 0) {
     start_iteration();
-    // Round-0 exponent sweeps the Decay ladder, one step every `exp_step`
-    // iterations, and cycles [DEV-11]. The paper's monotone ramp gives every
-    // degree class one Theta(log n)-iteration window; cycling gives the same
-    // windows but recurring, which late recruitment (e.g. growth after an
-    // early lone echo) needs at small n.
-    const int e = 1 + (iter / cfg_.exp_step) % cfg_.L;
+    if (next_beacon_ != iter) return;
+    next_beacon_ = cfg_.iterations;
     for (std::size_t i = 0; i < red_.size(); ++i) {
-      if (red_rng_[i].with_probability_pow2(e)) {
-        red_[i].sent_r1 = true;
-        ++sent_r1_count_;
+      auto& r = red_[i];
+      if (r.beacon_at == iter) {
+        r.sent_r1 = true;
+        beaconed_ = true;
         out.add_owned(cfg_.reds[i], radio::packet::make_beacon(cfg_.reds[i]));
+        r.beacon_at = seek_beacon(i, iter);
       }
+      next_beacon_ = std::min(next_beacon_, r.beacon_at);
     }
     return;
   }
 
   if (pos >= 1 && pos <= cfg_.L + 1) {
-    // Blue Decay ladder: exponents 0..L across the phase.
-    const int e = pos - 1;
+    // Blue Decay ladder: the blues whose answer falls here.
+    if (next_answer_ != pos) return;
+    next_answer_ = cfg_.L + 2;
     for (std::size_t i = 0; i < blue_.size(); ++i) {
       auto& b = blue_[i];
-      if (b.recruited || b.heard_red == no_node) continue;
-      if (blue_rng_[i].with_probability_pow2(e))
+      if (b.answer_at == pos) {
         out.add_owned(cfg_.blues[i],
                       radio::packet::make_pair(cfg_.blues[i], b.heard_red));
+        b.answer_at = seek_answer(i, pos);
+      }
+      next_answer_ = std::min(next_answer_, b.answer_at);
     }
     return;
   }
@@ -142,11 +183,8 @@ void recruiting_instance::on_reception(const radio::reception& rx) {
   if (pos == 0) {
     // Blues record which red they heard.
     const auto bi = blue_idx_[v];
-    if (bi >= 0 && p.kind == radio::packet_kind::beacon) {
-      if (blue_[static_cast<std::size_t>(bi)].heard_red == no_node)
-        ++heard_count_;
+    if (bi >= 0 && p.kind == radio::packet_kind::beacon)
       blue_[static_cast<std::size_t>(bi)].heard_red = p.a;
-    }
     return;
   }
 
@@ -186,8 +224,10 @@ void recruiting_instance::on_reception(const radio::reception& rx) {
         break;
       case radio::packet_kind::grow_intent:
         if (b.recruited && rx.from == b.parent &&
-            b.parent_class == klass::solo && pos == cfg_.L + 2)
+            b.parent_class == klass::solo && pos == cfg_.L + 2) {
           b.ack_due = true;
+          acking_ = true;
+        }
         break;
       default:
         break;
@@ -207,25 +247,39 @@ void recruiting_instance::on_reception(const radio::reception& rx) {
 }
 
 void recruiting_instance::end_round() {
-  if (!finished()) ++round_;
+  if (finished()) return;
+  if (pos_in_iteration() == 0) open_ladder();
+  ++round_;
 }
 
 round_t recruiting_instance::quiet_rounds() const {
   if (finished()) return 0;
-  // With no reds nothing can ever transmit or flip a coin: round 0 plans over
-  // an empty red set and no blue can hear a red to answer in rounds 1..L+1.
-  if (cfg_.reds.empty()) return rounds_required() - round_;
+  const int L = cfg_.L;
   const int pos = pos_in_iteration();
-  if (pos == 0) return 0;  // round 0 draws one coin per red
-  // A fizzled iteration: nobody beaconed and nobody heard one, so the blue
-  // Decay, response, ack and commit rounds are all provably empty.
-  if (sent_r1_count_ == 0 && heard_count_ == 0)
-    return static_cast<round_t>(cfg_.L + 5 - pos);
-  return 0;
+  // Every red draws in round 0 of every iteration: its next success.
+  round_t next = next_beacon_ * (L + 5);
+  if (pos > 0) {
+    // The rest of this iteration: the next ladder answer, then the rounds a
+    // round-0 beacon makes busy (response, the ack when one is due, commit).
+    int busy = 0;
+    if (next_answer_ <= L + 1)
+      busy = static_cast<int>(next_answer_);
+    else if (beaconed_ && pos <= L + 2)
+      busy = L + 2;
+    else if (acking_ && pos <= L + 3)
+      busy = L + 3;
+    else if (beaconed_)
+      busy = L + 4;
+    if (busy > 0) next = std::min(next, round_ - pos + busy);
+  }
+  return next - round_;
 }
 
 void recruiting_instance::skip_rounds(round_t k) {
   RN_REQUIRE(k >= 0 && k <= quiet_rounds(), "skip beyond quiet window");
+  // A skipped round 0 still starts its iteration, as plan() does.
+  const int pos = pos_in_iteration();
+  if (k > 0 && (pos == 0 || pos + k > cfg_.L + 5)) start_iteration();
   round_ += k;
 }
 

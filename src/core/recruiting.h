@@ -26,6 +26,16 @@
 //     learn/know "many".
 //   * class solo -> many: guarded by the intent/ack/commit handshake so the
 //     existing lone child never holds a stale "solo" belief [DEV-2].
+//
+// Coins are drawn ahead. Each participant's stream is drawn up to its next
+// success, never past the end of a window in which the set of drawing nodes
+// cannot change (`seek_success`); plan() emits exactly the participants whose
+// success falls in the round, in participant order. Every draw stays where
+// per-round drawing makes it, and quiet_rounds() is the distance to the
+// nearest success. The windows here: round 0 of every remaining iteration
+// (every red draws there), and ladder rounds 1..L+1 of one iteration (the
+// unrecruited blues that heard a red in its round 0). The assignment
+// problem's Decay sub-phases use the same helper.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +47,19 @@
 #include "radio/network.h"
 
 namespace rn::core {
+
+/// The first position p in (after, end) at which `coins` succeeds with
+/// probability 2^-exponent(p), or `end` if there is none. It draws exactly the
+/// coins a per-position loop over after+1 .. p draws, in the same order
+/// (rng::with_probability_pow2: exponent 0 succeeds and exponent >= 64 fails,
+/// neither with a draw), so a stream ends where per-round drawing leaves it.
+template <class Exponent>
+[[nodiscard]] round_t seek_success(rng& coins, round_t after, round_t end,
+                                   Exponent&& exponent) {
+  for (round_t p = after + 1; p < end; ++p)
+    if (coins.with_probability_pow2(exponent(p))) return p;
+  return end;
+}
 
 class recruiting_instance {
  public:
@@ -70,15 +93,17 @@ class recruiting_instance {
   void end_round();
 
   /// Fast-forward support: number of upcoming consumed rounds that are
-  /// guaranteed *quiet* — this instance will plan no transmission and draw no
-  /// randomness in them, provided it receives nothing (which holds whenever
-  /// every participant of those rounds is quiet). Two cases: an instance with
-  /// no reds is quiet for its whole remaining run, and an iteration whose
-  /// round-0 beacon fizzled (no red transmitted, no blue heard one) is quiet
-  /// through its remaining L+4 rounds. 0 = the next round must be planned.
+  /// guaranteed *quiet* — this instance plans no transmission in them,
+  /// provided it receives nothing (which holds whenever every participant of
+  /// those rounds is quiet). With the coins drawn ahead that is the distance
+  /// to the nearest transmission: the next red's round-0 success, the next
+  /// ladder success, and the response, ack and commit rounds of an iteration
+  /// whose round 0 had a beacon. A window may span many iterations in which
+  /// no red beacons. 0 = the next round must be planned.
   [[nodiscard]] round_t quiet_rounds() const;
   /// Skips `k` quiet rounds (k <= quiet_rounds()) without planning them;
-  /// equivalent to k plan/end_round cycles that produce nothing.
+  /// equivalent to k plan/end_round cycles that produce nothing (a skipped
+  /// round 0 still starts its iteration).
   void skip_rounds(round_t k);
 
   struct red_result {
@@ -106,6 +131,7 @@ class recruiting_instance {
     node_id solo_child = no_node;
     bool intent = false;
     bool ack_ok = false;
+    round_t beacon_at = 0;  ///< iteration of its next round-0 success
   };
   struct blue_state {
     node_id heard_red = no_node;  ///< red received in round 0 this iteration
@@ -113,12 +139,15 @@ class recruiting_instance {
     node_id parent = no_node;
     klass parent_class = klass::none;
     bool ack_due = false;
+    round_t answer_at = 0;  ///< ladder position of its next success (L+2: none)
   };
 
   config cfg_;
   round_t round_ = 0;
-  std::size_t sent_r1_count_ = 0;   ///< reds that transmitted this iteration's round 0
-  std::size_t heard_count_ = 0;     ///< blues that heard a red this iteration
+  round_t next_beacon_ = 0;  ///< earliest beacon_at over the reds
+  round_t next_answer_ = 0;  ///< earliest answer_at over the blues
+  bool beaconed_ = false;    ///< a red transmitted this iteration's round 0
+  bool acking_ = false;      ///< a blue owes an ack this iteration
   std::vector<red_state> red_;
   std::vector<blue_state> blue_;
   std::vector<std::int32_t> red_idx_;   // node -> index or -1
@@ -128,7 +157,12 @@ class recruiting_instance {
 
   [[nodiscard]] int iteration() const { return static_cast<int>(round_ / (cfg_.L + 5)); }
   [[nodiscard]] int pos_in_iteration() const { return static_cast<int>(round_ % (cfg_.L + 5)); }
+  /// Red i's next round-0 success after iteration `after`.
+  [[nodiscard]] round_t seek_beacon(std::size_t i, round_t after);
+  /// Blue i's next ladder success after position `after`.
+  [[nodiscard]] round_t seek_answer(std::size_t i, round_t after);
   void start_iteration();
+  void open_ladder();
 };
 
 /// Standalone driver for tests and experiment E6: runs one full instance on
