@@ -352,6 +352,7 @@ void assignment_problem::plan(radio::round_buffer& out) {
   for (std::size_t k = 0; k < drawers_.size(); ++k) {
     if (fire_at_[k] == phase_pos_) {
       const node_id v = drawers_[k];
+      RN_ASSERT(sub_ != sub_phase::s1_decay || !cfg_.st->assigned[v]);
       out.add_owned(v, sub_ == sub_phase::s3_adopt
                            ? radio::packet::make_rank(v, announcers_[k].second)
                            : radio::packet::make_beacon(v));

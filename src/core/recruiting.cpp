@@ -34,7 +34,6 @@ recruiting_instance::recruiting_instance(config c) : cfg_(std::move(c)) {
     red_[i].beacon_at = seek_beacon(i, -1);
     next_beacon_ = std::min(next_beacon_, red_[i].beacon_at);
   }
-  start_iteration();
 }
 
 round_t recruiting_instance::seek_beacon(std::size_t i, round_t after) {
@@ -112,6 +111,7 @@ void recruiting_instance::plan(radio::round_buffer& out) {
     for (std::size_t i = 0; i < blue_.size(); ++i) {
       auto& b = blue_[i];
       if (b.answer_at == pos) {
+        RN_ASSERT(!b.recruited && b.heard_red != no_node);
         out.add_owned(cfg_.blues[i],
                       radio::packet::make_pair(cfg_.blues[i], b.heard_red));
         b.answer_at = seek_answer(i, pos);

@@ -172,8 +172,48 @@ TEST(FastForward, RecruitingBitIdentical) {
   const auto naive = core::run_recruiting(g, reds, blues, 4, 24, 4, 9, false);
   const auto ff = core::run_recruiting(g, reds, blues, 4, 24, 4, 9, true);
   EXPECT_EQ(naive.rounds, ff.rounds);
+  EXPECT_EQ(naive.transmissions, ff.transmissions);
   EXPECT_EQ(naive.recruited, ff.recruited);
   EXPECT_EQ(naive.properties_ok, ff.properties_ok);
+
+  // Two reds whose round-0 exponent climbs to 2^-6 rarely beacon: one quiet
+  // window spans several iterations in which no red beacons.
+  const int L = 6;
+  const std::vector<node_id> two_reds{0, 1};
+  core::recruiting_instance::config cfg;
+  cfg.g = &g;
+  cfg.reds = two_reds;
+  cfg.blues = blues;
+  cfg.L = L;
+  cfg.iterations = 60;
+  cfg.exp_step = 2;
+  cfg.seed = 12;
+  core::recruiting_instance inst(cfg);
+  radio::network net(g, {.collision_detection = false});
+  radio::round_buffer txs;
+  round_t widest = 0;
+  while (!inst.finished()) {
+    const round_t q = inst.quiet_rounds();
+    widest = std::max(widest, q);
+    if (q > 0) {
+      inst.skip_rounds(q);
+      continue;
+    }
+    txs.clear();
+    inst.plan(txs);
+    net.step(txs, [&](const radio::reception& rx) { inst.on_reception(rx); });
+    inst.end_round();
+  }
+  EXPECT_GT(widest, L + 5);
+  const auto sparse_naive =
+      core::run_recruiting(g, two_reds, blues, L, 60, 2, 12, false);
+  const auto sparse_ff =
+      core::run_recruiting(g, two_reds, blues, L, 60, 2, 12, true);
+  EXPECT_EQ(sparse_naive.rounds, sparse_ff.rounds);
+  EXPECT_EQ(sparse_naive.transmissions, sparse_ff.transmissions);
+  EXPECT_EQ(sparse_naive.recruited, sparse_ff.recruited);
+  EXPECT_EQ(sparse_naive.properties_ok, sparse_ff.properties_ok);
+  EXPECT_GT(sparse_naive.transmissions, 0);
 }
 
 TEST(FastForward, RecruitingWithoutRedsIsFullyQuiet) {

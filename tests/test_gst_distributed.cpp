@@ -88,9 +88,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DistributedPropertyTest,
 
 TEST(Distributed, PipelinedFasterThanSequentialForDeepGraphs) {
   // Pipelining turns the (depth x rank) slot product into a sum, at a x3
-  // round-class cost: rounds are (2w + L - 2) * 3R vs w * L * R. The win
-  // factor is ~L/6, so it only shows on deep graphs; asymptotically it is
-  // the paper's O(D log^4) vs O(D log^5).
+  // round-class cost: rounds are (2w + L - 1) * 3R vs w * (L + 1) * R. The
+  // win factor tends to (L + 1)/6, so it only shows on deep graphs;
+  // asymptotically it is the paper's O(D log^4) vs O(D log^5).
   graph::layered_options lo;
   lo.depth = 40;
   lo.width = 2;

@@ -25,6 +25,59 @@ std::vector<node_id> range(node_id from, node_id count) {
   return v;
 }
 
+/// Draws once per position of [begin, end) from a copy of a stream, and
+/// seeks the same window with seek_success, restarting after every success.
+/// Both must fire at the same positions and leave the stream in one state.
+template <class Exponent>
+void expect_seek_matches_per_position_draws(std::uint64_t stream,
+                                            round_t begin, round_t end,
+                                            Exponent exponent) {
+  rng per_position = rng::for_stream(91, stream);
+  rng seeking = per_position;
+  std::vector<round_t> want, got;
+  for (round_t p = begin; p < end; ++p)
+    if (per_position.with_probability_pow2(exponent(p))) want.push_back(p);
+  // The size bound stops a seek that keeps returning one position.
+  for (round_t p = seek_success(seeking, begin - 1, end, exponent);
+       p < end && static_cast<round_t>(got.size()) <= end - begin;
+       p = seek_success(seeking, p, end, exponent))
+    got.push_back(p);
+  EXPECT_EQ(want, got) << "window [" << begin << ", " << end << ")";
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(per_position(), seeking()) << "streams part after the window";
+}
+
+TEST(CoinSeek, MatchesPerPositionDraws) {
+  rng pick(27);
+  std::uint64_t stream = 0;
+  for (const int L : {1, 2, 8, 18, 64}) {
+    // The Decay ladders: exponent pos mod (L+1), 0 (no draw) at the top of
+    // each ladder; at L = 64 the last rung, 2^-64, draws nothing either.
+    const auto ladder = [L](round_t p) { return static_cast<int>(p % (L + 1)); };
+    for (int w = 0; w < 40; ++w) {
+      const auto begin = static_cast<round_t>(pick.uniform(3 * (L + 1)));
+      const auto len = static_cast<round_t>(pick.uniform(4 * (L + 1) + 1));
+      expect_seek_matches_per_position_draws(++stream, begin, begin + len,
+                                             ladder);
+    }
+    // Recruiting round 0: exponent 1 + (iter / step) mod L, every iteration.
+    for (const int step : {1, 3}) {
+      const auto ramp = [L, step](round_t j) {
+        return 1 + static_cast<int>((j / step) % L);
+      };
+      for (int w = 0; w < 40; ++w) {
+        const auto begin = static_cast<round_t>(pick.uniform(2 * step * L));
+        const auto len =
+            static_cast<round_t>(pick.uniform(2 * step * L + 1));
+        expect_seek_matches_per_position_draws(++stream, begin, begin + len,
+                                               ramp);
+      }
+      // One window through every exponent, 64 included when L = 64.
+      expect_seek_matches_per_position_draws(++stream, 0, step * L + 1, ramp);
+    }
+  }
+}
+
 TEST(Recruiting, RoundsFormula) {
   EXPECT_EQ(recruiting_instance::rounds_required(5, 10), 100);
   EXPECT_EQ(recruiting_instance::rounds_required(1, 1), 6);
