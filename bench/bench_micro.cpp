@@ -6,9 +6,9 @@
 #include "baseline/decay.h"
 #include "coding/gf2.h"
 #include "common/rng.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/gst_distributed.h"
+#include "core/single_broadcast.h"
 #include "graph/generators.h"
 #include "radio/network.h"
 #include "sim/adhoc.h"

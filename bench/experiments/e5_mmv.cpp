@@ -7,8 +7,8 @@
 #include <string>
 
 #include "baseline/decay.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
+#include "core/single_broadcast.h"
 #include "experiments/experiments.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"

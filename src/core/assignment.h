@@ -51,7 +51,6 @@ struct build_state {
   std::vector<rank_t> parent_rank;
   std::vector<node_id> stretch_child;    ///< same-rank (solo) child
   std::vector<char> assigned;            ///< has a permanent parent (or root)
-  std::vector<level_t> vdist;            ///< filled by the labeling protocol
   int fallback_finalizations = 0;        ///< [DEV-9] diagnostics
   int fallback_adoptions = 0;
 
@@ -62,8 +61,7 @@ struct build_state {
         parent(n, no_node),
         parent_rank(n, no_rank),
         stretch_child(n, no_node),
-        assigned(n, 0),
-        vdist(n, no_level) {}
+        assigned(n, 0) {}
 };
 
 class assignment_problem {
@@ -137,7 +135,6 @@ class assignment_problem {
 
   std::vector<node_id> blues_;          // unassigned rank-i blues
   std::vector<char> is_blue_;           // indexed by node id
-  std::vector<char> blue_assigned_permanently_;  // index-aligned with blues_
   std::vector<char> blue_temp_this_epoch_;
   std::vector<char> blue_is_loner_;
 

@@ -22,6 +22,78 @@ struct problem_slot {
   int round_class;  ///< absolute blue layer mod 3 (pipelined mode)
 };
 
+struct active_problem {
+  problem_slot meta;
+  std::unique_ptr<assignment_problem> prob;
+};
+
+/// One slot's problems as one driven instance. Pipelined, a problem of
+/// round class c consumes only the slot's rounds r ≡ c (mod 3); sequential,
+/// it consumes every round.
+struct slot_problems {
+  std::vector<active_problem>& active;
+  const build_state& st;
+  round_t rounds;
+  bool pipelined;
+  round_t r = 0;
+
+  [[nodiscard]] bool finished() const { return r >= rounds; }
+
+  /// The longest run of rounds from r in which every consuming problem is
+  /// quiet (plans nothing, draws nothing), so nobody transmits and nothing
+  /// is received. A problem's quiet budget q spans the next lag + stride·q
+  /// slot rounds.
+  [[nodiscard]] round_t quiet_rounds() const {
+    round_t k = rounds - r;
+    for (const auto& ap : active)
+      if (!ap.prob->finished())
+        k = std::min(k, lag(ap) + stride() * ap.prob->quiet_rounds());
+    return k;
+  }
+
+  void skip_rounds(round_t k) {
+    for (auto& ap : active)
+      if (!ap.prob->finished() && k > lag(ap))
+        ap.prob->skip_rounds((k - lag(ap) + stride() - 1) / stride());
+    r += k;
+  }
+
+  void plan(radio::round_buffer& txs) {
+    for (auto& ap : active)
+      if (consumes(ap)) ap.prob->plan(txs);
+  }
+
+  /// Delivers to the unique consuming problem whose layers contain the
+  /// listener (blue layer λ or red layer λ-1 of the listener's ring).
+  void on_reception(const radio::reception& rx) {
+    const auto ring = st.ring_of[rx.listener];
+    if (ring < 0) return;
+    const level_t lv = st.rel_level[rx.listener];
+    for (auto& ap : active) {
+      if (!consumes(ap) || ap.meta.ring != ring) continue;
+      if (ap.meta.blue_level == lv || ap.meta.blue_level == lv + 1) {
+        ap.prob->on_reception(rx);
+        return;
+      }
+    }
+  }
+
+  void end_round() {
+    for (auto& ap : active)
+      if (consumes(ap)) ap.prob->end_round();
+    ++r;
+  }
+
+  /// Rounds until `ap` next consumes one, and between two it consumes.
+  [[nodiscard]] round_t lag(const active_problem& ap) const {
+    return pipelined ? (ap.meta.round_class - r % 3 + 3) % 3 : 0;
+  }
+  [[nodiscard]] round_t stride() const { return pipelined ? 3 : 1; }
+  [[nodiscard]] bool consumes(const active_problem& ap) const {
+    return !ap.prob->finished() && lag(ap) == 0;
+  }
+};
+
 }  // namespace
 
 distributed_gst_outcome build_gst_distributed(
@@ -83,13 +155,7 @@ distributed_gst_outcome build_gst_distributed(
             });
 
   radio::network net(g, {.collision_detection = false});
-  radio::round_buffer txs;
-  // Problems active in the current slot, keyed for reception dispatch.
-  struct active_problem {
-    problem_slot meta;
-    std::unique_ptr<assignment_problem> prob;
-  };
-  std::vector<active_problem> active;
+  std::vector<active_problem> active;  // the current slot's problems
   std::size_t next_problem = 0;
   std::uint64_t problem_counter = 0;
 
@@ -121,78 +187,8 @@ distributed_gst_outcome build_gst_distributed(
       ++next_problem;
     }
 
-    for (round_t r = 0; r < slot_len;) {
-      if (opt.fast_forward) {
-        // Fast-forward: find the longest run of rounds starting at r in which
-        // every consuming problem is quiet (plans nothing, draws nothing).
-        // With nobody transmitting there are no receptions either, so the
-        // whole run collapses to network::advance + per-problem bookkeeping.
-        // In pipelined mode a problem of class c consumes only rounds
-        // t ≡ c (mod 3); its quiet budget q therefore spans the next
-        // d + 3q engine rounds, d = distance to its next consumed round.
-        round_t k = slot_len - r;
-        for (const auto& ap : active) {
-          if (ap.prob->finished()) continue;
-          const round_t q = ap.prob->quiet_rounds();
-          if (pipelined) {
-            const round_t d = (ap.meta.round_class - r % 3 + 3) % 3;
-            k = std::min(k, d + 3 * q);
-          } else {
-            k = std::min(k, q);
-          }
-        }
-        if (k > 0) {
-          for (auto& ap : active) {
-            if (ap.prob->finished()) continue;
-            round_t consumed = k;
-            if (pipelined) {
-              const round_t d = (ap.meta.round_class - r % 3 + 3) % 3;
-              consumed = k > d ? (k - d + 2) / 3 : 0;
-            }
-            if (consumed > 0) ap.prob->skip_rounds(consumed);
-          }
-          net.advance(k);
-          r += k;
-          continue;
-        }
-      }
-      txs.clear();
-      const int cls = static_cast<int>(r % 3);
-      auto consumes = [&](const active_problem& ap) {
-        return !ap.prob->finished() &&
-               (!pipelined || ap.meta.round_class == cls);
-      };
-      bool any = false;
-      for (auto& ap : active) {
-        if (consumes(ap)) {
-          ap.prob->plan(txs);
-          any = true;
-        }
-      }
-      if (!any && txs.empty()) {
-        // No problem consumes this round; still burn it for faithful timing.
-        net.step(txs, [](const radio::reception&) {});
-        ++r;
-        continue;
-      }
-      net.step(txs, [&](const radio::reception& rx) {
-        // Deliver to the unique consuming problem whose layers contain the
-        // listener (blue layer λ or red layer λ-1 of the listener's ring).
-        const auto ring = st.ring_of[rx.listener];
-        if (ring < 0) return;
-        const level_t lv = st.rel_level[rx.listener];
-        for (auto& ap : active) {
-          if (!consumes(ap) || ap.meta.ring != ring) continue;
-          if (ap.meta.blue_level == lv || ap.meta.blue_level == lv + 1) {
-            ap.prob->on_reception(rx);
-            return;
-          }
-        }
-      });
-      for (auto& ap : active)
-        if (consumes(ap)) ap.prob->end_round();
-      ++r;
-    }
+    slot_problems inst{active, st, slot_len, pipelined};
+    drive(net, inst, opt.fast_forward);
   }
 
   // Roots that never got children are leaves.

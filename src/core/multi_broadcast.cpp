@@ -6,13 +6,26 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/schedule.h"
 #include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
+
+namespace {
+
+/// True iff `node` decodes, to messages[first, first + its k).
+bool decodes_to(const coding::rlnc_node& node,
+                const std::vector<coding::message>& messages,
+                std::size_t first) {
+  if (!node.can_decode()) return false;
+  const auto got = node.decode_all();
+  return std::equal(got.begin(), got.end(),
+                    messages.begin() + static_cast<std::ptrdiff_t>(first));
+}
+
+}  // namespace
 
 multi_broadcast_result run_known_multi_broadcast(
     const graph::graph& g, node_id source,
@@ -22,25 +35,78 @@ multi_broadcast_result run_known_multi_broadcast(
   RN_REQUIRE(k >= 1, "need at least one message");
   const auto t = build_gst_centralized(g, source);
   const auto d = derive(g, t);
+  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n),
+                     /*slow_by_virtual_distance=*/true);
+  const int L = sched.log_n();
+  const round_t max_rounds =
+      relay_budget(t.max_level(), L, opt.prm.schedule_slack) +
+      static_cast<round_t>(opt.prm.schedule_slack * 8.0 *
+                           static_cast<double>(k) * (L + 1));
 
-  std::vector<std::vector<coding::message>> source_messages(n);
-  source_messages[source] = messages;
+  trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
+  radio::completion_tracker& tracker = frame.tracker();
 
-  std::vector<coding::rlnc_node> decoders;
-  multi_broadcast_result out;
-  out.base = run_gst_rlnc_broadcast(g, t, d, source_messages, k, opt,
-                                    &decoders);
-  out.payloads_verified = out.base.completed;
-  for (node_id v = 0; v < n && out.payloads_verified; ++v) {
-    if (!t.member[v]) continue;
-    if (!decoders[v].can_decode()) {
-      out.payloads_verified = false;
-      break;
-    }
-    const auto got = decoders[v].decode_all();
-    for (std::size_t i = 0; i < k; ++i)
-      if (got[i] != messages[i]) out.payloads_verified = false;
+  std::vector<coding::rlnc_node> buf;
+  buf.reserve(n);
+  for (node_id v = 0; v < n; ++v) buf.emplace_back(k, opt.payload_size);
+  for (std::size_t i = 0; i < k; ++i) {
+    RN_REQUIRE(messages[i].size() == opt.payload_size,
+               "message payload size mismatch");
+    buf[source].load_source_message(i, messages[i]);
   }
+  for (node_id v = 0; v < n; ++v) {
+    if (!t.member[v])
+      tracker.exclude(v);
+    else if (buf[v].can_decode())
+      tracker.mark(v);
+  }
+
+  std::vector<rng> node_rng = node_coins(n, opt.seed);
+
+  // Interior stretch nodes relay the most recent packet received from their
+  // stretch predecessor (paper 3.3.2 case (b)).
+  std::vector<std::shared_ptr<const radio::packet_body>> relay(n);
+  coded_packets coded;
+
+  radio::round_buffer txs;
+  gst_schedule_index idx(sched);
+  const auto on_rx = [&](const radio::reception& rx) {
+    if (rx.what != radio::observation::message ||
+        rx.pkt->kind != radio::packet_kind::coded)
+      return;
+    const node_id v = rx.listener;
+    if (!t.member[v]) return;
+    buf[v].receive(rx.pkt->body->coeffs, rx.pkt->body->data);
+    if (buf[v].can_decode()) tracker.mark(v);
+    // Remember stretch-predecessor packets for relaying: the predecessor is
+    // this node's parent when both share a rank.
+    if (rx.from == t.parent[v] && !d.is_stretch_head[v])
+      relay[v] = rx.pkt->body;
+  };
+  const auto emit = [&](node_id v, gst_schedule::action a) {
+    if (a == gst_schedule::action::fast && !d.is_stretch_head[v]) {
+      // Relay role: forward the predecessor's packet verbatim.
+      if (relay[v]) txs.add_owned(v, radio::packet::make_coded(0, relay[v]));
+      return;
+    }
+    // Stretch heads (fast) and all slow prompts send fresh combinations.
+    if (buf[v].has_anything())
+      txs.add_owned(v, coded.fresh(0, buf[v], node_rng[v]));
+  };
+
+  for (round_t r = 0; r < max_rounds; ++r) {
+    const bool completing = tracker.all_done();
+    txs.clear();
+    idx.plan(r, node_rng, emit);
+    if (frame.commit(txs, on_rx, completing) && tracker.all_done()) break;
+  }
+
+  multi_broadcast_result out;
+  out.base = frame.finish();
+  out.payloads_verified = out.base.completed;
+  for (node_id v = 0; v < n && out.payloads_verified; ++v)
+    if (t.member[v] && !decodes_to(buf[v], messages, 0))
+      out.payloads_verified = false;
   return out;
 }
 
@@ -105,10 +171,9 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   sched_idx.reserve(ring_count);
   for (std::size_t j = 0; j < ring_count; ++j)
     sched_idx.emplace_back(scheds[j], setup.rings.rings[j].members);
-  const round_t intra_budget = static_cast<round_t>(
-      opt.prm.schedule_slack *
-      (6.0 * w_max + 48.0 * L * L +
-       8.0 * static_cast<double>(batches.batch_size) * (L + 1) + 64));
+  const round_t intra_budget = relay_budget(
+      w_max, L, opt.prm.schedule_slack,
+      8.0 * static_cast<double>(batches.batch_size) * (L + 1));
   const int handoff_phases =
       dp + static_cast<int>(opt.prm.fec_overhead *
                             static_cast<double>(batches.batch_size));
@@ -153,26 +218,17 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
         if (e < j || e - j >= B) continue;
         const std::size_t b = e - j;
         const auto& der = setup.derived[j];
-        // Bucketed planning — the exact members whose schedule (and coin)
-        // round r consults, in member order (see gst_schedule_index). Slow
-        // prompts and stretch heads send fresh combinations; interior
+        // Slow prompts and stretch heads send fresh combinations; interior
         // stretch nodes relay their predecessor's packet.
-        const auto fresh = [&](node_id v) {
-          if (buf[v][b].has_anything()) txs.add_owned(v, fresh_packet(v, b));
-        };
-        if (r % 2 == 1) {
-          sched_idx[j].for_each_slow(r, [&](node_id v, int ex) {
-            if (node_rng[v].with_probability_pow2(ex)) fresh(v);
-          });
-        } else {
-          for (node_id v : sched_idx[j].fast_bucket(r)) {
-            if (der.is_stretch_head[v])
-              fresh(v);
-            else if (relay[v] && relay_batch[v] == b)
+        sched_idx[j].plan(r, node_rng, [&](node_id v, gst_schedule::action a) {
+          if (a == gst_schedule::action::fast && !der.is_stretch_head[v]) {
+            if (relay[v] && relay_batch[v] == b)
               txs.add_owned(v, radio::packet::make_coded(
                                    static_cast<std::uint32_t>(b), relay[v]));
+          } else if (buf[v][b].has_anything()) {
+            txs.add_owned(v, fresh_packet(v, b));
           }
-        }
+        });
       }
       frame.commit(txs, on_rx);
     }
@@ -207,16 +263,9 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   out.payloads_verified = out.base.completed;
   for (node_id v = 0; v < n && out.payloads_verified; ++v) {
     if (setup.rings.ring_of[v] < 0) continue;
-    for (std::size_t b = 0; b < B && out.payloads_verified; ++b) {
-      if (!buf[v][b].can_decode()) {
+    for (std::size_t b = 0; b < B && out.payloads_verified; ++b)
+      if (!decodes_to(buf[v][b], messages, batches.batch_begin(b)))
         out.payloads_verified = false;
-        break;
-      }
-      const auto got = buf[v][b].decode_all();
-      for (std::size_t i = 0; i < got.size(); ++i)
-        if (got[i] != messages[batches.batch_begin(b) + i])
-          out.payloads_verified = false;
-    }
   }
   return out;
 }

@@ -10,16 +10,15 @@
 // path a cross-check oracle for the fast one. Every broadcast runner reaches
 // its sink through `core::trial_frame` (core/trial_frame.h).
 //
-// `drive` is the one round loop of the standalone construction primitives
-// (`recruiting_instance`, `assignment_problem`): plan, step, deliver and end
-// each round on the instance's own network, skipping the instance's quiet
-// windows in fast-forward mode.
+// `drive` is the one round loop of the construction: plan, step, deliver and
+// end each round, skipping the instance's quiet windows in fast-forward
+// mode. It runs the standalone primitives (`recruiting_instance`,
+// `assignment_problem`) and each slot of the distributed GST construction.
 #pragma once
 
 #include <vector>
 
 #include "common/check.h"
-#include "graph/graph.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -84,14 +83,11 @@ class round_sink {
   round_t pending_ = 0;
 };
 
-/// Runs a plan/on_reception/end_round protocol instance on its own network
-/// (no collision detection) until it finishes; returns that network's
-/// statistics. With `fast_forward`, each quiet window the instance proves
+/// Runs a plan/on_reception/end_round protocol instance on `net` until it
+/// finishes. With `fast_forward`, each quiet window the instance proves
 /// (`quiet_rounds`/`skip_rounds`) is skipped through network::advance.
 template <class Instance>
-radio::network_stats drive(const graph::graph& g, Instance& inst,
-                           bool fast_forward) {
-  radio::network net(g, {.collision_detection = false});
+void drive(radio::network& net, Instance& inst, bool fast_forward) {
   radio::round_buffer txs;
   while (!inst.finished()) {
     if (fast_forward) {
@@ -107,7 +103,6 @@ radio::network_stats drive(const graph::graph& g, Instance& inst,
     net.step(txs, [&](const radio::reception& rx) { inst.on_reception(rx); });
     inst.end_round();
   }
-  return net.stats();
 }
 
 }  // namespace rn::core

@@ -1,9 +1,21 @@
 #include "core/schedule.h"
 
+#include <numeric>
+
 #include "common/check.h"
 #include "common/math.h"
 
 namespace rn::core {
+
+namespace {
+
+std::vector<node_id> all_nodes(std::size_t n) {
+  std::vector<node_id> out(n);
+  std::iota(out.begin(), out.end(), node_id{0});
+  return out;
+}
+
+}  // namespace
 
 gst_schedule::gst_schedule(const gst& t, const gst_derived& d,
                            std::size_t n_hat, bool slow_by_virtual_distance)
@@ -60,6 +72,15 @@ std::int64_t gst_schedule::slow_draws_through(node_id v, round_t t) const {
   return slots - (slots + L_ - 1) / L_;
 }
 
+void gst_schedule::catch_up(node_id v, round_t t, std::span<rng> coins) const {
+  for (auto k = slow_draws_through(v, t); k > 0; --k) coins[v]();
+}
+
+round_t relay_budget(level_t depth, int L, double slack, double extra) {
+  return static_cast<round_t>(slack *
+                              (6.0 * depth + 48.0 * L * L + extra + 64));
+}
+
 gst_schedule_index::gst_schedule_index(const gst_schedule& s,
                                        std::span<const node_id> members)
     : period_(s.fast_period()), L_(s.log_n()) {
@@ -79,5 +100,8 @@ gst_schedule_index::gst_schedule_index(const gst_schedule& s,
   for (const auto& b : slow_) max_j = std::max(max_j, b.max_j);
   exponent_.resize(static_cast<std::size_t>(max_j) + 1);
 }
+
+gst_schedule_index::gst_schedule_index(const gst_schedule& s)
+    : gst_schedule_index(s, all_nodes(s.node_count())) {}
 
 }  // namespace rn::core

@@ -13,11 +13,17 @@
 // The `classic_levels` variant keys slow transmissions to BFS levels instead
 // of virtual distances — the [7]/[19]-style schedule the paper argues is not
 // MMV; we keep it as an ablation (experiment E5).
+//
+// Every runner on this schedule (`gst-known`, the `gst-unknown-cd` ring
+// relay and both RLNC runners) plans its rounds through
+// `gst_schedule_index::plan`, which draws every slow coin, and sizes its
+// round budget with `relay_budget`.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,6 +54,8 @@ class gst_schedule {
 
   [[nodiscard]] int log_n() const { return L_; }
 
+  [[nodiscard]] std::size_t node_count() const { return t_->node_count(); }
+
   /// The (even) slot within fast_period() at which v fast-transmits, or -1
   /// if v can never fast-transmit (non-member, unranked, or no same-rank
   /// child [DEV-3]). Mirrors query()'s even-round condition.
@@ -64,12 +72,25 @@ class gst_schedule {
   /// coin. With slots = (t - start) / 6 + 1 that is slots - ceil(slots / L).
   [[nodiscard]] std::int64_t slow_draws_through(node_id v, round_t t) const;
 
+  /// Discards the slow_draws_through(v, t) coins the full scan would have
+  /// drawn from coins[v] through round t: a member that gst_schedule_index::
+  /// plan let skip its draws until t runs this before it draws again, so
+  /// its stream is where the full scan would have left it.
+  void catch_up(node_id v, round_t t, std::span<rng> coins) const;
+
  private:
   const gst* t_;
   const gst_derived* d_;
   int L_;
   bool slow_by_vd_;
 };
+
+/// The round budget of a relay on the schedule, O(D + log n (log n +
+/// log 1/delta)) with delta = 1/poly(n): slack * (6 depth + 48 L^2 + extra
+/// + 64) interleaved fast/slow rounds, `extra` being a runner's own
+/// additive term.
+[[nodiscard]] round_t relay_budget(level_t depth, int L, double slack,
+                                   double extra = 0);
 
 /// Round-indexed buckets over a fixed member set: for any round, the exact
 /// subset of members whose schedule (and randomness) query() would consult.
@@ -83,11 +104,40 @@ class gst_schedule_index {
   /// `members` fixes the iteration order within each bucket (runners pass
   /// the same order their naive scan used).
   gst_schedule_index(const gst_schedule& s, std::span<const node_id> members);
+  /// Every node of the schedule's forest, in id order.
+  explicit gst_schedule_index(const gst_schedule& s);
 
   /// Even (fast) round r's transmitters: exactly the members for which
   /// query(v, r, rng) returns fast, in member order. No coin is drawn.
   [[nodiscard]] const std::vector<node_id>& fast_bucket(round_t r) const {
     return fast_[static_cast<std::size_t>((r % period_) / 2)];
+  }
+
+  /// Plans round r: calls emit(v, a) for every member that transmits in it
+  /// as the full scan over query() decides, in member order. An even round
+  /// emits its fast bucket (a == action::fast, no coin drawn). In an odd
+  /// round every member whose slow coin the round consults draws it from
+  /// coins[v] and emits action::slow_prompt when it comes up, unless
+  /// draws(v) is false: then v draws nothing, and it owes
+  /// gst_schedule::catch_up before it draws again. emit runs right after
+  /// v's coin, so it may draw more from coins[v].
+  template <class Draws, class Emit>
+  void plan(round_t r, std::span<rng> coins, Draws&& draws, Emit&& emit) {
+    if (r % 2 == 0) {
+      for (const node_id v : fast_bucket(r))
+        emit(v, gst_schedule::action::fast);
+      return;
+    }
+    for_each_slow(r, [&](node_id v, int e) {
+      if (draws(v) && coins[v].with_probability_pow2(e))
+        emit(v, gst_schedule::action::slow_prompt);
+    });
+  }
+
+  /// plan() in which every member draws its coin.
+  template <class Emit>
+  void plan(round_t r, std::span<rng> coins, Emit&& emit) {
+    plan(r, coins, [](node_id) { return true; }, std::forward<Emit>(emit));
   }
 
   /// Calls fn(v, e) for every member whose slow coin odd round r consults,

@@ -6,7 +6,6 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "core/bfs_protocols.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/schedule.h"
 #include "core/trial_frame.h"
@@ -19,6 +18,66 @@ radio::broadcast_result run_known_single_broadcast(
     const graph::graph& g, node_id source, const options& opt) {
   const auto t = build_gst_centralized(g, source);
   return run_gst_single_broadcast(g, t, derive(g, t), {source}, opt);
+}
+
+radio::broadcast_result run_gst_single_broadcast(
+    const graph::graph& g, const gst& t, const gst_derived& d,
+    const std::vector<node_id>& informed_init, const options& opt,
+    bool mmv_noise, bool classic_levels, round_t exact_rounds) {
+  const std::size_t n = g.node_count();
+  gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n), !classic_levels);
+  const bool stop_when_complete = exact_rounds == 0;
+  const round_t max_rounds =
+      stop_when_complete ? relay_budget(t.max_level(), sched.log_n(),
+                                        opt.prm.schedule_slack)
+                         : exact_rounds;
+
+  trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
+  informed_set informed(frame);
+  for (node_id v = 0; v < n; ++v)
+    if (!t.member[v]) frame.tracker().exclude(v);
+  for (node_id v : informed_init) {
+    RN_REQUIRE(t.member[v], "initially informed node must be a member");
+    informed.inform(v);
+  }
+  std::vector<rng> node_rng = node_coins(n, opt.seed);
+
+  auto body = std::make_shared<radio::packet_body>();
+  body->data = {0x6d, 0x73, 0x67};
+  // Flyweights: one data and one noise packet for the whole run; every
+  // transmission references them (zero allocation, zero refcount churn).
+  const radio::packet data_pkt = radio::packet::make_data(0, body);
+  const radio::packet noise_pkt = radio::packet::make_noise();
+  radio::round_buffer txs;
+
+  gst_schedule_index idx(sched);
+  // Without MMV noise an uninformed member's coin cannot make it transmit:
+  // it draws nothing until a reception informs it in round r, and then
+  // catches up on the coins it skipped through r.
+  const auto draws = [&](node_id v) { return informed[v] || mmv_noise; };
+  const auto emit = [&](node_id v, gst_schedule::action) {
+    if (informed[v])
+      txs.add(v, data_pkt);
+    else if (mmv_noise)
+      txs.add(v, noise_pkt);
+  };
+  round_t r = 0;
+  const auto on_rx = [&](const radio::reception& rx) {
+    if (informed.receive(rx) && !mmv_noise)
+      sched.catch_up(rx.listener, r, node_rng);
+  };
+
+  for (; r < max_rounds; ++r) {
+    // Naive stepping executes one more (possibly empty) round after the run
+    // completes before noticing; force-step it so both modes agree.
+    const bool completing = stop_when_complete && frame.tracker().all_done();
+    txs.clear();
+    idx.plan(r, node_rng, draws, emit);
+    if (frame.commit(txs, on_rx, completing) && stop_when_complete &&
+        frame.tracker().all_done())
+      break;
+  }
+  return frame.finish();
 }
 
 unknown_topology_setup prepare_unknown_topology(
@@ -94,6 +153,9 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
   const auto deliver = [&](const radio::reception& rx) {
     informed.receive(rx);
   };
+  const auto send_if_informed = [&](node_id v, gst_schedule::action) {
+    if (informed[v]) txs.add(v, data_pkt);
+  };
 
   round_t relay_rounds = 0;
   for (std::size_t j = 0; j < setup.rings.rings.size(); ++j) {
@@ -101,24 +163,14 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     const auto& members = setup.rings.rings[j].members;
     gst_schedule sched(t, setup.derived[j], n_hat,
                        /*slow_by_virtual_distance=*/true);
-    // Bucketed planning: per round only the members whose schedule (and
-    // coin) that round consults are visited, in member order — observably
-    // identical to the naive scan over every ring member.
     gst_schedule_index idx(sched, members);
-    const auto budget = static_cast<round_t>(
-        opt.prm.schedule_slack * (6.0 * t.max_level() + 48.0 * L * L + 64));
+    const round_t budget =
+        relay_budget(t.max_level(), L, opt.prm.schedule_slack);
     for (round_t r = 0; r < budget; ++r) {
       txs.clear();
-      if (r % 2 == 0) {
-        for (node_id v : idx.fast_bucket(r))
-          if (informed[v]) txs.add(v, data_pkt);
-      } else {
-        // Coin flipped for uninformed members too, as in the naive scan.
-        idx.for_each_slow(r, [&](node_id v, int e) {
-          if (node_rng[v].with_probability_pow2(e) && informed[v])
-            txs.add(v, data_pkt);
-        });
-      }
+      // Uninformed members draw their coins too: their streams feed the
+      // Decay handoff after the ring.
+      idx.plan(r, node_rng, send_if_informed);
       frame.commit(txs, deliver);
     }
     relay_rounds += budget;

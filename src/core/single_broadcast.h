@@ -2,6 +2,8 @@
 //
 //  * Known topology ([7] as black box, realized by the paper's own GST
 //    schedule): O(D + log^2 n) — build a GST centrally, broadcast on it.
+//    By Lemma 3.3 with delta = 1/poly(n), the MMV-GST schedule achieves the
+//    [7] bound.
 //  * Theorem 1.1 (unknown topology + collision detection): O(D + log^6 n) —
 //      1. collision-wave BFS layering (D rounds, uses CD),
 //      2. ring decomposition,
@@ -35,6 +37,19 @@ namespace rn::core {
 /// charged for construction, as in [7]).
 [[nodiscard]] radio::broadcast_result run_known_single_broadcast(
     const graph::graph& g, node_id source, const options& opt);
+
+/// Single-message broadcast over one GST forest. `informed` lists the nodes
+/// that initially hold the message (the source, or a ring's inner boundary).
+/// Only forest members are simulated and tracked. The ablation seams:
+/// `mmv_noise` makes prompted nodes without data jam (Definition 3.1),
+/// `classic_levels` keys slow rounds by level (E5), and `exact_rounds` > 0
+/// runs exactly that many rounds instead of stopping at completion within
+/// the slack budget.
+[[nodiscard]] radio::broadcast_result run_gst_single_broadcast(
+    const graph::graph& g, const gst& t, const gst_derived& d,
+    const std::vector<node_id>& informed, const options& opt,
+    bool mmv_noise = false, bool classic_levels = false,
+    round_t exact_rounds = 0);
 
 /// Everything Theorems 1.1/1.3 need before data flows: layering, rings,
 /// per-ring GSTs with local stretch knowledge, virtual distances.

@@ -256,23 +256,4 @@ registry& registry::instance() {
   return r;
 }
 
-void registry::add(experiment e) {
-  RN_REQUIRE(!e.id.empty(), "experiment id must be non-empty");
-  RN_REQUIRE(find(e.id) == nullptr, "duplicate experiment id: " + e.id);
-  experiments_.push_back(std::move(e));
-}
-
-const experiment* registry::find(std::string_view id) const {
-  for (const auto& e : experiments_)
-    if (e.id == id) return &e;
-  return nullptr;
-}
-
-std::vector<std::string> registry::ids() const {
-  std::vector<std::string> out;
-  out.reserve(experiments_.size());
-  for (const auto& e : experiments_) out.push_back(e.id);
-  return out;
-}
-
 }  // namespace rn::sim

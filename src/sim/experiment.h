@@ -21,8 +21,10 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/stats.h"
 #include "core/api.h"
 #include "graph/topology.h"
@@ -157,12 +159,15 @@ class registry {
  public:
   static registry& instance();
 
-  void add(experiment e);
-  [[nodiscard]] const experiment* find(std::string_view id) const;
-  [[nodiscard]] std::vector<std::string> ids() const;  ///< registration order
+  void add(experiment e) { table_.add(std::move(e)); }
+  [[nodiscard]] const experiment* find(std::string_view id) const {
+    return table_.find(id);
+  }
+  /// Registration order.
+  [[nodiscard]] std::vector<std::string> ids() const { return table_.keys(); }
 
  private:
-  std::vector<experiment> experiments_;
+  keyed_registry<experiment, &experiment::id> table_{"experiment id"};
 };
 
 }  // namespace rn::sim

@@ -7,7 +7,6 @@
 #include "baseline/decay.h"
 #include "coding/rlnc.h"
 #include "core/beep_waves.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/schedule.h"
 #include "graph/bfs.h"

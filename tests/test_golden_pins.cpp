@@ -32,7 +32,6 @@
 #include "coding/rlnc.h"
 #include "core/assignment.h"
 #include "core/gst.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/gst_distributed.h"
 #include "core/multi_broadcast.h"

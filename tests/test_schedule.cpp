@@ -11,9 +11,10 @@
 #include "common/math.h"
 #include "common/rng.h"
 #include "core/gst.h"
-#include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/schedule.h"
+#include "core/single_broadcast.h"
+#include "core/trial_frame.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 
@@ -223,9 +224,11 @@ int coin_exponent(const gst_schedule& s, node_id v, round_t t) {
 /// member's slow schedule has run three fast periods, for_each_slow yields
 /// exactly the members whose coin query() flips, in member order, with
 /// query()'s exponent; the draws query() takes from a node's rng
-/// through any round r equal slow_draws_through(v, r); and over two fast
+/// through any round r equal slow_draws_through(v, r); over two fast
 /// periods every even round's fast_bucket holds exactly the members query()
-/// fires fast, in member order, with no draw taken.
+/// fires fast, in member order, with no draw taken; and the round call,
+/// plan(), matches a naive scan that calls query() for every member in
+/// every round.
 void expect_slow_scan_matches_query(const graph::graph& g, const gst& t,
                                     const std::vector<node_id>& members) {
   const auto d = derive(g, t);
@@ -279,6 +282,47 @@ void expect_slow_scan_matches_query(const graph::graph& g, const gst& t,
           rng probe = scan;
           ASSERT_EQ(probe(), caught_up()) << "node " << v << " round " << r;
         }
+      }
+
+      // plan() on per-node streams. Member i starts drawing at a spread-out
+      // round s, and every fourth never does. A starter catches up through
+      // s - 1, as gst-known does for a member informed in round s - 1.
+      // Every third starts right after its second slow slot, which draws
+      // at L >= 2: catching up one round short there leaves it behind.
+      const round_t never = horizon + 1;
+      std::vector<round_t> start(g.node_count(), never);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const node_id v = members[i];
+        const level_t key = s.slow_key(v);
+        if (i % 4 == 3) continue;
+        start[v] = i % 3 == 0 && key != no_level
+                       ? 8 + 2 * static_cast<round_t>(key)
+                       : static_cast<round_t>(i * 37) % horizon;
+      }
+      std::vector<rng> scan = node_coins(g.node_count(), 11);
+      std::vector<rng> coins = scan;
+      const auto drawing = [&](node_id v, round_t r) { return r >= start[v]; };
+      for (round_t r = 0; r < horizon; ++r) {
+        std::vector<std::pair<node_id, int>> want, got;
+        for (const node_id v : members) {
+          const auto a = s.query(v, r, scan[v]);
+          if (a == gst_schedule::action::fast ||
+              (a == gst_schedule::action::slow_prompt && drawing(v, r)))
+            want.emplace_back(v, static_cast<int>(a));
+        }
+        idx.plan(
+            r, coins, [&](node_id v) { return drawing(v, r); },
+            [&](node_id v, gst_schedule::action a) {
+              got.emplace_back(v, static_cast<int>(a));
+            });
+        ASSERT_EQ(got, want) << "round " << r;
+        for (const node_id v : members)
+          if (start[v] == r + 1) s.catch_up(v, r, coins);
+      }
+      for (const node_id v : members) {
+        // A member that never drew keeps its stream untouched.
+        rng want = start[v] != never ? scan[v] : node_coins(v + 1, 11)[v];
+        ASSERT_EQ(coins[v](), want()) << "node " << v;
       }
     }
 }
