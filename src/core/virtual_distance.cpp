@@ -127,6 +127,7 @@ vdist_labeling_result run_vdist_labeling(
   for (node_id v = 0; v < n; ++v)
     if (t.member[v] && out.vdist[v] == no_level) ++out.unlabeled;
   out.rounds = net.stats().rounds;
+  out.transmissions = net.stats().transmissions;
   return out;
 }
 

@@ -28,6 +28,7 @@ namespace rn::core {
 struct vdist_labeling_result {
   std::vector<level_t> vdist;  ///< only members of the forest are labeled
   round_t rounds = 0;
+  std::int64_t transmissions = 0;
   std::size_t unlabeled = 0;   ///< members left unlabeled (0 expected w.h.p.)
 };
 

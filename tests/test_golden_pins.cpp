@@ -16,7 +16,9 @@
 // The distributed GST construction and its two primitives have pins of their
 // own, recorded before their coins were drawn ahead of the round that spends
 // them: the construction's round count depends only on the layering and L, so
-// the broadcast pins cannot see a construction coin that moved.
+// the broadcast pins cannot see a construction coin that moved. A third table
+// pins the other setup phases (labeling, both layerings, the beep-wave
+// estimate), recorded before they moved onto the trial frame.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,12 +33,15 @@
 #include "baseline/multi_baselines.h"
 #include "coding/rlnc.h"
 #include "core/assignment.h"
+#include "core/beep_waves.h"
+#include "core/bfs_protocols.h"
 #include "core/gst.h"
 #include "core/gst_centralized.h"
 #include "core/gst_distributed.h"
 #include "core/multi_broadcast.h"
 #include "core/recruiting.h"
 #include "core/single_broadcast.h"
+#include "core/virtual_distance.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "radio/network.h"
@@ -259,18 +264,25 @@ class team_scope {
   radio::intra_trial_policy saved_;
 };
 
-TEST(GoldenPins, EveryProtocolReproducesItsRecordedResults) {
-  std::map<std::string, pin> want;
-  for (const pin& p : kPins) want.emplace(p.name, p);
-
+/// The two fixed graphs every table pins.
+graph::graph fixed_layered() {
   graph::layered_options lo;
   lo.depth = 9;
   lo.width = 7;
   lo.edge_prob = 0.35;
   lo.intra_prob = 0.15;
   lo.seed = 5;
-  const auto layered = graph::random_layered(lo);
-  const auto gnp = graph::random_gnp_connected(48, 0.09, 13);
+  return graph::random_layered(lo);
+}
+
+graph::graph fixed_gnp() { return graph::random_gnp_connected(48, 0.09, 13); }
+
+TEST(GoldenPins, EveryProtocolReproducesItsRecordedResults) {
+  std::map<std::string, pin> want;
+  for (const pin& p : kPins) want.emplace(p.name, p);
+
+  const auto layered = fixed_layered();
+  const auto gnp = fixed_gnp();
 
   std::vector<pin_case> cases;
   add_cases(cases, "layered", layered);
@@ -359,6 +371,43 @@ construction_pin observed(const core::recruiting_run_result& r) {
           static_cast<std::int64_t>(r.recruited), r.properties_ok ? 1 : 0, 0};
 }
 
+using construction_case =
+    std::pair<std::string, std::function<construction_pin(bool fast_forward)>>;
+
+/// Runs every case at teams 1 and 2 with fast-forward off and on; all four
+/// runs must hit the case's pin in `table`.
+template <std::size_t N>
+void expect_pins(const construction_pin (&table)[N],
+                 const std::vector<construction_case>& cases) {
+  std::map<std::string, construction_pin> want;
+  for (const construction_pin& p : table) want.emplace(p.name, p);
+  std::set<std::string> seen;
+  for (const auto& [name, run] : cases) {
+    SCOPED_TRACE(name);
+    seen.insert(name);
+    const auto it = want.find(name);
+    for (const unsigned team : {1u, 2u})
+      for (const bool ff : {false, true}) {
+        const team_scope scope(team);
+        const construction_pin got = run(ff);
+        if (it == want.end()) {
+          ADD_FAILURE() << "no pin; observed " << row(name, got);
+          continue;
+        }
+        const construction_pin& p = it->second;
+        const bool same = got.rounds == p.rounds &&
+                          got.transmissions == p.transmissions &&
+                          got.count_a == p.count_a &&
+                          got.count_b == p.count_b &&
+                          got.output_fnv == p.output_fnv;
+        EXPECT_TRUE(same) << "team " << team << " fast_forward " << ff
+                          << ": observed " << row(name, got);
+      }
+  }
+  for (const construction_pin& p : table)
+    EXPECT_TRUE(seen.count(p.name)) << "pin without a case: " << p.name;
+}
+
 /// A bipartite instance: reds 0..half-1, blues half..2*half-1, each red-blue
 /// edge present with probability p (the instances of test_fast_forward).
 graph::graph bipartite(std::size_t half, double p, std::uint64_t seed) {
@@ -371,17 +420,8 @@ graph::graph bipartite(std::size_t half, double p, std::uint64_t seed) {
 }
 
 TEST(GoldenPins, ConstructionReproducesItsRecordedResults) {
-  std::map<std::string, construction_pin> want;
-  for (const construction_pin& p : kConstructionPins) want.emplace(p.name, p);
-
-  graph::layered_options lo;
-  lo.depth = 9;
-  lo.width = 7;
-  lo.edge_prob = 0.35;
-  lo.intra_prob = 0.15;
-  lo.seed = 5;
-  const auto layered = graph::random_layered(lo);
-  const auto gnp = graph::random_gnp_connected(48, 0.09, 13);
+  const auto layered = fixed_layered();
+  const auto gnp = fixed_gnp();
   const auto assign_g = bipartite(12, 0.3, 77);
   const auto recruit_g = bipartite(10, 0.25, 3);
 
@@ -395,8 +435,7 @@ TEST(GoldenPins, ConstructionReproducesItsRecordedResults) {
     recruit_blues.push_back(10 + v);
   }
 
-  using run_fn = std::function<construction_pin(bool fast_forward)>;
-  std::vector<std::pair<std::string, run_fn>> cases;
+  std::vector<construction_case> cases;
   for (const auto& [prefix, g] :
        {std::pair<std::string, const graph::graph*>{"layered", &layered},
         {"gnp", &gnp}})
@@ -421,31 +460,65 @@ TEST(GoldenPins, ConstructionReproducesItsRecordedResults) {
                                          recruit_blues, 4, 24, 4, 9, ff));
   });
 
-  std::set<std::string> seen;
-  for (const auto& [name, run] : cases) {
-    SCOPED_TRACE(name);
-    seen.insert(name);
-    const auto it = want.find(name);
-    for (const unsigned team : {1u, 2u})
-      for (const bool ff : {false, true}) {
-        const team_scope scope(team);
-        const construction_pin got = run(ff);
-        if (it == want.end()) {
-          ADD_FAILURE() << "no pin; observed " << row(name, got);
-          continue;
-        }
-        const construction_pin& p = it->second;
-        const bool same = got.rounds == p.rounds &&
-                          got.transmissions == p.transmissions &&
-                          got.count_a == p.count_a &&
-                          got.count_b == p.count_b &&
-                          got.output_fnv == p.output_fnv;
-        EXPECT_TRUE(same) << "team " << team << " fast_forward " << ff
-                          << ": observed " << row(name, got);
-      }
+  expect_pins(kConstructionPins, cases);
+}
+
+/// The setup phases beside the construction, each on its own network, in
+/// the same columns: the Lemma 3.10 labeling of the pipelined construction's
+/// forest (unlabeled members in count_a, FNV-1a over the labels), the two
+/// layerings (FNV-1a over the levels) and the beep-wave estimate (the
+/// estimate in count_a; it reports no transmissions). The labels equal the
+/// true virtual distances w.h.p. and the labeling's round count is fixed by
+/// its schedule, so only this table can see a labeling coin that moved.
+constexpr construction_pin kSetupPins[] = {
+    {"gnp/beep-waves", 38, 0, 8, 0, 0x0ULL},
+    {"gnp/collision-wave", 7, 186, 0, 0, 0x42c7b9d8cc98fdf7ULL},
+    {"gnp/decay-epochs", 210, 1053, 0, 0, 0x42c7b9d8cc98fdf7ULL},
+    {"gnp/labeling", 1148, 570, 0, 0, 0x99e48de2c49325d7ULL},
+    {"layered/beep-waves", 72, 0, 16, 0, 0x0ULL},
+    {"layered/collision-wave", 11, 389, 0, 0, 0xd1329f6214ec7ee4ULL},
+    {"layered/decay-epochs", 378, 3080, 0, 0, 0xd1329f6214ec7ee4ULL},
+    {"layered/labeling", 1344, 774, 0, 0, 0xbd45a485fba35126ULL},
+};
+
+TEST(GoldenPins, SetupPhasesReproduceTheirRecordedResults) {
+  const auto layered = fixed_layered();
+  const auto gnp = fixed_gnp();
+
+  std::vector<construction_case> cases;
+  for (const auto& [prefix, g] :
+       {std::pair<std::string, const graph::graph*>{"layered", &layered},
+        {"gnp", &gnp}}) {
+    core::options o = opts(19, true);
+    o.prm = core::params::fast();
+    const auto built = core::build_gst_distributed_single(*g, 0, o, true);
+    const level_t ecc = graph::bfs(*g, 0).max_level;
+    cases.emplace_back(prefix + "/labeling", [g, built](bool ff) {
+      const auto lab = core::run_vdist_labeling(
+          *g, built.forests[0], built.parent_rank, built.stretch_child, 0,
+          core::params::fast(), 20, ff);
+      return construction_pin{nullptr, lab.rounds, lab.transmissions,
+                              static_cast<std::int64_t>(lab.unlabeled), 0,
+                              fnv1a(lab.vdist)};
+    });
+    // Two rounds past the eccentricity: the wave keeps beeping at the edge.
+    cases.emplace_back(prefix + "/collision-wave", [g, ecc](bool) {
+      const auto lay = core::run_collision_wave_bfs(*g, 0, ecc + 2);
+      return construction_pin{nullptr, lay.rounds, lay.transmissions, 0, 0,
+                              fnv1a(lay.level)};
+    });
+    cases.emplace_back(prefix + "/decay-epochs", [g, ecc](bool) {
+      const auto lay = core::run_decay_epoch_bfs(*g, 0, ecc, 0,
+                                                 core::params::fast(), 21);
+      return construction_pin{nullptr, lay.rounds, lay.transmissions, 0, 0,
+                              fnv1a(lay.level)};
+    });
+    cases.emplace_back(prefix + "/beep-waves", [g](bool) {
+      const auto est = core::estimate_eccentricity_beep_waves(*g, 0);
+      return construction_pin{nullptr, est.rounds, 0, est.estimate, 0, 0};
+    });
   }
-  for (const construction_pin& p : kConstructionPins)
-    EXPECT_TRUE(seen.count(p.name)) << "pin without a case: " << p.name;
+  expect_pins(kSetupPins, cases);
 }
 
 }  // namespace
