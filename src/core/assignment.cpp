@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "core/runner.h"
+#include "core/trial_frame.h"
 
 namespace rn::core {
 
@@ -513,10 +513,10 @@ assignment_run_result run_assignment(const graph::graph& g,
   cfg.recruit_exp_step = recruit_exp_step;
   cfg.seed = seed;
   assignment_problem prob(std::move(cfg));
-  radio::network net(g, {.collision_detection = false});
-  drive(net, prob, fast_forward);
-  res.rounds = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
+  trial_frame frame(g, {.collision_detection = false}, fast_forward);
+  frame.drive(prob);
+  res.rounds = frame.stats().rounds;
+  res.transmissions = frame.stats().transmissions;
   for (node_id u : blues)
     if (!st.assigned[u]) res.all_assigned = false;
   res.fallback_finalizations = st.fallback_finalizations;

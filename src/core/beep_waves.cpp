@@ -3,6 +3,8 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/bfs_protocols.h"
+#include "core/trial_frame.h"
 #include "radio/network.h"
 
 namespace rn::core {
@@ -12,33 +14,18 @@ diameter_estimate estimate_eccentricity_beep_waves(const graph::graph& g,
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
 
-  radio::network net(g, {.collision_detection = true});
+  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
   radio::round_buffer txs;
+  std::vector<node_id> joined;
 
   diameter_estimate out;
   for (level_t t = 1;; t *= 2) {
-    // Outgoing wave: source beeps every round; a node joins the round after
-    // it first observes a message or collision, remembering its arrival time.
-    std::vector<level_t> arrival(n, no_level);
-    arrival[source] = 0;
-    std::vector<node_id> wave{source};
-    std::vector<node_id> joined;
-    for (level_t r = 1; r <= t; ++r) {
-      txs.clear();
-      for (node_id v : wave) txs.add_owned(v, radio::packet::make_beacon(v));
-      joined.clear();
-      net.step(txs, [&](const radio::reception& rx) {
-        if (arrival[rx.listener] == no_level) {
-          arrival[rx.listener] = r;
-          joined.push_back(rx.listener);
-        }
-      });
-      wave.insert(wave.end(), joined.begin(), joined.end());
-    }
+    // Outgoing wave: the collision wave for t rounds; a node's level is its
+    // arrival time.
+    const std::vector<level_t> arrival = collision_wave(frame, source, t);
 
     // One quiet separator round.
-    txs.clear();
-    net.step(txs, [](const radio::reception&) {});
+    frame.advance(1);
 
     // Echo window: frontier nodes (arrival exactly t) flood back for t+1
     // rounds; everyone that hears anything joins the echo.
@@ -55,7 +42,7 @@ diameter_estimate estimate_eccentricity_beep_waves(const graph::graph& g,
       txs.clear();
       for (node_id v : echo_set) txs.add_owned(v, radio::packet::make_beacon(v));
       joined.clear();
-      net.step(txs, [&](const radio::reception& rx) {
+      frame.commit(txs, [&](const radio::reception& rx) {
         if (rx.listener == source) source_heard = true;
         if (!echoing[rx.listener]) {
           echoing[rx.listener] = 1;
@@ -69,7 +56,7 @@ diameter_estimate estimate_eccentricity_beep_waves(const graph::graph& g,
       // No node sits at distance exactly t, so ecc(source) < t; with the
       // previous (failed) estimate t/2 <= ecc this is a 2-approximation.
       out.estimate = t;
-      out.rounds = net.stats().rounds;
+      out.rounds = frame.stats().rounds;
       return out;
     }
     RN_REQUIRE(t < static_cast<level_t>(4 * n + 4),

@@ -8,36 +8,40 @@
 
 namespace rn::core {
 
-layering_result run_collision_wave_bfs(const graph::graph& g, node_id source,
-                                       level_t d_hat) {
-  const std::size_t n = g.node_count();
-  RN_REQUIRE(source < n, "source out of range");
-  RN_REQUIRE(d_hat >= 0, "d_hat must be non-negative");
-
-  radio::network net(g, {.collision_detection = true});
-  layering_result out;
-  out.level.assign(n, no_level);
-  out.level[source] = 0;
-
+std::vector<level_t> collision_wave(trial_frame& f, node_id source,
+                                    level_t rounds) {
+  std::vector<level_t> level(f.node_count(), no_level);
+  level[source] = 0;
   std::vector<node_id> wave{source};  // nodes transmitting from now on
   std::vector<node_id> joined;
   radio::round_buffer txs;
-  for (level_t r = 1; r <= d_hat; ++r) {
+  for (level_t r = 1; r <= rounds; ++r) {
     txs.clear();
     for (node_id v : wave)
       txs.add_owned(v, radio::packet::make_beacon(v));
     joined.clear();
-    net.step(txs, [&](const radio::reception& rx) {
+    f.commit(txs, [&](const radio::reception& rx) {
       // Message or collision both mean "the wave arrived".
-      if (out.level[rx.listener] == no_level) {
-        out.level[rx.listener] = r;
+      if (level[rx.listener] == no_level) {
+        level[rx.listener] = r;
         joined.push_back(rx.listener);
       }
     });
     wave.insert(wave.end(), joined.begin(), joined.end());
   }
-  out.rounds = net.stats().rounds;
-  out.transmissions = net.stats().transmissions;
+  return level;
+}
+
+layering_result run_collision_wave_bfs(const graph::graph& g, node_id source,
+                                       level_t d_hat) {
+  RN_REQUIRE(source < g.node_count(), "source out of range");
+  RN_REQUIRE(d_hat >= 0, "d_hat must be non-negative");
+
+  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
+  layering_result out;
+  out.level = collision_wave(frame, source, d_hat);
+  out.rounds = frame.stats().rounds;
+  out.transmissions = frame.stats().transmissions;
   return out;
 }
 
@@ -50,7 +54,7 @@ layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
   const int L = log_range(nh);
   const int phases = prm.decay_phases(nh);
 
-  radio::network net(g, {.collision_detection = false});
+  trial_frame frame(g, {.collision_detection = false}, /*fast_forward=*/false);
   layering_result out;
   out.level.assign(n, no_level);
   out.level[source] = 0;
@@ -69,7 +73,7 @@ layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
           if (node_rng[v].with_probability_pow2(e))
             txs.add_owned(v, radio::packet::make_beacon(v));
         }
-        net.step(txs, [&](const radio::reception& rx) {
+        frame.commit(txs, [&](const radio::reception& rx) {
           if (rx.what == radio::observation::message &&
               out.level[rx.listener] == no_level) {
             out.level[rx.listener] = epoch;
@@ -81,8 +85,8 @@ layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
     // Nodes first informed during this epoch relay from the next epoch on.
     informed.insert(informed.end(), fresh.begin(), fresh.end());
   }
-  out.rounds = net.stats().rounds;
-  out.transmissions = net.stats().transmissions;
+  out.rounds = frame.stats().rounds;
+  out.transmissions = frame.stats().transmissions;
   return out;
 }
 

@@ -7,6 +7,8 @@
 //  * Decay epochs (paper section 2.2.2; no CD): D_hat epochs of
 //    Theta(log n) Decay phases; a node's level is the epoch of its first
 //    reception. O(D log^2 n) rounds.
+//
+// Neither has a fast-forward input: both step every round on a naive frame.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +20,22 @@
 
 namespace rn::core {
 
+class trial_frame;
+
 struct layering_result {
   std::vector<level_t> level;  ///< no_level if never reached
   round_t rounds = 0;
   std::int64_t transmissions = 0;
 };
+
+/// Runs `rounds` rounds of the collision wave from `source` on `f`, which
+/// must use the CD model: the source transmits in every round, and a node
+/// that first observes a message or a collision in round r gets level r and
+/// transmits from round r + 1 on. Returns the levels (no_level where the
+/// wave did not arrive).
+[[nodiscard]] std::vector<level_t> collision_wave(trial_frame& f,
+                                                  node_id source,
+                                                  level_t rounds);
 
 /// Collision-wave layering; requires the CD model. `d_hat` must be >= the
 /// eccentricity of the source (constant-factor upper bounds only cost rounds).

@@ -154,7 +154,7 @@ distributed_gst_outcome build_gst_distributed(
               return a.slot < b.slot;
             });
 
-  radio::network net(g, {.collision_detection = false});
+  trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   std::vector<active_problem> active;  // the current slot's problems
   std::size_t next_problem = 0;
   std::uint64_t problem_counter = 0;
@@ -188,7 +188,7 @@ distributed_gst_outcome build_gst_distributed(
     }
 
     slot_problems inst{active, st, slot_len, pipelined};
-    drive(net, inst, opt.fast_forward);
+    frame.drive(inst);
   }
 
   // Roots that never got children are leaves.
@@ -201,8 +201,8 @@ distributed_gst_outcome build_gst_distributed(
     if (st.ring_of[v] >= 0 && st.rank[v] == no_rank) st.rank[v] = 1;
 
   distributed_gst_outcome out;
-  out.rounds = net.stats().rounds;
-  out.transmissions = net.stats().transmissions;
+  out.rounds = frame.stats().rounds;
+  out.transmissions = frame.stats().transmissions;
   out.fallback_finalizations = st.fallback_finalizations;
   out.fallback_adoptions = st.fallback_adoptions;
   out.parent_rank = st.parent_rank;

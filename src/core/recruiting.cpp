@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "core/runner.h"
+#include "core/trial_frame.h"
 
 namespace rn::core {
 
@@ -320,10 +320,10 @@ recruiting_run_result run_recruiting(const graph::graph& g,
   recruiting_instance inst(std::move(cfg));
 
   recruiting_run_result res;
-  radio::network net(g, {.collision_detection = false});
-  drive(net, inst, fast_forward);
-  res.rounds = net.stats().rounds;
-  res.transmissions = net.stats().transmissions;
+  trial_frame frame(g, {.collision_detection = false}, fast_forward);
+  frame.drive(inst);
+  res.rounds = frame.stats().rounds;
+  res.transmissions = frame.stats().transmissions;
   res.blues = blues.size();
   // Count recruits and cross-check properties (b)/(c).
   std::vector<std::size_t> child_count(g.node_count(), 0);

@@ -20,12 +20,11 @@ std::vector<rng> node_coins(std::size_t n, std::uint64_t seed) {
 
 trial_frame::trial_frame(const graph::graph& g, radio::model m,
                          bool fast_forward)
-    : net_(g, m), sink_(net_, fast_forward), tracker_(g.node_count()) {}
+    : net_(g, m), ff_(fast_forward), tracker_(g.node_count()) {}
 
 radio::broadcast_result trial_frame::finish(round_t setup_rounds) {
   start();
-  sink_.flush();
-  const radio::network_stats& s = net_.stats();
+  const radio::network_stats& s = stats();
   radio::broadcast_result res;
   res.completed = tracker_.all_done();
   res.rounds_to_complete = tracker_.first_complete_round() < 0

@@ -1,17 +1,29 @@
-// One trial frame for every broadcast runner.
+// One trial frame for every protocol round.
 //
-// Every algorithm the library compares — the Theorem 1.1/1.3 pipelines, the
-// known-topology GST schedule and the Decay baselines — runs the same
-// synchronous radio round (paper section 1.1): plan a transmit list, resolve
-// it on the channel, apply the receptions, and measure completion out of
-// band [DEV-8]. `trial_frame` builds that scaffold in one place: the
-// `radio::network`, the fast-forward `round_sink` in front of it, the
-// `completion_tracker` and the one `broadcast_result`. A runner brings only
-// its planning loop and its receive rule.
+// Every algorithm the library runs — the Theorem 1.1/1.3 pipelines with
+// their setup phases (the layerings, the Theorem 2.1 construction and its two
+// primitives, the Lemma 3.10 labeling), the known-topology GST schedule and
+// the Decay baselines — runs the same synchronous radio round (paper section
+// 1.1): plan a transmit list, resolve it on the channel, apply the
+// receptions, and measure completion out of band [DEV-8]. `trial_frame` is
+// the only code that steps a `radio::network`: it owns the network, the
+// `completion_tracker` and the fast-forward deferral in front of the
+// network, and builds the one `broadcast_result`. A runner brings only its
+// planning loop and its receive rule.
+//
+// In fast-forward mode a planned-but-empty round (no transmitter scheduled)
+// is deferred, and the deferred rounds are applied as one O(1)
+// `network::advance` the moment a busy round, a stats read or the result
+// needs the round counter to be current. In naive mode every round is
+// stepped; both modes produce bit-identical results (see
+// tests/test_fast_forward.cpp), which is what makes the naive path a
+// cross-check oracle for the fast one. A runner with no fast-forward input
+// (the two layerings, the beep waves) builds its frame naive.
 //
 // Completion is recorded before the first round and after every stepped
 // round. Only a stepped round can change it, so the recorded round is the
-// same whether fast-forward defers the empty rounds or steps them.
+// same whether fast-forward defers the empty rounds or steps them. A phase
+// that tracks no completion never marks the tracker.
 //
 // Beside the frame live the inputs every runner resolves the same way: the
 // single-message informed set, the per-node coins, n̂ and d̂, and the coded
@@ -24,9 +36,9 @@
 #include <vector>
 
 #include "coding/rlnc.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "core/runner.h"
 #include "graph/graph.h"
 #include "radio/network.h"
 #include "radio/result.h"
@@ -53,25 +65,75 @@ class trial_frame {
 
   trial_frame(const trial_frame&) = delete;
   trial_frame& operator=(const trial_frame&) = delete;
+  // Applies the deferred rounds before the network goes, so its engine
+  // totals count them; results are read through stats() or finish().
+  ~trial_frame() { flush(); }
 
-  [[nodiscard]] radio::network& net() { return net_; }
+  [[nodiscard]] std::size_t node_count() const { return net_.node_count(); }
   [[nodiscard]] radio::completion_tracker& tracker() { return tracker_; }
 
-  /// Commits one planned round (round_sink::commit) and records completion
-  /// if it was stepped. Returns true iff it was stepped.
+  /// Commits one planned round. In fast-forward mode an empty round is
+  /// deferred (it cannot deliver anything); otherwise any deferral is
+  /// applied, the round is stepped and completion is recorded. `force`
+  /// steps even an empty round — used when the caller inspects state that
+  /// naive stepping would only reach after executing the round (e.g. a
+  /// stop-when-complete check). Returns true iff the round was stepped.
+  /// `on_rx` is statically dispatched (any callable).
   template <class OnRx>
   bool commit(const radio::round_buffer& txs, OnRx&& on_rx,
               bool force = false) {
     start();
-    if (!sink_.commit(txs, std::forward<OnRx>(on_rx), force)) return false;
+    if (ff_ && !force && txs.empty()) {
+      ++pending_;
+      return false;
+    }
+    flush();
+    net_.step(txs, std::forward<OnRx>(on_rx));
     tracker_.observe_round(net_.stats().rounds);
     return true;
   }
 
-  /// Commits `k` rounds the caller has proven idle (round_sink::advance).
+  /// Commits `k` rounds the caller has proven idle (no transmitter can be
+  /// scheduled in them): deferred in fast-forward mode, stepped empty in
+  /// naive mode — what committing k empty rounds does, in O(1) when fast.
   void advance(round_t k) {
+    RN_REQUIRE(k >= 0, "cannot advance by a negative round count");
     start();
-    sink_.advance(k);
+    if (ff_) {
+      pending_ += k;
+      return;
+    }
+    const radio::round_buffer none;
+    for (round_t i = 0; i < k; ++i)
+      net_.step(none, [](const radio::reception&) {});
+  }
+
+  /// Runs a plan/on_reception/end_round protocol instance until it
+  /// finishes. In fast-forward mode each quiet window the instance proves
+  /// (`quiet_rounds`/`skip_rounds`) is committed as one advance.
+  template <class Instance>
+  void drive(Instance& inst) {
+    radio::round_buffer txs;
+    while (!inst.finished()) {
+      if (ff_) {
+        const round_t q = inst.quiet_rounds();
+        if (q > 0) {
+          advance(q);
+          inst.skip_rounds(q);
+          continue;
+        }
+      }
+      txs.clear();
+      inst.plan(txs);
+      commit(txs, [&](const radio::reception& rx) { inst.on_reception(rx); });
+      inst.end_round();
+    }
+  }
+
+  /// The network's statistics, with the deferred rounds applied.
+  [[nodiscard]] const radio::network_stats& stats() {
+    flush();
+    return net_.stats();
   }
 
   /// Applies the deferred rounds and builds the trial's result.
@@ -86,8 +148,16 @@ class trial_frame {
     tracker_.observe_round(0);  // complete before the first round
   }
 
+  void flush() {
+    if (pending_ > 0) {
+      net_.advance(pending_);
+      pending_ = 0;
+    }
+  }
+
   radio::network net_;
-  round_sink sink_;
+  bool ff_;
+  round_t pending_ = 0;
   radio::completion_tracker tracker_;
   bool started_ = false;
 };
@@ -97,7 +167,7 @@ class trial_frame {
 class informed_set {
  public:
   explicit informed_set(trial_frame& f)
-      : has_(f.net().node_count(), 0), tracker_(&f.tracker()) {}
+      : has_(f.node_count(), 0), tracker_(&f.tracker()) {}
 
   [[nodiscard]] bool operator[](node_id v) const { return has_[v] != 0; }
 

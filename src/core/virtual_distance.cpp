@@ -3,7 +3,6 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
-#include "core/runner.h"
 #include "core/trial_frame.h"
 #include "radio/network.h"
 
@@ -54,8 +53,7 @@ vdist_labeling_result run_vdist_labeling(
         .push_back(v);
   }
 
-  radio::network net(g, {.collision_detection = false});
-  round_sink sink(net, fast_forward);
+  trial_frame frame(g, {.collision_detection = false}, fast_forward);
   std::vector<rng> node_rng = node_coins(n, seed);
 
   radio::round_buffer txs;
@@ -76,7 +74,7 @@ vdist_labeling_result run_vdist_labeling(
   std::vector<node_id> at_d;
   for (level_t d = 0; d <= max_d; ++d) {
     if (fast_forward && at_distance[static_cast<std::size_t>(d)] == 0) {
-      sink.advance(static_cast<round_t>(max_d - d + 1) *
+      frame.advance(static_cast<round_t>(max_d - d + 1) *
                    (stage1_rounds + stage2_rounds));
       break;
     }
@@ -93,8 +91,8 @@ vdist_labeling_result run_vdist_labeling(
                                   : (out.vdist[v] == d + 1);
             if (fire) txs.add_owned(v, radio::packet::make_beacon(v));
           }
-          sink.commit(txs,
-                      [&](const radio::reception& rx) { rx_stretch(rx, d); });
+          frame.commit(txs,
+                       [&](const radio::reception& rx) { rx_stretch(rx, d); });
         }
       }
     }
@@ -111,7 +109,7 @@ vdist_labeling_result run_vdist_labeling(
           if (node_rng[v].with_probability_pow2(e))
             txs.add_owned(v, radio::packet::make_beacon(v));
         }
-        sink.commit(txs, [&](const radio::reception& rx) {
+        frame.commit(txs, [&](const radio::reception& rx) {
           const node_id u = rx.listener;
           if (rx.what == radio::observation::message && t.member[u] &&
               out.vdist[u] == no_level) {
@@ -122,12 +120,11 @@ vdist_labeling_result run_vdist_labeling(
       }
     }
   }
-  sink.flush();
 
   for (node_id v = 0; v < n; ++v)
     if (t.member[v] && out.vdist[v] == no_level) ++out.unlabeled;
-  out.rounds = net.stats().rounds;
-  out.transmissions = net.stats().transmissions;
+  out.rounds = frame.stats().rounds;
+  out.transmissions = frame.stats().transmissions;
   return out;
 }
 
