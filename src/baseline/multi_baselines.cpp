@@ -27,9 +27,7 @@ radio::broadcast_result run_sequential_decay_multi(
       64 * (static_cast<round_t>(n) * L + sq(L));
   const round_t max_rounds = per_message_cap * static_cast<round_t>(k);
 
-  // Every round is stepped: the baseline plans no idle rounds to skip.
-  core::trial_frame frame(g, {.collision_detection = false},
-                          /*fast_forward=*/false);
+  core::trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   radio::completion_tracker& tracker = frame.tracker();
   // has[v] counts fully received messages; each message is broadcast in order.
   std::vector<std::size_t> has(n, 0);
@@ -86,8 +84,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
   const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
   const round_t max_rounds = 64 * static_cast<round_t>(k + n) * L * L;
 
-  core::trial_frame frame(g, {.collision_detection = false},
-                          /*fast_forward=*/false);
+  core::trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   radio::completion_tracker& tracker = frame.tracker();
   // holds[v] = bitmap of received messages (k is small in benches).
   std::vector<std::vector<char>> holds(n, std::vector<char>(k, 0));

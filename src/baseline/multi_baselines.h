@@ -17,8 +17,9 @@
 
 namespace rn::baseline {
 
-// Both broadcast `k` messages from `source` and read `opt.n_hat` (0 = use n)
-// and `opt.seed`. They step every round: there are no idle rounds to skip.
+// Both broadcast `k` messages from `source` and read `opt.n_hat` (0 = use n),
+// `opt.seed` and `opt.fast_forward` (defer transmitter-free rounds,
+// bit-identical).
 
 /// Sequential single-message Decay broadcasts.
 [[nodiscard]] radio::broadcast_result run_sequential_decay_multi(

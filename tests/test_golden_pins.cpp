@@ -186,12 +186,11 @@ void add_cases(std::vector<pin_case>& out, const std::string& prefix,
               g, 0, graph::bfs(g, 0).level, opts(16, ff), mmv,
               baseline::draw_mode::per_round);
         });
-  // The uncoded multi-message baselines step every round (no fast-forward).
-  add("seq-decay/k=3", [&g](bool) {
-    return baseline::run_sequential_decay_multi(g, 0, 3, opts(17, false));
+  add("seq-decay/k=3", [&g](bool ff) {
+    return baseline::run_sequential_decay_multi(g, 0, 3, opts(17, ff));
   });
-  add("routing/k=3", [&g](bool) {
-    return baseline::run_routing_multi(g, 0, 3, opts(18, false));
+  add("routing/k=3", [&g](bool ff) {
+    return baseline::run_routing_multi(g, 0, 3, opts(18, ff));
   });
   add("gst-unknown-cd", [&g](bool ff) {
     core::options o = opts(10, ff);
