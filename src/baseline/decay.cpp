@@ -149,10 +149,9 @@ round_t sample_next_tx(const Sched& s, std::uint64_t seed, node_id v,
 }
 
 /// What both engines run beside the options (coin seed, fast-forward): the
-/// round budget and the modes.
+/// round budget and the noise mode.
 struct decay_config {
   round_t max_rounds = 0;
-  bool exact = false;      ///< run every budgeted round, past completion
   bool mmv_noise = false;  ///< prompted-but-uninformed nodes jam with noise
 };
 
@@ -272,7 +271,7 @@ radio::broadcast_result run_batched_decay(const graph::graph& g,
 
   round_t now = 0;
   while (now < cfg.max_rounds) {
-    if (!cfg.exact && frame.tracker().all_done()) break;
+    if (frame.tracker().all_done()) break;
     // Idle stretch up to the next calendar entry. Nothing can be delivered
     // (and completion cannot change) in it, so skipping vs stepping the
     // empty rounds is bit-identical.
@@ -346,7 +345,7 @@ radio::broadcast_result run_per_round_decay(const graph::graph& g,
     if (informed.receive(rx)) join(rx.listener);
   };
   for (round_t t = 0; t < cfg.max_rounds; ++t) {
-    if (!cfg.exact && frame.tracker().all_done()) break;
+    if (frame.tracker().all_done()) break;
     txs.clear();
     for (node_id v : drawers) {
       const int e = sched.exponent(v, t);
@@ -368,15 +367,12 @@ constexpr auto never = [](node_id) { return false; };
 
 radio::broadcast_result run_decay_broadcast(
     const graph::graph& g, node_id source, const core::options& opt,
-    draw_mode draws, round_t exact_rounds) {
+    draw_mode draws) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   const int L = log_range(core::resolve_n_hat(opt.n_hat, n)) + 1;
-  const decay_config cfg{
-      .max_rounds = exact_rounds > 0
-                        ? exact_rounds
-                        : 64 * (static_cast<round_t>(n) * L + sq(L)),
-      .exact = exact_rounds > 0};
+  const decay_config cfg{.max_rounds =
+                             64 * (static_cast<round_t>(n) * L + sq(L))};
   const classic_schedule sched{L};
   if (draws == draw_mode::batched)
     return run_batched_decay(g, source, sched, always, never, opt, cfg);

@@ -50,12 +50,11 @@ enum class draw_mode : std::uint8_t {
 // Every variant reads `opt.n_hat` (0 = use n), `opt.seed` and
 // `opt.fast_forward` (skip transmitter-free rounds, bit-identical).
 
-/// Classic BGI Decay single-message broadcast from `source`. `exact_rounds`
-/// > 0 runs exactly that many rounds, past completion; 0 stops at
+/// Classic BGI Decay single-message broadcast from `source`. It stops at
 /// completion within a generous budget from n_hat and the graph.
 [[nodiscard]] radio::broadcast_result run_decay_broadcast(
     const graph::graph& g, node_id source, const core::options& opt,
-    draw_mode draws = draw_mode::batched, round_t exact_rounds = 0);
+    draw_mode draws = draw_mode::batched);
 
 /// Lemma 3.2 leveled Decay. `levels` must hold the BFS level of every node
 /// (obtained e.g. from the collision-wave layering). `mmv_noise`:

@@ -23,14 +23,11 @@ radio::broadcast_result run_known_single_broadcast(
 radio::broadcast_result run_gst_single_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
     const std::vector<node_id>& informed_init, const options& opt,
-    bool mmv_noise, bool classic_levels, round_t exact_rounds) {
+    bool mmv_noise, bool classic_levels) {
   const std::size_t n = g.node_count();
   gst_schedule sched(t, d, resolve_n_hat(opt.n_hat, n), !classic_levels);
-  const bool stop_when_complete = exact_rounds == 0;
   const round_t max_rounds =
-      stop_when_complete ? relay_budget(t.max_level(), sched.log_n(),
-                                        opt.prm.schedule_slack)
-                         : exact_rounds;
+      relay_budget(t.max_level(), sched.log_n(), opt.prm.schedule_slack);
 
   trial_frame frame(g, {.collision_detection = false}, opt.fast_forward);
   informed_set informed(frame);
@@ -70,11 +67,10 @@ radio::broadcast_result run_gst_single_broadcast(
   for (; r < max_rounds; ++r) {
     // Naive stepping executes one more (possibly empty) round after the run
     // completes before noticing; force-step it so both modes agree.
-    const bool completing = stop_when_complete && frame.tracker().all_done();
+    const bool completing = frame.tracker().all_done();
     txs.clear();
     idx.plan(r, node_rng, draws, emit);
-    if (frame.commit(txs, on_rx, completing) && stop_when_complete &&
-        frame.tracker().all_done())
+    if (frame.commit(txs, on_rx, completing) && frame.tracker().all_done())
       break;
   }
   return frame.finish();

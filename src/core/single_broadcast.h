@@ -40,16 +40,14 @@ namespace rn::core {
 
 /// Single-message broadcast over one GST forest. `informed` lists the nodes
 /// that initially hold the message (the source, or a ring's inner boundary).
-/// Only forest members are simulated and tracked. The ablation seams:
-/// `mmv_noise` makes prompted nodes without data jam (Definition 3.1),
-/// `classic_levels` keys slow rounds by level (E5), and `exact_rounds` > 0
-/// runs exactly that many rounds instead of stopping at completion within
-/// the slack budget.
+/// Only forest members are simulated and tracked; the run stops at
+/// completion within the slack budget. The ablation seams: `mmv_noise` makes
+/// prompted nodes without data jam (Definition 3.1), and `classic_levels`
+/// keys slow rounds by level (E5).
 [[nodiscard]] radio::broadcast_result run_gst_single_broadcast(
     const graph::graph& g, const gst& t, const gst_derived& d,
     const std::vector<node_id>& informed, const options& opt,
-    bool mmv_noise = false, bool classic_levels = false,
-    round_t exact_rounds = 0);
+    bool mmv_noise = false, bool classic_levels = false);
 
 /// Everything Theorems 1.1/1.3 need before data flows: layering, rings,
 /// per-ring GSTs with local stretch knowledge, virtual distances.

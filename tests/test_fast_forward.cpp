@@ -346,21 +346,6 @@ TEST(FastForward, EveryProtocolCompletesBeforeRoundOneOnASingleNode) {
   }
 }
 
-// Asked for exactly N rounds, the run must execute all of them in both
-// modes, and the fast path must not disturb post-completion rounds.
-TEST(FastForward, DecayFullBudgetBitIdentical) {
-  const auto g = layered(4, 4, 5);
-  core::options opt;
-  opt.seed = 19;
-  opt.fast_forward = false;
-  const auto batched = baseline::draw_mode::batched;
-  const auto naive = baseline::run_decay_broadcast(g, 0, opt, batched, 400);
-  opt.fast_forward = true;
-  const auto ff = baseline::run_decay_broadcast(g, 0, opt, batched, 400);
-  expect_same_result(naive, ff);
-  EXPECT_EQ(naive.rounds_executed, 400);
-}
-
 TEST(FastForward, AdvanceCountsRoundsAndNothingElse) {
   const auto g = layered(2, 2, 8);
   radio::network net(g, {.collision_detection = true});

@@ -132,17 +132,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GstBroadcastTest,
                                             ::testing::Values(1, 2, 3, 4),
                                             ::testing::Bool()));
 
-TEST(GstBroadcast, RespectsExplicitBudget) {
-  const auto g = graph::path(10);
-  const auto t = build_gst_centralized(g, 0);
-  const auto d = derive(g, t);
-  const auto res = run_gst_single_broadcast(g, t, d, {0}, options{},
-                                            /*mmv_noise=*/false,
-                                            /*classic_levels=*/false,
-                                            /*exact_rounds=*/7);
-  EXPECT_EQ(res.rounds_executed, 7);
-}
-
 TEST(GstBroadcast, MultiRootInformedSet) {
   // Both endpoints of a path start informed; middle gets it fast.
   const auto g = graph::path(11);
