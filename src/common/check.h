@@ -2,7 +2,10 @@
 //
 // RN_REQUIRE is always on: it guards public API contracts and protocol
 // invariants whose violation indicates a bug, and throws rn::contract_error so
-// tests can assert on misuse. RN_ASSERT compiles out in NDEBUG builds and is
+// tests can assert on misuse. RN_CHECK_INPUT rejects input from outside the
+// program (a topology spec, an options string, a fault plan) with an
+// rn::input_error whose text is the message alone, since it is shown to the
+// user who wrote the input. RN_ASSERT compiles out in NDEBUG builds and is
 // used on hot paths.
 #pragma once
 
@@ -16,6 +19,13 @@ namespace rn {
 class contract_error : public std::logic_error {
  public:
   explicit contract_error(const std::string& what) : std::logic_error(what) {}
+};
+
+/// Thrown when input from outside the program is rejected (RN_CHECK_INPUT).
+/// Its text names the input and is free of source locations.
+class input_error : public contract_error {
+ public:
+  explicit input_error(const std::string& what) : contract_error(what) {}
 };
 
 namespace detail {
@@ -36,6 +46,11 @@ namespace detail {
     if (!(expr))                                                           \
       ::rn::detail::contract_failure("RN_REQUIRE", #expr, __FILE__,        \
                                      __LINE__, (msg));                     \
+  } while (0)
+
+#define RN_CHECK_INPUT(expr, msg)                                          \
+  do {                                                                     \
+    if (!(expr)) throw ::rn::input_error(msg);                             \
   } while (0)
 
 #ifdef NDEBUG

@@ -91,46 +91,47 @@ std::string options::to_string() const {
 }
 
 options parse_options(std::string_view text) {
-  RN_REQUIRE(!text.empty(), "empty options string");
+  RN_CHECK_INPUT(!text.empty(), "empty options string");
   const std::size_t colon = text.find(':');
   const std::string_view tag = text.substr(0, colon);
-  RN_REQUIRE(tag == options::version,
-             "unknown options version '" + std::string(tag) + "' (this build"
-             " speaks " + std::string(options::version) + ")");
+  RN_CHECK_INPUT(tag == options::version,
+                 "unknown options version '" + std::string(tag) +
+                     "' (this build speaks " + std::string(options::version) +
+                     ")");
   options out;
   if (colon == std::string_view::npos) return out;
   std::string_view rest = text.substr(colon + 1);
-  RN_REQUIRE(!rest.empty(), "options string has a ':' but no keys: " +
-                                std::string(text));
+  RN_CHECK_INPUT(!rest.empty(), "options string has a ':' but no keys: " +
+                                    std::string(text));
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
     const std::string_view item = rest.substr(0, comma);
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     const std::size_t eq = item.find('=');
-    RN_REQUIRE(eq != std::string_view::npos && eq > 0,
-               "bad option (want key=value): " + std::string(item));
+    RN_CHECK_INPUT(eq != std::string_view::npos && eq > 0,
+                   "bad option (want key=value): " + std::string(item));
     const std::string_view key = item.substr(0, eq);
     const std::string value(item.substr(eq + 1));
     const field* found = nullptr;
     for (const field& f : kFields)
       if (f.key == key) found = &f;
-    RN_REQUIRE(found != nullptr,
-               "unknown option key '" + std::string(key) + "'");
+    RN_CHECK_INPUT(found != nullptr,
+                   "unknown option key '" + std::string(key) + "'");
     if (found->integral) {
       std::uint64_t v = 0;
-      RN_REQUIRE(parse_u64(value, v) && v <= found->max,
-                 "bad integer value for option '" + std::string(key) +
-                     "': " + value);
+      RN_CHECK_INPUT(parse_u64(value, v) && v <= found->max,
+                     "bad integer value for option '" + std::string(key) +
+                         "': " + value);
       found->set(out, static_cast<double>(v), v);
     } else {
       char* end = nullptr;
       const double v = std::strtod(value.c_str(), &end);
       // NaN fails both bounds, so an in-range value is finite.
-      RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
-                     v >= 0.0 && v <= static_cast<double>(found->max),
-                 "bad numeric value for option '" + std::string(key) +
-                     "': " + value);
+      RN_CHECK_INPUT(end != nullptr && *end == '\0' && !value.empty() &&
+                         v >= 0.0 && v <= static_cast<double>(found->max),
+                     "bad numeric value for option '" + std::string(key) +
+                         "': " + value);
       found->set(out, v, 0);
     }
   }

@@ -58,7 +58,7 @@ struct options {
 };
 
 /// Parses the canonical text form ("opt-v1" or "opt-v1:key=value,...");
-/// omitted keys keep their defaults. Throws contract_error on an unknown
+/// omitted keys keep their defaults. Throws input_error on an unknown
 /// version tag, unknown key, or malformed value, and on a value outside its
 /// key's range (a multiplier must be finite and in [0, 2^16]). Round-trip
 /// contract: parse_options(o.to_string()) == o up to the excluded execution

@@ -14,9 +14,9 @@ namespace {
 std::pair<std::string, std::string> split_kv(const std::string& field,
                                              const std::string& entry) {
   const auto eq = field.find('=');
-  RN_REQUIRE(eq != std::string::npos && eq > 0,
-             "fault plan entry '" + entry + "': field '" + field +
-                 "' is not key=value");
+  RN_CHECK_INPUT(eq != std::string::npos && eq > 0,
+                 "fault plan entry '" + entry + "': field '" + field +
+                     "' is not key=value");
   return {field.substr(0, eq), field.substr(eq + 1)};
 }
 
@@ -24,9 +24,10 @@ std::pair<std::string, std::string> split_kv(const std::string& field,
 /// most 2^32 - 1.
 std::uint32_t parse_u32(const std::string& value, const std::string& entry) {
   std::uint64_t v = 0;
-  RN_REQUIRE(parse_u64(value, v) &&
-                 v <= std::numeric_limits<std::uint32_t>::max(),
-             "fault plan entry '" + entry + "': bad number '" + value + "'");
+  RN_CHECK_INPUT(parse_u64(value, v) &&
+                     v <= std::numeric_limits<std::uint32_t>::max(),
+                 "fault plan entry '" + entry + "': bad number '" + value +
+                     "'");
   return static_cast<std::uint32_t>(v);
 }
 
@@ -43,10 +44,10 @@ fault_plan fault_plan::parse(const std::string& text) {
     if (entry.empty()) continue;
 
     const auto colon = entry.find(':');
-    RN_REQUIRE(colon != std::string::npos,
-               "fault plan entry '" + entry +
-                   "' needs kind:key=value,... (kinds: kill, drop, "
-                   "truncate, delay)");
+    RN_CHECK_INPUT(colon != std::string::npos,
+                   "fault plan entry '" + entry +
+                       "' needs kind:key=value,... (kinds: kill, drop, "
+                       "truncate, delay)");
     const std::string kind = entry.substr(0, colon);
     fault_spec spec;
     if (kind == "kill") {
@@ -58,8 +59,8 @@ fault_plan fault_plan::parse(const std::string& text) {
     } else if (kind == "delay") {
       spec.kind = fault_kind::delay;
     } else {
-      RN_REQUIRE(false, "fault plan entry '" + entry + "': unknown kind '" +
-                            kind + "'");
+      RN_CHECK_INPUT(false, "fault plan entry '" + entry +
+                                "': unknown kind '" + kind + "'");
     }
 
     bool have_rank = false, have_trial = false, have_round = false;
@@ -83,15 +84,15 @@ fault_plan fault_plan::parse(const std::string& text) {
       } else if (key == "ms") {
         spec.arg_ms = parse_u32(value, entry);
       } else {
-        RN_REQUIRE(false, "fault plan entry '" + entry + "': unknown key '" +
-                              key + "'");
+        RN_CHECK_INPUT(false, "fault plan entry '" + entry +
+                                  "': unknown key '" + key + "'");
       }
     }
-    RN_REQUIRE(have_rank && have_trial && have_round,
-               "fault plan entry '" + entry +
-                   "' needs rank=, trial= and round=");
-    RN_REQUIRE(spec.kind != fault_kind::delay || spec.arg_ms > 0,
-               "fault plan entry '" + entry + "': delay needs ms=");
+    RN_CHECK_INPUT(have_rank && have_trial && have_round,
+                   "fault plan entry '" + entry +
+                       "' needs rank=, trial= and round=");
+    RN_CHECK_INPUT(spec.kind != fault_kind::delay || spec.arg_ms > 0,
+                   "fault plan entry '" + entry + "': delay needs ms=");
     plan.specs_.push_back(spec);
   }
   return plan;

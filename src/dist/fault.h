@@ -55,7 +55,7 @@ class fault_plan {
  public:
   fault_plan() = default;
 
-  /// Parses the ';'-separated plan grammar above; throws rn::contract_error
+  /// Parses the ';'-separated plan grammar above; throws rn::input_error
   /// with the offending entry on malformed input. An empty string is the
   /// empty plan.
   [[nodiscard]] static fault_plan parse(const std::string& text);

@@ -44,11 +44,11 @@ class param_reader {
   std::size_t count(std::string_view name, std::size_t fallback,
                     std::size_t min = 0) {
     const double v = get(name, static_cast<double>(fallback));
-    RN_REQUIRE(v >= static_cast<double>(min) &&
-                   v < static_cast<double>(no_node) && v == std::floor(v),
-               "topology param must be an integer in [" +
-                   std::to_string(min) + ", " + std::to_string(no_node) +
-                   "): " + std::string(name) + " in " + spec_.to_string());
+    RN_CHECK_INPUT(v >= static_cast<double>(min) &&
+                       v < static_cast<double>(no_node) && v == std::floor(v),
+                   "topology param must be an integer in [" +
+                       std::to_string(min) + ", " + std::to_string(no_node) +
+                       "): " + std::string(name) + " in " + spec_.to_string());
     return static_cast<std::size_t>(v);
   }
 
@@ -57,10 +57,10 @@ class param_reader {
   /// 2^32, so the products the adapters pass cannot wrap a 64-bit size_t.
   void nodes(std::size_t n) const {
     static_assert(sizeof(std::size_t) >= 8, "count products need 64 bits");
-    RN_REQUIRE(n < static_cast<std::size_t>(no_node),
-               "topology node count must be below " +
-                   std::to_string(no_node) + ": " + std::to_string(n) +
-                   " nodes in " + spec_.to_string());
+    RN_CHECK_INPUT(n < static_cast<std::size_t>(no_node),
+                   "topology node count must be below " +
+                       std::to_string(no_node) + ": " + std::to_string(n) +
+                       " nodes in " + spec_.to_string());
   }
 
   /// Call after all get()/count() calls: rejects unconsumed spec params.
@@ -69,8 +69,8 @@ class param_reader {
       bool ok = false;
       for (const auto& name : known_)
         if (name == k) ok = true;
-      RN_REQUIRE(ok, "unknown parameter '" + k + "' for topology kind '" +
-                         spec_.kind + "'");
+      RN_CHECK_INPUT(ok, "unknown parameter '" + k + "' for topology kind '" +
+                             spec_.kind + "'");
     }
   }
 
@@ -81,9 +81,9 @@ class param_reader {
 
 const topology_registry::entry& find_kind(const topology_spec& spec) {
   const auto* e = topology_registry::instance().find(spec.kind);
-  RN_REQUIRE(e != nullptr,
-             "unknown topology kind '" + spec.kind + "' (known: " +
-                 topology_registry::instance().kinds_joined() + ")");
+  RN_CHECK_INPUT(e != nullptr,
+                 "unknown topology kind '" + spec.kind + "' (known: " +
+                     topology_registry::instance().kinds_joined() + ")");
   return *e;
 }
 
@@ -178,7 +178,8 @@ topology_registry::topology_registry() {
     const std::size_t n = p.count("n", 40, 1);
     const double radius = p.get("radius", 0.3);
     p.finish();
-    RN_REQUIRE(radius > 0, "unit_disk radius must be > 0 in " + s.to_string());
+    RN_CHECK_INPUT(radius > 0,
+                   "unit_disk radius must be > 0 in " + s.to_string());
     return [n, radius, seed = s.seed] {
       return random_unit_disk(n, radius, seed);
     };
@@ -234,12 +235,12 @@ void check_topology(const topology_spec& spec) {
 }
 
 topology_spec parse_topology_spec(std::string_view text) {
-  RN_REQUIRE(!text.empty(), "empty topology spec");
+  RN_CHECK_INPUT(!text.empty(), "empty topology spec");
   topology_spec spec;
   const std::size_t colon = text.find(':');
   spec.kind = std::string(text.substr(0, colon));
-  RN_REQUIRE(!spec.kind.empty(), "topology spec has no kind: " +
-                                     std::string(text));
+  RN_CHECK_INPUT(!spec.kind.empty(), "topology spec has no kind: " +
+                                         std::string(text));
   if (colon == std::string_view::npos) return spec;
   std::string_view rest = text.substr(colon + 1);
   while (!rest.empty()) {
@@ -248,17 +249,17 @@ topology_spec parse_topology_spec(std::string_view text) {
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     const std::size_t eq = item.find('=');
-    RN_REQUIRE(eq != std::string_view::npos && eq > 0,
-               "bad topology parameter (want name=value): " +
-                   std::string(item));
+    RN_CHECK_INPUT(eq != std::string_view::npos && eq > 0,
+                   "bad topology parameter (want name=value): " +
+                       std::string(item));
     const std::string name(item.substr(0, eq));
     const std::string value(item.substr(eq + 1));
     char* end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    RN_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
-                   std::isfinite(v),
-               "bad numeric value for topology parameter '" + name +
-                   "': " + value);
+    RN_CHECK_INPUT(end != nullptr && *end == '\0' && !value.empty() &&
+                       std::isfinite(v),
+                   "bad numeric value for topology parameter '" + name +
+                       "': " + value);
     spec.set_param(name, v);
   }
   return spec;

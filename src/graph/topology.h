@@ -52,7 +52,7 @@ struct topology_spec {
 using topology_build = std::function<graph()>;
 
 /// Reads a spec's parameters and range-checks them, then returns the
-/// generator call bound to them without running it. Throws contract_error
+/// generator call bound to them without running it. Throws input_error
 /// on an unknown parameter name, a non-integer count or an out-of-range
 /// value.
 using topology_generator = std::function<topology_build(const topology_spec&)>;
@@ -89,9 +89,9 @@ class topology_registry {
 
 /// Resolves `spec.kind` through the registry and builds the graph.
 /// Deterministic: equal specs (including seed) yield identical graphs.
-/// Throws contract_error for an unknown kind or invalid parameters, and for
-/// seed-dependent generation failures (a `gnp` / `unit_disk` draw that never
-/// connects).
+/// Throws input_error for an unknown kind or invalid parameters, and
+/// contract_error for seed-dependent generation failures (a `gnp` /
+/// `unit_disk` draw that never connects).
 [[nodiscard]] graph build_topology(const topology_spec& spec);
 
 /// Runs every check `build_topology` runs before generating — kind lookup,
@@ -107,7 +107,7 @@ void check_topology(const topology_spec& spec);
 [[nodiscard]] layered_options layered_options_of(const topology_spec& spec);
 
 /// Parses the canonical text form, e.g. "layered:depth=12,width=8". Parameter
-/// values must be plain, finite decimal numbers. Throws contract_error on
+/// values must be plain, finite decimal numbers. Throws input_error on
 /// syntax errors; kind existence is checked later, by check_topology /
 /// build_topology.
 [[nodiscard]] topology_spec parse_topology_spec(std::string_view text);

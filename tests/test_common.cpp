@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "core/options.h"
+#include "dist/fault.h"
+#include "graph/topology.h"
 
 namespace rn {
 namespace {
@@ -149,6 +155,37 @@ TEST(Check, RequireThrowsWithMessage) {
     FAIL() << "should have thrown";
   } catch (const contract_error& e) {
     EXPECT_NE(std::string(e.what()).find("custom context"), std::string::npos);
+  }
+}
+
+// A rejected fault plan, options string or topology spec reaches the user
+// (an exit-2 message, an rn_serve bad-request reply): one line that names
+// the input, with no contract expression or source location in it.
+TEST(Check, RejectedInputNamesTheInputNotTheCode) {
+  const std::pair<const char*, std::function<void()>> inputs[] = {
+      {"-1", [] {
+         static_cast<void>(
+             dist::fault_plan::parse("kill:rank=-1,trial=0,round=0"));
+       }},
+      {"d_hat", [] {
+         static_cast<void>(core::parse_options("opt-v1:d_hat=3000000000"));
+       }},
+      {"nosuch", [] {
+         graph::check_topology(graph::parse_topology_spec("nosuch:n=3"));
+       }},
+  };
+  for (const auto& [named, parse] : inputs) {
+    SCOPED_TRACE(named);
+    try {
+      parse();
+      ADD_FAILURE() << "accepted";
+    } catch (const contract_error& e) {
+      const std::string text = e.what();
+      EXPECT_NE(text.find(named), std::string::npos) << text;
+      EXPECT_EQ(text.find('\n'), std::string::npos) << text;
+      EXPECT_EQ(text.find("RN_REQUIRE"), std::string::npos) << text;
+      EXPECT_EQ(text.find(".cpp:"), std::string::npos) << text;
+    }
   }
 }
 
