@@ -344,9 +344,7 @@ radio::broadcast_result run_per_round_decay(const graph::graph& g,
   const auto on_rx = [&](const radio::reception& rx) {
     if (informed.receive(rx)) join(rx.listener);
   };
-  for (round_t t = 0; t < cfg.max_rounds; ++t) {
-    if (frame.tracker().all_done()) break;
-    txs.clear();
+  frame.run(cfg.max_rounds, txs, on_rx, [&](round_t t) {
     for (node_id v : drawers) {
       const int e = sched.exponent(v, t);
       if (e < 0 || !coins[v].with_probability_pow2(e)) continue;
@@ -355,8 +353,7 @@ radio::broadcast_result run_per_round_decay(const graph::graph& g,
       else if (cfg.mmv_noise)
         txs.add(v, noise_pkt);
     }
-    frame.commit(txs, on_rx);
-  }
+  });
   return frame.finish();
 }
 

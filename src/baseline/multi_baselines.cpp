@@ -43,35 +43,32 @@ radio::broadcast_result run_sequential_decay_multi(
   // One flyweight packet per in-flight message; rebuilt only on msg switch.
   radio::packet pkt = radio::packet::make_data(0, make_body(0));
 
-  for (round_t t = 0; t < max_rounds && current < k; ++t) {
+  const auto on_rx = [&](const radio::reception& rx) {
+    if (rx.what == radio::observation::message &&
+        rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
+      informed[rx.listener] = 1;
+      --current_remaining;
+      has[rx.listener] += 1;
+      if (has[rx.listener] == k) tracker.mark(rx.listener);
+    }
+  };
+  frame.run(max_rounds, txs, on_rx, [&](round_t t) {
+    if (current_remaining == 0) {
+      // Next message (the run is not complete, so one is left): reset the
+      // informed set to {source}.
+      ++current;
+      informed.assign(n, 0);
+      informed[source] = 1;
+      current_remaining = n - 1;
+      pkt = radio::packet::make_data(
+          static_cast<node_id>(current),
+          make_body(static_cast<std::uint32_t>(current)));
+    }
     const int i = static_cast<int>(t % L) + 1;
-    txs.clear();
     for (node_id v = 0; v < n; ++v) {
       if (informed[v] && node_rng[v].with_probability_pow2(i)) txs.add(v, pkt);
     }
-    frame.commit(txs, [&](const radio::reception& rx) {
-      if (rx.what == radio::observation::message &&
-          rx.pkt->kind == radio::packet_kind::data && !informed[rx.listener]) {
-        informed[rx.listener] = 1;
-        --current_remaining;
-        has[rx.listener] += 1;
-        if (has[rx.listener] == k) tracker.mark(rx.listener);
-      }
-    });
-    if (current_remaining == 0) {
-      // Next message: reset the informed set to {source}.
-      ++current;
-      if (current < k) {
-        informed.assign(n, 0);
-        informed[source] = 1;
-        current_remaining = n - 1;
-        pkt = radio::packet::make_data(
-            static_cast<node_id>(current),
-            make_body(static_cast<std::uint32_t>(current)));
-      }
-    }
-    if (tracker.all_done()) break;
-  }
+  });
   return frame.finish();
 }
 
@@ -104,9 +101,20 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
         static_cast<node_id>(m), make_body(static_cast<std::uint32_t>(m))));
 
   radio::round_buffer txs;
-  for (round_t t = 0; t < max_rounds; ++t) {
+  const auto on_rx = [&](const radio::reception& rx) {
+    if (rx.what != radio::observation::message ||
+        rx.pkt->kind != radio::packet_kind::data)
+      return;
+    const std::size_t m = rx.pkt->a;
+    auto& hv = holds[rx.listener];
+    if (!hv[m]) {
+      hv[m] = 1;
+      have_list[rx.listener].push_back(static_cast<node_id>(m));
+      if (have_list[rx.listener].size() == k) tracker.mark(rx.listener);
+    }
+  };
+  frame.run(max_rounds, txs, on_rx, [&](round_t t) {
     const int i = static_cast<int>(t % L) + 1;
-    txs.clear();
     for (node_id v = 0; v < n; ++v) {
       if (have_list[v].empty()) continue;
       if (!node_rng[v].with_probability_pow2(i)) continue;
@@ -115,20 +123,7 @@ radio::broadcast_result run_routing_multi(const graph::graph& g,
           have_list[v][node_rng[v].uniform(have_list[v].size())];
       txs.add(v, pkts[m]);
     }
-    frame.commit(txs, [&](const radio::reception& rx) {
-      if (rx.what != radio::observation::message ||
-          rx.pkt->kind != radio::packet_kind::data)
-        return;
-      const std::size_t m = rx.pkt->a;
-      auto& hv = holds[rx.listener];
-      if (!hv[m]) {
-        hv[m] = 1;
-        have_list[rx.listener].push_back(static_cast<node_id>(m));
-        if (have_list[rx.listener].size() == k) tracker.mark(rx.listener);
-      }
-    });
-    if (tracker.all_done()) break;
-  }
+  });
   return frame.finish();
 }
 

@@ -10,11 +10,12 @@
 namespace rn::core {
 
 diameter_estimate estimate_eccentricity_beep_waves(const graph::graph& g,
-                                                   node_id source) {
+                                                   node_id source,
+                                                   bool fast_forward) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
 
-  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
+  trial_frame frame(g, {.collision_detection = true}, fast_forward);
   radio::round_buffer txs;
   std::vector<node_id> joined;
 

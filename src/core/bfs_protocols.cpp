@@ -33,11 +33,11 @@ std::vector<level_t> collision_wave(trial_frame& f, node_id source,
 }
 
 layering_result run_collision_wave_bfs(const graph::graph& g, node_id source,
-                                       level_t d_hat) {
+                                       level_t d_hat, bool fast_forward) {
   RN_REQUIRE(source < g.node_count(), "source out of range");
   RN_REQUIRE(d_hat >= 0, "d_hat must be non-negative");
 
-  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
+  trial_frame frame(g, {.collision_detection = true}, fast_forward);
   layering_result out;
   out.level = collision_wave(frame, source, d_hat);
   out.rounds = frame.stats().rounds;
@@ -47,14 +47,15 @@ layering_result run_collision_wave_bfs(const graph::graph& g, node_id source,
 
 layering_result run_decay_epoch_bfs(const graph::graph& g, node_id source,
                                     level_t d_hat, std::size_t n_hat,
-                                    const params& prm, std::uint64_t seed) {
+                                    const params& prm, std::uint64_t seed,
+                                    bool fast_forward) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
   const std::size_t nh = resolve_n_hat(n_hat, n);
   const int L = log_range(nh);
   const int phases = prm.decay_phases(nh);
 
-  trial_frame frame(g, {.collision_detection = false}, /*fast_forward=*/false);
+  trial_frame frame(g, {.collision_detection = false}, fast_forward);
   layering_result out;
   out.level.assign(n, no_level);
   out.level[source] = 0;

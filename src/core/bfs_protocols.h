@@ -8,7 +8,8 @@
 //    Theta(log n) Decay phases; a node's level is the epoch of its first
 //    reception. O(D log^2 n) rounds.
 //
-// Neither has a fast-forward input: both step every round on a naive frame.
+// With `fast_forward`, rounds in which no node transmits are skipped rather
+// than stepped (bit-identical results).
 #pragma once
 
 #include <cstdint>
@@ -39,16 +40,13 @@ struct layering_result {
 
 /// Collision-wave layering; requires the CD model. `d_hat` must be >= the
 /// eccentricity of the source (constant-factor upper bounds only cost rounds).
-[[nodiscard]] layering_result run_collision_wave_bfs(const graph::graph& g,
-                                                     node_id source,
-                                                     level_t d_hat);
+[[nodiscard]] layering_result run_collision_wave_bfs(
+    const graph::graph& g, node_id source, level_t d_hat,
+    bool fast_forward = false);
 
 /// Decay-epoch layering (works without CD).
-[[nodiscard]] layering_result run_decay_epoch_bfs(const graph::graph& g,
-                                                  node_id source,
-                                                  level_t d_hat,
-                                                  std::size_t n_hat,
-                                                  const params& prm,
-                                                  std::uint64_t seed);
+[[nodiscard]] layering_result run_decay_epoch_bfs(
+    const graph::graph& g, node_id source, level_t d_hat, std::size_t n_hat,
+    const params& prm, std::uint64_t seed, bool fast_forward = false);
 
 }  // namespace rn::core

@@ -232,7 +232,8 @@ distributed_gst_outcome build_gst_distributed_single(
   const level_t ecc = resolve_d_hat(g, source);
   auto layering = run_decay_epoch_bfs(g, source, ecc,
                                       resolve_n_hat(opt.n_hat, g.node_count()),
-                                      opt.prm, opt.seed ^ 0xbf5ULL);
+                                      opt.prm, opt.seed ^ 0xbf5ULL,
+                                      opt.fast_forward);
   const auto rd = decompose_rings(layering.level, ecc + 1);
   auto out = build_gst_distributed(g, rd, opt, pipelined);
   out.rounds += layering.rounds;

@@ -94,12 +94,8 @@ multi_broadcast_result run_known_multi_broadcast(
       txs.add_owned(v, coded.fresh(0, buf[v], node_rng[v]));
   };
 
-  for (round_t r = 0; r < max_rounds; ++r) {
-    const bool completing = tracker.all_done();
-    txs.clear();
-    idx.plan(r, node_rng, emit);
-    if (frame.commit(txs, on_rx, completing) && tracker.all_done()) break;
-  }
+  frame.run(max_rounds, txs, on_rx,
+            [&](round_t r) { idx.plan(r, node_rng, emit); });
 
   multi_broadcast_result out;
   out.base = frame.finish();
@@ -208,12 +204,12 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
 
   radio::round_buffer txs;
   const std::size_t super_epochs = ring_count + B;  // one slack epoch
+  const round_t handoff_rounds = static_cast<round_t>(handoff_phases) * (L + 1);
   round_t pipeline_rounds = 0;
   for (std::size_t e = 0; e < super_epochs; ++e) {
     // Intra-ring RLNC phase: ring j works on batch e - j.
     std::fill(relay.begin(), relay.end(), nullptr);
-    for (round_t r = 0; r < intra_budget; ++r) {
-      txs.clear();
+    frame.run(intra_budget, txs, on_rx, [&](round_t r) {
       for (std::size_t j = 0; j < ring_count; ++j) {
         if (e < j || e - j >= B) continue;
         const std::size_t b = e - j;
@@ -230,31 +226,29 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
           }
         });
       }
-      frame.commit(txs, on_rx);
-    }
+    });
     pipeline_rounds += intra_budget;
 
     // FEC handoff phase: ring j's outer boundary pushes batch e - j to ring
     // j+1's roots with fountain packets over Decay.
-    for (int ph = 0; ph < handoff_phases; ++ph) {
-      for (int ex = 0; ex <= L; ++ex) {
-        txs.clear();
-        for (std::size_t j = 0; j + 1 < ring_count; ++j) {
-          if (e < j || e - j >= B) continue;
-          const std::size_t b = e - j;
-          const level_t outer = setup.rings.rings[j].depth;
-          for (node_id v : setup.rings.rings[j].members) {
-            if (setup.rings.rel_level[v] != outer) continue;
-            if (!buf[v][b].can_decode()) continue;
-            if (node_rng[v].with_probability_pow2(ex))
-              txs.add_owned(v, fresh_packet(v, b));
-          }
+    frame.run(handoff_rounds, txs, on_rx, [&](round_t r) {
+      const int ex = static_cast<int>(r % (L + 1));
+      for (std::size_t j = 0; j + 1 < ring_count; ++j) {
+        if (e < j || e - j >= B) continue;
+        const std::size_t b = e - j;
+        const level_t outer = setup.rings.rings[j].depth;
+        for (node_id v : setup.rings.rings[j].members) {
+          if (setup.rings.rel_level[v] != outer) continue;
+          if (!buf[v][b].can_decode()) continue;
+          if (node_rng[v].with_probability_pow2(ex))
+            txs.add_owned(v, fresh_packet(v, b));
         }
-        frame.commit(txs, on_rx);
       }
-    }
-    pipeline_rounds += static_cast<round_t>(handoff_phases) * (L + 1);
+    });
+    pipeline_rounds += handoff_rounds;
   }
+  // The rest of the prescribed pipeline runs idle once every node decodes.
+  frame.advance(pipeline_rounds - frame.stats().rounds);
 
   multi_broadcast_result out;
   out.base = frame.finish(setup.total_rounds());

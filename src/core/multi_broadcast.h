@@ -36,7 +36,8 @@ struct multi_broadcast_result {
     const graph::graph& g, node_id source,
     const std::vector<coding::message>& messages, const options& opt);
 
-/// Theorem 1.3.
+/// Theorem 1.3. The batch pipeline stops at completion and counts the rest
+/// of its prescribed rounds as idle, as the Theorem 1.1 relay does.
 [[nodiscard]] multi_broadcast_result run_unknown_cd_multi_broadcast(
     const graph::graph& g, node_id source,
     const std::vector<coding::message>& messages, const options& opt);

@@ -58,21 +58,15 @@ radio::broadcast_result run_gst_single_broadcast(
     else if (mmv_noise)
       txs.add(v, noise_pkt);
   };
-  round_t r = 0;
+  round_t now = 0;
   const auto on_rx = [&](const radio::reception& rx) {
     if (informed.receive(rx) && !mmv_noise)
-      sched.catch_up(rx.listener, r, node_rng);
+      sched.catch_up(rx.listener, now, node_rng);
   };
-
-  for (; r < max_rounds; ++r) {
-    // Naive stepping executes one more (possibly empty) round after the run
-    // completes before noticing; force-step it so both modes agree.
-    const bool completing = frame.tracker().all_done();
-    txs.clear();
+  frame.run(max_rounds, txs, on_rx, [&](round_t r) {
+    now = r;
     idx.plan(r, node_rng, draws, emit);
-    if (frame.commit(txs, on_rx, completing) && frame.tracker().all_done())
-      break;
-  }
+  });
   return frame.finish();
 }
 
@@ -82,8 +76,8 @@ unknown_topology_setup prepare_unknown_topology(
 
   unknown_topology_setup setup;
   // 1. Collision-wave layering (the only step that uses collision detection).
-  auto wave =
-      run_collision_wave_bfs(g, source, resolve_d_hat(g, source, opt.d_hat));
+  auto wave = run_collision_wave_bfs(
+      g, source, resolve_d_hat(g, source, opt.d_hat), opt.fast_forward);
   setup.wave_rounds = wave.rounds;
 
   // 2. Rings.
@@ -162,46 +156,30 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
     gst_schedule_index idx(sched, members);
     const round_t budget =
         relay_budget(t.max_level(), L, opt.prm.schedule_slack);
-    for (round_t r = 0; r < budget; ++r) {
-      txs.clear();
-      // Uninformed members draw their coins too: their streams feed the
-      // Decay handoff after the ring.
-      idx.plan(r, node_rng, send_if_informed);
-      frame.commit(txs, deliver);
-    }
+    // Uninformed members draw their coins too: their streams feed the Decay
+    // handoff after the ring.
+    frame.run(budget, txs, deliver,
+              [&](round_t r) { idx.plan(r, node_rng, send_if_informed); });
     relay_rounds += budget;
 
     // Decay handoff: informed outer-boundary nodes of ring j reach the next
-    // ring's roots (its inner boundary).
+    // ring's roots (its inner boundary). An uninformed node draws no coin.
     if (j + 1 < setup.rings.rings.size()) {
       const level_t outer = setup.rings.rings[j].depth;
-      bool any_informed_outer = false;
-      for (node_id v : members)
-        if (setup.rings.rel_level[v] == outer && informed[v]) {
-          any_informed_outer = true;
-          break;
-        }
-      if (opt.fast_forward && !any_informed_outer) {
-        // Nobody can transmit (and nobody flips a coin: the informed check
-        // short-circuits the draw), and the informed set cannot grow without
-        // transmissions — the whole handoff block is idle.
-        frame.advance(static_cast<round_t>(dp) * (L + 1));
-      } else {
-        for (int ph = 0; ph < dp; ++ph) {
-          for (int e = 0; e <= L; ++e) {
-            txs.clear();
-            for (node_id v : members) {
-              if (setup.rings.rel_level[v] == outer && informed[v] &&
-                  node_rng[v].with_probability_pow2(e))
-                txs.add(v, data_pkt);
-            }
-            frame.commit(txs, deliver);
-          }
-        }
-      }
-      relay_rounds += static_cast<round_t>(dp) * (L + 1);
+      const round_t handoff = static_cast<round_t>(dp) * (L + 1);
+      frame.run(handoff, txs, deliver, [&](round_t r) {
+        const int e = static_cast<int>(r % (L + 1));
+        for (node_id v : members)
+          if (setup.rings.rel_level[v] == outer && informed[v] &&
+              node_rng[v].with_probability_pow2(e))
+            txs.add(v, data_pkt);
+      });
+      relay_rounds += handoff;
     }
   }
+  // The rest of the prescribed relay runs idle once every node holds the
+  // message.
+  frame.advance(relay_rounds - frame.stats().rounds);
 
   radio::broadcast_result res = frame.finish(setup.total_rounds());
   res.phase_rounds = setup.phase_rounds();

@@ -29,9 +29,9 @@ namespace rn::core {
 
 // The runners read `opt.n_hat`, `opt.d_hat` (0 = the source's true
 // eccentricity), `opt.seed`, `opt.prm` and `opt.fast_forward`, which skips
-// transmitter-free rounds in every phase (construction, labeling, relay) via
-// network::advance. Bit-identical results; see README "Fast-forward
-// execution".
+// transmitter-free rounds in every phase (layering, construction, labeling,
+// relay) via network::advance. Bit-identical results; see README
+// "Fast-forward execution".
 
 /// Known-topology single-message broadcast (GST built centrally, no rounds
 /// charged for construction, as in [7]).
@@ -76,7 +76,9 @@ struct unknown_topology_setup {
 [[nodiscard]] unknown_topology_setup prepare_unknown_topology(
     const graph::graph& g, node_id source, const options& opt);
 
-/// Theorem 1.1: unknown topology, collision detection.
+/// Theorem 1.1: unknown topology, collision detection. The relay stops at
+/// completion and counts the rest of its prescribed rounds as idle, so
+/// `rounds_executed` is the sum of `phase_rounds`.
 [[nodiscard]] radio::broadcast_result run_unknown_cd_single_broadcast(
     const graph::graph& g, node_id source, const options& opt);
 

@@ -17,13 +17,13 @@
 // needs the round counter to be current. In naive mode every round is
 // stepped; both modes produce bit-identical results (see
 // tests/test_fast_forward.cpp), which is what makes the naive path a
-// cross-check oracle for the fast one. A runner with no fast-forward input
-// (the two layerings, the beep waves) builds its frame naive.
+// cross-check oracle for the fast one. Every frame runs in its caller's mode.
 //
 // Completion is recorded before the first round and after every stepped
 // round. Only a stepped round can change it, so the recorded round is the
-// same whether fast-forward defers the empty rounds or steps them. A phase
-// that tracks no completion never marks the tracker.
+// same whether fast-forward defers the empty rounds or steps them. `run` is
+// the broadcast runners' budgeted round loop and stops at completion. A
+// phase that tracks no completion never marks the tracker.
 //
 // Beside the frame live the inputs every runner resolves the same way: the
 // single-message informed set, the per-node coins, n̂ and d̂, and the coded
@@ -74,23 +74,31 @@ class trial_frame {
 
   /// Commits one planned round. In fast-forward mode an empty round is
   /// deferred (it cannot deliver anything); otherwise any deferral is
-  /// applied, the round is stepped and completion is recorded. `force`
-  /// steps even an empty round — used when the caller inspects state that
-  /// naive stepping would only reach after executing the round (e.g. a
-  /// stop-when-complete check). Returns true iff the round was stepped.
-  /// `on_rx` is statically dispatched (any callable).
+  /// applied, the round is stepped and completion is recorded. `on_rx` is
+  /// statically dispatched (any callable).
   template <class OnRx>
-  bool commit(const radio::round_buffer& txs, OnRx&& on_rx,
-              bool force = false) {
+  void commit(const radio::round_buffer& txs, OnRx&& on_rx) {
     start();
-    if (ff_ && !force && txs.empty()) {
+    if (ff_ && txs.empty()) {
       ++pending_;
-      return false;
+      return;
     }
     flush();
     net_.step(txs, std::forward<OnRx>(on_rx));
     tracker_.observe_round(net_.stats().rounds);
-    return true;
+  }
+
+  /// Runs rounds r = 0, 1, ... < `budget` until every tracked node is
+  /// complete: `plan(r)` fills the cleared `txs`, and the round is
+  /// committed with `on_rx`.
+  template <class OnRx, class Plan>
+  void run(round_t budget, radio::round_buffer& txs, OnRx&& on_rx,
+           Plan&& plan) {
+    for (round_t r = 0; r < budget && !tracker_.all_done(); ++r) {
+      txs.clear();
+      plan(r);
+      commit(txs, on_rx);
+    }
   }
 
   /// Commits `k` rounds the caller has proven idle (no transmitter can be

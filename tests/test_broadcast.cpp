@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "baseline/decay.h"
+#include "coding/rlnc.h"
+#include "core/multi_broadcast.h"
 #include "core/single_broadcast.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
@@ -233,15 +235,27 @@ TEST(Theorem11, SetupProducesValidForests) {
   }
 }
 
+// Both pipelines stop at completion and count the rest of their prescribed
+// phases as idle rounds, in either execution mode.
 TEST(Theorem11, PhaseAccountingAddsUp) {
   const auto g = graph::grid(4, 6);
-  options opt;
-  opt.seed = 5;
-  opt.prm = params::fast();
-  const auto res = run_unknown_cd_single_broadcast(g, 0, opt);
-  round_t sum = 0;
-  for (const auto& [name, r] : res.phase_rounds) sum += r;
-  EXPECT_EQ(sum, res.rounds_executed);
+  for (const bool ff : {false, true}) {
+    options opt;
+    opt.seed = 5;
+    opt.prm = params::fast();
+    opt.fast_forward = ff;
+    const auto single = run_unknown_cd_single_broadcast(g, 0, opt);
+    const auto multi = run_unknown_cd_multi_broadcast(
+        g, 0, coding::make_test_messages(3, opt.payload_size, 0x5eed), opt);
+    EXPECT_TRUE(multi.payloads_verified);
+    for (const auto* res : {&single, &multi.base}) {
+      SCOPED_TRACE(res == &single ? "gst-unknown-cd" : "rlnc-unknown-cd");
+      EXPECT_TRUE(res->completed);
+      round_t sum = 0;
+      for (const auto& [name, r] : res->phase_rounds) sum += r;
+      EXPECT_EQ(sum, res->rounds_executed) << "fast_forward " << ff;
+    }
+  }
 }
 
 }  // namespace

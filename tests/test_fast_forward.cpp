@@ -343,6 +343,14 @@ TEST(FastForward, EveryProtocolCompletesBeforeRoundOneOnASingleNode) {
     EXPECT_TRUE(naive.base.completed);
     EXPECT_EQ(naive.base.rounds_to_complete, setup);
     EXPECT_TRUE(naive.payloads_verified);
+    // Stopped before its first round: no traffic, and the rounds it reports
+    // are the prescribed phases (none for the runners without phases).
+    for (const auto* res : {&naive.base, &ff.base}) {
+      round_t phases = 0;
+      for (const auto& [name, rounds] : res->phase_rounds) phases += rounds;
+      EXPECT_EQ(res->transmissions, 0);
+      EXPECT_EQ(res->rounds_executed, phases);
+    }
   }
 }
 
