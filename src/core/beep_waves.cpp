@@ -10,12 +10,11 @@
 namespace rn::core {
 
 diameter_estimate estimate_eccentricity_beep_waves(const graph::graph& g,
-                                                   node_id source,
-                                                   bool fast_forward) {
+                                                   node_id source) {
   const std::size_t n = g.node_count();
   RN_REQUIRE(source < n, "source out of range");
 
-  trial_frame frame(g, {.collision_detection = true}, fast_forward);
+  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
   radio::round_buffer txs;
   std::vector<node_id> joined;
 

@@ -24,9 +24,7 @@ struct diameter_estimate {
 };
 
 /// Requires the collision-detection model (echoes are mostly collisions).
-/// With `fast_forward`, rounds in which no node beeps are skipped rather
-/// than stepped (bit-identical results).
 [[nodiscard]] diameter_estimate estimate_eccentricity_beep_waves(
-    const graph::graph& g, node_id source, bool fast_forward = false);
+    const graph::graph& g, node_id source);
 
 }  // namespace rn::core

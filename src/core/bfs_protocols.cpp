@@ -33,11 +33,11 @@ std::vector<level_t> collision_wave(trial_frame& f, node_id source,
 }
 
 layering_result run_collision_wave_bfs(const graph::graph& g, node_id source,
-                                       level_t d_hat, bool fast_forward) {
+                                       level_t d_hat) {
   RN_REQUIRE(source < g.node_count(), "source out of range");
   RN_REQUIRE(d_hat >= 0, "d_hat must be non-negative");
 
-  trial_frame frame(g, {.collision_detection = true}, fast_forward);
+  trial_frame frame(g, {.collision_detection = true}, /*fast_forward=*/false);
   layering_result out;
   out.level = collision_wave(frame, source, d_hat);
   out.rounds = frame.stats().rounds;

@@ -8,8 +8,10 @@
 //    Theta(log n) Decay phases; a node's level is the epoch of its first
 //    reception. O(D log^2 n) rounds.
 //
-// With `fast_forward`, rounds in which no node transmits are skipped rather
-// than stepped (bit-identical results).
+// The collision wave steps every round on a naive frame: its source
+// transmits in every round, so no round is idle. The Decay epochs run in
+// the caller's mode: with `fast_forward`, rounds in which no node transmits
+// are skipped rather than stepped (bit-identical results).
 #pragma once
 
 #include <cstdint>
@@ -40,9 +42,9 @@ struct layering_result {
 
 /// Collision-wave layering; requires the CD model. `d_hat` must be >= the
 /// eccentricity of the source (constant-factor upper bounds only cost rounds).
-[[nodiscard]] layering_result run_collision_wave_bfs(
-    const graph::graph& g, node_id source, level_t d_hat,
-    bool fast_forward = false);
+[[nodiscard]] layering_result run_collision_wave_bfs(const graph::graph& g,
+                                                     node_id source,
+                                                     level_t d_hat);
 
 /// Decay-epoch layering (works without CD).
 [[nodiscard]] layering_result run_decay_epoch_bfs(

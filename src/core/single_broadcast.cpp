@@ -76,8 +76,8 @@ unknown_topology_setup prepare_unknown_topology(
 
   unknown_topology_setup setup;
   // 1. Collision-wave layering (the only step that uses collision detection).
-  auto wave = run_collision_wave_bfs(
-      g, source, resolve_d_hat(g, source, opt.d_hat), opt.fast_forward);
+  auto wave =
+      run_collision_wave_bfs(g, source, resolve_d_hat(g, source, opt.d_hat));
   setup.wave_rounds = wave.rounds;
 
   // 2. Rings.

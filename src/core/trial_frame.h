@@ -17,7 +17,9 @@
 // needs the round counter to be current. In naive mode every round is
 // stepped; both modes produce bit-identical results (see
 // tests/test_fast_forward.cpp), which is what makes the naive path a
-// cross-check oracle for the fast one. Every frame runs in its caller's mode.
+// cross-check oracle for the fast one. A runner with no fast-forward input
+// builds its frame naive: the collision wave, whose source transmits in
+// every round so that no round is idle, and the beep-wave estimate.
 //
 // Completion is recorded before the first round and after every stepped
 // round. Only a stepped round can change it, so the recorded round is the

@@ -159,8 +159,10 @@ TEST(Check, RequireThrowsWithMessage) {
 }
 
 // A rejected fault plan, options string or topology spec reaches the user
-// (an exit-2 message, an rn_serve bad-request reply): one line that names
-// the input, with no contract expression or source location in it.
+// (an exit-2 message, an rn_serve bad-request reply) as an input_error: one
+// line that names the input, with no contract expression or source location
+// in it. build_topology runs the spec checks first, so a bad spec it is
+// handed is an input_error too.
 TEST(Check, RejectedInputNamesTheInputNotTheCode) {
   const std::pair<const char*, std::function<void()>> inputs[] = {
       {"-1", [] {
@@ -173,18 +175,24 @@ TEST(Check, RejectedInputNamesTheInputNotTheCode) {
       {"nosuch", [] {
          graph::check_topology(graph::parse_topology_spec("nosuch:n=3"));
        }},
+      {"depht", [] {
+         static_cast<void>(graph::build_topology(
+             graph::parse_topology_spec("layered:depht=9")));
+       }},
   };
   for (const auto& [named, parse] : inputs) {
     SCOPED_TRACE(named);
     try {
       parse();
       ADD_FAILURE() << "accepted";
-    } catch (const contract_error& e) {
+    } catch (const input_error& e) {
       const std::string text = e.what();
       EXPECT_NE(text.find(named), std::string::npos) << text;
       EXPECT_EQ(text.find('\n'), std::string::npos) << text;
       EXPECT_EQ(text.find("RN_REQUIRE"), std::string::npos) << text;
       EXPECT_EQ(text.find(".cpp:"), std::string::npos) << text;
+    } catch (const contract_error& e) {
+      ADD_FAILURE() << "not an input_error: " << e.what();
     }
   }
 }

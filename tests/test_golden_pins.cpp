@@ -505,8 +505,8 @@ TEST(GoldenPins, SetupPhasesReproduceTheirRecordedResults) {
                               fnv1a(lab.vdist)};
     });
     // Two rounds past the eccentricity: the wave keeps beeping at the edge.
-    cases.emplace_back(prefix + "/collision-wave", [g, ecc](bool ff) {
-      const auto lay = core::run_collision_wave_bfs(*g, 0, ecc + 2, ff);
+    cases.emplace_back(prefix + "/collision-wave", [g, ecc](bool) {
+      const auto lay = core::run_collision_wave_bfs(*g, 0, ecc + 2);
       return construction_pin{nullptr, lay.rounds, lay.transmissions, 0, 0,
                               fnv1a(lay.level)};
     });
@@ -516,8 +516,8 @@ TEST(GoldenPins, SetupPhasesReproduceTheirRecordedResults) {
       return construction_pin{nullptr, lay.rounds, lay.transmissions, 0, 0,
                               fnv1a(lay.level)};
     });
-    cases.emplace_back(prefix + "/beep-waves", [g](bool ff) {
-      const auto est = core::estimate_eccentricity_beep_waves(*g, 0, ff);
+    cases.emplace_back(prefix + "/beep-waves", [g](bool) {
+      const auto est = core::estimate_eccentricity_beep_waves(*g, 0);
       return construction_pin{nullptr, est.rounds, 0, est.estimate, 0, 0};
     });
   }
