@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/text.h"
 
 namespace rn::graph {
+
+namespace {
+
+/// Disconnected draws a connected family tries before it rejects its spec.
+constexpr std::uint64_t kConnectAttempts = 64;
+
+/// Rejects a spec none of whose draws connected: the parameters come from
+/// the user, so the message names them, not the generator.
+std::string never_connected(const std::string& spec, const char* param) {
+  return spec + " never connected in " + std::to_string(kConnectAttempts) +
+         " attempts; raise " + param;
+}
+
+}  // namespace
 
 graph path(std::size_t n) {
   RN_REQUIRE(n >= 1, "path needs >= 1 node");
@@ -80,13 +96,15 @@ graph random_layered(const layered_options& opt) {
 
 graph random_gnp_connected(std::size_t n, double p, std::uint64_t seed) {
   RN_REQUIRE(n >= 1, "gnp needs >= 1 node");
-  for (std::uint64_t attempt = 0; attempt < 64; ++attempt) {
+  for (std::uint64_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
     graph g = graph::from_edges(n, [&](auto&& add) {
       for_each_gnp_edge(n, p, seed, attempt, add);
     });
     if (g.connected()) return g;
   }
-  RN_REQUIRE(false, "G(n,p) never connected; p too small");
+  RN_CHECK_INPUT(false, never_connected("gnp:n=" + std::to_string(n) +
+                                            ",p=" + format_value(p),
+                                        "p"));
   return {};
 }
 
@@ -100,7 +118,7 @@ graph random_unit_disk(std::size_t n, double radius, std::uint64_t seed) {
   const double cell_width = std::max(radius, min_width);
   const std::size_t cells =
       cell_width >= 1.0 ? 1 : static_cast<std::size_t>(1.0 / cell_width) + 1;
-  for (std::uint64_t attempt = 0; attempt < 64; ++attempt) {
+  for (std::uint64_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
     rng r(seed + attempt * 0x9d5f3ULL);
     std::vector<std::pair<double, double>> pts(n);
     for (auto& pt : pts) pt = {r.uniform01(), r.uniform01()};
@@ -132,7 +150,9 @@ graph random_unit_disk(std::size_t n, double radius, std::uint64_t seed) {
     });
     if (g.connected()) return g;
   }
-  RN_REQUIRE(false, "unit disk never connected; radius too small");
+  RN_CHECK_INPUT(false, never_connected("unit_disk:n=" + std::to_string(n) +
+                                            ",radius=" + format_value(radius),
+                                        "radius"));
   return {};
 }
 

@@ -136,12 +136,14 @@ void for_each_gnp_edge(std::size_t n, double p, std::uint64_t seed,
 
 /// Erdos-Renyi G(n, p) conditioned on connectivity: attempts 0, 1, ... of
 /// `for_each_gnp_edge` until one is connected (p should be above the
-/// threshold); throws after 64 disconnected attempts.
+/// threshold); after 64 disconnected attempts throws rn::input_error naming
+/// n and p, since both come from the user's spec.
 [[nodiscard]] graph random_gnp_connected(std::size_t n, double p,
                                          std::uint64_t seed);
 
 /// Random unit-disk graph: n points uniform in [0,1]^2, edge iff distance <=
-/// radius; resampled until connected. Edge discovery uses a radius-sized cell
+/// radius; resampled until connected, and rejected like G(n, p) after 64
+/// disconnected draws. Edge discovery uses a radius-sized cell
 /// grid, so generation is O(n + edges) expected — usable at n = 10^5+.
 [[nodiscard]] graph random_unit_disk(std::size_t n, double radius,
                                      std::uint64_t seed);

@@ -162,7 +162,8 @@ TEST(Check, RequireThrowsWithMessage) {
 // (an exit-2 message, an rn_serve bad-request reply) as an input_error: one
 // line that names the input, with no contract expression or source location
 // in it. build_topology runs the spec checks first, so a bad spec it is
-// handed is an input_error too.
+// handed is an input_error too, and so is a gnp or unit_disk spec whose
+// draws never connect.
 TEST(Check, RejectedInputNamesTheInputNotTheCode) {
   const std::pair<const char*, std::function<void()>> inputs[] = {
       {"-1", [] {
@@ -178,6 +179,17 @@ TEST(Check, RejectedInputNamesTheInputNotTheCode) {
       {"depht", [] {
          static_cast<void>(graph::build_topology(
              graph::parse_topology_spec("layered:depht=9")));
+       }},
+      // Valid specs none of whose 64 draws connects: rejected while the
+      // graph is generated, not while the spec is parsed, and named in the
+      // spec's canonical print.
+      {"gnp:n=2000,p=1e-04 never connected in 64 attempts", [] {
+         static_cast<void>(graph::build_topology(
+             graph::parse_topology_spec("gnp:n=2000,p=0.0001")));
+       }},
+      {"unit_disk:n=50,radius=0.01 never connected in 64 attempts", [] {
+         static_cast<void>(graph::build_topology(
+             graph::parse_topology_spec("unit_disk:n=50,radius=0.01")));
        }},
   };
   for (const auto& [named, parse] : inputs) {
