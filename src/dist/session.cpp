@@ -113,6 +113,7 @@ void session::kill_rank(unsigned r) {
     bytes_received_closed_ += rk.ch.bytes_received();
     rk.ch.close();
   }
+  rk.ready_pending = false;
   if (rk.pid > 0) {
     ::kill(rk.pid, SIGKILL);
     int status = 0;
@@ -122,6 +123,9 @@ void session::kill_rank(unsigned r) {
 }
 
 void session::send_setup(unsigned r) {
+  // A ready still owed for the previous setup (a pass that degraded a rank,
+  // or a setup that ended in a mismatch) would read as this setup's ack.
+  await_ready(r);
   auto& rk = ranks_[r];
   rk.ch.set_deadline_ms(opt_.policy.setup_deadline_ms);
   const std::string text = trial_spec_.to_string();
@@ -146,6 +150,8 @@ void session::recv_setup_ack(unsigned r) {
                      "dist rank " + std::to_string(r) +
                          " sent an out-of-protocol frame (expected "
                          "setup_ack)");
+  // The rank fills on after its ack, whatever the check below finds.
+  rk.ready_pending = true;
   wire_reader in(frame_);
   const std::uint64_t n = in.u64();
   const std::uint64_t owned_entries = in.u64();
@@ -164,12 +170,25 @@ void session::recv_setup_ack(unsigned r) {
              "mismatch) — topology spec is not replay-deterministic");
 }
 
+void session::await_ready(unsigned r) {
+  auto& rk = ranks_[r];
+  if (!rk.ready_pending) return;
+  rk.ch.set_deadline_ms(opt_.policy.setup_deadline_ms);
+  if (rk.ch.recv(frame_) != msg_type::setup_ready)
+    throw wire_error(wire_errc::corrupt,
+                     "dist rank " + std::to_string(r) +
+                         " sent an out-of-protocol frame (expected "
+                         "setup_ready)");
+  rk.ready_pending = false;
+}
+
 void session::resync_rank(unsigned r) {
   // Workers are round-stateless (every round's state is cleared before
   // its reply), so a fresh slice needs no history: setup is the whole
   // resync, and the caller resends the round in flight.
   send_setup(r);
   recv_setup_ack(r);
+  await_ready(r);
 }
 
 bool session::respawn_rank(unsigned r, const char* why) {
@@ -305,7 +324,10 @@ void session::trial_begin(const graph::topology_spec& spec,
       }
       // A contract error (a rank rebuilt another graph) is fatal, but only
       // after every outstanding ack is read: a stale ack would fail the
-      // next trial_begin on this session.
+      // next trial_begin on this session. The readies that follow are read
+      // by the next setup (send_setup). Without a mismatch the trial starts
+      // here, while the ranks still fill: each rank's ready is read before
+      // its first round frame, or at trial_end.
       std::exception_ptr mismatch;
       for (unsigned r = 0; r < ranks_.size(); ++r) {
         if (ranks_[r].state != rank_state::up || stage[r] != 1) continue;
@@ -356,6 +378,7 @@ void session::trial_end(const graph::graph& g) {
       auto& rk = ranks_[r];
       if (rk.state != rank_state::up || sent[r] != 1) continue;
       try {
+        await_ready(r);  // no round reached this rank
         const msg_type got = rk.ch.recv(frame_);
         if (got != msg_type::teardown_ack)
           throw wire_error(wire_errc::corrupt,
@@ -550,6 +573,9 @@ void session::walk_round(const radio::round_buffer& txs,
       continue;
     const fault_spec* fault = plan_.take(r, trial_index_, round_index_);
     try {
+      // The rank's first round of the trial waits for its fill under the
+      // setup deadline; its results below wait under the round deadline.
+      await_ready(r);
       send_round_frame(r, fault);
     } catch (const wire_error&) {
       recover_round(r, hit_state, block_touched);

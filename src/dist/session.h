@@ -7,10 +7,13 @@
 //
 //   sim::trial_graph_hook — sees every declarative trial's topology spec and
 //   graph right after build_topology: it ships the spec (with its resolved
-//   seed) and the graph's block plan to every rank, waits for their
-//   adjacencies to build, checks each rank's node and owned entry counts
-//   against the graph (a mismatch is a contract error: the spec does not
-//   replay), and arms the radio remote-walk hook for that trial. Trials are
+//   seed) and the graph's block plan to every rank, waits until every rank
+//   has counted its owned entries (setup_ack), checks each rank's node and
+//   owned entry counts against the graph (a mismatch is a contract error:
+//   the spec does not replay), and arms the radio remote-walk hook for that
+//   trial. The ranks finish their fills while the coordinator plans the
+//   trial; a rank's setup_ready is read before its first round frame, after
+//   every resync, or at trial_end when no round ran. Trials are
 //   serialized on an internal mutex, so scenario-pool threads compose with a
 //   session — they just take turns on the rank fleet.
 //
@@ -116,6 +119,8 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   // their networks by hand instead of through make_trial: `spec` must
   // rebuild exactly the graph `g` in the workers, else trial_begin throws
   // contract_error on the first rank whose node or entry count disagrees.
+  // trial_begin returns once every rank has counted its entries, not once
+  // every rank has filled them.
   void trial_begin(const graph::topology_spec& spec,
                    const graph::graph& g) override;
   void trial_end(const graph::graph& g) override;
@@ -140,12 +145,13 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
     unsigned last_block = 0;
     rank_state state = rank_state::up;
     unsigned respawns_this_trial = 0;
+    bool ready_pending = false;  ///< setup_ack read, setup_ready not yet
   };
 
   [[nodiscard]] bool spawn_rank(unsigned r);
   void kill_rank(unsigned r);
-  /// setup + setup-ack for the rank's current block range (workers are
-  /// round-stateless); throws wire_error on any failure.
+  /// setup, setup_ack and setup_ready for the rank's current block range
+  /// (workers are round-stateless); throws wire_error on any failure.
   void resync_rank(unsigned r);
   /// Bounded-backoff respawn loop ending in a resynced rank (true) or an
   /// exhausted budget (false — caller degrades).
@@ -156,6 +162,9 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   void reassign_blocks();
   void send_setup(unsigned r);
   void recv_setup_ack(unsigned r);
+  /// Reads the rank's setup_ready if one is pending, under the setup
+  /// deadline: a fill that scales with n is never mistaken for a wedge.
+  void await_ready(unsigned r);
   void send_round_frame(unsigned r, const fault_spec* fault);
   /// recv + validate + apply one rank's round results. Validation precedes
   /// any application (per-rank frames apply atomically) and already-applied

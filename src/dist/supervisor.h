@@ -28,12 +28,15 @@ namespace rn::dist {
 /// rn_dist (--round-deadline-ms etc.); tests shrink them to keep the fault
 /// matrix fast.
 struct supervise_policy {
-  /// recv deadline for a round-results frame (also every frame sent while a
-  /// trial is live). A rank that exceeds it is treated as wedged: killed,
-  /// then respawned. 0 disables detection (block forever).
+  /// recv deadline for a round-results frame (also every round frame sent),
+  /// the first round's included. A rank that exceeds it is treated as
+  /// wedged: killed, then respawned. 0 disables detection (block forever).
   unsigned round_deadline_ms = 60'000;
-  /// recv deadline for setup/teardown acks — CSR slice builds scale with n,
-  /// so this phase gets a larger budget.
+  /// recv deadline for setup/teardown acks and for each rank's setup_ready,
+  /// which the coordinator reads before the rank's first round frame, after
+  /// a resync, or at trial_end when no round ran — CSR slice builds scale
+  /// with n, so this phase gets a larger budget, and a fill still running
+  /// when the first round is due is never taken for a wedge.
   unsigned setup_deadline_ms = 300'000;
   /// Respawn attempts per rank per trial before degrading to reassignment.
   unsigned max_respawns = 2;

@@ -23,10 +23,18 @@
 // EOF). The coordinator arms per-phase deadlines (dist/session.cpp), so a
 // rank that stops responding surfaces as `timeout` within that bound.
 //
+// Setup is a two-stage handshake: a rank answers a setup frame with
+// setup_ack as soon as it knows its owned entry count (between the count and
+// scatter replays of a streamed view), then with setup_ready once its fill
+// and walker load are done. The coordinator reads every ack before the trial
+// starts and each rank's ready before that rank's first round frame, so its
+// own trial setup runs beside the ranks' fills.
+//
 // Round-trip shape per stepped round (see session.cpp): the coordinator
 // writes the transmitter frame to every rank and only then reads results
-// back rank by rank. Workers never send unsolicited frames, so the pattern
-// cannot deadlock: each socketpair carries at most one in-flight request.
+// back rank by rank. Workers send nothing but the replies to the frame they
+// were handed (two small ones for a setup), so the pattern cannot deadlock:
+// each socketpair carries at most one in-flight request.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +49,15 @@ namespace rn::dist {
 /// Frame types. Values are part of the wire format; append only.
 enum class msg_type : std::uint8_t {
   setup = 1,         ///< coord -> worker: block range, topology spec, plan
-  setup_ack = 2,     ///< worker -> coord: node count + owned entry count
+  setup_ack = 2,     ///< worker -> coord: node count + owned entry count,
+                     ///< sent once counted, before the fill is done
   round = 3,         ///< coord -> worker: this round's transmitter ids
   round_results = 4, ///< worker -> coord: per-owned-block touched listeners
   teardown = 5,      ///< coord -> worker: trial over, free the partition
   teardown_ack = 6,  ///< worker -> coord: peak RSS + byte counters
   shutdown = 7,      ///< coord -> worker: exit the worker loop
+  setup_ready = 8,   ///< worker -> coord, no payload: fill and walker load
+                     ///< done, the rank takes rounds
 };
 
 /// Structured failure category of a channel operation.

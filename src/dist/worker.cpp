@@ -85,27 +85,36 @@ int worker_main(int fd) {
           walker.reset();
           view = graph::partitioned_view();
           resident = graph::graph();
-          std::size_t n = 0;
-          std::uint64_t owned_entries = 0;
+          // The ack goes out as soon as the owned entry count is known, so
+          // the coordinator's own trial setup runs beside the rest of this
+          // fill; setup_ready below says the rank takes rounds.
+          const auto ack = [&ch](std::size_t n, std::uint64_t owned_entries) {
+            wire_writer w;
+            w.u64(n);
+            w.u64(owned_entries);
+            ch.send(msg_type::setup_ack, w);
+          };
           graph::csr_ref csr;
           if (spec.kind == "layered") {
             // Streamed straight from the generator: the family the
-            // n = 10^8 point uses never materializes the full graph.
+            // n = 10^8 point uses never materializes the full graph. The
+            // stream repeats no edge, so the count pass's total is the
+            // view's entry count.
             const graph::layered_options lo = graph::layered_options_of(spec);
-            n = 1 + lo.depth * lo.width;
+            const std::size_t n = 1 + lo.depth * lo.width;
             check_plan(plan, n);
             view = graph::partitioned_view::from_plan(
                 n, plan, first, last,
-                [&lo](auto&& add) { graph::for_each_layered_edge(lo, add); });
-            owned_entries = view.adjacency().size();
+                [&lo](auto&& add) { graph::for_each_layered_edge(lo, add); },
+                [&](std::uint64_t total) { ack(n, total); });
             csr = view.csr();
           } else {
             // Other kinds fit a rank whole, as they fit a single process.
             resident = graph::build_topology(spec);
-            n = resident.node_count();
+            const std::size_t n = resident.node_count();
             check_plan(plan, n);
-            owned_entries = resident.offsets()[plan.bounds[last]] -
-                            resident.offsets()[plan.bounds[first]];
+            ack(n, resident.offsets()[plan.bounds[last]] -
+                       resident.offsets()[plan.bounds[first]]);
             csr = resident.csr();
           }
           walker = std::make_unique<radio::block_walker>();
@@ -118,10 +127,7 @@ int worker_main(int fd) {
             view = graph::partitioned_view();
             resident = graph::graph();
           }
-          wire_writer ack;
-          ack.u64(n);
-          ack.u64(owned_entries);
-          ch.send(msg_type::setup_ack, ack);
+          ch.send(msg_type::setup_ready, wire_writer{});
           break;
         }
         case msg_type::round: {

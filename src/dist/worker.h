@@ -4,10 +4,13 @@
 // plan the coordinator ships in each setup frame. For layered topologies it
 // holds only the in-edge partitioned CSR for that range
 // (graph::partitioned_view, filled in two replays of the generator); every
-// other kind it rebuilds whole and walks the rows inside its range. Its
-// setup ack returns the node count and the owned entry count, which the
-// coordinator checks against its own graph. Per round it
-// receives the global transmitter list, tallies hit words for its own
+// other kind it rebuilds whole and walks the rows inside its range. It
+// answers a setup frame twice: setup_ack with the node count and the owned
+// entry count, which the coordinator checks against its own graph, as soon
+// as it has them (between the view's count and scatter replays, or right
+// after the rebuild), then setup_ready, with no payload, once the fill, row
+// sort and walker load are done and before it reads another frame. Per
+// round it receives the global transmitter list, tallies hit words for its own
 // listeners, and returns each owned block's first-touched listeners (in the
 // canonical walk order) with their packed words. The coordinator applies
 // blocks in ascending order, so the reception dispatch it then runs is

@@ -14,12 +14,12 @@
 // A view is streamed from an edge stream (the full graph never
 // materializes) through the same CSR fill as graph::from_edges: `from_plan`
 // takes the plan a process holding the graph computed and replays the stream
-// twice (count, scatter); `from_edge_source` first derives the plan itself
-// from one more replay (the degree pass). The streamed path is what lets an
-// n = 10^8 trial fit a rank in a few GB — see graph/generators.h
-// `for_each_layered_edge`. A process that holds the resident graph needs no
-// view: the block walker (radio/block_walk.h) clips the graph's own rows to
-// its blocks.
+// twice (count, scatter), reporting the entry count between the two;
+// `from_edge_source` first derives the plan itself from one more replay (the
+// degree pass). The streamed path is what lets an n = 10^8 trial fit a rank
+// in a few GB — see graph/generators.h `for_each_layered_edge`. A process
+// that holds the resident graph needs no view: the block walker
+// (radio/block_walk.h) clips the graph's own rows to its blocks.
 #pragma once
 
 #include <cstdint>
@@ -76,12 +76,16 @@ class partitioned_view {
   /// two replays of `edges` (count, scatter). `edges(add)` must call
   /// add(u, v) exactly once per undirected edge and replay identically; a
   /// template sink, so no call per edge goes through a std::function.
-  template <class Edges>
+  /// `counted(total)` runs between the replays with the view's entry count
+  /// (fill_csr), which equals adjacency().size() for a stream that never
+  /// repeats an edge.
+  template <class Edges, class Counted = ignore_count>
   [[nodiscard]] static partitioned_view from_plan(std::size_t node_count,
                                                   block_plan plan,
                                                   unsigned first_block,
                                                   unsigned last_block,
-                                                  Edges&& edges);
+                                                  Edges&& edges,
+                                                  Counted counted = {});
 
   /// Derives the plan from one degree replay of `edges` (what a process
   /// without the graph must do), then fills as `from_plan`: three replays in
@@ -115,12 +119,12 @@ class partitioned_view {
   std::vector<node_id> adj_;              ///< owned-range neighbors, sorted
 };
 
-template <class Edges>
+template <class Edges, class Counted>
 partitioned_view partitioned_view::from_plan(std::size_t node_count,
                                              block_plan plan,
                                              unsigned first_block,
                                              unsigned last_block,
-                                             Edges&& edges) {
+                                             Edges&& edges, Counted counted) {
   RN_REQUIRE(node_count >= 1, "partitioned view needs >= 1 node");
   RN_REQUIRE(!plan.bounds.empty() && plan.bounds.back() == node_count,
              "partitioned view plan does not end at the node count");
@@ -144,7 +148,7 @@ partitioned_view partitioned_view::from_plan(std::size_t node_count,
           if (u >= lo && u < hi) put(v, u);
         });
       },
-      pv.row_start_, pv.adj_);
+      pv.row_start_, pv.adj_, std::move(counted));
   return pv;
 }
 

@@ -156,6 +156,61 @@ TEST(PartitionedView, ResidentBuildAndRankViewReplayTheirStreamTwice) {
   EXPECT_EQ(view.adjacency(), derived.adjacency());
 }
 
+TEST(PartitionedView, CountPassTotalIsTheOwnedEntryCount) {
+  // A rank acks its owned entry count between from_plan's count and scatter
+  // replays, before any row is deduplicated. The layered stream never
+  // repeats an edge (the guaranteed parent is left out of the Bernoulli
+  // draws), so that count must already be the view's final size and the
+  // degree sum the coordinator checks from its own graph.
+  struct shape {
+    std::size_t depth, width;
+    double edge_prob, intra_prob;
+  };
+  for (const shape sh : {shape{7, 23, 0.2, 0.0}, shape{6, 9, 1.0, 0.0},
+                         shape{5, 17, 0.3, 0.25}, shape{4, 12, 1.0, 0.5}}) {
+    for (const std::uint64_t seed : {1u, 31u, 977u}) {
+      graph::layered_options opt;
+      opt.depth = sh.depth;
+      opt.width = sh.width;
+      opt.edge_prob = sh.edge_prob;
+      opt.intra_prob = sh.intra_prob;
+      opt.seed = seed;
+      const graph::graph g = graph::random_layered(opt);
+      const graph::block_plan plan = plan_of(g);
+      const auto offsets = g.offsets();
+      for (unsigned ranks = 1; ranks <= 4; ++ranks) {
+        for (unsigned r = 0; r < ranks; ++r) {
+          SCOPED_TRACE("depth=" + std::to_string(sh.depth) +
+                       " edge_prob=" + std::to_string(sh.edge_prob) +
+                       " intra_prob=" + std::to_string(sh.intra_prob) +
+                       " seed=" + std::to_string(seed) + " rank " +
+                       std::to_string(r) + " of " + std::to_string(ranks));
+          const unsigned first = kBlocks * r / ranks;
+          const unsigned last = kBlocks * (r + 1) / ranks;
+          unsigned replays = 0;
+          unsigned calls = 0;
+          std::uint64_t total = 0;
+          const auto view = graph::partitioned_view::from_plan(
+              g.node_count(), plan, first, last,
+              [&](auto&& add) {
+                ++replays;
+                graph::for_each_layered_edge(opt, add);
+              },
+              [&](std::uint64_t counted) {
+                EXPECT_EQ(replays, 1u) << "counted before the scatter";
+                ++calls;
+                total = counted;
+              });
+          EXPECT_EQ(calls, 1u);
+          EXPECT_EQ(total, view.adjacency().size());
+          EXPECT_EQ(total, std::uint64_t{offsets[plan.bounds[last]]} -
+                               offsets[plan.bounds[first]]);
+        }
+      }
+    }
+  }
+}
+
 // --- block walker vs serial reference -------------------------------------
 
 /// The serial walk's per-reception update: transmitter index i touches the
@@ -502,6 +557,29 @@ TEST(DistSession, FailedSetupLeavesTheSessionUsable) {
   EXPECT_EQ(s.totals().trials, 1u);
 }
 
+TEST(DistSession, SetupAfterAMismatchRespawnsNoRank) {
+  // A mismatched setup throws once every ack is read, while each rank still
+  // fills and owes its setup_ready. The next setup must read that ready
+  // first, not take it for its own ack and respawn the rank; a trial that
+  // ships no round reads its ranks' readies at trial_end.
+  session_options so;
+  so.ranks = 3;
+  session s(so);
+  graph::topology_spec spec =
+      graph::parse_topology_spec("layered:depth=6,width=9,edge_prob=0.3");
+  spec.seed = 11;
+  const graph::graph g = graph::build_topology(spec);
+  graph::topology_spec other = spec;
+  other.seed = 12;
+  EXPECT_THROW(s.trial_begin(other, g), contract_error);
+  s.trial_begin(spec, g);
+  s.trial_end(g);
+  s.trial_begin(spec, g);
+  s.trial_end(g);
+  EXPECT_EQ(s.totals().rank_restarts, 0u);
+  EXPECT_EQ(s.totals().trials, 2u);
+}
+
 // --- wire-level fuzz: framing failures are structured, never hangs --------
 
 TEST(WireFuzz, TruncatedLengthPrefixIsStructuredClosed) {
@@ -790,6 +868,67 @@ TEST(DistFaultMatrix, DelayPastTheDeadlineTriggersRespawn) {
   const run_outcome got = run_dist(fx.e, fx.rc, so);
   EXPECT_EQ(got.json, fx.local_json);
   EXPECT_GE(got.totals.rank_restarts, 1u);
+}
+
+TEST(DistFaultMatrix, DelayedFirstRoundPastTheDeadlineTriggersRespawn) {
+  // The first round's wait for the rank's fill runs under the setup
+  // deadline, but its results still wait under the round deadline.
+  const fault_fixture fx;
+  session_options so = fast_recovery_options(2);
+  so.policy.round_deadline_ms = 100;
+  so.fault_plan = "delay:rank=1,trial=0,round=0,ms=2000";
+  const run_outcome got = run_dist(fx.e, fx.rc, so);
+  EXPECT_EQ(got.json, fx.local_json);
+  EXPECT_GE(got.totals.rank_restarts, 1u);
+}
+
+TEST(DistFaultMatrix, RankFillLongerThanTheRoundDeadlineIsNotAWedge) {
+  // A rank acks once it has counted its entries, and trial_begin returns
+  // then; the rest of its fill may still run when its first round is due.
+  // The coordinator waits for it under the setup deadline, so a fill five
+  // times the round deadline is latency, not a wedge. The deadline is a
+  // fifth of a timed fill of rank 0's view, the fill a worker runs; decay's
+  // rounds each walk a rank's rows at most once, far under that. Two ranks
+  // of the 150k spec keep that deadline near 40 ms, clear of a loaded
+  // host's scheduling delays.
+  const char* topology = "layered:depth=50,width=3000,edge_prob=0.0066";
+  constexpr unsigned ranks = 2;
+  sim::adhoc_spec spec;
+  spec.topology = topology;
+  spec.protocols = "decay";
+  const sim::experiment e = sim::make_adhoc_experiment(spec);
+  sim::run_config rc;
+  rc.trials = 1;
+  rc.threads = 1;  // single-threaded driver: fork-only respawn is safe
+  rc.seed = 11;
+
+  double fill_ms = 0.0;
+  {
+    graph::topology_spec ts = graph::parse_topology_spec(topology);
+    ts.seed = rc.seed;  // the fill's cost depends on the shape, not the seed
+    const graph::graph g = graph::build_topology(ts);
+    const graph::layered_options lo = graph::layered_options_of(ts);
+    const auto t0 = std::chrono::steady_clock::now();  // rn-lint: allow(R1) sets the test's round deadline from a rank fill's duration (test-only timing)
+    const auto view = graph::partitioned_view::from_plan(
+        g.node_count(), plan_of(g), 0, kBlocks / ranks,
+        [&lo](auto&& add) { graph::for_each_layered_edge(lo, add); });
+    fill_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)  // rn-lint: allow(R1) sets the test's round deadline from a rank fill's duration (test-only timing)
+                  .count();
+    ASSERT_FALSE(view.adjacency().empty());
+  }
+  const std::string local_json =
+      sim::to_json(e, sim::run_experiment(e, rc)).dump(2);
+
+  session_options so = fast_recovery_options(ranks);
+  so.policy.round_deadline_ms = std::max(1u, unsigned(fill_ms / 5));
+  SCOPED_TRACE("rank fill " + std::to_string(fill_ms) +
+               " ms, round deadline " +
+               std::to_string(so.policy.round_deadline_ms) + " ms");
+  const run_outcome got = run_dist(e, rc, so);
+  EXPECT_EQ(got.json, local_json);
+  EXPECT_EQ(got.totals.rank_restarts, 0u);
+  EXPECT_EQ(got.totals.degraded_ranks, 0u);
 }
 
 // --- degradation: reassignment stays byte-identical ------------------------

@@ -16,7 +16,10 @@
 //
 //   --round-deadline-ms N   recv deadline per round frame (default 60000;
 //                           0 = block forever, disables wedge detection)
-//   --setup-deadline-ms N   recv deadline for setup/teardown acks (300000)
+//   --setup-deadline-ms N   recv deadline for setup_ack, setup_ready and
+//                           teardown_ack (300000); a rank's first round
+//                           waits for its setup_ready under it, so a long
+//                           fill is never taken for a wedge
 //   --max-respawns N        respawn attempts per rank per trial before the
 //                           rank degrades to block reassignment (2)
 //   --backoff-ms N          base of the exponential respawn backoff (100)
