@@ -13,9 +13,9 @@
 //   the spec does not replay), and arms the radio remote-walk hook for that
 //   trial. The ranks finish their fills while the coordinator plans the
 //   trial; a rank's setup_ready is read before its first round frame, after
-//   every resync, or at trial_end when no round ran. Trials are
-//   serialized on an internal mutex, so scenario-pool threads compose with a
-//   session — they just take turns on the rank fleet.
+//   every resync, before its next setup, or at trial_end when no round ran.
+//   Trials are serialized on an internal mutex, so scenario-pool threads
+//   compose with a session — they just take turns on the rank fleet.
 //
 //   radio::remote_walk — adopted by networks whose topology is the armed
 //   trial graph (pointer identity). The coordinator's network then walks

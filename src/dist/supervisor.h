@@ -34,9 +34,10 @@ struct supervise_policy {
   unsigned round_deadline_ms = 60'000;
   /// recv deadline for setup/teardown acks and for each rank's setup_ready,
   /// which the coordinator reads before the rank's first round frame, after
-  /// a resync, or at trial_end when no round ran — CSR slice builds scale
-  /// with n, so this phase gets a larger budget, and a fill still running
-  /// when the first round is due is never taken for a wedge.
+  /// a resync, before its next setup, or at trial_end when no round ran —
+  /// CSR slice builds scale with n, so this phase gets a larger budget, and
+  /// a fill still running when the first round is due is never taken for a
+  /// wedge.
   unsigned setup_deadline_ms = 300'000;
   /// Respawn attempts per rank per trial before degrading to reassignment.
   unsigned max_respawns = 2;
