@@ -100,9 +100,10 @@ void register_e10(sim::registry& reg) {
   // 8 GB class of machine: one trial's adjacency alone is ~17 GB, which is
   // exactly what the distributed backend exists for. Run it as
   //   rn_dist --ranks 4 -e e10x --trials 1 --timing t.json
-  // — each rank then holds only its ~4.3 GB partitioned CSR slice (streamed
-  // from the layered generator, never materializing the full graph in the
-  // worker) and the v5 sidecar reports the per-rank peaks. Results are
+  // — each rank then holds only its ~4.3 GB partitioned CSR slice (filled
+  // from the rows the coordinator ships out of its own graph, in frames of
+  // at most 1 MiB, never materializing the full graph in the worker) and
+  // the v6 sidecar reports the per-rank peaks. Results are
   // byte-identical to a single-process run of the same seed, which a 128 GB
   // coordinator-only box can cross-check with bench_suite.
   sim::experiment xl;
@@ -119,8 +120,9 @@ void register_e10(sim::registry& reg) {
       "(layered: D = 50, width 2e6, mean degree ~42, ~2.1e9 undirected "
       "edges — the CSR sits just under the 32-bit offset ceiling. gst-known "
       "only: the Decay column's round count is unremarkable at this scale "
-      "and roughly doubles the wall-clock. See README \"Distributed mode\" "
-      "for the measured per-rank footprint table.)";
+      "and roughly doubles the wall-clock. Each rank holds only its "
+      "partitioned slice, ~4.3 GB at 4 ranks, filled from the rows the "
+      "coordinator ships; see README \"Distributed mode\".)";
   xl.make_scenarios = [] {
     std::vector<sim::scenario> out;
     out.push_back(scale_scenario(

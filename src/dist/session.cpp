@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include <sys/wait.h>
@@ -21,6 +22,9 @@ namespace rn::dist {
 namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
+
+/// How many listeners ahead a round merge prefetches the hit word it stores.
+constexpr std::uint32_t kWordsAhead = 16;
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -122,52 +126,14 @@ void session::kill_rank(unsigned r) {
   }
 }
 
-void session::send_setup(unsigned r) {
-  // A ready still owed for the previous setup (a pass that degraded a rank,
-  // or a setup that ended in a mismatch) would read as this setup's ack.
+setup_stream session::begin_setup(unsigned r) {
+  // A ready still owed for the previous setup (a pass that degraded a rank)
+  // would read as this setup's.
   await_ready(r);
   auto& rk = ranks_[r];
   rk.ch.set_deadline_ms(opt_.policy.setup_deadline_ms);
-  const std::string text = trial_spec_.to_string();
-  wire_writer setup;
-  setup.u32(rk.first_block);
-  setup.u32(rk.last_block);
-  setup.u32(kBlocks);
-  setup.u32(opt_.intra_trial_threads);
-  setup.u64(trial_spec_.seed);
-  setup.u32(static_cast<std::uint32_t>(text.size()));
-  setup.raw(text.data(), text.size());
-  for (const node_id bound : trial_plan_.bounds) setup.u32(bound);
-  rk.ch.send(msg_type::setup, setup);
-}
-
-void session::recv_setup_ack(unsigned r) {
-  auto& rk = ranks_[r];
-  rk.ch.set_deadline_ms(opt_.policy.setup_deadline_ms);
-  const msg_type got = rk.ch.recv(frame_);
-  if (got != msg_type::setup_ack)
-    throw wire_error(wire_errc::corrupt,
-                     "dist rank " + std::to_string(r) +
-                         " sent an out-of-protocol frame (expected "
-                         "setup_ack)");
-  // The rank fills on after its ack, whatever the check below finds.
-  rk.ready_pending = true;
-  wire_reader in(frame_);
-  const std::uint64_t n = in.u64();
-  const std::uint64_t owned_entries = in.u64();
-  // A mismatch is NOT a rank failure — the spec replayed to a different
-  // graph, so respawning cannot help. Let it escape as a plain contract
-  // violation (fatal), past every recovery catch; trial_begin reads the
-  // other ranks' acks before rethrowing it. The owned entry count is
-  // the degree sum over the rank's listeners, which the shipped plan alone
-  // does not pin down.
-  const auto offsets = trial_graph_->offsets();
-  const std::uint64_t want_entries =
-      offsets[trial_plan_.bounds[rk.last_block]] -
-      offsets[trial_plan_.bounds[rk.first_block]];
-  RN_REQUIRE(n == trial_graph_->node_count() && owned_entries == want_entries,
-             "dist rank rebuilt a different graph (node or entry count "
-             "mismatch) — topology spec is not replay-deterministic");
+  return {*trial_graph_, trial_plan_, rk.first_block, rk.last_block,
+          opt_.intra_trial_threads};
 }
 
 void session::await_ready(unsigned r) {
@@ -186,8 +152,10 @@ void session::resync_rank(unsigned r) {
   // Workers are round-stateless (every round's state is cleared before
   // its reply), so a fresh slice needs no history: setup is the whole
   // resync, and the caller resends the round in flight.
-  send_setup(r);
-  recv_setup_ack(r);
+  setup_stream setup = begin_setup(r);
+  while (setup.send_next(ranks_[r].ch, setup_scratch_)) {
+  }
+  ranks_[r].ready_pending = true;
   await_ready(r);
 }
 
@@ -267,14 +235,13 @@ void session::reassign_blocks() {
   if (needs_reassign_) reassign_blocks();
 }
 
-void session::trial_begin(const graph::topology_spec& spec,
+void session::trial_begin(const graph::topology_spec& /*spec*/,
                           const graph::graph& g) {
   // Serialize trials across scenario-pool threads: the rank fleet runs one
   // trial at a time; everyone else queues here. Unlocked in trial_end on
   // the same thread (the trial hook scope guarantees the pairing).
   trial_mu_.lock();
   try {
-    trial_spec_ = spec;
     trial_graph_ = &g;
     trial_plan_ = graph::compute_block_plan(g, kBlocks);
     trial_index_ = static_cast<std::uint32_t>(trials_);
@@ -307,40 +274,54 @@ void session::trial_begin(const graph::topology_spec& spec,
         reassign_blocks();
         trial_live_ = was_live;
       }
-      // 0 = pending, 1 = setup sent (ack outstanding), 2 = fully synced
-      // (respawn_rank resyncs internally).
-      std::vector<std::uint8_t> stage(ranks_.size(), 0);
+      // Every up rank's setup goes out one frame per rank per turn, so each
+      // rank scatters one frame while the others receive theirs. A rank
+      // whose channel fails drops out of the turns. The trial starts here,
+      // while the ranks finish their fills: each rank's ready is read
+      // before its first round frame, or at trial_end.
+      std::vector<std::optional<setup_stream>> setups(ranks_.size());
+      std::vector<unsigned> failed;
       for (unsigned r = 0; r < ranks_.size(); ++r) {
         if (ranks_[r].state != rank_state::up) continue;
         try {
-          send_setup(r);
-          stage[r] = 1;
+          setups[r].emplace(begin_setup(r));
         } catch (const wire_error&) {
-          if (respawn_rank(r, "failed at trial setup"))
-            stage[r] = 2;
-          else
-            degrade_rank(r);
+          failed.push_back(r);
         }
       }
-      // A contract error (a rank rebuilt another graph) is fatal, but only
-      // after every outstanding ack is read: a stale ack would fail the
-      // next trial_begin on this session. The readies that follow are read
-      // by the next setup (send_setup). Without a mismatch the trial starts
-      // here, while the ranks still fill: each rank's ready is read before
-      // its first round frame, or at trial_end.
-      std::exception_ptr mismatch;
-      for (unsigned r = 0; r < ranks_.size(); ++r) {
-        if (ranks_[r].state != rank_state::up || stage[r] != 1) continue;
-        try {
-          recv_setup_ack(r);
-        } catch (const wire_error&) {
-          if (!respawn_rank(r, "failed at trial setup"))
-            degrade_rank(r);
-        } catch (const contract_error&) {
-          if (!mismatch) mismatch = std::current_exception();
+      for (bool more = true; more;) {
+        more = false;
+        for (unsigned r = 0; r < ranks_.size(); ++r) {
+          if (!setups[r]) continue;
+          try {
+            if (setups[r]->send_next(ranks_[r].ch, setup_scratch_)) {
+              more = true;
+              continue;
+            }
+            ranks_[r].ready_pending = true;
+          } catch (const wire_error&) {
+            failed.push_back(r);
+          }
+          setups[r].reset();
         }
       }
-      if (mismatch) std::rethrow_exception(mismatch);
+      // A pass that lost a rank reads every other rank's ready before
+      // recovering any, so every rank that died in the pass is retired
+      // with the blocks it held in it, not handed another rank's first.
+      if (!failed.empty()) {
+        for (unsigned r = 0; r < ranks_.size(); ++r) {
+          if (ranks_[r].state != rank_state::up ||
+              std::find(failed.begin(), failed.end(), r) != failed.end())
+            continue;
+          try {
+            await_ready(r);
+          } catch (const wire_error&) {
+            failed.push_back(r);
+          }
+        }
+      }
+      for (const unsigned r : failed)
+        if (!respawn_rank(r, "failed at trial setup")) degrade_rank(r);
       if (!needs_reassign_) break;
     }
 
@@ -415,12 +396,15 @@ void session::release(const graph::graph& g) {
 void session::send_round_frame(unsigned r, const fault_spec* fault) {
   auto& rk = ranks_[r];
   rk.ch.set_deadline_ms(opt_.policy.round_deadline_ms);
-  wire_writer w;
-  w.u8(static_cast<std::uint8_t>(fault ? fault->kind : fault_kind::none));
-  w.u32(fault ? fault->arg_ms : 0);
-  w.u32(static_cast<std::uint32_t>(current_txs_.size()));
-  w.raw(current_txs_.data(), current_txs_.size() * 4);
-  rk.ch.send(msg_type::round, w);
+  // [u32 fault kind][u32 fault ms][u32 count][ids]: the ids start 4-byte
+  // aligned, so the rank walks them in place.
+  const std::uint32_t head[3] = {
+      static_cast<std::uint32_t>(fault ? fault->kind : fault_kind::none),
+      fault ? fault->arg_ms : 0,
+      static_cast<std::uint32_t>(current_txs_.size())};
+  const wire_part frame[2] = {{head, sizeof(head)},
+                              {current_txs_.data(), current_txs_.size() * 4}};
+  rk.ch.send(msg_type::round, frame);
 }
 
 void session::collect_round(unsigned r, std::uint64_t* hit_state,
@@ -436,11 +420,12 @@ void session::collect_round(unsigned r, std::uint64_t* hit_state,
   // Validate the whole frame before applying any of it: a frame that dies
   // halfway through validation has touched nothing, so the respawned rank's
   // resend (or a local cover) can apply the same blocks with no trace of
-  // the failed attempt.
+  // the failed attempt. A block's ids must lie inside it, which also bounds
+  // its count by the block's size.
   struct block_ref {
     std::uint32_t b = 0;
     std::uint32_t count = 0;
-    const std::uint8_t* ids = nullptr;
+    const node_id* ids = nullptr;
     const std::uint8_t* words = nullptr;
   };
   std::vector<block_ref> refs;
@@ -455,8 +440,21 @@ void session::collect_round(unsigned r, std::uint64_t* hit_state,
       if (ref.b != expect_block || ref.b >= rk.last_block)
         throw wire_error(wire_errc::corrupt,
                          "dist rank returned blocks out of order");
-      ref.ids = in.raw(std::size_t{ref.count} * 4);
+      const node_id lo = trial_plan_.bounds[ref.b];
+      const node_id hi = trial_plan_.bounds[ref.b + 1];
+      if (ref.count > hi - lo)
+        throw wire_error(wire_errc::corrupt,
+                         "dist rank returned more listeners than its block "
+                         "holds");
+      // 4-byte aligned: every block before this one is 8 + 12 * count
+      // bytes long.
+      ref.ids = reinterpret_cast<const node_id*>(
+          in.raw(std::size_t{ref.count} * 4));
       ref.words = in.raw(std::size_t{ref.count} * 8);
+      const auto [min, max] = std::minmax_element(ref.ids, ref.ids + ref.count);
+      if (ref.count > 0 && (*min < lo || *max >= hi))
+        throw wire_error(wire_errc::corrupt,
+                         "dist rank returned a listener outside its block");
       refs.push_back(ref);
       ++expect_block;
     }
@@ -474,12 +472,14 @@ void session::collect_round(unsigned r, std::uint64_t* hit_state,
   const auto t0 = std::chrono::steady_clock::now();  // rn-lint: allow(R1) merge wall time feeds dist_merge_wall_ms (sidecar counter only)
   for (const auto& ref : refs) {
     if (applied_[ref.b]) continue;  // recovery already covered it
-    radio::touch_list& touched = block_touched[ref.b];
-    const auto* ids = reinterpret_cast<const node_id*>(ref.ids);
+    block_touched[ref.b].append(ref.ids, ref.count);
+    // The words land in touch order, all over the block: each store's line
+    // is prefetched kWordsAhead listeners early.
+    const std::uint32_t ahead = ref.count - std::min(ref.count, kWordsAhead);
     for (std::uint32_t k = 0; k < ref.count; ++k) {
-      const node_id v = ids[k];
-      touched.push(v);
-      std::memcpy(&hit_state[v], ref.words + std::size_t{k} * 8, 8);
+      if (k < ahead)
+        __builtin_prefetch(&hit_state[ref.ids[k + kWordsAhead]], 1);
+      std::memcpy(&hit_state[ref.ids[k]], ref.words + std::size_t{k} * 8, 8);
     }
     applied_[ref.b] = 1;
   }

@@ -5,17 +5,16 @@
 // fork+exec of a launcher binary for tools/rn_dist) and implements both
 // process-wide hooks the rest of the stack exposes:
 //
-//   sim::trial_graph_hook — sees every declarative trial's topology spec and
-//   graph right after build_topology: it ships the spec (with its resolved
-//   seed) and the graph's block plan to every rank, waits until every rank
-//   has counted its owned entries (setup_ack), checks each rank's node and
-//   owned entry counts against the graph (a mismatch is a contract error:
-//   the spec does not replay), and arms the radio remote-walk hook for that
-//   trial. The ranks finish their fills while the coordinator plans the
-//   trial; a rank's setup_ready is read before its first round frame, after
-//   every resync, before its next setup, or at trial_end when no round ran.
-//   Trials are serialized on an internal mutex, so scenario-pool threads
-//   compose with a session — they just take turns on the rank fleet.
+//   sim::trial_graph_hook — sees every declarative trial's graph right after
+//   build_topology: it streams every rank its setup straight out of that
+//   graph (the block plan, then the rows of the rank's listeners; see
+//   dist/worker.h), one frame per rank per turn, and arms the radio
+//   remote-walk hook for that trial. The ranks finish their fills while the
+//   coordinator plans the trial; a rank's setup_ready is read before its
+//   first round frame, after every resync, before its next setup, or at
+//   trial_end when no round ran. Trials are serialized on an internal
+//   mutex, so scenario-pool threads compose with a session — they just take
+//   turns on the rank fleet.
 //
 //   radio::remote_walk — adopted by networks whose topology is the armed
 //   trial graph (pointer identity). The coordinator's network then walks
@@ -27,7 +26,7 @@
 // frame exchanged while a trial is live carries a per-phase deadline, so a
 // crashed rank (EOF) and a wedged rank (timeout) are both detected within a
 // bound, never a hang. The session then respawns the rank with bounded
-// exponential backoff — rebuilding its adjacency from the topology spec,
+// exponential backoff — re-shipping its rows from the coordinator's graph,
 // then resending the round in flight (workers keep no
 // state between rounds) — or, once the respawn budget is exhausted, retires
 // the rank: its blocks are covered locally for the in-flight round (the
@@ -56,6 +55,7 @@
 #include "dist/fault.h"
 #include "dist/supervisor.h"
 #include "dist/wire.h"
+#include "dist/worker.h"
 #include "graph/partitioned.h"
 #include "graph/topology.h"
 #include "radio/network.h"
@@ -116,11 +116,9 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   [[nodiscard]] session_totals totals() const;
 
   // sim::trial_graph_hook — also directly callable by tests that build
-  // their networks by hand instead of through make_trial: `spec` must
-  // rebuild exactly the graph `g` in the workers, else trial_begin throws
-  // contract_error on the first rank whose node or entry count disagrees.
-  // trial_begin returns once every rank has counted its entries, not once
-  // every rank has filled them.
+  // their networks by hand instead of through make_trial. The ranks fill
+  // from `g`'s own rows, so `spec` is not read. trial_begin returns once
+  // every rank has all its frames, not once every rank has filled them.
   void trial_begin(const graph::topology_spec& spec,
                    const graph::graph& g) override;
   void trial_end(const graph::graph& g) override;
@@ -145,13 +143,14 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
     unsigned last_block = 0;
     rank_state state = rank_state::up;
     unsigned respawns_this_trial = 0;
-    bool ready_pending = false;  ///< setup_ack read, setup_ready not yet
+    bool ready_pending = false;  ///< setup sent, setup_ready not yet read
   };
 
   [[nodiscard]] bool spawn_rank(unsigned r);
   void kill_rank(unsigned r);
-  /// setup, setup_ack and setup_ready for the rank's current block range
-  /// (workers are round-stateless); throws wire_error on any failure.
+  /// Ships the rank's setup for its current block range and reads its
+  /// setup_ready (workers are round-stateless); throws wire_error on any
+  /// failure.
   void resync_rank(unsigned r);
   /// Bounded-backoff respawn loop ending in a resynced rank (true) or an
   /// exhausted budget (false — caller degrades).
@@ -160,8 +159,9 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   /// Round-boundary reassignment: retile the 32 blocks over up ranks and
   /// resync every survivor whose range changed.
   void reassign_blocks();
-  void send_setup(unsigned r);
-  void recv_setup_ack(unsigned r);
+  /// Reads a ready the rank still owes, arms the setup deadline and returns
+  /// the rank's setup for its current block range.
+  [[nodiscard]] setup_stream begin_setup(unsigned r);
   /// Reads the rank's setup_ready if one is pending, under the setup
   /// deadline: a fill that scales with n is never mistaken for a wedge.
   void await_ready(unsigned r);
@@ -172,9 +172,7 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   void collect_round(unsigned r, std::uint64_t* hit_state,
                      radio::touch_list* block_touched);
   /// Full mid-round recovery of rank r: respawn/resync (+ resend the
-  /// current round) or degrade. Never throws for rank death — only for
-  /// genuine contract violations (e.g. a respawned rank rebuilding a
-  /// different graph).
+  /// current round) or degrade. Never throws for rank death.
   void recover_round(unsigned r, std::uint64_t* hit_state,
                      radio::touch_list* block_touched);
   /// Walks every still-unapplied block range locally on the coordinator's
@@ -194,7 +192,6 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   std::atomic<const graph::graph*> armed_{nullptr};
 
   // Per-trial state (valid between trial_begin and trial_end).
-  graph::topology_spec trial_spec_;
   const graph::graph* trial_graph_ = nullptr;
   graph::block_plan trial_plan_;  ///< shipped in every setup frame
   bool trial_live_ = false;
@@ -223,6 +220,8 @@ class session : public radio::remote_walk, public sim::trial_graph_hook {
   std::uint64_t bytes_sent_closed_ = 0;      ///< counters of replaced channels
   std::uint64_t bytes_received_closed_ = 0;
   std::vector<std::uint8_t> frame_;  ///< recv scratch (coordinator thread)
+  /// Row lengths of the setup frame being sent (coordinator thread).
+  std::vector<std::uint32_t> setup_scratch_;
 };
 
 }  // namespace rn::dist

@@ -5,11 +5,10 @@
 // drives recovery through this policy:
 //
 //   1. *Respawn*: fork (or fork+exec) a fresh process for the rank, with
-//      bounded exponential backoff between attempts, rebuild its adjacency
-//      (the setup frame carries the topology spec), then resend the round
-//      in flight — workers keep no
-//      state between rounds, so setup is the whole resync. Each rank gets
-//      `max_respawns` attempts per trial.
+//      bounded exponential backoff between attempts, re-ship its rows from
+//      the coordinator's graph (the setup frames), then resend the round
+//      in flight — workers keep no state between rounds, so setup is the
+//      whole resync. Each rank gets `max_respawns` attempts per trial.
 //   2. *Degrade*: when respawn is exhausted the rank is retired for the rest
 //      of the session; its block range is covered locally for the in-flight
 //      round (the coordinator holds the trial graph) and reassigned to the
@@ -32,12 +31,12 @@ struct supervise_policy {
   /// the first round's included. A rank that exceeds it is treated as
   /// wedged: killed, then respawned. 0 disables detection (block forever).
   unsigned round_deadline_ms = 60'000;
-  /// recv deadline for setup/teardown acks and for each rank's setup_ready,
-  /// which the coordinator reads before the rank's first round frame, after
-  /// a resync, before its next setup, or at trial_end when no round ran —
-  /// CSR slice builds scale with n, so this phase gets a larger budget, and
-  /// a fill still running when the first round is due is never taken for a
-  /// wedge.
+  /// Deadline for every setup frame sent, the teardown ack and each rank's
+  /// setup_ready, which the coordinator reads before the rank's first round
+  /// frame, after a resync, before its next setup, or at trial_end when no
+  /// round ran — view fills scale with n, so this phase gets a larger
+  /// budget, and a fill still running when the first round is due is never
+  /// taken for a wedge.
   unsigned setup_deadline_ms = 300'000;
   /// Respawn attempts per rank per trial before degrading to reassignment.
   unsigned max_respawns = 2;

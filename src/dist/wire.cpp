@@ -1,19 +1,17 @@
 #include "dist/wire.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace rn::dist {
-
-std::uint8_t wire_reader::u8() {
-  RN_REQUIRE(at_ + 1 <= size_, "dist frame truncated (u8)");
-  return data_[at_++];
-}
 
 std::uint32_t wire_reader::u32() {
   RN_REQUIRE(at_ + 4 <= size_, "dist frame truncated (u32)");
@@ -110,12 +108,17 @@ void wait_ready(int fd, short events, const frame_deadline& dl,
   }
 }
 
-void write_all(int fd, const void* data, std::size_t len,
-               const frame_deadline& dl) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
+/// Writes every byte of `iov[0, count)`, resuming partial writes (the
+/// entries are consumed in place).
+void write_all(int fd, iovec* iov, int count, const frame_deadline& dl) {
+  for (;;) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return;
     wait_ready(fd, POLLOUT, dl, "write");
-    const ssize_t n = ::write(fd, p, len);
+    const ssize_t n = ::writev(fd, iov, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET)
@@ -123,8 +126,13 @@ void write_all(int fd, const void* data, std::size_t len,
                          "dist peer closed the channel (write)");
       throw_errno("write");
     }
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    auto left = static_cast<std::size_t>(n);
+    for (; count > 0 && left >= iov->iov_len; ++iov, --count)
+      left -= iov->iov_len;
+    if (left > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
 }
 
@@ -159,21 +167,46 @@ bool read_all(int fd, void* data, std::size_t len, const frame_deadline& dl) {
 }  // namespace
 
 void channel::send(msg_type type, const wire_writer& payload) {
-  send_truncated(type, payload, payload.bytes.size());
+  const wire_part part{payload.bytes.data(), payload.bytes.size()};
+  send(type, {&part, 1});
 }
 
-void channel::send_truncated(msg_type type, const wire_writer& payload,
+void channel::send(msg_type type, std::span<const wire_part> parts) {
+  send_truncated(type, parts, std::numeric_limits<std::size_t>::max());
+}
+
+void channel::send_truncated(msg_type type, std::span<const wire_part> parts,
                              std::size_t wire_bytes) {
   RN_REQUIRE(open(), "dist channel is closed");
+  constexpr std::size_t kMaxParts = 8;
+  RN_REQUIRE(parts.size() < kMaxParts, "dist frame has too many parts");
+  std::size_t size = 0;
+  for (const wire_part& p : parts) size += p.size;
+  // Checked before any byte goes out: a length prefix that wrapped would
+  // leave the peer reading the stream out of step with the frames.
+  if (size > max_frame_)
+    throw wire_error(wire_errc::corrupt,
+                     "dist frame length " + std::to_string(size) +
+                         " exceeds the " + std::to_string(max_frame_) +
+                         "-byte cap (refused before sending)");
   const frame_deadline dl(deadline_ms_);
-  const auto body = static_cast<std::uint32_t>(1 + payload.bytes.size());
+  const auto body = static_cast<std::uint32_t>(1 + size);
   std::uint8_t header[5];
   std::memcpy(header, &body, 4);
   header[4] = static_cast<std::uint8_t>(type);
-  write_all(fd_, header, sizeof(header), dl);
-  const std::size_t n = std::min(wire_bytes, payload.bytes.size());
-  if (n > 0) write_all(fd_, payload.bytes.data(), n, dl);
-  sent_ += sizeof(header) + n;
+  iovec iov[kMaxParts];
+  int count = 0;
+  iov[count++] = {header, sizeof(header)};
+  std::size_t budget = std::min(wire_bytes, size);
+  const std::size_t sent = sizeof(header) + budget;
+  for (const wire_part& p : parts) {
+    const std::size_t n = std::min(budget, p.size);
+    // writev reads through iov_base only; the cast drops const for its type.
+    iov[count++] = {const_cast<void*>(p.data), n};
+    budget -= n;
+  }
+  write_all(fd_, iov, count, dl);
+  sent_ += sent;
 }
 
 msg_type channel::recv(std::vector<std::uint8_t>& payload) {

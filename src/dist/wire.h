@@ -23,34 +23,37 @@
 // EOF). The coordinator arms per-phase deadlines (dist/session.cpp), so a
 // rank that stops responding surfaces as `timeout` within that bound.
 //
-// Setup is a two-stage handshake: a rank answers a setup frame with
-// setup_ack as soon as it knows its owned entry count (between the count and
-// scatter replays of a streamed view), then with setup_ready once its fill
-// and walker load are done. The coordinator reads every ack before the trial
-// starts and each rank's ready before that rank's first round frame, so its
-// own trial setup runs beside the ranks' fills.
+// Setup ships rows: the coordinator sends a rank a setup frame (its block
+// range and the block plan), then the rank's view row lengths in
+// row_lengths frames, then the full adjacency rows of the rank's listeners
+// in rows frames, sent straight out of the coordinator's graph (layouts in
+// dist/worker.h). The rank fills its view as the frames arrive and answers
+// with setup_ready once its fill and walker load are done. The coordinator
+// reads each rank's ready before that rank's first round frame, so its own
+// trial setup runs beside the rank's last fill work.
 //
 // Round-trip shape per stepped round (see session.cpp): the coordinator
 // writes the transmitter frame to every rank and only then reads results
 // back rank by rank. Workers send nothing but the replies to the frame they
-// were handed (two small ones for a setup), so the pattern cannot deadlock:
-// each socketpair carries at most one in-flight request.
+// were handed (one setup_ready for a whole setup), so the pattern cannot
+// deadlock: each socketpair carries at most one in-flight request.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 
 namespace rn::dist {
 
-/// Frame types. Values are part of the wire format; append only.
+/// Frame types. Values are part of the wire format; append only (2, once
+/// setup_ack, is retired).
 enum class msg_type : std::uint8_t {
-  setup = 1,         ///< coord -> worker: block range, topology spec, plan
-  setup_ack = 2,     ///< worker -> coord: node count + owned entry count,
-                     ///< sent once counted, before the fill is done
+  setup = 1,         ///< coord -> worker: block range, team size, plan
   round = 3,         ///< coord -> worker: this round's transmitter ids
   round_results = 4, ///< worker -> coord: per-owned-block touched listeners
   teardown = 5,      ///< coord -> worker: trial over, free the partition
@@ -58,6 +61,8 @@ enum class msg_type : std::uint8_t {
   shutdown = 7,      ///< coord -> worker: exit the worker loop
   setup_ready = 8,   ///< worker -> coord, no payload: fill and walker load
                      ///< done, the rank takes rounds
+  row_lengths = 9,   ///< coord -> worker: view row lengths of a row range
+  rows = 10,         ///< coord -> worker: adjacency rows of a listener range
 };
 
 /// Structured failure category of a channel operation.
@@ -84,7 +89,6 @@ class wire_error : public contract_error {
 struct wire_writer {
   std::vector<std::uint8_t> bytes;
 
-  void u8(std::uint8_t v) { bytes.push_back(v); }
   void u32(std::uint32_t v) {
     const std::size_t at = bytes.size();
     bytes.resize(at + 4);
@@ -95,14 +99,12 @@ struct wire_writer {
     bytes.resize(at + 8);
     std::memcpy(bytes.data() + at, &v, 8);
   }
-  void raw(const void* data, std::size_t len) {
-    // An empty span may carry a null `data` (an empty vector's data()), and
-    // memcpy from null is undefined even for zero bytes.
-    if (len == 0) return;
-    const std::size_t at = bytes.size();
-    bytes.resize(at + len);
-    std::memcpy(bytes.data() + at, data, len);
-  }
+};
+
+/// A run of payload bytes a frame sends from where they lie, uncopied.
+struct wire_part {
+  const void* data = nullptr;
+  std::size_t size = 0;
 };
 
 /// Sequential payload reader; throws contract_error on truncation.
@@ -111,7 +113,6 @@ class wire_reader {
   explicit wire_reader(const std::vector<std::uint8_t>& bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
 
-  [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   /// Borrows `len` raw bytes (valid while the frame buffer lives).
@@ -146,18 +147,26 @@ class channel {
   void set_deadline_ms(unsigned ms) { deadline_ms_ = ms; }
   [[nodiscard]] unsigned deadline_ms() const { return deadline_ms_; }
 
-  /// Largest frame body accepted by recv(); a length prefix above it is
-  /// wire_errc::corrupt (a desynced or garbage peer would otherwise drive
-  /// a multi-GB allocation). Defaults to the u32 maximum — real frames are
-  /// bounded by the workload, tests lower it to pin the error path.
-  void set_max_frame_bytes(std::uint32_t n) { max_frame_ = n; }
+  /// Largest frame payload either end passes: recv() takes a length prefix
+  /// above it for wire_errc::corrupt (a desynced or garbage peer would
+  /// otherwise drive a multi-GB allocation), and send() refuses a longer
+  /// payload the same way before writing a byte (its length prefix would
+  /// otherwise wrap and desync the peer). Defaults to, and is clamped at,
+  /// kMaxPayload — real frames are bounded by the workload, tests lower it
+  /// to pin the error paths.
+  void set_max_frame_bytes(std::uint32_t n) {
+    max_frame_ = n < kMaxPayload ? n : kMaxPayload;
+  }
 
   /// Writes one frame (poll-gated, EINTR-safe, retrying partial writes).
   void send(msg_type type, const wire_writer& payload);
+  /// Writes one frame whose payload is `parts` back to back, each sent from
+  /// where it lies.
+  void send(msg_type type, std::span<const wire_part> parts);
   /// Fault-injection only: writes a frame header promising the full payload
   /// but stops after `wire_bytes` payload bytes — the receiver sees a
   /// mid-frame EOF once this end closes. Models a peer dying mid-write.
-  void send_truncated(msg_type type, const wire_writer& payload,
+  void send_truncated(msg_type type, std::span<const wire_part> parts,
                       std::size_t wire_bytes);
   /// Reads one frame into `payload`; returns its type. Throws wire_error
   /// (timeout/closed/corrupt/io) — see the header comment.
@@ -167,9 +176,13 @@ class channel {
   [[nodiscard]] std::uint64_t bytes_received() const { return received_; }
 
  private:
+  /// The longest payload a u32 length prefix frames: the prefix counts the
+  /// type byte too.
+  static constexpr std::uint32_t kMaxPayload = 0xfffffffeu;
+
   int fd_ = -1;
   unsigned deadline_ms_ = 0;
-  std::uint32_t max_frame_ = 0xffffffffu;
+  std::uint32_t max_frame_ = kMaxPayload;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,10 +14,6 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "dist/fault.h"
-#include "dist/wire.h"
-#include "graph/generators.h"
-#include "graph/partitioned.h"
-#include "graph/topology.h"
 #include "radio/network.h"
 #include "sim/engine.h"
 
@@ -28,16 +23,134 @@ namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
 
-/// Checks that the plan a setup frame carries fits a graph of `n` nodes:
-/// kBlocks + 1 ascending bounds from 0 to n.
-void check_plan(const graph::block_plan& plan, std::size_t n) {
-  RN_REQUIRE(plan.bounds.size() == kBlocks + 1 && plan.bounds.front() == 0 &&
-                 plan.bounds.back() == n &&
-                 std::is_sorted(plan.bounds.begin(), plan.bounds.end()),
-             "dist setup plan does not fit the rank's graph");
+/// Row lengths per row_lengths frame. The coordinator computes them into a
+/// scratch it keeps for the session, so they go out in 64 KiB frames.
+constexpr std::size_t kLengthsPerFrame = std::size_t{1} << 14;
+
+/// How many of u's neighbors lie in [lo, hi): rows are ascending, so only a
+/// row that strays past an end of the range needs a search.
+std::uint32_t owned_length(const graph::csr_ref& g, node_id u, node_id lo,
+                           node_id hi) {
+  const node_id* p = g.adj + g.row_start[u];
+  const node_id* q = g.adj + g.row_start[u + 1];
+  if (p == q || *p >= hi || q[-1] < lo) return 0;
+  if (*p < lo) p = std::lower_bound(p, q, lo);
+  if (q[-1] >= hi) q = std::lower_bound(p, q, hi);
+  return static_cast<std::uint32_t>(q - p);
+}
+
+/// A u32 array of a received frame, read in place: every array a frame
+/// carries starts 4-byte aligned, in a buffer from operator new.
+const std::uint32_t* u32s(const std::uint8_t* p) {
+  return reinterpret_cast<const std::uint32_t*>(p);
+}
+
+/// Reads the row_lengths and rows frames that follow a setup frame and
+/// scatters each into `fill` as it arrives.
+void receive_rows(channel& ch, std::vector<std::uint8_t>& payload,
+                  graph::partitioned_view::filler& fill) {
+  while (!fill.rows_done()) {
+    const msg_type type = ch.recv(payload);
+    wire_reader in(payload);
+    const node_id first = in.u32();
+    const std::uint32_t k = in.u32();
+    if (!fill.lengths_done()) {
+      RN_REQUIRE(type == msg_type::row_lengths,
+                 "dist setup expected a row_lengths frame");
+      fill.add_lengths(first, {u32s(in.raw(std::size_t{k} * 4)), k});
+    } else {
+      RN_REQUIRE(type == msg_type::rows, "dist setup expected a rows frame");
+      const std::size_t offset_count = std::size_t{k} + 1;
+      const std::uint32_t* offsets = u32s(in.raw(offset_count * 4));
+      const std::size_t bytes = in.remaining();
+      RN_REQUIRE(bytes % 4 == 0, "dist rows frame splits a neighbor id");
+      fill.add_rows(first, {offsets, offset_count},
+                    {u32s(in.raw(bytes)), bytes / 4});
+    }
+  }
 }
 
 }  // namespace
+
+setup_stream::setup_stream(const graph::graph& g,
+                           const graph::block_plan& plan, unsigned first_block,
+                           unsigned last_block, unsigned threads)
+    : g_(&g),
+      plan_(&plan),
+      first_block_(first_block),
+      last_block_(last_block),
+      threads_(threads) {}
+
+bool setup_stream::send_next(channel& ch, std::vector<std::uint32_t>& scratch) {
+  const node_id n = plan_->bounds.back();
+  const node_id lo = plan_->bounds[first_block_];
+  const node_id hi = plan_->bounds[last_block_];
+  const graph::csr_ref csr = g_->csr();
+  switch (stage_) {
+    case stage::setup: {
+      // The block range is explicit (not derived from rank/ranks): the
+      // supervisor reassigns ranges mid-session when a rank degrades.
+      wire_writer w;
+      w.u32(first_block_);
+      w.u32(last_block_);
+      w.u32(plan_->blocks());
+      w.u32(threads_);
+      for (const node_id bound : plan_->bounds) w.u32(bound);
+      ch.send(msg_type::setup, w);
+      stage_ = stage::lengths;
+      next_ = 0;
+      return true;
+    }
+    case stage::lengths: {
+      const auto k = static_cast<node_id>(
+          std::min<std::size_t>(n - next_, kLengthsPerFrame));
+      scratch.resize(std::size_t{k} + 2);
+      scratch[0] = next_;
+      scratch[1] = k;
+      for (node_id i = 0; i < k; ++i)
+        scratch[2 + i] = owned_length(csr, next_ + i, lo, hi);
+      const wire_part frame{scratch.data(), scratch.size() * 4};
+      ch.send(msg_type::row_lengths, {&frame, 1});
+      next_ += k;
+      if (next_ < n) return true;
+      stage_ = lo < hi ? stage::rows : stage::done;
+      next_ = lo;
+      return stage_ == stage::rows;
+    }
+    case stage::rows: {
+      // The longest listener run [v0, v1) whose offsets and neighbors fit
+      // the frame bound, and never less than one listener.
+      const node_id v0 = next_;
+      const auto words = [&](node_id v1) {
+        return std::uint64_t{csr.row_start[v1]} - csr.row_start[v0] + v1 -
+               v0 + 1;
+      };
+      node_id v1 = v0 + 1;
+      node_id top = hi;
+      while (v1 < top) {
+        const node_id mid = v1 + (top - v1 + 1) / 2;
+        if (words(mid) <= kRowsFrameWords)
+          v1 = mid;
+        else
+          top = mid - 1;
+      }
+      const std::uint32_t head[2] = {v0, v1 - v0};
+      const wire_part frame[3] = {
+          {head, sizeof(head)},
+          {csr.row_start + v0, (std::size_t{v1} - v0 + 1) * 4},
+          {csr.adj + csr.row_start[v0],
+           std::size_t{csr.row_start[v1] - csr.row_start[v0]} * 4}};
+      ch.send(msg_type::rows, frame);
+      next_ = v1;
+      if (next_ < hi) return true;
+      stage_ = stage::done;
+      return false;
+    }
+    case stage::done:
+      break;
+  }
+  return false;
+}
 
 int worker_main(int fd) {
   // A coordinator that died leaves us writing into a closed socket; surface
@@ -45,12 +158,11 @@ int worker_main(int fd) {
   std::signal(SIGPIPE, SIG_IGN);
   channel ch(fd);
   std::vector<std::uint8_t> payload;
-  // The trial's adjacency — a streamed view (layered kinds) or the rebuilt
-  // graph (every other kind) — kept only while the walker reads it in place.
+  // The trial's view, kept only while the walker reads it in place.
   graph::partitioned_view view;
-  graph::graph resident;
   std::unique_ptr<radio::block_walker> walker;  ///< live trial only
-  std::vector<node_id> tx_ids;
+  // Round results, written in place; grows to the largest round and stays.
+  std::vector<std::uint8_t> results;
 
   try {
     for (;;) {
@@ -58,117 +170,89 @@ int worker_main(int fd) {
       wire_reader in(payload);
       switch (type) {
         case msg_type::setup: {
-          // The block range is explicit (not derived from rank/ranks): the
-          // supervisor reassigns ranges mid-session when a rank degrades,
-          // and a worker only ever needs to know which slice to rebuild.
           const std::uint32_t first = in.u32();
           const std::uint32_t last = in.u32();
           const std::uint32_t blocks = in.u32();
           const std::uint32_t threads = in.u32();
-          const std::uint64_t seed = in.u64();
-          const std::uint32_t spec_len = in.u32();
-          const auto* text = in.raw(spec_len);
           RN_REQUIRE(blocks == kBlocks,
                      "dist setup block count does not match channel-v1");
           RN_REQUIRE(first < last && last <= kBlocks,
                      "dist setup block range invalid");
-          graph::topology_spec spec = graph::parse_topology_spec(
-              std::string(reinterpret_cast<const char*>(text), spec_len));
-          spec.seed = seed;
-          // The coordinator's plan of its resident graph: the rank never
-          // derives it, so a layered view needs no degree replay.
           graph::block_plan plan;
           plan.bounds.resize(kBlocks + 1);
           for (node_id& bound : plan.bounds) bound = in.u32();
+          RN_REQUIRE(plan.bounds.front() == 0 &&
+                         std::is_sorted(plan.bounds.begin(),
+                                        plan.bounds.end()),
+                     "dist setup plan bounds do not ascend from 0");
           // Free the previous adjacency first: a reassignment resync
           // re-sends setup mid-trial, and two need not coexist.
           walker.reset();
           view = graph::partitioned_view();
-          resident = graph::graph();
-          // The ack goes out as soon as the owned entry count is known, so
-          // the coordinator's own trial setup runs beside the rest of this
-          // fill; setup_ready below says the rank takes rounds.
-          const auto ack = [&ch](std::size_t n, std::uint64_t owned_entries) {
-            wire_writer w;
-            w.u64(n);
-            w.u64(owned_entries);
-            ch.send(msg_type::setup_ack, w);
-          };
-          graph::csr_ref csr;
-          if (spec.kind == "layered") {
-            // Streamed straight from the generator: the family the
-            // n = 10^8 point uses never materializes the full graph. The
-            // stream repeats no edge, so the count pass's total is the
-            // view's entry count.
-            const graph::layered_options lo = graph::layered_options_of(spec);
-            const std::size_t n = 1 + lo.depth * lo.width;
-            check_plan(plan, n);
-            view = graph::partitioned_view::from_plan(
-                n, plan, first, last,
-                [&lo](auto&& add) { graph::for_each_layered_edge(lo, add); },
-                [&](std::uint64_t total) { ack(n, total); });
-            csr = view.csr();
-          } else {
-            // Other kinds fit a rank whole, as they fit a single process.
-            resident = graph::build_topology(spec);
-            const std::size_t n = resident.node_count();
-            check_plan(plan, n);
-            ack(n, resident.offsets()[plan.bounds[last]] -
-                       resident.offsets()[plan.bounds[first]]);
-            csr = resident.csr();
-          }
+          graph::partitioned_view::filler fill(plan, first, last);
+          receive_rows(ch, payload, fill);
+          view = std::move(fill).finish();
           walker = std::make_unique<radio::block_walker>();
           walker->bind(plan.bounds, first, last);
           walker->set_min_parallel_volume(
               radio::get_intra_trial_policy().min_parallel_volume);
           // A walker that copied the rank's rows into slices leaves the
-          // source unread, so the rank holds its adjacency once.
-          if (!walker->load(csr, threads)) {
+          // view unread, so the rank holds its adjacency once.
+          if (!walker->load(view.csr(), threads))
             view = graph::partitioned_view();
-            resident = graph::graph();
-          }
           ch.send(msg_type::setup_ready, wire_writer{});
           break;
         }
         case msg_type::round: {
           RN_REQUIRE(walker != nullptr, "dist round before setup");
-          const auto fault = static_cast<fault_kind>(in.u8());
+          const auto fault = static_cast<fault_kind>(in.u32());
           const std::uint32_t fault_arg_ms = in.u32();
           // Coordinator-injected faults (dist/fault.h). `kill` models a
           // crash before the round is processed; `drop` a wedged rank the
           // coordinator's deadline must catch; `truncate` death mid-write.
           if (fault == fault_kind::kill) ::_exit(42);
           if (fault == fault_kind::drop) break;
+          // The ids are walked where they lie, once the payload is known to
+          // hold as many as the frame claims.
           const std::uint32_t m = in.u32();
-          tx_ids.resize(m);
-          std::memcpy(tx_ids.data(), in.raw(std::size_t{m} * 4),
-                      std::size_t{m} * 4);
-          walker->walk(tx_ids);
-          wire_writer out;
+          walker->walk({u32s(in.raw(std::size_t{m} * 4)), m});
+          // Per owned block: [u32 block][u32 count][ids][u64 hit words].
+          std::size_t size = 0;
+          for (unsigned b = walker->first_block(); b < walker->last_block();
+               ++b)
+            size += 8 + walker->touched(b).size() * 12;
+          if (results.size() < size) results.resize(size);
+          std::uint8_t* out = results.data();
           for (unsigned b = walker->first_block(); b < walker->last_block();
                ++b) {
             const std::span<const node_id> ids = walker->touched(b);
-            out.u32(b);
-            out.u32(static_cast<std::uint32_t>(ids.size()));
-            out.raw(ids.data(), ids.size() * 4);
-            for (const node_id v : ids) out.u64(walker->hit_word(v));
+            const std::uint32_t head[2] = {
+                b, static_cast<std::uint32_t>(ids.size())};
+            std::memcpy(out, head, sizeof(head));
+            out += sizeof(head);
+            if (!ids.empty()) std::memcpy(out, ids.data(), ids.size() * 4);
+            out += ids.size() * 4;
+            for (const node_id v : ids) {
+              const std::uint64_t word = walker->hit_word(v);
+              std::memcpy(out, &word, 8);
+              out += 8;
+            }
           }
           walker->clear_round();
           if (fault == fault_kind::delay)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(fault_arg_ms));
+          const wire_part frame{results.data(), size};
           if (fault == fault_kind::truncate) {
-            ch.send_truncated(msg_type::round_results, out,
-                              out.bytes.size() / 2);
+            ch.send_truncated(msg_type::round_results, {&frame, 1}, size / 2);
             ::_exit(43);
           }
-          ch.send(msg_type::round_results, out);
+          ch.send(msg_type::round_results, {&frame, 1});
           break;
         }
         case msg_type::teardown: {
           walker.reset();
           view = graph::partitioned_view();
-          resident = graph::graph();
           wire_writer ack;
           ack.u64(static_cast<std::uint64_t>(sim::process_peak_rss_kb()));
           ch.send(msg_type::teardown_ack, ack);

@@ -13,21 +13,14 @@
 
 namespace rn::graph {
 
-/// The default `counted` callback of fill_csr: does nothing.
-struct ignore_count {
-  void operator()(std::uint64_t /*total*/) const {}
-};
-
 /// Fills a CSR of `n` rows: `entries(put)` calls put(row, v) once per row
 /// entry and must replay identically, because it runs twice — a counting
-/// pass, then, after the prefix sums, a scatter. `counted(total)` runs once
-/// between the two passes with the counting pass's entry count, duplicates
-/// included. Each row is then sorted and deduplicated in place. Throws if the
-/// entries overflow 32-bit offsets.
-template <class Entries, class Counted = ignore_count>
+/// pass, then, after the prefix sums, a scatter. Each row is then sorted and
+/// deduplicated in place. Throws if the entries overflow 32-bit offsets.
+template <class Entries>
 void fill_csr(std::size_t n, Entries&& entries,
               std::vector<std::uint32_t>& row_start,
-              std::vector<node_id>& adj, Counted counted = {}) {
+              std::vector<node_id>& adj) {
   row_start.assign(n + 1, 0);
   std::uint64_t total = 0;
   entries([&](node_id row, node_id) {
@@ -36,7 +29,6 @@ void fill_csr(std::size_t n, Entries&& entries,
   });
   RN_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
              "adjacency too large for 32-bit CSR offsets");
-  counted(total);
   for (std::size_t u = 0; u < n; ++u) row_start[u + 1] += row_start[u];
   adj.assign(total, 0);
   {

@@ -11,14 +11,16 @@
 // every transmitter's hits on its own listeners from its view alone, because
 // rows are complete per listener even when they are partial per transmitter.
 //
-// A view is streamed from an edge stream (the full graph never
-// materializes) through the same CSR fill as graph::from_edges: `from_plan`
-// takes the plan a process holding the graph computed and replays the stream
-// twice (count, scatter), reporting the entry count between the two;
-// `from_edge_source` first derives the plan itself from one more replay (the
-// degree pass). The streamed path is what lets an n = 10^8 trial fit a rank
-// in a few GB — see graph/generators.h `for_each_layered_edge`. A process
-// that holds the resident graph needs no view: the block walker
+// A rank fills its view from rows a process holding the graph ships
+// (`filler`): first the length of every view row, then the full adjacency
+// row of each owned listener in ascending order. Listener v goes to the view
+// row of each of its neighbors, so every row comes out sorted with no sort
+// pass, and the filler never holds the shipped rows: it scatters each batch
+// as it arrives. A view can also be streamed from an edge stream:
+// `from_edge_source` derives the plan from one degree replay, then fills
+// through the same CSR fill as graph::from_edges (count, scatter); it is kept
+// for bench/perf/layer_trace.cpp's graph.partition_ms probe. A process that
+// holds the resident graph needs no view: the block walker
 // (radio/block_walk.h) clips the graph's own rows to its blocks.
 #pragma once
 
@@ -28,9 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/types.h"
-#include "graph/fill_csr.h"
 #include "graph/graph.h"
 
 namespace rn::graph {
@@ -71,25 +71,11 @@ class partitioned_view {
  public:
   partitioned_view() = default;
 
-  /// Fills blocks [first_block, last_block) of `plan` — the plan the full
-  /// graph's degrees give, shipped by a process that holds the graph — from
-  /// two replays of `edges` (count, scatter). `edges(add)` must call
-  /// add(u, v) exactly once per undirected edge and replay identically; a
-  /// template sink, so no call per edge goes through a std::function.
-  /// `counted(total)` runs between the replays with the view's entry count
-  /// (fill_csr), which equals adjacency().size() for a stream that never
-  /// repeats an edge.
-  template <class Edges, class Counted = ignore_count>
-  [[nodiscard]] static partitioned_view from_plan(std::size_t node_count,
-                                                  block_plan plan,
-                                                  unsigned first_block,
-                                                  unsigned last_block,
-                                                  Edges&& edges,
-                                                  Counted counted = {});
+  class filler;
 
-  /// Derives the plan from one degree replay of `edges` (what a process
-  /// without the graph must do), then fills as `from_plan`: three replays in
-  /// all, and never the full adjacency.
+  /// Fills blocks [first_block, last_block) of the plan that one degree
+  /// replay of `edges` gives, from two more replays (count, scatter): three
+  /// replays in all, and never the full adjacency.
   [[nodiscard]] static partitioned_view from_edge_source(
       std::size_t node_count, const edge_source& edges, unsigned blocks,
       unsigned first_block, unsigned last_block);
@@ -119,37 +105,40 @@ class partitioned_view {
   std::vector<node_id> adj_;              ///< owned-range neighbors, sorted
 };
 
-template <class Edges, class Counted>
-partitioned_view partitioned_view::from_plan(std::size_t node_count,
-                                             block_plan plan,
-                                             unsigned first_block,
-                                             unsigned last_block,
-                                             Edges&& edges, Counted counted) {
-  RN_REQUIRE(node_count >= 1, "partitioned view needs >= 1 node");
-  RN_REQUIRE(!plan.bounds.empty() && plan.bounds.back() == node_count,
-             "partitioned view plan does not end at the node count");
-  RN_REQUIRE(first_block < last_block && last_block <= plan.blocks(),
-             "partitioned view needs a non-empty block range inside the plan");
-  partitioned_view pv;
-  pv.node_count_ = node_count;
-  pv.plan_ = std::move(plan);
-  pv.first_block_ = first_block;
-  pv.last_block_ = last_block;
-  const node_id lo = pv.owned_begin();
-  const node_id hi = pv.owned_end();
-  // The fill over the entries whose listener is owned.
-  fill_csr(
-      node_count,
-      [&](auto&& put) {
-        edges([&](node_id u, node_id v) {
-          RN_REQUIRE(u < node_count && v < node_count && u != v,
-                     "edge source emitted an invalid edge");
-          if (v >= lo && v < hi) put(u, v);
-          if (u >= lo && u < hi) put(v, u);
-        });
-      },
-      pv.row_start_, pv.adj_, std::move(counted));
-  return pv;
-}
+/// Fills a view from shipped rows, in two stages that each arrive in order
+/// and in any batches: the view row lengths of all node_count rows, then,
+/// ascending, the full adjacency row of every owned listener. A listener
+/// batch scatters into the view as it is added, so the filler holds the view
+/// and nothing else. Throws contract_error on a batch out of order or an
+/// entry that the lengths leave no room for.
+class partitioned_view::filler {
+ public:
+  /// A view of blocks [first_block, last_block) of `plan`, whose last bound
+  /// is the node count.
+  filler(block_plan plan, unsigned first_block, unsigned last_block);
+
+  /// Stage 1: lengths of view rows [first_row, first_row + lengths.size()).
+  void add_lengths(node_id first_row, std::span<const std::uint32_t> lengths);
+  /// Stage 2: the rows of listeners [first, first + offsets.size() - 1);
+  /// listener first + i's neighbors are adj[offsets[i] - offsets[0],
+  /// offsets[i + 1] - offsets[0]), whatever base the offsets count from.
+  void add_rows(node_id first, std::span<const std::uint32_t> offsets,
+                std::span<const node_id> adj);
+
+  [[nodiscard]] bool lengths_done() const {
+    return next_row_ == view_.node_count_;
+  }
+  [[nodiscard]] bool rows_done() const {
+    return lengths_done() && next_listener_ == view_.owned_end();
+  }
+  /// The filled view; every entry the lengths promised must have arrived.
+  [[nodiscard]] partitioned_view finish() &&;
+
+ private:
+  partitioned_view view_;
+  std::size_t next_row_ = 0;
+  node_id next_listener_ = 0;
+  std::uint64_t scattered_ = 0;
+};
 
 }  // namespace rn::graph

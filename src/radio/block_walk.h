@@ -10,9 +10,8 @@
 // its block's touch list, in walk order. Every caller hands it a CSR the
 // same way, through `load`:
 //   * radio::network — the graph's own CSR, all 32 blocks;
-//   * each dist worker rank — its streamed partitioned_view
-//     (graph/partitioned.h) for layered topologies, else the graph it
-//     rebuilt;
+//   * each dist worker rank — the partitioned_view (graph/partitioned.h)
+//     it fills from the rows the coordinator ships;
 //   * the dist coordinator's local cover for orphaned blocks — the resident
 //     trial graph.
 // A team of one walks that CSR in place when every row already lies inside

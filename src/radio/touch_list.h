@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "common/types.h"
@@ -30,6 +31,12 @@ class alignas(64) touch_list {
   }
 
   void push(node_id v) { storage_[size_++] = v; }
+  /// Appends `count` listeners with one copy (a rank's block results).
+  void append(const node_id* ids, std::size_t count) {
+    if (count == 0) return;  // `ids` may be null then
+    std::memcpy(storage_.data() + size_, ids, count * sizeof(node_id));
+    size_ += count;
+  }
   void clear() { size_ = 0; }
 
   [[nodiscard]] std::size_t size() const { return size_; }

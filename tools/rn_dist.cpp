@@ -16,10 +16,10 @@
 //
 //   --round-deadline-ms N   recv deadline per round frame (default 60000;
 //                           0 = block forever, disables wedge detection)
-//   --setup-deadline-ms N   recv deadline for setup_ack, setup_ready and
-//                           teardown_ack (300000); a rank's first round
-//                           waits for its setup_ready under it, so a long
-//                           fill is never taken for a wedge
+//   --setup-deadline-ms N   deadline for every setup frame sent and for
+//                           setup_ready and teardown_ack (300000); a rank's
+//                           first round waits for its setup_ready under
+//                           it, so a long fill is never taken for a wedge
 //   --max-respawns N        respawn attempts per rank per trial before the
 //                           rank degrades to block reassignment (2)
 //   --backoff-ms N          base of the exponential respawn backoff (100)
@@ -28,9 +28,10 @@
 //                           (grammar in dist/fault.h)
 //
 // A bad numeric value or fault plan exits 2 with "bad value for FLAG". A
-// crashed or wedged rank is respawned (bounded backoff) with its adjacency
-// rebuilt and the trial replayed; past the budget its blocks are reassigned
-// to the survivors. Results stay byte-identical through every path.
+// crashed or wedged rank is respawned (bounded backoff), its rows re-shipped
+// from the coordinator's graph and the round in flight resent; past the
+// budget its blocks are reassigned to the survivors. Results stay
+// byte-identical through every path.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
